@@ -4,11 +4,10 @@ A chain (or any spanning tree) of robots acquires a moving formation by a
 least-squares kinematic control law, extended to the torque level with an
 adaptive backstepping design. The package bundles the SE(2) primitives,
 the structured linear algebra behind the controller's invertibility
-certificate, a fixed-step closed-loop simulator with compiled kernels,
-and a scenario-driven CLI with CSV traces and YAML metrics.
+certificate, a fixed-step closed-loop simulator, and a scenario-driven
+CLI with CSV traces and YAML metrics.
 """
 
-from .accel import HAS_NUMBA, JIT_ENABLED
 from .adaptive import (RobotParams, adaptation_rate, adaptive_control,
                        block_regression, lyapunov_diagnostics,
                        params_to_vector, regression_matrix,
@@ -24,7 +23,8 @@ from .graph import (CountError, CycleError, DisconnectedError, GraphError,
 from .linalg import (LeastSquaresResult, Pentadiagonal, PivotBreakdown,
                      RankDeficient, chain_gram_determinant,
                      chain_gram_pentadiagonal, chain_pivot_bounds,
-                     least_squares_solve, pentadiagonal_determinant)
+                     gram_pivot, least_squares_solve,
+                     pentadiagonal_determinant)
 from .metrics import EmptyTrace, MetricsReport, compute_metrics
 from .presets import get_preset, preset_names
 from .scenario import (ParseError, RobotSpec, ScenarioConfig, SchemaError,

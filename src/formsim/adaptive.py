@@ -73,10 +73,8 @@ def block_regression(mus, twists):
     Y = np.zeros((n, 2, 6))
     Y[:, 0, 0] = mus[:, 0]
     Y[:, 1, 1] = mus[:, 1]
-    Y[:, 0, 2] = twists[:, 0]
-    Y[:, 0, 3] = twists[:, 1]
-    Y[:, 1, 4] = twists[:, 0]
-    Y[:, 1, 5] = twists[:, 1]
+    Y[:, 0, 2:4] = twists
+    Y[:, 1, 4:6] = twists
     return Y
 
 
@@ -91,21 +89,14 @@ def adaptive_control(sigma, z, A, Y, phihat, twist_gain):
     phihat = np.asarray(phihat, dtype=float)
     twist_gain = np.asarray(twist_gain, dtype=float)
     u = -twist_gain * sigma - A.T @ np.asarray(z, dtype=float)
-    n = len(Y)
-    for i in range(n):
-        u[2 * i: 2 * i + 2] += Y[i] @ phihat[6 * i: 6 * i + 6]
-    return u
+    return u + (Y @ phihat.reshape(-1, 6, 1)).reshape(-1)
 
 
 def adaptation_rate(Y, sigma, adapt_gain):
     """Gradient estimate update: minus gain times Y^T sigma, blockwise."""
     sigma = np.asarray(sigma, dtype=float)
     adapt_gain = np.asarray(adapt_gain, dtype=float)
-    n = len(Y)
-    out = np.empty(6 * n)
-    for i in range(n):
-        out[6 * i: 6 * i + 6] = Y[i].T @ sigma[2 * i: 2 * i + 2]
-    return -adapt_gain * out
+    return -adapt_gain * (sigma.reshape(-1, 1, 2) @ Y).reshape(-1)
 
 
 def lyapunov_diagnostics(z, sigma, phitilde, inertia_diag, adapt_gain,

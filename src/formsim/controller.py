@@ -17,12 +17,13 @@ just the directly coupled part; without it the computed rate would be
 wrong whenever the leader still carries tracking error.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import COND_LIMIT, RankDeficient, least_squares_solve
-from .se2 import SELECT, SKEW, rotation_matrix, steering_matrix
+from .linalg import gram_pivot, least_squares_solve
 
 __all__ = [
     "ErrorState",
@@ -56,13 +57,39 @@ class ErrorState:
         return float(np.linalg.norm(self.vector))
 
 
+@lru_cache(maxsize=16)
+def _layout(tree):
+    """Edge index arrays of a tree, built once per tree: 0-based parents
+    and children in edge order; the flat positions in a (3n, 2n) matrix
+    of each edge block's cosine row, sine row and heading row (parents,
+    then children), then of the leader block's two entries; and the
+    constant values of the heading rows and the leader block."""
+    n = tree.n
+    parents, children = tree.edge_array().T
+    rows = np.tile(6 * n * np.arange(1, n), 2)   # flat start of edge blocks
+    at = rows + 2 * np.concatenate([parents, children])
+    at = np.concatenate([at, at + 2 * n, at + 4 * n + 1, [0, 4 * n + 1]])
+    const = np.repeat([-1.0, 1.0, -1.0], [n - 1, n - 1, 2])
+    return parents, children, at, const
+
+
+def _leader_rotate(theta, v):
+    """R(theta)^T v for one 3-vector: the leader block of the stacking."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([c * v[0] + s * v[1], c * v[1] - s * v[0], v[2]])
+
+
+def _stack(tree, leader, rows):
+    """Leader block, then parent row minus child row for every edge."""
+    parents, children = _layout(tree)[:2]
+    return np.concatenate([leader,
+                           (rows[parents] - rows[children]).reshape(-1)])
+
+
 def _error_vector(tree, poses, desired_poses):
-    e = np.asarray(desired_poses, dtype=float) - np.asarray(poses, dtype=float)
-    z = np.empty(3 * tree.n)
-    z[:3] = rotation_matrix(poses[0][2]).T @ e[0]
-    for k, (i, j) in enumerate(tree.edges):
-        z[3 * (k + 1): 3 * (k + 2)] = e[i - 1] - e[j - 1]
-    return z
+    poses = np.asarray(poses, dtype=float)
+    e = np.asarray(desired_poses, dtype=float) - poses
+    return _stack(tree, _leader_rotate(poses[0, 2], e[0]), e)
 
 
 def error_state(tree, poses, desired_poses):
@@ -72,19 +99,22 @@ def error_state(tree, poses, desired_poses):
                       tree=tree)
 
 
+def _scatter(n, at, values):
+    """Dense (3n, 2n) matrix holding ``values`` at flat positions ``at``."""
+    out = np.zeros(6 * n * n)
+    out[at] = values
+    return out.reshape(3 * n, 2 * n)
+
+
 def coupling_matrix(tree, headings):
     """Tall (3n, 2n) matrix relating robot twists to the stacked-error
     rate: leader row block is minus the twist selector, each edge block
     carries minus the parent's steering matrix and plus the child's."""
     th = np.asarray(headings, dtype=float)
-    n = tree.n
-    A = np.zeros((3 * n, 2 * n))
-    A[:3, :2] = -SELECT
-    for k, (i, j) in enumerate(tree.edges):
-        r = 3 * (k + 1)
-        A[r:r + 3, 2 * (i - 1): 2 * i] = -steering_matrix(th[i - 1])
-        A[r:r + 3, 2 * (j - 1): 2 * j] = steering_matrix(th[j - 1])
-    return A
+    parents, children, at, const = _layout(tree)
+    c, s = np.cos(th), np.sin(th)
+    return _scatter(tree.n, at, np.concatenate(
+        [-c[parents], c[children], -s[parents], s[children], const]))
 
 
 def coupling_rate(tree, headings, omegas):
@@ -95,40 +125,23 @@ def coupling_rate(tree, headings, omegas):
     """
     th = np.asarray(headings, dtype=float)
     w = np.asarray(omegas, dtype=float)
-    n = tree.n
-    Adot = np.zeros((3 * n, 2 * n))
-    for k, (i, j) in enumerate(tree.edges):
-        r = 3 * (k + 1)
-        ci, si = np.cos(th[i - 1]), np.sin(th[i - 1])
-        cj, sj = np.cos(th[j - 1]), np.sin(th[j - 1])
-        Adot[r, 2 * (i - 1)] = w[i - 1] * si
-        Adot[r + 1, 2 * (i - 1)] = -w[i - 1] * ci
-        Adot[r, 2 * (j - 1)] = -w[j - 1] * sj
-        Adot[r + 1, 2 * (j - 1)] = w[j - 1] * cj
-    return Adot
-
-
-def _desired_pose_rates(thetad, etad):
-    """Desired configuration rates, one (3,) row per robot."""
-    thetad = np.asarray(thetad, dtype=float)
-    etad = np.asarray(etad, dtype=float)
-    g = np.empty((len(thetad), 3))
-    g[:, 0] = etad[:, 0] * np.cos(thetad)
-    g[:, 1] = etad[:, 0] * np.sin(thetad)
-    g[:, 2] = etad[:, 1]
-    return g
+    parents, children, at, const = _layout(tree)
+    wc, ws = w * np.cos(th), w * np.sin(th)
+    return _scatter(tree.n, at[:len(at) - len(const)], np.concatenate(
+        [ws[parents], -ws[children], -wc[parents], wc[children]]))
 
 
 def feedforward_term(tree, theta1, thetad, etad):
     """Desired-motion feedforward stacked alongside the coupling matrix:
     the leader's desired rate rotated into its body frame, then the
     difference of desired rates across each edge."""
-    g = _desired_pose_rates(thetad, etad)
-    ff = np.empty(3 * tree.n)
-    ff[:3] = rotation_matrix(theta1).T @ g[0]
-    for k, (i, j) in enumerate(tree.edges):
-        ff[3 * (k + 1): 3 * (k + 2)] = g[i - 1] - g[j - 1]
-    return ff
+    thetad = np.asarray(thetad, dtype=float)
+    etad = np.asarray(etad, dtype=float)
+    g = np.empty((len(thetad), 3))
+    g[:, 0] = etad[:, 0] * np.cos(thetad)
+    g[:, 1] = etad[:, 0] * np.sin(thetad)
+    g[:, 2] = etad[:, 1]
+    return _stack(tree, _leader_rotate(theta1, g[0]), g)
 
 
 def feedforward_rate(tree, theta1, omega1, thetad, etad, etadd):
@@ -141,19 +154,21 @@ def feedforward_rate(tree, theta1, omega1, thetad, etad, etadd):
     thetad = np.asarray(thetad, dtype=float)
     etad = np.asarray(etad, dtype=float)
     etadd = np.asarray(etadd, dtype=float)
-    g = _desired_pose_rates(thetad, etad)
-    gdot = np.empty_like(g)
+    c, s = np.cos(thetad), np.sin(thetad)
+    v, w, a = etad[:, 0], etad[:, 1], etadd[:, 0]
+    g0, g1 = v * c, v * s
+    gdot = np.empty((len(thetad), 3))
     # d/dt of each desired rate: spin by the desired omega plus the
     # steering of the desired twist rate.
-    gdot[:, 0] = -etad[:, 1] * g[:, 1] + etadd[:, 0] * np.cos(thetad)
-    gdot[:, 1] = etad[:, 1] * g[:, 0] + etadd[:, 0] * np.sin(thetad)
+    gdot[:, 0] = -w * g1 + a * c
+    gdot[:, 1] = w * g0 + a * s
     gdot[:, 2] = etadd[:, 1]
-    Rt = rotation_matrix(theta1).T
-    ffdot = np.empty(3 * tree.n)
-    ffdot[:3] = omega1 * (SKEW @ (Rt @ g[0])) + Rt @ gdot[0]
-    for k, (i, j) in enumerate(tree.edges):
-        ffdot[3 * (k + 1): 3 * (k + 2)] = gdot[i - 1] - gdot[j - 1]
-    return ffdot
+    # R^T g spins with the leader: d/dt R^T = omega1 * SKEW @ R^T.
+    rg = _leader_rotate(theta1, (g0[0], g1[0], w[0]))
+    leader = _leader_rotate(theta1, gdot[0])
+    leader[0] += omega1 * rg[1]
+    leader[1] -= omega1 * rg[0]
+    return _stack(tree, leader, gdot)
 
 
 def kinematic_control(z, A, ff, gain):
@@ -169,10 +184,14 @@ def kinematic_control(z, A, ff, gain):
 
 @dataclass(frozen=True)
 class FictitiousVelocity:
-    """Least-squares twist command and its exact time derivative."""
+    """Least-squares twist command and its exact time derivative, with
+    the stacked error, coupling matrix and feedforward they solve."""
 
     twist: np.ndarray
     rate: np.ndarray
+    z: np.ndarray
+    A: np.ndarray
+    ff: np.ndarray
 
 
 def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
@@ -180,7 +199,7 @@ def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
 
     ``twists`` are the robots' actual twists, which enter through the
     stacked-error rate and the coupling-matrix rate. Raises RankDeficient
-    behind the same conditioning guard as the solver.
+    behind the same rank guard as the solver.
     """
     poses = np.asarray(poses, dtype=float)
     twists = np.asarray(twists, dtype=float)
@@ -194,9 +213,7 @@ def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
     ff = feedforward_term(tree, th[0], qd[:, 2], etad)
 
     G = A.T @ A
-    condition = float(np.linalg.cond(G))
-    if not np.isfinite(condition) or condition > COND_LIMIT:
-        raise RankDeficient(f"cond = {condition:.3e}")
+    gram_pivot(G)
     w = gain * z + ff
     etaf = -np.linalg.solve(G, A.T @ w)
 
@@ -211,4 +228,4 @@ def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
     ffdot = feedforward_rate(tree, th[0], omega[0], qd[:, 2], etad, etadd)
     wdot = gain * zdot + ffdot
     etafdot = -np.linalg.solve(G, Gdot @ etaf + Adot.T @ w + A.T @ wdot)
-    return FictitiousVelocity(twist=etaf, rate=etafdot)
+    return FictitiousVelocity(twist=etaf, rate=etafdot, z=z, A=A, ff=ff)

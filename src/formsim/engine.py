@@ -2,27 +2,22 @@
 
 One Engine instance owns one scenario run. Integration is classical
 fourth-order Runge-Kutta at the scenario step, with the control law
-re-evaluated inside every stage (continuous-control idealization). Two
-interchangeable drivers advance the state between samples: compiled
-kernels (default when numba is available) or the plain numpy reference
-path built from the public module functions. ``rate``, ``step``, and
-``diagnostics`` always use the reference path, so probes and recorded
-trace rows are independent of the accelerated code they are checking.
+re-evaluated inside every stage (continuous-control idealization). One
+evaluator, ``Engine.evaluate``, computes the control law at a state: it
+builds the stacked error, coupling matrix and feedforward once and
+guards and solves their normal equations once. Every RK4 stage, trace
+row, probe and ``formsim check`` line goes through it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from .accel import JIT_ENABLED
 from .adaptive import (adaptation_rate, adaptive_control, block_regression,
                        lyapunov_diagnostics, params_to_vector)
 from .controller import (_error_vector, coupling_matrix, feedforward_term,
                          fictitious_velocity, kinematic_control)
-from .linalg import RankDeficient
-from .trajectory import ConstantTwist, SampledTwist, SingularSpeed, \
-    desired_arrays
+from .trajectory import desired_arrays, rk4_step
 
 __all__ = ["DivergenceError", "SimState", "Trace", "EvalRecord", "Engine",
            "simulate", "rk4_step"]
@@ -30,15 +25,6 @@ __all__ = ["DivergenceError", "SimState", "Trace", "EvalRecord", "Engine",
 
 class DivergenceError(RuntimeError):
     """State left the finite range during integration."""
-
-
-def rk4_step(f, t, y, h):
-    """One classical fourth-order Runge-Kutta step of y' = f(t, y)."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -89,8 +75,8 @@ class Trace:
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """Reference-path controller evaluation at one state, for trace rows,
-    diagnostics, and the verification CLI."""
+    """Controller evaluation at one state, for trace rows, probes, and the
+    verification CLI."""
 
     t: float
     poses: np.ndarray
@@ -112,15 +98,8 @@ class EvalRecord:
 class Engine:
     """Closed-loop integrator for one validated scenario."""
 
-    def __init__(self, config, driver=None):
-        if driver is None:
-            driver = "jit" if JIT_ENABLED else "numpy"
-        if driver not in ("jit", "numpy"):
-            raise ValueError(f"unknown driver {driver!r}")
-        if driver == "jit" and not JIT_ENABLED:
-            raise ValueError("jit driver requested but acceleration is off")
+    def __init__(self, config):
         self.config = config
-        self.driver = driver
         self.tree = config.tree
         self.n = config.n
         self.mode = config.mode
@@ -129,18 +108,13 @@ class Engine:
         if self.mode == "dynamic":
             self.gs = np.asarray(config.twist_gain, dtype=float)
             self.ga = np.asarray(config.adapt_gain, dtype=float)
-            self.mdiag = np.empty(2 * self.n)
-            self.minv = np.empty(2 * self.n)
-            self.damp = np.empty((self.n, 2, 2))
-            self.phi_true = np.empty(6 * self.n)
-            for i, spec in enumerate(config.robots):
-                p = spec.params
-                self.mdiag[2 * i] = p.mass
-                self.mdiag[2 * i + 1] = p.inertia
-                self.damp[i] = p.damping
-                self.phi_true[6 * i: 6 * i + 6] = params_to_vector(p)
+            params = [spec.params for spec in config.robots]
+            self.mdiag = np.array([[p.mass, p.inertia] for p in params]
+                                  ).reshape(-1)
             self.minv = 1.0 / self.mdiag
-        self._params = None
+            self.damp = np.array([p.damping for p in params])
+            self.phi_true = np.concatenate([params_to_vector(p)
+                                            for p in params])
 
     # ---- state packing ----
 
@@ -165,10 +139,14 @@ class Engine:
                         twists=y[3 * n:5 * n].reshape(n, 2).copy(),
                         phihat=y[5 * n:].copy())
 
-    # ---- reference path ----
+    # ---- the control law ----
 
-    def rate(self, t, y):
-        """State derivative on the plain numpy reference path."""
+    def evaluate(self, t, y, record=False):
+        """Evaluate the control law once at (t, y).
+
+        Returns the state derivative, or with ``record`` the pair of the
+        derivative and the EvalRecord a trace row or a probe reads.
+        """
         n = self.n
         qd, etad, etadd = desired_arrays(self.profiles, t)
         poses = y[:3 * n].reshape(n, 3)
@@ -178,100 +156,55 @@ class Engine:
             z = _error_vector(self.tree, poses, qd)
             A = coupling_matrix(self.tree, th)
             ff = feedforward_term(self.tree, th[0], qd[:, 2], etad)
-            eta = kinematic_control(z, A, ff, self.gz)
-            dy[0::3] = eta[0::2] * np.cos(th)
-            dy[1::3] = eta[0::2] * np.sin(th)
-            dy[2::3] = eta[1::2]
+            eta = etaf = kinematic_control(z, A, ff, self.gz)
+            u = phihat = etafdot = sigma = None
+        else:
+            twists = y[3 * n:5 * n].reshape(n, 2)
+            phihat = y[5 * n:]
+            fv = fictitious_velocity(self.tree, poses, twists, qd, etad,
+                                     etadd, self.gz)
+            z, A, ff, etaf, etafdot = fv.z, fv.A, fv.ff, fv.twist, fv.rate
+            eta = twists.reshape(-1)
+            sigma = eta - etaf
+            Y = block_regression(etafdot, twists)
+            u = adaptive_control(sigma, z, A, Y, phihat, self.gs)
+            drag = (self.damp @ twists[:, :, None]).reshape(-1)
+            dy[3 * n:5 * n] = self.minv * (u - drag)
+            dy[5 * n:] = adaptation_rate(Y, sigma, self.ga)
+        v = eta[0::2]
+        dy[0:3 * n:3] = v * np.cos(th)
+        dy[1:3 * n:3] = v * np.sin(th)
+        dy[2:3 * n:3] = eta[1::2]
+        if not record:
             return dy
-        twists = y[3 * n:5 * n].reshape(n, 2)
-        phihat = y[5 * n:]
-        fv = fictitious_velocity(self.tree, poses, twists, qd, etad, etadd,
-                                 self.gz)
-        eta = twists.reshape(-1)
-        sigma = eta - fv.twist
-        Y = block_regression(fv.rate, twists)
-        z = _error_vector(self.tree, poses, qd)
-        A = coupling_matrix(self.tree, th)
-        u = adaptive_control(sigma, z, A, Y, phihat, self.gs)
-        dpose = dy[:3 * n]
-        dpose[0::3] = twists[:, 0] * np.cos(th)
-        dpose[1::3] = twists[:, 0] * np.sin(th)
-        dpose[2::3] = twists[:, 1]
-        drag = np.einsum("nij,nj->ni", self.damp, twists).reshape(-1)
-        dy[3 * n:5 * n] = self.minv * (u - drag)
-        dy[5 * n:] = adaptation_rate(Y, sigma, self.ga)
-        return dy
+        res = A @ etaf + self.gz * z + ff
+        V = Va = 0.5 * float(z @ z)
+        if self.mode == "dynamic":
+            Va, _ = lyapunov_diagnostics(z, sigma, phihat - self.phi_true,
+                                         self.mdiag, self.ga, self.gz,
+                                         self.gs, res)
+            phihat = phihat.copy()
+        return dy, EvalRecord(
+            t=t, poses=poses.copy(), error=qd - poses, z=z, eta=eta, u=u,
+            phihat=phihat, etaf=etaf, etafdot=etafdot, sigma=sigma,
+            residual=res, V=V, Va=Va, coupling=A, feedforward=ff)
+
+    def rate(self, t, y):
+        """State derivative: one evaluation of the control law."""
+        return self.evaluate(t, y)
+
+    def diagnostics(self, t, y):
+        """The EvalRecord of one evaluation of the control law at (t, y)."""
+        return self.evaluate(t, y, record=True)[1]
 
     def step(self, t, y, h):
-        """Single reference RK4 step; h may be negative (used by probes)."""
+        """Single RK4 step; h may be negative (used by probes)."""
         return rk4_step(self.rate, t, np.asarray(y, dtype=float), h)
-
-    # ---- accelerated path ----
-
-    def _kernel_params(self):
-        if self._params is not None:
-            return self._params
-        n = self.n
-        edges = self.tree.edge_array()
-        kinds = np.zeros(n, dtype=np.int64)
-        qd0 = np.zeros((n, 3))
-        tw0 = np.zeros((n, 2))
-        sampled = [p for p in self.profiles if isinstance(p, SampledTwist)]
-        tab_len = np.full(n, 2, dtype=np.int64)
-        lmax = max([2] + [len(p.times) for p in sampled])
-        tab_t = np.zeros((n, lmax))
-        tab_t[:, 1] = 1.0
-        tab_v = np.zeros((n, lmax, 2))
-        tab_r = np.zeros((n, lmax, 2))
-        grid_len = np.full(n, 2, dtype=np.int64)
-        gmax = max([2] + [len(p._grid) for p in sampled])
-        grid_q = np.zeros((n, gmax, 3))
-        grid_h = np.full(n, 1.0)
-        for i, p in enumerate(self.profiles):
-            if isinstance(p, ConstantTwist):
-                qd0[i] = p.pose0
-                tw0[i] = (p.v, p.omega)
-            else:
-                kinds[i] = 1
-                L = len(p.times)
-                tab_len[i] = L
-                tab_t[i, :L] = p.times
-                tab_v[i, :L] = p.twists
-                tab_r[i, :L] = p.rates
-                g = p._grid
-                grid_len[i] = len(g)
-                grid_q[i, :len(g)] = g
-                grid_h[i] = p.grid_dt
-        common = (np.int64(n), edges, self.gz)
-        traj = (kinds, qd0, tw0, tab_t, tab_v, tab_r, tab_len, grid_h,
-                grid_q, grid_len)
-        if self.mode == "kinematic":
-            self._params = common + traj
-        else:
-            self._params = common + (self.gs, self.ga, self.minv,
-                                     self.damp) + traj
-        return self._params
-
-    def _raise_status(self, status, t):
-        if status == _kernels.STATUS_RANK:
-            raise RankDeficient(f"coupling lost column rank near t={t:g}")
-        if status == _kernels.STATUS_NONFINITE:
-            raise DivergenceError(f"non-finite state at t={t:g}")
-        if status == _kernels.STATUS_SINGULAR:
-            raise SingularSpeed(f"desired speed below floor near t={t:g}")
-        raise RuntimeError(f"unknown kernel status {status}")
 
     def advance(self, y, t0, steps):
         """Advance ``steps`` fixed steps from t0, returning the new state."""
         dt = self.config.dt
         y = np.array(y, dtype=float)
-        if self.driver == "jit":
-            fn = _kernels.advance_kinematic if self.mode == "kinematic" \
-                else _kernels.advance_dynamic
-            status, done = fn(y, t0, dt, steps, *self._kernel_params())
-            if status != _kernels.STATUS_OK:
-                self._raise_status(status, t0 + done * dt)
-            return y
         # overflow here is the divergence signal, not a numpy error
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(steps):
@@ -282,42 +215,7 @@ class Engine:
                         f"non-finite state at t={t + dt:g}")
         return y
 
-    # ---- diagnostics and trace ----
-
-    def diagnostics(self, t, y):
-        """Full reference-path controller evaluation at (t, y)."""
-        n = self.n
-        qd, etad, etadd = desired_arrays(self.profiles, t)
-        poses = y[:3 * n].reshape(n, 3)
-        th = poses[:, 2]
-        err = qd - poses
-        z = _error_vector(self.tree, poses, qd)
-        A = coupling_matrix(self.tree, th)
-        ff = feedforward_term(self.tree, th[0], qd[:, 2], etad)
-        V = 0.5 * float(z @ z)
-        if self.mode == "kinematic":
-            eta = kinematic_control(z, A, ff, self.gz)
-            res = A @ eta + self.gz * z + ff
-            return EvalRecord(t=t, poses=poses.copy(), error=err, z=z,
-                              eta=eta, u=None, phihat=None, etaf=eta,
-                              etafdot=None, sigma=None, residual=res,
-                              V=V, Va=V, coupling=A, feedforward=ff)
-        twists = y[3 * n:5 * n].reshape(n, 2)
-        phihat = y[5 * n:]
-        fv = fictitious_velocity(self.tree, poses, twists, qd, etad, etadd,
-                                 self.gz)
-        eta = twists.reshape(-1)
-        sigma = eta - fv.twist
-        Y = block_regression(fv.rate, twists)
-        u = adaptive_control(sigma, z, A, Y, phihat, self.gs)
-        res = A @ fv.twist + self.gz * z + ff
-        Va, _ = lyapunov_diagnostics(z, sigma, phihat - self.phi_true,
-                                     self.mdiag, self.ga, self.gz, self.gs,
-                                     res)
-        return EvalRecord(t=t, poses=poses.copy(), error=err, z=z, eta=eta,
-                          u=u, phihat=phihat.copy(), etaf=fv.twist,
-                          etafdot=fv.rate, sigma=sigma, residual=res, V=V,
-                          Va=Va, coupling=A, feedforward=ff)
+    # ---- trace ----
 
     def trace_columns(self):
         n = self.n
@@ -361,11 +259,11 @@ class Engine:
         meta = {"mode": self.mode, "n": self.n,
                 "edges": list(self.tree.edges), "unit": cfg.unit,
                 "dt": cfg.dt, "sample_every": cfg.sample_every,
-                "name": cfg.name, "driver": self.driver}
+                "name": cfg.name}
         return Trace(columns=self.trace_columns(), data=np.vstack(rows),
                      meta=meta)
 
 
-def simulate(config, driver=None):
+def simulate(config):
     """Run a scenario to completion and return its Trace."""
-    return Engine(config, driver=driver).run()
+    return Engine(config).run()

@@ -5,6 +5,17 @@ a fixed sparsity pattern, which admits an O(m) determinant recursion with
 provable pivot bounds. That recursion doubles as an invertibility
 certificate for the control law; a general pentadiagonal determinant and
 a dense solver path provide independent cross-checks.
+
+Every least-squares solve of the control law sits behind one rank guard,
+``gram_pivot``: all entries of G = A^T A finite, and every squared
+Cholesky pivot of G above PIVOT_RTOL = 1e-12 times the largest diagonal
+entry of G. The squared pivots are the Gaussian-elimination pivots of G;
+for chains they are the recursion pivots of ``chain_gram_determinant``,
+which ``chain_pivot_bounds`` keeps at or above 2/m against a largest
+diagonal of 2, so a chain's relative pivot is at least 1/m at any
+headings. The floor sits far below that and about 1e4 unit roundings
+above zero: a pivot under it is lost in the rounding of the elimination
+itself, and A has lost column rank for all practical purposes.
 """
 
 from dataclasses import dataclass
@@ -12,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "COND_LIMIT",
+    "PIVOT_RTOL",
     "PIVOT_FLOOR",
     "RankDeficient",
     "PivotBreakdown",
     "LeastSquaresResult",
+    "gram_pivot",
     "least_squares_solve",
     "Pentadiagonal",
     "pentadiagonal_determinant",
@@ -25,25 +37,44 @@ __all__ = [
     "chain_pivot_bounds",
 ]
 
-COND_LIMIT = 1e12
+PIVOT_RTOL = 1e-12
 PIVOT_FLOOR = 1e-14
 
 
 class RankDeficient(RuntimeError):
-    """Normal-equations matrix too ill conditioned to trust."""
+    """Normal-equations matrix too close to singular to trust."""
 
 
 class PivotBreakdown(RuntimeError):
     """A determinant-recursion pivot fell below double-precision meaning."""
 
 
+def gram_pivot(G):
+    """Smallest squared Cholesky pivot of a Gram matrix G = A^T A relative
+    to its largest diagonal entry, checked by the rank guard described in
+    the module docstring. Raises RankDeficient when G fails it.
+    """
+    if not np.isfinite(G).all():
+        raise RankDeficient("Gram matrix has non-finite entries")
+    try:
+        root = np.linalg.cholesky(G).diagonal().min()
+    except np.linalg.LinAlgError:
+        raise RankDeficient("Gram matrix is not positive definite") from None
+    pivot = float(root * root / G.diagonal().max())
+    if not pivot > PIVOT_RTOL:
+        raise RankDeficient(f"relative Cholesky pivot {pivot:.3e} "
+                            f"below {PIVOT_RTOL:g}")
+    return pivot
+
+
 @dataclass(frozen=True)
 class LeastSquaresResult:
-    """Minimizer of ||A x - b||, the residual A x - b, and cond(A^T A)."""
+    """Minimizer of ||A x - b||, the residual A x - b, and the smallest
+    relative Cholesky pivot of A^T A (see ``gram_pivot``)."""
 
     solution: np.ndarray
     residual: np.ndarray
-    condition: float
+    pivot: float
 
 
 def least_squares_solve(A, b):
@@ -59,26 +90,24 @@ def least_squares_solve(A, b):
     Returns
     -------
     LeastSquaresResult
-        Minimizer, residual A x - b, and the condition number of A^T A.
+        Minimizer, residual A x - b, and the smallest relative Cholesky
+        pivot of A^T A.
 
     Normal equations with one step of iterative refinement, which keeps
     the orthogonality defect ||A^T r|| at rounding level across the whole
-    admitted conditioning range. Raises RankDeficient when cond(A^T A)
-    exceeds COND_LIMIT.
+    admitted conditioning range. Raises RankDeficient when ``gram_pivot``
+    rejects A^T A.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise ValueError(f"need rows >= cols, got shape {A.shape}")
     G = A.T @ A
-    condition = float(np.linalg.cond(G))
-    if not np.isfinite(condition) or condition > COND_LIMIT:
-        raise RankDeficient(f"cond(A^T A) = {condition:.3e}")
+    pivot = gram_pivot(G)
     c = A.T @ b
     x = np.linalg.solve(G, c)
     x += np.linalg.solve(G, c - G @ x)
-    return LeastSquaresResult(solution=x, residual=A @ x - b,
-                              condition=condition)
+    return LeastSquaresResult(solution=x, residual=A @ x - b, pivot=pivot)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+# libyaml's parser when PyYAML was built with it; the constructor, and so
+# the parsed document, is the same either way.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ParseError(ValueError):
     """Input text is not well-formed YAML."""
 
@@ -266,7 +271,7 @@ def load_scenario(source):
     else:
         text = source
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"config is not valid YAML: {exc}") from exc
     return scenario_from_dict(doc)

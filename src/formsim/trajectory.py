@@ -21,6 +21,7 @@ __all__ = [
     "desired_state",
     "desired_arrays",
     "omega_from_cartesian",
+    "rk4_step",
 ]
 
 SPEED_FLOOR = 1e-6
@@ -28,6 +29,15 @@ SPEED_FLOOR = 1e-6
 
 class SingularSpeed(ValueError):
     """Desired translational speed too close to zero."""
+
+
+def rk4_step(f, t, y, h):
+    """One classical fourth-order Runge-Kutta step of y' = f(t, y)."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,7 @@ def _constant_twist_pose(pose0, v, w, t):
     else:
         x = x0 + v * t * math.cos(th0)
         y = y0 + v * t * math.sin(th0)
-    return np.array([x, y, th])
+    return x, y, th
 
 
 @dataclass(frozen=True)
@@ -156,8 +166,8 @@ class SampledTwist:
         grid[0] = self.pose0
         q = np.asarray(self.pose0, dtype=float)
         for k in range(steps):
-            q = _rk4(self._pose_rate, k * self.grid_dt, q,
-                     min(self.grid_dt, self.span - k * self.grid_dt))
+            q = rk4_step(self._pose_rate, k * self.grid_dt, q,
+                         min(self.grid_dt, self.span - k * self.grid_dt))
             grid[k + 1] = q
         return grid
 
@@ -167,45 +177,37 @@ class SampledTwist:
         delta = t - k * self.grid_dt
         if delta == 0.0:
             return self._grid[k].copy()
-        return _rk4(self._pose_rate, k * self.grid_dt, self._grid[k], delta)
-
-
-def _rk4(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return rk4_step(self._pose_rate, k * self.grid_dt, self._grid[k],
+                        delta)
 
 
 def desired_state(profile, t):
     """Evaluate a profile at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if isinstance(profile, ConstantTwist):
-        pose = _constant_twist_pose(profile.pose0, profile.v, profile.omega, t)
-        return DesiredState(pose=pose,
-                            twist=np.array([profile.v, profile.omega]),
-                            accel=np.zeros(2))
-    if isinstance(profile, SampledTwist):
-        twist, rate = profile.twist_at(t)
-        if abs(twist[0]) < SPEED_FLOOR:
-            raise SingularSpeed(
-                f"desired speed {twist[0]:g} below floor at t={t:g}"
-            )
-        return DesiredState(pose=profile.pose_at(t), twist=twist, accel=rate)
-    raise TypeError(f"unknown profile type {type(profile).__name__}")
+    qd, etad, etadd = desired_arrays([profile], t)
+    return DesiredState(pose=qd[0], twist=etad[0], accel=etadd[0])
 
 
 def desired_arrays(profiles, t):
     """Stack desired states of several profiles into (n,3), (n,2), (n,2)."""
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     n = len(profiles)
     qd = np.empty((n, 3))
     etad = np.empty((n, 2))
-    etadd = np.empty((n, 2))
+    etadd = np.zeros((n, 2))
     for i, p in enumerate(profiles):
-        d = desired_state(p, t)
-        qd[i], etad[i], etadd[i] = d.pose, d.twist, d.accel
+        if isinstance(p, ConstantTwist):
+            qd[i] = _constant_twist_pose(p.pose0, p.v, p.omega, t)
+            etad[i] = p.v, p.omega
+        elif isinstance(p, SampledTwist):
+            etad[i], etadd[i] = p.twist_at(t)
+            if abs(etad[i, 0]) < SPEED_FLOOR:
+                raise SingularSpeed(
+                    f"desired speed {etad[i, 0]:g} below floor at t={t:g}"
+                )
+            qd[i] = p.pose_at(t)
+        else:
+            raise TypeError(f"unknown profile type {type(p).__name__}")
     return qd, etad, etadd
 
 

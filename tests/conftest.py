@@ -20,8 +20,5 @@ def chain_tree(n):
 
 @pytest.fixture(scope="session")
 def adaptive_engine():
-    """Warm engine for the torque-level pentagon scenario."""
-    eng = fs.Engine(fs.get_preset("adaptive-pentagon"))
-    if eng.driver == "jit":
-        eng.advance(eng.initial_state(), 0.0, 2)
-    return eng
+    """Engine for the torque-level pentagon scenario."""
+    return fs.Engine(fs.get_preset("adaptive-pentagon"))

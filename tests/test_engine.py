@@ -76,7 +76,7 @@ def test_rest_state_stays_at_rest():
     # zero twists, zero estimates, on-trajectory poses, zero desired twist
     # rate: every state derivative component vanishes
     cfg = _mini_dynamic(n=2)
-    eng = fs.Engine(cfg, driver="numpy")
+    eng = fs.Engine(cfg)
     y = eng.initial_state()
     n = cfg.n
     qd, _, _ = fs.desired_arrays(eng.profiles, 0.0)
@@ -108,7 +108,7 @@ def test_force_balance_holds_twist():
 
 def test_kinematic_rate_on_trajectory_matches_desired():
     cfg = fs.get_preset("kinematic-pentagon")
-    eng = fs.Engine(cfg, driver="numpy")
+    eng = fs.Engine(cfg)
     qd, etad, _ = fs.desired_arrays(eng.profiles, 2.0)
     dy = eng.rate(2.0, qd.reshape(-1))
     want = np.concatenate([fs.unicycle_rate(qd[i, 2], etad[i])
@@ -171,7 +171,7 @@ def test_divergence_error_reports_time():
 
 def test_energy_rate_identity_kinematic():
     cfg = fs.get_preset("kinematic-pentagon")
-    eng = fs.Engine(cfg, driver="numpy")
+    eng = fs.Engine(cfg)
     gain = np.asarray(cfg.formation_gain)
     y = eng.advance(eng.initial_state(), 0.0, 200)
     h = 1e-5

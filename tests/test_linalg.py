@@ -71,6 +71,44 @@ def test_rank_deficient_rejected():
         fs.least_squares_solve(A, np.ones(3))
 
 
+def test_gram_pivot_solve_matches_numpy(rng):
+    for _ in range(50):
+        rows = int(rng.integers(1, 12))
+        cols = int(rng.integers(1, rows + 1))
+        A = rng.normal(size=(rows, cols)) + np.eye(rows, cols) * rows
+        b = rng.normal(size=rows)
+        res = fs.least_squares_solve(A, b)
+        want = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert np.abs(res.solution - want).max() < 1e-9
+        assert res.pivot == fs.gram_pivot(A.T @ A)
+
+
+def test_gram_pivot_rejects_indefinite():
+    G = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+    with pytest.raises(fs.RankDeficient):
+        fs.gram_pivot(G)
+    for bad in (np.nan, np.inf):
+        G = np.eye(3)
+        G[2, 1] = G[1, 2] = bad
+        with pytest.raises(fs.RankDeficient):
+            fs.gram_pivot(G)
+
+
+def test_gram_pivot_is_chain_recursion_pivot(rng):
+    # the squared Cholesky pivots of a chain Gram matrix are the pivots of
+    # the determinant recursion, so the guard's relative pivot is bounded
+    # below by 1/m at any headings
+    for n in range(2, 12):
+        tree = chain_tree(n)
+        for _ in range(20):
+            th = rng.uniform(-15, 15, n)
+            G = fs.coupling_matrix(tree, th).T @ fs.coupling_matrix(tree, th)
+            _, x = fs.chain_gram_determinant(th)
+            assert np.allclose(np.diag(np.linalg.cholesky(G)) ** 2, x,
+                               rtol=1e-12)
+            assert fs.gram_pivot(G) >= 1.0 / (2 * n) - 1e-15
+
+
 def test_wide_matrix_rejected():
     with pytest.raises(ValueError):
         fs.least_squares_solve(np.ones((2, 3)), np.ones(2))

@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 import formsim as fs
+import formsim.scenario as scenario
 from formsim.metrics import report_to_yaml
 
 import yaml
@@ -51,6 +52,38 @@ def test_round_trip_through_yaml():
 def test_parse_error_on_bad_yaml():
     with pytest.raises(fs.ParseError):
         fs.load_scenario("mode: [unclosed\n  nonsense: {\n")
+
+
+def _random_tree_text(n, seed):
+    rng = np.random.default_rng(seed)
+    doc = _tiny_doc(edges=[[int(rng.integers(1, k)), k]
+                           for k in range(2, n + 1)])
+    doc["robots"] = [{"start": rng.normal(size=3).tolist(),
+                      "trajectory": {"kind": "constant_twist",
+                                     "start": rng.normal(size=3).tolist(),
+                                     "twist": [1.0, 0.5]}}
+                     for _ in range(n)]
+    return yaml.safe_dump(doc)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_agree(monkeypatch):
+    texts = [fs.serialize_scenario(fs.get_preset(name))
+             for name in fs.preset_names()]
+    texts.append(_random_tree_text(200, 7))
+    for text in texts:
+        configs = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(scenario, "_LOADER", loader)
+            configs.append(fs.load_scenario(text))
+            with pytest.raises(fs.ParseError):
+                fs.load_scenario("mode: [unclosed\n")
+        fast, slow = configs
+        # dataclass == cannot compare the damping arrays of dynamic configs
+        assert fs.scenario_to_dict(fast) == fs.scenario_to_dict(slow)
+        assert fast.tree == slow.tree
+        assert fast.mode == "dynamic" or fast == slow
 
 
 def test_schema_error_on_missing_fields():

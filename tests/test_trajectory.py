@@ -163,3 +163,31 @@ def test_desired_arrays_shapes(rng):
     qd, etad, etadd = fs.desired_arrays(profs, 1.5)
     assert qd.shape == (3, 3) and etad.shape == (3, 2)
     assert np.array_equal(etadd, np.zeros((3, 2)))
+
+
+def _assert_arrays_match_states(profs, times):
+    for t in times:
+        qd, etad, etadd = fs.desired_arrays(profs, t)
+        for i, prof in enumerate(profs):
+            d = fs.desired_state(prof, t)
+            assert np.array_equal(qd[i], d.pose)
+            assert np.array_equal(etad[i], d.twist)
+            assert np.array_equal(etadd[i], d.accel)
+
+
+def test_desired_arrays_matches_desired_state_constant():
+    profs = [fs.ConstantTwist(pose0=(5.0, 10.0, np.pi / 2), v=5.0, omega=1.0),
+             fs.ConstantTwist(pose0=(-1.0, 0.5, 0.3), v=-2.0, omega=0.0)]
+    _assert_arrays_match_states(profs, (0.0, 0.37, 2.9, 11.0))
+    with pytest.raises(ValueError):
+        fs.desired_arrays(profs, -0.1)
+
+
+def test_desired_arrays_matches_desired_state_sampled():
+    ts = np.linspace(0.0, 2.0, 9)
+    tw = np.stack([2.0 + 0.3 * np.sin(ts), 0.8 + 0.1 * np.cos(ts)], axis=1)
+    rt = np.stack([0.3 * np.cos(ts), -0.1 * np.sin(ts)], axis=1)
+    profs = [fs.SampledTwist(pose0=(1.0, -0.5, 0.4), times=ts, twists=tw,
+                             rates=rt, grid_dt=5e-4),
+             fs.ConstantTwist(pose0=(0.0, 0.0, 0.0), v=1.0, omega=0.5)]
+    _assert_arrays_match_states(profs, (0.0, 0.123, 0.9993, 1.777, 2.0))
