@@ -15,13 +15,13 @@ from .adaptive import (RobotParams, adaptation_rate, adaptive_control,
 from .controller import (ErrorState, FictitiousVelocity, coupling_matrix,
                          coupling_rate, error_state, feedforward_rate,
                          feedforward_term, fictitious_velocity,
-                         kinematic_control)
+                         kinematic_control, tree_gram)
 from .engine import (DivergenceError, Engine, EvalRecord, SimState, Trace,
                      rk4_step, simulate)
 from .graph import (CountError, CycleError, DisconnectedError, GraphError,
                     SpanningTree, propagate_errors, validate_spanning_tree)
 from .linalg import (LeastSquaresResult, Pentadiagonal, PivotBreakdown,
-                     RankDeficient, chain_gram_determinant,
+                     RankDeficient, TreeGram, chain_gram_determinant,
                      chain_gram_pentadiagonal, chain_pivot_bounds,
                      gram_pivot, least_squares_solve,
                      pentadiagonal_determinant)

@@ -9,6 +9,18 @@ commanded twists minimize the residual energy of driving that relation to
 the gain-weighted error, an overdetermined least-squares problem solved
 through the normal equations.
 
+Those normal equations are never formed densely. Over a spanning tree the
+Gram matrix G = A^T A has a closed form: robot i's v and w diagonal
+entries are both 1 plus its number of children (its neighbour count,
+plus 1 for the root), each edge (p, c) contributes -cos(theta_p -
+theta_c) between the v slots and -1 between the w slots, and v never
+couples to w. ``linalg.TreeGram`` eliminates that matrix leaves first, in
+reverse topological edge order, with no fill-in and every pivot at least
+1 (pivot_c = deg~_c - sum over children of cos^2/pivot >= deg~_c -
+#children = 1), and A^T b is a gather and a ``bincount`` over the edges.
+Both solves therefore cost O(n), and the only way to lose the factor is a
+non-finite heading, which raises RankDeficient.
+
 ``fictitious_velocity`` additionally returns the exact time derivative of
 the commanded twist along the closed-loop flow, which the torque-level
 backstepping controller consumes. The derivative accounts for the motion
@@ -20,10 +32,13 @@ wrong whenever the leader still carries tracking error.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import gram_pivot, least_squares_solve
+# least_squares_solve is the dense reference the tests compare against; it
+# stays bound here, where perfbench/tracing.py counts its calls.
+from .linalg import TreeGram, least_squares_solve  # noqa: F401
 
 __all__ = [
     "ErrorState",
@@ -32,6 +47,7 @@ __all__ = [
     "coupling_rate",
     "feedforward_term",
     "feedforward_rate",
+    "tree_gram",
     "kinematic_control",
     "FictitiousVelocity",
     "fictitious_velocity",
@@ -57,24 +73,43 @@ class ErrorState:
         return float(np.linalg.norm(self.vector))
 
 
+class _Layout(NamedTuple):
+    """Edge index arrays of one tree (see ``_layout``)."""
+
+    parents: np.ndarray
+    children: np.ndarray
+    at: np.ndarray
+    const: np.ndarray
+    gather: np.ndarray
+
+
 @lru_cache(maxsize=16)
 def _layout(tree):
     """Edge index arrays of a tree, built once per tree: 0-based parents
     and children in edge order; the flat positions in a (3n, 2n) matrix
     of each edge block's cosine row, sine row and heading row (parents,
-    then children), then of the leader block's two entries; and the
-    constant values of the heading rows and the leader block."""
+    then children), then of the leader block's two entries; the constant
+    values of the heading rows and the leader block; and, for every entry
+    of the edge rows of a stacked vector taken once for the children and
+    once for the parents, its flat position in an (n, 3) per-robot
+    array."""
     n = tree.n
     parents, children = tree.edge_array().T
     rows = np.tile(6 * n * np.arange(1, n), 2)   # flat start of edge blocks
     at = rows + 2 * np.concatenate([parents, children])
     at = np.concatenate([at, at + 2 * n, at + 4 * n + 1, [0, 4 * n + 1]])
     const = np.repeat([-1.0, 1.0, -1.0], [n - 1, n - 1, 2])
-    return parents, children, at, const
+    gather = (3 * np.concatenate([children, parents])[:, None]
+              + np.arange(3)).reshape(-1)
+    return _Layout(parents, children, at, const, gather)
 
 
 def _leader_rotate(theta, v):
     """R(theta)^T v for one 3-vector: the leader block of the stacking."""
+    if math.isinf(theta):
+        # math.cos raises on it; as nan it reaches the factor's finite
+        # check and raises RankDeficient like any other bad heading
+        theta = math.nan
     c, s = math.cos(theta), math.sin(theta)
     return np.array([c * v[0] + s * v[1], c * v[1] - s * v[0], v[2]])
 
@@ -111,7 +146,7 @@ def coupling_matrix(tree, headings):
     rate: leader row block is minus the twist selector, each edge block
     carries minus the parent's steering matrix and plus the child's."""
     th = np.asarray(headings, dtype=float)
-    parents, children, at, const = _layout(tree)
+    parents, children, at, const, _ = _layout(tree)
     c, s = np.cos(th), np.sin(th)
     return _scatter(tree.n, at, np.concatenate(
         [-c[parents], c[children], -s[parents], s[children], const]))
@@ -125,7 +160,7 @@ def coupling_rate(tree, headings, omegas):
     """
     th = np.asarray(headings, dtype=float)
     w = np.asarray(omegas, dtype=float)
-    parents, children, at, const = _layout(tree)
+    parents, children, at, const, _ = _layout(tree)
     wc, ws = w * np.cos(th), w * np.sin(th)
     return _scatter(tree.n, at[:len(at) - len(const)], np.concatenate(
         [ws[parents], -ws[children], -wc[parents], wc[children]]))
@@ -171,15 +206,42 @@ def feedforward_rate(tree, theta1, omega1, thetad, etad, etadd):
     return _stack(tree, leader, gdot)
 
 
-def kinematic_control(z, A, ff, gain):
-    """Commanded twists minimizing ||A eta + gain*z + ff||.
+def tree_gram(tree, headings):
+    """``TreeGram`` factor of A^T A for the coupling matrix A at
+    ``headings``. Raises RankDeficient when a heading is not finite."""
+    th = np.asarray(headings, dtype=float)
+    c, s = np.cos(th), np.sin(th)
+    parents, children = _layout(tree)[:2]
+    return TreeGram(parents, children,
+                    c[parents] * c[children] + s[parents] * s[children])
+
+
+def _normal_rhs(tree, th, b):
+    """A^T b for the coupling matrix at headings ``th``, without forming
+    A: every edge row block is added to its child and subtracted from its
+    parent, each robot's sums are steered back by its heading, and the
+    leader block takes -b[0] and -b[2] unrotated."""
+    rows = b[3:]
+    S = np.bincount(_layout(tree).gather, np.concatenate([rows, -rows]),
+                    minlength=3 * tree.n).reshape(-1, 3)
+    out = np.empty(2 * tree.n)
+    out[0::2] = np.cos(th) * S[:, 0] + np.sin(th) * S[:, 1]
+    out[1::2] = S[:, 2]
+    out[0] -= b[0]
+    out[1] -= b[2]
+    return out
+
+
+def kinematic_control(tree, headings, z, ff, gain):
+    """Commanded twists minimizing ||A eta + gain*z + ff|| for the
+    coupling matrix A at ``headings``, in O(n) through ``TreeGram``.
 
     ``gain`` is the diagonal (3n,) formation gain. Raises RankDeficient
-    when the coupling matrix loses effective column rank.
+    when a heading is not finite.
     """
-    z = np.asarray(z, dtype=float)
-    gain = np.asarray(gain, dtype=float)
-    return least_squares_solve(A, -(gain * z) - ff).solution
+    th = np.asarray(headings, dtype=float)
+    b = -(np.asarray(gain, dtype=float) * np.asarray(z, dtype=float)) - ff
+    return tree_gram(tree, th).solve(_normal_rhs(tree, th, b))
 
 
 @dataclass(frozen=True)
@@ -198,8 +260,9 @@ def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
     """Evaluate the twist command and its derivative along the flow.
 
     ``twists`` are the robots' actual twists, which enter through the
-    stacked-error rate and the coupling-matrix rate. Raises RankDeficient
-    behind the same rank guard as the solver.
+    stacked-error rate and the coupling-matrix rate. Both solves share
+    one ``TreeGram`` factor, which raises RankDeficient when a heading is
+    not finite, as ``kinematic_control`` does.
     """
     poses = np.asarray(poses, dtype=float)
     twists = np.asarray(twists, dtype=float)
@@ -212,13 +275,11 @@ def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
     A = coupling_matrix(tree, th)
     ff = feedforward_term(tree, th[0], qd[:, 2], etad)
 
-    G = A.T @ A
-    gram_pivot(G)
+    gram = tree_gram(tree, th)
     w = gain * z + ff
-    etaf = -np.linalg.solve(G, A.T @ w)
+    etaf = -gram.solve(A.T @ w)
 
     Adot = coupling_rate(tree, th, omega)
-    Gdot = Adot.T @ A + A.T @ Adot
     eta = twists.reshape(-1)
     zdot = A @ eta + ff
     # Leader body frame rotates with the robot: the stacked-error rate
@@ -227,5 +288,9 @@ def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
     zdot[1] -= omega[0] * z[0]
     ffdot = feedforward_rate(tree, th[0], omega[0], qd[:, 2], etad, etadd)
     wdot = gain * zdot + ffdot
-    etafdot = -np.linalg.solve(G, Gdot @ etaf + Adot.T @ w + A.T @ wdot)
+    # G etaf = -A^T w differentiates to G etafdot = -(Gdot etaf + Adot^T w
+    # + A^T wdot), and Gdot etaf + Adot^T w = Adot^T r + A^T Adot etaf
+    # with r = A etaf + w the least-squares residual.
+    etafdot = -gram.solve(Adot.T @ (A @ etaf + w)
+                          + A.T @ (Adot @ etaf + wdot))
     return FictitiousVelocity(twist=etaf, rate=etafdot, z=z, A=A, ff=ff)

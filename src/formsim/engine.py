@@ -4,8 +4,10 @@ One Engine instance owns one scenario run. Integration is classical
 fourth-order Runge-Kutta at the scenario step, with the control law
 re-evaluated inside every stage (continuous-control idealization). One
 evaluator, ``Engine.evaluate``, computes the control law at a state: it
-builds the stacked error, coupling matrix and feedforward once and
-guards and solves their normal equations once. Every RK4 stage, trace
+builds the stacked error and feedforward once and factors their normal
+equations once, over the spanning tree in O(n). The dense coupling
+matrix is built in kinematic mode only for a trace row, probe or check,
+which read the residual and the matrix itself. Every RK4 stage, trace
 row, probe and ``formsim check`` line goes through it.
 """
 
@@ -45,10 +47,16 @@ class Trace:
     data: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the first of repeated names wins, as with list.index
+        self._index = {}
+        for k, name in enumerate(self.columns):
+            self._index.setdefault(name, k)
+
     def column(self, name):
         try:
-            idx = self.columns.index(name)
-        except ValueError:
+            idx = self._index[name]
+        except KeyError:
             raise KeyError(f"no trace column {name!r}") from None
         return self.data[:, idx]
 
@@ -154,10 +162,9 @@ class Engine:
         dy = np.empty_like(y)
         if self.mode == "kinematic":
             z = _error_vector(self.tree, poses, qd)
-            A = coupling_matrix(self.tree, th)
             ff = feedforward_term(self.tree, th[0], qd[:, 2], etad)
-            eta = etaf = kinematic_control(z, A, ff, self.gz)
-            u = phihat = etafdot = sigma = None
+            eta = etaf = kinematic_control(self.tree, th, z, ff, self.gz)
+            A = u = phihat = etafdot = sigma = None
         else:
             twists = y[3 * n:5 * n].reshape(n, 2)
             phihat = y[5 * n:]
@@ -177,6 +184,8 @@ class Engine:
         dy[2:3 * n:3] = eta[1::2]
         if not record:
             return dy
+        if A is None:
+            A = coupling_matrix(self.tree, th)
         res = A @ etaf + self.gz * z + ff
         V = Va = 0.5 * float(z @ z)
         if self.mode == "dynamic":

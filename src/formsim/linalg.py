@@ -1,21 +1,37 @@
-"""Small dense least-squares solves and pentadiagonal machinery.
+"""Least-squares solves of the control law and pentadiagonal machinery.
 
-The Gram matrix of the chain-graph coupling matrix is pentadiagonal with
-a fixed sparsity pattern, which admits an O(m) determinant recursion with
-provable pivot bounds. That recursion doubles as an invertibility
-certificate for the control law; a general pentadiagonal determinant and
-a dense solver path provide independent cross-checks.
+The control law's normal equations G x = A^T b sit over a spanning tree
+rooted at robot 1 (index 0), and G = A^T A has a closed form that needs
+neither A nor a matrix product. Let deg~_i be robot i's number of tree
+neighbours, plus 1 for the root; equivalently, 1 plus its number of
+children. Then, with twists interleaved as (v_1, w_1, v_2, w_2, ...):
 
-Every least-squares solve of the control law sits behind one rank guard,
-``gram_pivot``: all entries of G = A^T A finite, and every squared
-Cholesky pivot of G above PIVOT_RTOL = 1e-12 times the largest diagonal
-entry of G. The squared pivots are the Gaussian-elimination pivots of G;
-for chains they are the recursion pivots of ``chain_gram_determinant``,
-which ``chain_pivot_bounds`` keeps at or above 2/m against a largest
-diagonal of 2, so a chain's relative pivot is at least 1/m at any
-headings. The floor sits far below that and about 1e4 unit roundings
-above zero: a pivot under it is lost in the rounding of the elimination
-itself, and A has lost column rank for all practical purposes.
+* the diagonal of G is deg~_i in both robot i's v slot and its w slot;
+* for each edge (p, c) the off-diagonal entries are -cos(theta_p -
+  theta_c) between the v slots and -1 between the w slots;
+* v and w never couple.
+
+``TreeGram`` factors G as L D L^T by eliminating robots in reverse
+topological edge order, leaves first. A robot is eliminated only after
+all of its children, and only its parent row is updated, so there is no
+fill-in and the work is O(n). Every pivot is at least 1, by induction
+from the leaves: pivot_c = deg~_c - sum over children k of
+cos^2/pivot_k >= deg~_c - #children = 1. The w pivots are exactly 1. A
+finite heading therefore always gives a factor; a non-finite heading is
+the only way to lose one, and it raises RankDeficient.
+
+``least_squares_solve`` and its rank guard ``gram_pivot`` form the dense
+reference: G = A^T A formed explicitly, every squared Cholesky pivot of G
+above PIVOT_RTOL = 1e-12 times the largest diagonal entry of G, and two
+LU solves. The squared pivots are the Gaussian-elimination pivots of G in
+column order; for chains they are the recursion pivots of
+``chain_gram_determinant``, which ``chain_pivot_bounds`` keeps at or above
+2/m against a largest diagonal of 2.
+
+The Gram matrix of a chain is pentadiagonal with a fixed sparsity pattern,
+which admits an O(m) determinant recursion with provable pivot bounds; a
+general pentadiagonal determinant and the dense solver give independent
+cross-checks of it.
 """
 
 from dataclasses import dataclass
@@ -30,6 +46,7 @@ __all__ = [
     "LeastSquaresResult",
     "gram_pivot",
     "least_squares_solve",
+    "TreeGram",
     "Pentadiagonal",
     "pentadiagonal_determinant",
     "chain_gram_pentadiagonal",
@@ -108,6 +125,65 @@ def least_squares_solve(A, b):
     x = np.linalg.solve(G, c)
     x += np.linalg.solve(G, c - G @ x)
     return LeastSquaresResult(solution=x, residual=A @ x - b, pivot=pivot)
+
+
+class TreeGram:
+    """L D L^T factor of the Gram matrix of a spanning-tree coupling
+    matrix, eliminated leaves first (see the module docstring).
+
+    ``parents`` and ``children`` are the 0-based endpoints of the tree's
+    edges in topological order from root 0, and ``cos`` holds
+    cos(theta_p - theta_c) for each edge. Raises RankDeficient when some
+    cosine is not finite.
+    """
+
+    __slots__ = ("_edges", "_piv", "_mult")
+
+    def __init__(self, parents, children, cos):
+        cos = np.asarray(cos, dtype=float)
+        if not np.isfinite(cos).all():
+            raise RankDeficient("Gram matrix has non-finite entries")
+        edges = list(zip(parents.tolist(), children.tolist()))
+        # Every v diagonal starts at 1; eliminating child c then adds the
+        # edge's 1 to its parent and subtracts cos^2 / pivot_c.
+        piv = [1.0] * (len(edges) + 1)
+        mult = [0.0] * len(piv)
+        for (p, c), w in zip(reversed(edges), reversed(cos.tolist())):
+            f = mult[c] = w / piv[c]
+            piv[p] += 1.0 - w * f
+        self._edges, self._piv, self._mult = edges, piv, mult
+
+    @property
+    def pivots(self):
+        """Pivots of the elimination, interleaved like the twists: the v
+        pivots in the even slots, the w pivots (all 1) in the odd ones."""
+        out = np.ones(2 * len(self._piv))
+        out[0::2] = self._piv
+        return out
+
+    @property
+    def pivot(self):
+        """Smallest pivot divided by the largest diagonal entry of G."""
+        children = np.bincount([p for p, _ in self._edges],
+                               minlength=len(self._piv))
+        return float(self.pivots.min() / (1 + children.max()))
+
+    def solve(self, rhs):
+        """Solve G x = rhs for an interleaved (2n,) right-hand side."""
+        rhs = np.asarray(rhs, dtype=float)
+        bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
+        piv, mult = self._piv, self._mult
+        for p, c in reversed(self._edges):     # L y = rhs, leaves first
+            bv[p] += mult[c] * bv[c]
+            bw[p] += bw[c]
+        bv[0] /= piv[0]
+        for p, c in self._edges:               # D L^T x = y, root first
+            bv[c] = bv[c] / piv[c] + mult[c] * bv[p]
+            bw[c] += bw[p]
+        out = np.empty(len(rhs))
+        out[0::2] = bv
+        out[1::2] = bw
+        return out
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ __all__ = ["EmptyTrace", "MetricsReport", "compute_metrics",
 
 DEFAULT_THRESHOLD_FRACTION = 0.02
 
+# libyaml's emitter when PyYAML was built with it; both emit the same text
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 class EmptyTrace(ValueError):
     """Metrics requested for a trace with no rows."""
@@ -121,4 +124,4 @@ def report_to_yaml(report):
         "peak_controls": report.peak_controls,
         "residual": report.residual_stats,
     }
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)

@@ -191,7 +191,7 @@ def test_07_least_squares_contract(adaptive_engine, kinematic_run,
         z = fs.error_state(tree, poses, qd).vector
         A = fs.coupling_matrix(tree, poses[:, 2])
         ff = fs.feedforward_term(tree, poses[0, 2], qd[:, 2], etad)
-        eta = fs.kinematic_control(z, A, ff, gain)
+        eta = fs.kinematic_control(tree, poses[:, 2], z, ff, gain)
         b = -(gain * z) - ff
         J_star = np.sum((A @ eta - b) ** 2)
         for _ in range(100):

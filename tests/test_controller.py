@@ -141,9 +141,9 @@ def test_feedforward_rate_matches_finite_difference(rng, chain5):
 
 def test_control_single_robot_hand_case():
     tree = fs.validate_spanning_tree(1, [])
-    A = fs.coupling_matrix(tree, [0.0])
     ff = np.zeros(3)
-    eta = fs.kinematic_control([1.0, 0.0, 0.0], A, ff, [2.0, 2.0, 10.0])
+    eta = fs.kinematic_control(tree, [0.0], [1.0, 0.0, 0.0], ff,
+                               [2.0, 2.0, 10.0])
     assert np.allclose(eta, [2.0, 0.0], atol=1e-13)
 
 
@@ -154,7 +154,7 @@ def test_control_exact_tracking_returns_desired(rng, chain5):
     A = fs.coupling_matrix(chain5, qd[:, 2])
     ff = fs.feedforward_term(chain5, qd[0, 2], qd[:, 2], etad)
     gain = np.ones(15)
-    eta = fs.kinematic_control(z, A, ff, gain)
+    eta = fs.kinematic_control(chain5, qd[:, 2], z, ff, gain)
     assert np.abs(eta - etad.reshape(-1)).max() < 1e-12
     assert np.linalg.norm(A @ eta + gain * z + ff) < 1e-12
 
@@ -166,7 +166,7 @@ def test_control_normal_equations(rng, chain5):
         z = fs.error_state(chain5, poses, qd).vector
         A = fs.coupling_matrix(chain5, poses[:, 2])
         ff = fs.feedforward_term(chain5, poses[0, 2], qd[:, 2], etad)
-        eta = fs.kinematic_control(z, A, ff, gain)
+        eta = fs.kinematic_control(chain5, poses[:, 2], z, ff, gain)
         b = -(gain * z) - ff
         assert np.abs(A.T @ (A @ eta - b)).max() \
             <= 1e-10 * (1 + np.linalg.norm(A) * np.linalg.norm(b))
@@ -178,7 +178,7 @@ def test_control_cost_optimality(rng, chain5):
     z = fs.error_state(chain5, poses, qd).vector
     A = fs.coupling_matrix(chain5, poses[:, 2])
     ff = fs.feedforward_term(chain5, poses[0, 2], qd[:, 2], etad)
-    eta = fs.kinematic_control(z, A, ff, gain)
+    eta = fs.kinematic_control(chain5, poses[:, 2], z, ff, gain)
     b = -(gain * z) - ff
     J_star = np.sum((A @ eta - b) ** 2)
     for _ in range(100):
@@ -214,10 +214,9 @@ def test_twist_matches_kinematic_control(rng, chain5):
     poses, twists, qd, etad, etadd = _rand_state(rng, chain5)
     fv = fs.fictitious_velocity(chain5, poses, twists, qd, etad, etadd, gain)
     z = fs.error_state(chain5, poses, qd).vector
-    A = fs.coupling_matrix(chain5, poses[:, 2])
     ff = fs.feedforward_term(chain5, poses[0, 2], qd[:, 2], etad)
-    assert np.abs(fv.twist
-                  - fs.kinematic_control(z, A, ff, gain)).max() < 1e-11
+    assert np.abs(fv.twist - fs.kinematic_control(
+        chain5, poses[:, 2], z, ff, gain)).max() < 1e-11
 
 
 def test_rank_deficiency_guard():

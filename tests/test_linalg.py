@@ -109,6 +109,34 @@ def test_gram_pivot_is_chain_recursion_pivot(rng):
             assert fs.gram_pivot(G) >= 1.0 / (2 * n) - 1e-15
 
 
+def test_tree_gram_two_aligned_robots():
+    # G_v = [[2, -1], [-1, 1]] and G_w the same: eliminating the child
+    # (pivot 1) leaves the root 2 - 1/1 = 1
+    gram = fs.TreeGram(np.array([0]), np.array([1]), [1.0])
+    assert np.array_equal(gram.pivots, np.ones(4))
+    assert gram.pivot == 0.5
+    G = np.array([[2.0, 0, -1, 0], [0, 2, 0, -1],
+                  [-1, 0, 1, 0], [0, -1, 0, 1]])
+    rhs = np.array([1.0, -2.0, 3.0, 0.5])
+    assert np.allclose(gram.solve(rhs), np.linalg.solve(G, rhs),
+                       rtol=0, atol=1e-14)
+
+
+def test_tree_gram_chain_determinant(rng):
+    for n in range(2, 12):
+        tree = chain_tree(n)
+        th = rng.uniform(-15, 15, n)
+        det, _ = fs.chain_gram_determinant(th)
+        assert np.isclose(np.prod(fs.tree_gram(tree, th).pivots), det,
+                          rtol=1e-12)
+
+
+def test_tree_gram_rejects_non_finite_cosines():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(fs.RankDeficient):
+            fs.TreeGram(np.array([0, 1]), np.array([1, 2]), [0.5, bad])
+
+
 def test_wide_matrix_rejected():
     with pytest.raises(ValueError):
         fs.least_squares_solve(np.ones((2, 3)), np.ones(2))

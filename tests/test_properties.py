@@ -1,14 +1,16 @@
 """Property tests of the control law on random spanning trees.
 
-Trees are chains, stars and random recursive trees with 2 to 30 robots;
-headings are drawn so that aligned and antiparallel neighbours are
-common. The vectorized builders are pinned to their per-edge block forms
-on trees other than chains, the engine's single evaluation to the
-composition of public functions it replaces, and the least-squares
-command to ``np.linalg.lstsq``.
+Trees are chains, stars and random recursive trees with 2 to 30 robots
+(2 to 60 for the Gram factor); headings are drawn so that aligned and
+antiparallel neighbours are common. The vectorized builders are pinned to
+their per-edge block forms on trees other than chains, the engine's single
+evaluation to the composition of public functions it replaces, the
+least-squares command to ``np.linalg.lstsq``, and the leaves-first Gram
+factor to the dense A^T A it stands in for.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +22,8 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def trees(draw):
-    n = draw(st.integers(2, 30))
+def trees(draw, max_n=30):
+    n = draw(st.integers(2, max_n))
     kind = draw(st.sampled_from(["chain", "star", "random"]))
     if kind == "chain":
         edges = [(k, k + 1) for k in range(1, n)]
@@ -131,7 +133,7 @@ def _composed_rate(eng, t, y):
     dy = np.empty_like(y)
     if eng.mode == "kinematic":
         ff = fs.feedforward_term(tree, th[0], qd[:, 2], etad)
-        eta = fs.kinematic_control(z, A, ff, eng.gz)
+        eta = fs.kinematic_control(tree, th, z, ff, eng.gz)
         v, w = eta[0::2], eta[1::2]
     else:
         twists = y[3 * n:5 * n].reshape(n, 2)
@@ -173,7 +175,54 @@ def test_kinematic_control_matches_lstsq(data):
     assert np.linalg.norm(rec.etaf - want) <= 1e-10 * np.linalg.norm(want)
 
 
+# ---- the leaves-first Gram factor ----
+
+@SETTINGS
+@given(data=st.data())
+def test_tree_gram_matches_dense_gram(data):
+    # cond(A^T A) grows about as n^2 on chains (about 6e3 at n = 60), so a
+    # dense solve carries about 1e-12 relative error: 1e-10 leaves 100x
+    tree = data.draw(trees(max_n=60))
+    th = data.draw(headings(tree.n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = fs.coupling_matrix(tree, th)
+    G = A.T @ A
+    gram = fs.tree_gram(tree, th)
+    assert gram.pivots.min() >= 1.0 - 1e-12
+    # the pivots are those of an elimination of G: their product is det G
+    logdet = np.log(gram.pivots).sum()
+    assert abs(logdet - np.linalg.slogdet(G)[1]) <= 1e-10 * max(logdet, 1.0)
+    rhs = rng.normal(size=2 * tree.n)
+    want = np.linalg.solve(G, rhs)
+    assert np.linalg.norm(gram.solve(rhs) - want) \
+        <= 1e-10 * np.linalg.norm(want)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_non_finite_heading_raises_rank_deficient(data):
+    tree = data.draw(trees(max_n=60))
+    n = tree.n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    poses = rng.normal(size=(n, 3))
+    poses[:, 2] = data.draw(headings(n))
+    poses[data.draw(st.integers(0, n - 1)), 2] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    qd, etad, etadd = (rng.normal(size=(n, k)) for k in (3, 2, 2))
+    gain = np.ones(3 * n)
+    with np.errstate(invalid="ignore"):
+        z = fs.error_state(tree, poses, qd).vector
+        ff = fs.feedforward_term(tree, poses[0, 2], qd[:, 2], etad)
+        with pytest.raises(fs.RankDeficient):
+            fs.kinematic_control(tree, poses[:, 2], z, ff, gain)
+        with pytest.raises(fs.RankDeficient):
+            fs.fictitious_velocity(tree, poses, rng.normal(size=(n, 2)), qd,
+                                   etad, etadd, gain)
+
+
 def test_one_coupling_build_per_rate(monkeypatch):
+    # kinematic rates never form the dense coupling matrix; the torque
+    # law needs it, so adaptive rates build it once
     calls = []
     original = formsim.controller.coupling_matrix
 
@@ -183,8 +232,9 @@ def test_one_coupling_build_per_rate(monkeypatch):
 
     monkeypatch.setattr(formsim.controller, "coupling_matrix", counted)
     monkeypatch.setattr(formsim.engine, "coupling_matrix", counted)
-    for name in ("kinematic-pentagon", "adaptive-pentagon"):
+    for name, builds in (("kinematic-pentagon", 0),
+                         ("adaptive-pentagon", 1)):
         eng = fs.Engine(fs.get_preset(name))
         calls.clear()
         eng.rate(0.3, eng.initial_state())
-        assert len(calls) == 1, name
+        assert len(calls) == builds, name

@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 import formsim as fs
+import formsim.metrics as metrics
 import formsim.scenario as scenario
 from formsim.metrics import report_to_yaml
 
@@ -283,3 +284,19 @@ def test_metrics_report_yaml_loads():
     doc = yaml.safe_load(report_to_yaml(rep))
     assert set(doc) >= {"threshold", "converged_all", "convergence_times",
                         "decay_rate", "peak_controls", "residual"}
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                    reason="PyYAML built without libyaml")
+def test_libyaml_and_python_dumpers_agree(monkeypatch):
+    configs = [replace(fs.get_preset(name), t_final=2.0)
+               for name in fs.preset_names()]
+    configs.append(replace(fs.load_scenario(_random_tree_text(200, 7)),
+                           t_final=0.05))
+    for cfg in configs:
+        rep = fs.compute_metrics(fs.simulate(cfg))
+        texts = []
+        for dumper in (yaml.CSafeDumper, yaml.SafeDumper):
+            monkeypatch.setattr(metrics, "_DUMPER", dumper)
+            texts.append(report_to_yaml(rep))
+        assert texts[0] == texts[1]
