@@ -32,8 +32,8 @@ from .scenario import (ParseError, RobotSpec, ScenarioConfig, SchemaError,
                        scenario_to_dict, serialize_scenario)
 from .se2 import (SELECT, SKEW, Pose, Twist, body_frame_error,
                   rotation_matrix, steering_matrix, unicycle_rate)
-from .trajectory import (ConstantTwist, DesiredState, SampledTwist,
-                         SingularSpeed, desired_arrays, desired_state,
-                         omega_from_cartesian)
+from .trajectory import (ConstantTwist, DesiredState, ProfileSet,
+                         SampledTwist, SingularSpeed, desired_arrays,
+                         desired_state, omega_from_cartesian)
 
 __version__ = "0.1.0"

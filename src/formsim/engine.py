@@ -19,7 +19,7 @@ from .adaptive import (adaptation_rate, adaptive_control, block_regression,
                        lyapunov_diagnostics, params_to_vector)
 from .controller import (_error_vector, coupling_matrix, feedforward_term,
                          fictitious_velocity, kinematic_control)
-from .trajectory import desired_arrays, rk4_step
+from .trajectory import ProfileSet, desired_arrays, rk4_step
 
 __all__ = ["DivergenceError", "SimState", "Trace", "EvalRecord", "Engine",
            "simulate", "rk4_step"]
@@ -111,7 +111,7 @@ class Engine:
         self.tree = config.tree
         self.n = config.n
         self.mode = config.mode
-        self.profiles = [spec.profile for spec in config.robots]
+        self.profiles = ProfileSet(spec.profile for spec in config.robots)
         self.gz = np.asarray(config.formation_gain, dtype=float)
         if self.mode == "dynamic":
             self.gs = np.asarray(config.twist_gain, dtype=float)

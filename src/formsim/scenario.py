@@ -109,23 +109,38 @@ def _gain(value, n, width, context):
     return tuple(float(v) for v in flat)
 
 
+def _array(value, context):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{context}: expected numbers, got {value!r}") \
+            from exc
+
+
 def _profile_from_dict(d, context):
     kind = _need(d, "kind", context)
     if kind == "constant_twist":
         start = _floats(_need(d, "start", context), 3, f"{context}.start")
         twist = _floats(_need(d, "twist", context), 2, f"{context}.twist")
-        return ConstantTwist(pose0=start, v=twist[0], omega=twist[1])
-    if kind == "sampled_twist":
-        start = _floats(_need(d, "start", context), 3, f"{context}.start")
-        times = np.asarray(_need(d, "times", context), dtype=float)
-        twists = np.asarray(_need(d, "twists", context), dtype=float)
-        rates = np.asarray(_need(d, "rates", context), dtype=float)
-        kwargs = {}
+        make = ConstantTwist
+        kwargs = {"pose0": start, "v": twist[0], "omega": twist[1]}
+    elif kind == "sampled_twist":
+        make = SampledTwist
+        kwargs = {"pose0": _floats(_need(d, "start", context), 3,
+                                   f"{context}.start")}
+        for key in ("times", "twists", "rates"):
+            kwargs[key] = _array(_need(d, key, context), f"{context}.{key}")
         if "grid_dt" in d:
-            kwargs["grid_dt"] = float(d["grid_dt"])
-        return SampledTwist(pose0=start, times=times, twists=twists,
-                            rates=rates, **kwargs)
-    raise SchemaError(f"{context}: unknown trajectory kind {kind!r}")
+            kwargs["grid_dt"] = _floats(d["grid_dt"], 1,
+                                        f"{context}.grid_dt")[0]
+    else:
+        raise SchemaError(f"{context}: unknown trajectory kind {kind!r}")
+    try:
+        return make(**kwargs)
+    except SingularSpeed:
+        raise
+    except ValueError as exc:
+        raise ValidationError(f"{context}: {exc}") from exc
 
 
 def _profile_to_dict(p):

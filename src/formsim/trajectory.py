@@ -5,6 +5,20 @@ t >= 0, with the pose rate equal to steering_matrix(heading) @ twist by
 construction (the rolling constraint). The desired translational speed
 must stay away from zero; below ``SPEED_FLOOR`` the heading-from-velocity
 relation degenerates and evaluation raises SingularSpeed.
+
+Sampled profiles integrate the pose rate (v cos theta, v sin theta, w)
+with classical RK4 in a closed-stage form. The rate never depends on x or
+y, and its heading component w(t) does not depend on the pose at all, so
+``rk4_step``'s four stage headings are known from the step's start
+heading theta and the stage twists alone: theta, theta + (h/2) w1,
+theta + (h/2) w2 and theta + h w2, where (v1, w1), (v2, w2) and (v4, w4)
+are the twists at t, t + h/2 and t + h (the second and third stages share
+the midpoint twist). The heading increment (h/6)(w1 + 2 w2 + 2 w2 + w4)
+is independent of the state, and the x/y increments follow from the
+stage cosines and sines. Written with the same operations in the same
+order as ``rk4_step``, the closed form is the same floating-point step;
+it lets a whole pose grid be built with a handful of array operations and
+two running sums, and lets robots sharing a twist table step together.
 """
 
 import math
@@ -18,6 +32,7 @@ __all__ = [
     "DesiredState",
     "ConstantTwist",
     "SampledTwist",
+    "ProfileSet",
     "desired_state",
     "desired_arrays",
     "omega_from_cartesian",
@@ -38,6 +53,58 @@ def rk4_step(f, t, y, h):
     k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _heading_increment(h, w):
+    """``rk4_step``'s heading increment over h, given the stage angular
+    speeds w[0], w[1], w[2] at t, t + h/2 and t + h."""
+    return (h / 6.0) * (w[0] + 2.0 * w[1] + 2.0 * w[1] + w[2])
+
+
+def _position_increment(th, h, v, w):
+    """``rk4_step``'s (x, y) increments over h, stacked as (2, ...), from
+    the start heading ``th`` and the stage twists (v[s], w[s]) at t,
+    t + h/2 and t + h."""
+    half = 0.5 * h
+    heads = np.array([th, th + half * w[0], th + half * w[1], th + h * w[1]])
+    trig = np.array([np.cos(heads), np.sin(heads)])
+    return (h / 6.0) * (v[0] * trig[:, 0] + 2.0 * (v[1] * trig[:, 1])
+                        + 2.0 * (v[1] * trig[:, 2]) + v[2] * trig[:, 3])
+
+
+def _pose_step(q, h, stage_twists):
+    """``rk4_step`` of the pose rate from the pose(s) q (3, ...) over h,
+    given the (3, 2) twists at t, t + h/2 and t + h."""
+    v, w = stage_twists.T
+    out = np.empty_like(q)
+    out[:2] = q[:2] + _position_increment(q[2], h, v, w)
+    out[2] = q[2] + _heading_increment(h, w)
+    return out
+
+
+def _hermite(times, twists, rates, t):
+    """Cubic Hermite twists (m, 2) and their exact rates (m, 2) at the
+    times ``t`` (m,), held at the end samples with zero rate outside the
+    table."""
+    t = np.asarray(t, dtype=float)
+    # segment k holds t in [times[k], times[k+1]), clamped to the table
+    k = np.searchsorted(times[1:-1], t, side="right")
+    k1 = k + 1
+    t0 = times[k]
+    h = (times[k1] - t0)[:, None]
+    u = (t - t0)[:, None] / h
+    um, u1, uu = 1 - u, u - 1, u * u
+    um2 = um * um
+    d00 = 6 * u * u1
+    tw0, tw1, rt0, rt1 = twists[k], twists[k1], rates[k], rates[k1]
+    val = ((1 + 2 * u) * um2 * tw0 + u * um2 * h * rt0
+           + uu * (3 - 2 * u) * tw1 + uu * u1 * h * rt1)
+    der = (d00 * tw0 + um * (1 - 3 * u) * h * rt0
+           + (-d00) * tw1 + u * (3 * u - 2) * h * rt1) / h
+    lo, hi = t <= times[0], t >= times[-1]
+    val[lo], val[hi] = twists[0], twists[-1]
+    der[lo | hi] = 0.0
+    return val, der
 
 
 @dataclass(frozen=True)
@@ -71,19 +138,6 @@ class ConstantTwist:
         object.__setattr__(self, "pose0", tuple(float(c) for c in self.pose0))
 
 
-def _constant_twist_pose(pose0, v, w, t):
-    x0, y0, th0 = pose0
-    th = th0 + w * t
-    if abs(w) > 1e-12:
-        r = v / w
-        x = x0 + r * (math.sin(th) - math.sin(th0))
-        y = y0 - r * (math.cos(th) - math.cos(th0))
-    else:
-        x = x0 + v * t * math.cos(th0)
-        y = y0 + v * t * math.sin(th0)
-    return x, y, th
-
-
 @dataclass(frozen=True)
 class SampledTwist:
     """Profile defined by a sampled twist program (v, w) with matching
@@ -91,11 +145,17 @@ class SampledTwist:
 
     Twist between samples is cubic Hermite in each component, so the
     returned twist rate is the exact derivative of the returned twist.
-    The pose is integrated once at construction (classical fourth-order
-    Runge-Kutta at ``grid_dt``) and evaluated at arbitrary t by a single
-    short step from the nearest stored grid point, keeping evaluation
-    pure and the profile immutable. Outside the table the twist is held
-    constant with zero rate.
+    Outside the table the twist is held constant with zero rate. The pose
+    is integrated once at construction, by classical fourth-order
+    Runge-Kutta at ``grid_dt`` (finite and positive; the last step is
+    shortened to end at the table's span), and evaluated at arbitrary t
+    by a single short step from the stored grid point at or before t,
+    keeping evaluation pure and the profile immutable. Both use the
+    closed-stage form of the step described in the module docstring: the
+    Hermite twist is evaluated at every step's three stage times in one
+    array pass, the headings are a running sum of their increments, and
+    the positions a running sum of increments built from the stage
+    headings.
     """
 
     pose0: tuple
@@ -109,6 +169,7 @@ class SampledTwist:
         times = np.asarray(self.times, dtype=float)
         twists = np.asarray(self.twists, dtype=float)
         rates = np.asarray(self.rates, dtype=float)
+        grid_dt = float(self.grid_dt)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("need at least two samples")
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -120,65 +181,154 @@ class SampledTwist:
             raise ValueError("profile tables must be finite")
         if np.min(np.abs(twists[:, 0])) < SPEED_FLOOR:
             raise SingularSpeed("sampled speed hits the singularity floor")
-        if self.grid_dt <= 0:
-            raise ValueError("grid_dt must be positive")
+        if not (math.isfinite(grid_dt) and grid_dt > 0):
+            raise ValueError(f"grid_dt must be finite and positive, "
+                             f"got {grid_dt}")
         object.__setattr__(self, "pose0", tuple(float(c) for c in self.pose0))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "grid_dt", grid_dt)
         object.__setattr__(self, "_grid", self._integrate_grid())
 
     @property
     def span(self):
         return float(self.times[-1])
 
+    def _twists_at(self, t):
+        """Hermite twists and rates at the times ``t`` (m,)."""
+        return _hermite(self.times, self.twists, self.rates, t)
+
     def twist_at(self, t):
         """Hermite twist and its exact rate at time t (clamped outside)."""
-        times, tw, rt = self.times, self.twists, self.rates
-        if t <= times[0]:
-            return tw[0].copy(), np.zeros(2)
-        if t >= times[-1]:
-            return tw[-1].copy(), np.zeros(2)
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        h = times[k + 1] - times[k]
-        u = (t - times[k]) / h
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u * u * (3 - 2 * u)
-        h11 = u * u * (u - 1)
-        val = (h00 * tw[k] + h10 * h * rt[k]
-               + h01 * tw[k + 1] + h11 * h * rt[k + 1])
-        d00 = 6 * u * (u - 1)
-        d10 = (1 - u) * (1 - 3 * u)
-        d01 = -d00
-        d11 = u * (3 * u - 2)
-        der = (d00 * tw[k] + d10 * h * rt[k]
-               + d01 * tw[k + 1] + d11 * h * rt[k + 1]) / h
-        return val, der
-
-    def _pose_rate(self, t, q):
-        v, w = self.twist_at(t)[0]
-        return np.array([v * math.cos(q[2]), v * math.sin(q[2]), w])
+        val, der = self._twists_at([t])
+        return val[0], der[0]
 
     def _integrate_grid(self):
         steps = int(math.ceil(self.span / self.grid_dt))
+        tk = np.arange(steps) * self.grid_dt
+        h = np.minimum(self.grid_dt, self.span - tk)
+        stages = self._twists_at(np.concatenate([tk, tk + 0.5 * h, tk + h]))
+        v, w = stages[0].reshape(3, steps, 2).transpose(2, 0, 1)
         grid = np.empty((steps + 1, 3))
         grid[0] = self.pose0
-        q = np.asarray(self.pose0, dtype=float)
-        for k in range(steps):
-            q = rk4_step(self._pose_rate, k * self.grid_dt, q,
-                         min(self.grid_dt, self.span - k * self.grid_dt))
-            grid[k + 1] = q
+        grid[1:, 2] = _heading_increment(h, w)
+        np.add.accumulate(grid[:, 2], out=grid[:, 2])
+        grid[1:, :2] = _position_increment(grid[:-1, 2], h, v, w).T
+        np.add.accumulate(grid[:, :2], axis=0, out=grid[:, :2])
         return grid
 
-    def pose_at(self, t):
+    def _cell(self, t):
+        """Grid index k of the stored point at or before t (clamped to the
+        span), its time, and the step delta from it to t."""
         t = min(max(t, 0.0), self.span)
         k = min(int(t / self.grid_dt), len(self._grid) - 2)
-        delta = t - k * self.grid_dt
+        tk = k * self.grid_dt
+        return k, tk, t - tk
+
+    def pose_at(self, t):
+        k, tk, delta = self._cell(t)
         if delta == 0.0:
             return self._grid[k].copy()
-        return rk4_step(self._pose_rate, k * self.grid_dt, self._grid[k],
-                        delta)
+        stages = self._twists_at([tk, tk + 0.5 * delta, tk + delta])[0]
+        return _pose_step(self._grid[k], delta, stages)
+
+
+class ProfileSet:
+    """Every robot's desired trajectory, evaluated together at one time.
+
+    Built once per robot list. Constant twists are stacked once (pose0,
+    v, omega, r = v/omega, and sin/cos of the start heading), arcs
+    (omega != 0) and lines (omega == 0) in separate blocks whose closed
+    forms are evaluated as arrays. Sampled profiles with identical
+    (times, twists, rates, grid_dt) form one group: each call evaluates
+    the group's Hermite twist once, at t and at the three stage times of
+    the short pose step, and steps the group's stacked pose grids
+    together. Blocks are contiguous in an internal robot order, which is
+    mapped back to the callers' order on return when it differs.
+    """
+
+    def __init__(self, profiles):
+        profiles = tuple(profiles)
+        arcs, lines, tables = [], [], {}
+        for i, p in enumerate(profiles):
+            if isinstance(p, ConstantTwist):
+                (arcs if abs(p.omega) > 1e-12 else lines).append(i)
+            elif isinstance(p, SampledTwist):
+                key = (p.grid_dt, p.times.tobytes(), p.twists.tobytes(),
+                       p.rates.tobytes())
+                tables.setdefault(key, []).append(i)
+            else:
+                raise TypeError(f"unknown profile type {type(p).__name__}")
+        const = arcs + lines
+        order = const + [i for group in tables.values() for i in group]
+        self._n = n = len(order)
+        self._pos = (None if order == list(range(n))
+                     else np.argsort(order))
+        self._nc, self._na = nc, na = len(const), len(arcs)
+        # one row per constant twist, transposed so each field is a
+        # contiguous row: x0, y0, theta0, v, omega, sin theta0, cos theta0
+        rows = np.array([(*p.pose0, p.v, p.omega, math.sin(p.pose0[2]),
+                          math.cos(p.pose0[2]))
+                         for p in (profiles[i] for i in const)])
+        c = rows.reshape(nc, 7).T.copy()
+        self._x0y0, self._th0, self._w = c[:2], c[2], c[4]
+        self._etad = np.zeros((n, 2))
+        self._etad[:nc] = c[3:5].T
+        # (x, y) = (x0, y0) + coef * base. On arcs coef = [r; -r] with
+        # r = v/omega and base = [sin; cos](theta) - [sin; cos](theta0), so
+        # y = y0 - r (cos theta - cos theta0) exactly; on lines
+        # coef = [cos; sin](theta0) and base = [v t; v t].
+        r = c[3, :na] / c[4, :na]
+        self._arc_sc0 = c[5:7, :na]
+        self._coef = np.array([np.concatenate([r, c[6, na:]]),
+                               np.concatenate([-r, c[5, na:]])])
+        self._line_v = c[3, na:]
+        self._groups = []
+        at = nc
+        for group in tables.values():
+            grids = np.stack([profiles[i]._grid for i in group], axis=2)
+            self._groups.append((slice(at, at + len(group)),
+                                 profiles[group[0]], grids))
+            at += len(group)
+
+    def evaluate(self, t):
+        """Desired poses (n, 3), twists (n, 2) and twist rates (n, 2)."""
+        if t < 0:
+            raise ValueError(f"t must be nonnegative, got {t}")
+        n, nc, na = self._n, self._nc, self._na
+        q = np.empty((3, n))           # rows x, y, theta; internal order
+        etad = self._etad.copy()
+        etadd = np.zeros((n, 2))
+        if nc:
+            xy, th = q[:2, :nc], q[2, :nc]
+            np.multiply(self._w, t, out=th)
+            th += self._th0
+            if na:
+                tha = th[:na]
+                np.sin(tha, out=q[0, :na])
+                np.cos(tha, out=q[1, :na])
+                xy[:, :na] -= self._arc_sc0
+            if na < nc:
+                x, y = q[0, na:nc], q[1, na:nc]
+                np.multiply(self._line_v, t, out=x)
+                y[:] = x
+            xy *= self._coef
+            xy += self._x0y0
+        for at, p, grids in self._groups:
+            k, tk, delta = p._cell(t)
+            val, der = p._twists_at([t, tk, tk + 0.5 * delta, tk + delta])
+            if abs(val[0, 0]) < SPEED_FLOOR:
+                raise SingularSpeed(
+                    f"desired speed {val[0, 0]:g} below floor at t={t:g}"
+                )
+            etad[at] = val[0]
+            etadd[at] = der[0]
+            q[:, at] = (grids[k] if delta == 0.0
+                        else _pose_step(grids[k], delta, val[1:]))
+        if self._pos is None:
+            return q.T, etad, etadd
+        return q.T[self._pos], etad[self._pos], etadd[self._pos]
 
 
 def desired_state(profile, t):
@@ -188,27 +338,13 @@ def desired_state(profile, t):
 
 
 def desired_arrays(profiles, t):
-    """Stack desired states of several profiles into (n,3), (n,2), (n,2)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    n = len(profiles)
-    qd = np.empty((n, 3))
-    etad = np.empty((n, 2))
-    etadd = np.zeros((n, 2))
-    for i, p in enumerate(profiles):
-        if isinstance(p, ConstantTwist):
-            qd[i] = _constant_twist_pose(p.pose0, p.v, p.omega, t)
-            etad[i] = p.v, p.omega
-        elif isinstance(p, SampledTwist):
-            etad[i], etadd[i] = p.twist_at(t)
-            if abs(etad[i, 0]) < SPEED_FLOOR:
-                raise SingularSpeed(
-                    f"desired speed {etad[i, 0]:g} below floor at t={t:g}"
-                )
-            qd[i] = p.pose_at(t)
-        else:
-            raise TypeError(f"unknown profile type {type(p).__name__}")
-    return qd, etad, etadd
+    """Stack desired states of several profiles into (n,3), (n,2), (n,2).
+
+    ``profiles`` is a ProfileSet, or a sequence of profiles that is
+    wrapped in one."""
+    if not isinstance(profiles, ProfileSet):
+        profiles = ProfileSet(profiles)
+    return profiles.evaluate(t)
 
 
 def omega_from_cartesian(xdot, xddot, ydot, yddot, v):

@@ -101,6 +101,33 @@ def test_run_singular_speed_exits_nonzero(tmp_path, capsys):
     assert "SingularSpeed" in capsys.readouterr().err
 
 
+def _sampled_doc(**trajectory):
+    ts = [0.0, 0.3, 0.6, 1.0]
+    traj = {"kind": "sampled_twist", "start": [0.0, 0.0, 0.0], "times": ts,
+            "twists": [[1.0, 0.2]] * 4, "rates": [[0.0, 0.0]] * 4}
+    traj.update(trajectory)
+    return {"mode": "kinematic", "edges": [], "dt": 0.01, "t_final": 0.5,
+            "gains": {"formation": [1.0, 1.0, 1.0]},
+            "robots": [{"start": [0.1, 0.0, 0.0], "trajectory": traj}]}
+
+
+@pytest.mark.parametrize("trajectory", [
+    {"grid_dt": float("nan")},
+    {"grid_dt": float("inf")},
+    {"grid_dt": 0.0},
+    {"times": [0.0, 0.6, 0.3, 1.0]},
+])
+def test_run_bad_sampled_table_exits_2(tmp_path, capsys, trajectory):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_sampled_doc(**trajectory)))
+    code = main(["run", "--config", str(path), "--trace",
+                 str(tmp_path / "t.csv"), "--metrics",
+                 str(tmp_path / "m.yaml")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: ValidationError: robots[1].trajectory" in err
+
+
 def test_run_divergence_exits_3(tmp_path, capsys):
     cfg_path = _write_short_preset(tmp_path, name="adaptive-pentagon",
                                    t_final=5.0, dt=0.5)

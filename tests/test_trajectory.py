@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import formsim as fs
+import formsim.trajectory
 from formsim.engine import rk4_step
+
+EPS = np.finfo(float).eps
 
 
 def test_arc_closed_form_quarter_circle():
@@ -128,6 +135,11 @@ def test_sampled_twist_table_validation():
     with pytest.raises(ValueError):
         fs.SampledTwist(pose0=(0, 0, 0), times=np.array([0.5, 1.0]),
                         twists=np.ones((2, 2)), rates=np.zeros((2, 2)))
+    for grid_dt in (np.nan, np.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="grid_dt"):
+            fs.SampledTwist(pose0=(0, 0, 0), times=np.array([0.0, 1.0]),
+                            twists=np.ones((2, 2)), rates=np.zeros((2, 2)),
+                            grid_dt=grid_dt)
 
 
 def test_sampled_pose_matches_constant_twist():
@@ -191,3 +203,144 @@ def test_desired_arrays_matches_desired_state_sampled():
                              rates=rt, grid_dt=5e-4),
              fs.ConstantTwist(pose0=(0.0, 0.0, 0.0), v=1.0, omega=0.5)]
     _assert_arrays_match_states(profs, (0.0, 0.123, 0.9993, 1.777, 2.0))
+
+
+def _stepwise_grid(prof):
+    """The pose grid integrated one ``rk4_step`` at a time, with the pose
+    rate built from ``twist_at``."""
+    def rate(t, q):
+        v, w = prof.twist_at(t)[0]
+        return np.array([v * math.cos(q[2]), v * math.sin(q[2]), w])
+
+    steps = math.ceil(prof.span / prof.grid_dt)
+    q = np.array(prof.pose0)
+    grid = [q]
+    for k in range(steps):
+        tk = k * prof.grid_dt
+        q = rk4_step(rate, tk, q, min(prof.grid_dt, prof.span - tk))
+        grid.append(q)
+    return np.array(grid)
+
+
+@pytest.mark.parametrize("span,grid_dt", [(0.1, 5e-4), (5.0, 5e-4),
+                                          (1.0, 3e-4)])
+def test_sampled_grid_matches_stepwise_rk4(span, grid_dt):
+    # 1.0 / 3e-4 is not whole: the last step is shortened to end at span
+    prof = _sine_profile(span=span, grid_dt=grid_dt)
+    want = _stepwise_grid(prof)
+    assert prof._grid.shape == want.shape
+    # The closed-stage form runs rk4_step's operations in rk4_step's order,
+    # so it is exact where np.cos/np.sin round like math.cos/math.sin. A
+    # host whose array and scalar cosines differ by an ulp perturbs each
+    # step by a few ulps of the running sums, which accumulate at most
+    # linearly over the steps.
+    tol = len(want) * 4 * EPS * (1 + np.abs(want))
+    assert np.all(np.abs(prof._grid - want) <= tol)
+
+
+def _table(seed, span=1.0):
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, span, 11)
+    a, b, f = rng.uniform(0.2, 0.5), rng.uniform(0.2, 1.0), \
+        rng.uniform(1.0, 4.0)
+    tw = np.stack([1.0 + a * np.sin(f * ts), b * np.cos(f * ts)], axis=1)
+    rt = np.stack([a * f * np.cos(f * ts), -b * f * np.sin(f * ts)], axis=1)
+    return ts, tw, rt
+
+
+# Two tables shared by any number of sampled robots, and one whose Hermite
+# speed dips below SPEED_FLOOR for t in about (0.06, 0.38) although both
+# knot speeds clear it.
+TABLES = [_table(0), _table(1),
+          (np.array([0.0, 1.0]), np.array([[1.5e-6, 0.1], [1.5e-6, 0.1]]),
+           np.array([[-1e-5, 0.0], [-1e-5, 0.0]]))]
+
+
+@st.composite
+def profile_mixes(draw):
+    """Arcs, lines (omega = 0) and sampled profiles in any order."""
+    profs, radius = [], []
+    for kind in draw(st.lists(st.sampled_from(["arc", "line", "sampled"]),
+                              min_size=1, max_size=8)):
+        pose0 = (draw(st.floats(-5, 5)), draw(st.floats(-5, 5)),
+                 draw(st.floats(-4, 4)))
+        if kind == "sampled":
+            ts, tw, rt = TABLES[draw(st.sampled_from([0, 1, 2]))]
+            profs.append(fs.SampledTwist(
+                pose0=pose0, times=ts, twists=tw, rates=rt,
+                grid_dt=draw(st.sampled_from([5e-4, 1e-3]))))
+            radius.append(0.0)
+            continue
+        v = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([-1, 1]))
+        w = 0.0
+        if kind == "arc":
+            w = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1, 1]))
+        profs.append(fs.ConstantTwist(pose0=pose0, v=v, omega=w))
+        radius.append(abs(v / w) if w else 0.0)
+    return profs, np.array(radius)
+
+
+eval_times = st.one_of(
+    st.integers(0, 2000).map(lambda k: k * 5e-4),    # on either grid
+    st.floats(0.0, 1.0),                             # off grid
+    st.floats(0.1, 0.3),                             # in the speed dip
+    st.floats(1.0, 3.0),                             # past the tables
+    st.floats(-1.0, -1e-9))                          # rejected
+
+
+@settings(max_examples=80, deadline=None)
+@given(profile_mixes(), eval_times)
+def test_profile_set_matches_each_profile(mix, t):
+    profs, radius = mix
+    profile_set = fs.ProfileSet(profs)
+    if t < 0:
+        expected = ValueError
+    elif any(abs(p.twist_at(t)[0][0]) < fs.trajectory.SPEED_FLOOR
+             for p in profs if isinstance(p, fs.SampledTwist)):
+        expected = fs.SingularSpeed
+    else:
+        expected = None
+    if expected is not None:
+        with pytest.raises(ValueError) as got:
+            fs.desired_arrays(profile_set, t)
+        assert got.type is expected
+        raised = set()
+        for p in profs:
+            try:
+                fs.desired_state(p, t)
+            except ValueError as exc:
+                raised.add(type(exc))
+        assert raised == {expected}
+        return
+    qd, etad, etadd = fs.desired_arrays(profile_set, t)
+    states = [fs.desired_state(p, t) for p in profs]
+    want = np.array([s.pose for s in states])
+    # Both sides run the same operations element by element. Array sines
+    # and cosines may still round by an ulp differently with the array's
+    # length on some hosts, which an arc scales by its radius |v/omega|.
+    tol = 4 * EPS * (1 + np.abs(want) + radius[:, None])
+    assert np.all(np.abs(qd - want) <= tol)
+    assert np.array_equal(etad, [s.twist for s in states])
+    assert np.array_equal(etadd, [s.accel for s in states])
+
+
+def test_profile_set_evaluates_shared_tables_once(monkeypatch):
+    ts, tw, rt = TABLES[0]
+    profs = [fs.SampledTwist(pose0=(float(i), 0.0, 0.1 * i), times=ts,
+                             twists=tw, rates=rt) for i in range(4)]
+    profs.insert(2, fs.SampledTwist(pose0=(0.0, 0.0, 0.0), times=ts,
+                                    twists=tw, rates=rt, grid_dt=1e-3))
+    profs.append(fs.ConstantTwist(pose0=(0.0, 0.0, 0.0), v=1.0, omega=0.5))
+    profile_set = fs.ProfileSet(profs)
+    calls = []
+    hermite = formsim.trajectory._hermite
+    monkeypatch.setattr(formsim.trajectory, "_hermite",
+                        lambda *args: calls.append(args) or hermite(*args))
+    fs.desired_arrays(profile_set, 0.123)
+    assert len(calls) == 2      # one per distinct (table, grid_dt)
+
+
+def test_profile_set_rejects_unknown_profile():
+    with pytest.raises(TypeError):
+        fs.ProfileSet([fs.ConstantTwist(pose0=(0, 0, 0), v=1.0, omega=0.0),
+                       object()])
