@@ -41,6 +41,10 @@ __all__ = [
 
 SPEED_FLOOR = 1e-6
 
+# Grid steps integrated per array pass; bounds the construction's
+# temporaries (tens of floats per step) to a few MiB for any span.
+_GRID_CHUNK = 4096
+
 
 class SingularSpeed(ValueError):
     """Desired translational speed too close to zero."""
@@ -148,14 +152,14 @@ class SampledTwist:
     Outside the table the twist is held constant with zero rate. The pose
     is integrated once at construction, by classical fourth-order
     Runge-Kutta at ``grid_dt`` (finite and positive; the last step is
-    shortened to end at the table's span), and evaluated at arbitrary t
-    by a single short step from the stored grid point at or before t,
-    keeping evaluation pure and the profile immutable. Both use the
-    closed-stage form of the step described in the module docstring: the
-    Hermite twist is evaluated at every step's three stage times in one
-    array pass, the headings are a running sum of their increments, and
-    the positions a running sum of increments built from the stage
-    headings.
+    shortened to end at the table's span); ``ProfileSet`` (and so
+    ``desired_state``) evaluates it at arbitrary t by a single short step
+    from the stored grid point at or before t, keeping evaluation pure and
+    the profile immutable. Both use the closed-stage form of the step
+    described in the module docstring: the Hermite twist is evaluated at
+    every step's three stage times in array passes of ``_GRID_CHUNK``
+    steps, the headings are a running sum of their increments, and the
+    positions a running sum of increments built from the stage headings.
     """
 
     pose0: tuple
@@ -195,43 +199,30 @@ class SampledTwist:
     def span(self):
         return float(self.times[-1])
 
-    def _twists_at(self, t):
-        """Hermite twists and rates at the times ``t`` (m,)."""
-        return _hermite(self.times, self.twists, self.rates, t)
-
     def twist_at(self, t):
         """Hermite twist and its exact rate at time t (clamped outside)."""
-        val, der = self._twists_at([t])
+        val, der = _hermite(self.times, self.twists, self.rates, [t])
         return val[0], der[0]
 
     def _integrate_grid(self):
         steps = int(math.ceil(self.span / self.grid_dt))
-        tk = np.arange(steps) * self.grid_dt
-        h = np.minimum(self.grid_dt, self.span - tk)
-        stages = self._twists_at(np.concatenate([tk, tk + 0.5 * h, tk + h]))
-        v, w = stages[0].reshape(3, steps, 2).transpose(2, 0, 1)
         grid = np.empty((steps + 1, 3))
         grid[0] = self.pose0
-        grid[1:, 2] = _heading_increment(h, w)
-        np.add.accumulate(grid[:, 2], out=grid[:, 2])
-        grid[1:, :2] = _position_increment(grid[:-1, 2], h, v, w).T
-        np.add.accumulate(grid[:, :2], axis=0, out=grid[:, :2])
+        # The running sums carry over from one chunk's last point to the
+        # next, so chunking only bounds the stage-twist temporaries.
+        for a in range(0, steps, _GRID_CHUNK):
+            b = min(a + _GRID_CHUNK, steps)
+            tk = np.arange(a, b) * self.grid_dt
+            h = np.minimum(self.grid_dt, self.span - tk)
+            stages = _hermite(self.times, self.twists, self.rates,
+                              np.concatenate([tk, tk + 0.5 * h, tk + h]))[0]
+            v, w = stages.reshape(3, b - a, 2).transpose(2, 0, 1)
+            cell = grid[a:b + 1]
+            cell[1:, 2] = _heading_increment(h, w)
+            np.add.accumulate(cell[:, 2], out=cell[:, 2])
+            cell[1:, :2] = _position_increment(cell[:-1, 2], h, v, w).T
+            np.add.accumulate(cell[:, :2], axis=0, out=cell[:, :2])
         return grid
-
-    def _cell(self, t):
-        """Grid index k of the stored point at or before t (clamped to the
-        span), its time, and the step delta from it to t."""
-        t = min(max(t, 0.0), self.span)
-        k = min(int(t / self.grid_dt), len(self._grid) - 2)
-        tk = k * self.grid_dt
-        return k, tk, t - tk
-
-    def pose_at(self, t):
-        k, tk, delta = self._cell(t)
-        if delta == 0.0:
-            return self._grid[k].copy()
-        stages = self._twists_at([tk, tk + 0.5 * delta, tk + delta])[0]
-        return _pose_step(self._grid[k], delta, stages)
 
 
 class ProfileSet:
@@ -287,7 +278,9 @@ class ProfileSet:
         self._groups = []
         at = nc
         for group in tables.values():
-            grids = np.stack([profiles[i]._grid for i in group], axis=2)
+            # (steps + 1, 3, robots); a lone robot's grid is a view
+            grids = (profiles[group[0]]._grid[:, :, None] if len(group) == 1
+                     else np.stack([profiles[i]._grid for i in group], axis=2))
             self._groups.append((slice(at, at + len(group)),
                                  profiles[group[0]], grids))
             at += len(group)
@@ -316,8 +309,14 @@ class ProfileSet:
             xy *= self._coef
             xy += self._x0y0
         for at, p, grids in self._groups:
-            k, tk, delta = p._cell(t)
-            val, der = p._twists_at([t, tk, tk + 0.5 * delta, tk + delta])
+            # the stored point at or before t (clamped to the span), and
+            # the short step from it
+            tc = min(t, p.span)
+            k = min(int(tc / p.grid_dt), len(grids) - 2)
+            tk = k * p.grid_dt
+            delta = tc - tk
+            val, der = _hermite(p.times, p.twists, p.rates,
+                                [t, tk, tk + 0.5 * delta, tk + delta])
             if abs(val[0, 0]) < SPEED_FLOOR:
                 raise SingularSpeed(
                     f"desired speed {val[0, 0]:g} below floor at t={t:g}"

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -225,7 +226,8 @@ def _stepwise_grid(prof):
 @pytest.mark.parametrize("span,grid_dt", [(0.1, 5e-4), (5.0, 5e-4),
                                           (1.0, 3e-4)])
 def test_sampled_grid_matches_stepwise_rk4(span, grid_dt):
-    # 1.0 / 3e-4 is not whole: the last step is shortened to end at span
+    # 1.0 / 3e-4 is not whole: the last step is shortened to end at span;
+    # 5 s at 5e-4 is built in three chunks of steps
     prof = _sine_profile(span=span, grid_dt=grid_dt)
     want = _stepwise_grid(prof)
     assert prof._grid.shape == want.shape
@@ -288,6 +290,52 @@ eval_times = st.one_of(
     st.floats(-1.0, -1e-9))                          # rejected
 
 
+def _scalar_twist(p, t):
+    """Cubic Hermite twist and rate of a sampled profile at t, in scalar
+    arithmetic from the textbook basis, and its rounding scale."""
+    ts = p.times
+    if t <= ts[0] or t >= ts[-1]:
+        end = 0 if t <= ts[0] else -1
+        return p.twists[end], np.zeros(2), np.abs(p.twists[end]), 1.0
+    k = bisect.bisect_right(ts, t) - 1
+    h = ts[k + 1] - ts[k]
+    u = (t - ts[k]) / h
+    tw0, tw1 = p.twists[k], p.twists[k + 1]
+    rt0, rt1 = h * p.rates[k], h * p.rates[k + 1]
+    val = ((2 * u**3 - 3 * u**2 + 1) * tw0 + (u**3 - 2 * u**2 + u) * rt0
+           + (-2 * u**3 + 3 * u**2) * tw1 + (u**3 - u**2) * rt1)
+    der = ((6 * u**2 - 6 * u) * tw0 + (3 * u**2 - 4 * u + 1) * rt0
+           + (6 * u - 6 * u**2) * tw1 + (3 * u**2 - 2 * u) * rt1) / h
+    scale = np.abs(tw0) + np.abs(tw1) + np.abs(rt0) + np.abs(rt1)
+    return val, der, scale, h
+
+
+def _scalar_state(p, t):
+    """Desired pose, twist and rate of one profile at t >= 0: math.sin and
+    math.cos closed forms for a constant twist; for a sampled profile one
+    ``rk4_step`` of the pose rate from the stored grid point at or before t
+    (clamped to the span), with the twist from ``_scalar_twist``."""
+    if isinstance(p, fs.ConstantTwist):
+        x0, y0, th0 = p.pose0
+        if p.omega == 0.0:
+            s = p.v * t
+            pose = [x0 + s * math.cos(th0), y0 + s * math.sin(th0), th0]
+        else:
+            th, r = th0 + p.omega * t, p.v / p.omega
+            pose = [x0 + r * (math.sin(th) - math.sin(th0)),
+                    y0 - r * (math.cos(th) - math.cos(th0)), th]
+        return np.array(pose), np.array([p.v, p.omega]), np.zeros(2)
+
+    def rate(s, q):
+        v, w = _scalar_twist(p, s)[0]
+        return np.array([v * math.cos(q[2]), v * math.sin(q[2]), w])
+
+    tc = min(t, p.span)
+    k = min(int(tc / p.grid_dt), len(p._grid) - 2)
+    pose = rk4_step(rate, k * p.grid_dt, p._grid[k], tc - k * p.grid_dt)
+    return (pose, *_scalar_twist(p, t)[:2])
+
+
 @settings(max_examples=80, deadline=None)
 @given(profile_mixes(), eval_times)
 def test_profile_set_matches_each_profile(mix, t):
@@ -313,15 +361,24 @@ def test_profile_set_matches_each_profile(mix, t):
         assert raised == {expected}
         return
     qd, etad, etadd = fs.desired_arrays(profile_set, t)
-    states = [fs.desired_state(p, t) for p in profs]
-    want = np.array([s.pose for s in states])
-    # Both sides run the same operations element by element. Array sines
-    # and cosines may still round by an ulp differently with the array's
-    # length on some hosts, which an arc scales by its radius |v/omega|.
-    tol = 4 * EPS * (1 + np.abs(want) + radius[:, None])
-    assert np.all(np.abs(qd - want) <= tol)
-    assert np.array_equal(etad, [s.twist for s in states])
-    assert np.array_equal(etadd, [s.accel for s in states])
+    for i, p in enumerate(profs):
+        pose, twist, accel = _scalar_state(p, t)
+        # ProfileSet runs the oracle's operations in the oracle's order,
+        # except that array sines and cosines may round an ulp differently
+        # from math.sin/math.cos on some hosts, which an arc scales by its
+        # radius |v/omega|; the short step's stage twists move the pose by
+        # h times their own few-ulp difference, well inside this bound.
+        tol = 4 * EPS * (1 + np.abs(pose) + radius[i])
+        assert np.all(np.abs(qd[i] - pose) <= tol)
+        if isinstance(p, fs.ConstantTwist):
+            assert np.array_equal(etad[i], twist)
+            assert np.array_equal(etadd[i], accel)
+        else:
+            # the Hermite weights are formed in another order: a few ulps
+            # of the sum of the four terms' magnitudes, over h for the rate
+            _, _, scale, h = _scalar_twist(p, t)
+            assert np.all(np.abs(etad[i] - twist) <= 8 * EPS * scale)
+            assert np.all(np.abs(etadd[i] - accel) <= 8 * EPS * scale / h)
 
 
 def test_profile_set_evaluates_shared_tables_once(monkeypatch):
@@ -338,6 +395,14 @@ def test_profile_set_evaluates_shared_tables_once(monkeypatch):
                         lambda *args: calls.append(args) or hermite(*args))
     fs.desired_arrays(profile_set, 0.123)
     assert len(calls) == 2      # one per distinct (table, grid_dt)
+
+
+def test_lone_sampled_profile_shares_its_grid():
+    # desired_state builds a ProfileSet per call: one robot's grid is a
+    # view, not a copy, so the call costs the same for any span
+    prof = _sine_profile(span=5.0)
+    (_, _, grids), = fs.ProfileSet([prof])._groups
+    assert np.shares_memory(grids, prof._grid)
 
 
 def test_profile_set_rejects_unknown_profile():
