@@ -76,8 +76,12 @@ class ErrorState:
 class _Layout(NamedTuple):
     """Edge index arrays of one tree (see ``_layout``)."""
 
+    n: int
+    edges: tuple
     parents: np.ndarray
     children: np.ndarray
+    pflat: np.ndarray
+    cflat: np.ndarray
     at: np.ndarray
     const: np.ndarray
     gather: np.ndarray
@@ -85,53 +89,132 @@ class _Layout(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _layout(tree):
-    """Edge index arrays of a tree, built once per tree: 0-based parents
-    and children in edge order; the flat positions in a (3n, 2n) matrix
+    """Edge index arrays of a tree, built once per tree: the 0-based
+    (parent, child) pairs in edge order, and the parents and children as
+    arrays; the flat positions in an (n, 3) per-robot array of every
+    edge's parent row and of its child row; the flat positions in a (3n, 2n) matrix
     of each edge block's cosine row, sine row and heading row (parents,
     then children), then of the leader block's two entries; the constant
     values of the heading rows and the leader block; and, for every entry
     of the edge rows of a stacked vector taken once for the children and
-    once for the parents, its flat position in an (n, 3) per-robot
-    array."""
+    once for the parents, its flat position in an (n, 3) per-robot array
+    (``cflat`` then ``pflat``)."""
     n = tree.n
-    parents, children = tree.edge_array().T
+    parents, children = ends = tree.edge_array().T
     rows = np.tile(6 * n * np.arange(1, n), 2)   # flat start of edge blocks
     at = rows + 2 * np.concatenate([parents, children])
     at = np.concatenate([at, at + 2 * n, at + 4 * n + 1, [0, 4 * n + 1]])
     const = np.repeat([-1.0, 1.0, -1.0], [n - 1, n - 1, 2])
-    gather = (3 * np.concatenate([children, parents])[:, None]
-              + np.arange(3)).reshape(-1)
-    return _Layout(parents, children, at, const, gather)
+    pflat, cflat = (3 * ends[:, :, None] + np.arange(3)).reshape(2, -1)
+    edges = tuple(zip(parents.tolist(), children.tolist()))
+    return _Layout(n, edges, parents, children, pflat, cflat, at, const,
+                   np.concatenate([cflat, pflat]))
 
 
-def _leader_rotate(theta, v):
-    """R(theta)^T v for one 3-vector: the leader block of the stacking."""
+class _Stage(NamedTuple):
+    """The state-dependent terms every piece of one evaluation shares:
+    the tree's layout, cos and sin of the robots' headings, and (cos, sin)
+    of the leader's heading as floats, the rotation into its body frame.
+    """
+
+    lay: _Layout
+    cos: np.ndarray
+    sin: np.ndarray
+    rot: tuple
+
+
+def _rotation(theta):
+    """(cos, sin) of one heading, for the leader block of the stacking."""
     if math.isinf(theta):
         # math.cos raises on it; as nan it reaches the factor's finite
         # check and raises RankDeficient like any other bad heading
         theta = math.nan
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c * v[0] + s * v[1], c * v[1] - s * v[0], v[2]])
+    return math.cos(theta), math.sin(theta)
 
 
-def _stack(tree, leader, rows):
-    """Leader block, then parent row minus child row for every edge."""
-    parents, children = _layout(tree)[:2]
-    return np.concatenate([leader,
-                           (rows[parents] - rows[children]).reshape(-1)])
+def _stage(lay, headings):
+    th = np.asarray(headings, dtype=float)
+    return _Stage(lay, np.cos(th), np.sin(th), _rotation(th[0]))
 
 
-def _error_vector(tree, poses, desired_poses):
-    poses = np.asarray(poses, dtype=float)
-    e = np.asarray(desired_poses, dtype=float) - poses
-    return _stack(tree, _leader_rotate(poses[0, 2], e[0]), e)
+def _as_stage(tree, headings):
+    """``headings`` as a ``_Stage``; a caller that holds one passes it instead
+    of the headings, and the tree's layout is not looked up again."""
+    if isinstance(headings, _Stage):
+        return headings
+    return _stage(_layout(tree), headings)
+
+
+def _rotate(rot, v):
+    """R(theta)^T v for one 3-vector array, with rot = (cos, sin) of
+    theta."""
+    c, s = rot
+    x, y, w = v.tolist()
+    return np.array([c * x + s * y, c * y - s * x, w])
+
+
+def _edge_rows(lay, rows):
+    """Parent row minus child row for every edge of per-robot rows
+    (..., n, 3), flattened to (..., 3(n-1)); leading axes (times) are
+    kept."""
+    flat = rows.reshape(*rows.shape[:-2], 3 * lay.n)
+    return flat[..., lay.pflat] - flat[..., lay.cflat]
+
+
+class _Desired(NamedTuple):
+    """The state-independent terms of the control law at one time, or at
+    m times along a leading axis: the desired poses, the desired pose
+    rates g = (v cos theta_d, v sin theta_d, w) per robot and their edge
+    differences (the feedforward's edge rows), and, for the twist rate,
+    the rates of both (None when not asked for)."""
+
+    qd: np.ndarray
+    rows: np.ndarray
+    edges: np.ndarray
+    rates: np.ndarray = None
+    rate_edges: np.ndarray = None
+
+
+def _desired_rows(thetad, etad, etadd=None):
+    """Desired pose rates g (..., n, 3) from the desired headings and
+    twists, and with the twist rates also their rates: each g spins with
+    the desired omega and steers the desired twist rate."""
+    c, s = np.cos(thetad), np.sin(thetad)
+    v, w = etad[..., 0], etad[..., 1]
+    g = np.empty(thetad.shape + (3,))
+    g[..., 0] = v * c
+    g[..., 1] = v * s
+    g[..., 2] = w
+    if etadd is None:
+        return g, None
+    a = etadd[..., 0]
+    gdot = np.empty_like(g)
+    gdot[..., 0] = -w * g[..., 1] + a * c
+    gdot[..., 1] = w * g[..., 0] + a * s
+    gdot[..., 2] = etadd[..., 1]
+    return g, gdot
+
+
+def _desired_terms(lay, qd, etad, etadd=None):
+    """``_Desired`` of the desired poses, twists and (optionally) twist
+    rates, at one time or stacked along a leading time axis."""
+    g, gdot = _desired_rows(qd[..., 2], etad, etadd)
+    return _Desired(qd, g, _edge_rows(lay, g), gdot,
+                   None if gdot is None else _edge_rows(lay, gdot))
+
+
+def _error_vector(st, poses, desired_poses):
+    e = desired_poses - poses
+    return np.concatenate([_rotate(st.rot, e[0]), _edge_rows(st.lay, e)])
 
 
 def error_state(tree, poses, desired_poses):
     """Stack the leader's body-frame tracking error and all coordination
     errors (parent minus child, in tree edge order)."""
-    return ErrorState(vector=_error_vector(tree, poses, desired_poses),
-                      tree=tree)
+    poses = np.asarray(poses, dtype=float)
+    st = _stage(_layout(tree), poses[:, 2])
+    return ErrorState(vector=_error_vector(
+        st, poses, np.asarray(desired_poses, dtype=float)), tree=tree)
 
 
 def _scatter(n, at, values):
@@ -145,11 +228,11 @@ def coupling_matrix(tree, headings):
     """Tall (3n, 2n) matrix relating robot twists to the stacked-error
     rate: leader row block is minus the twist selector, each edge block
     carries minus the parent's steering matrix and plus the child's."""
-    th = np.asarray(headings, dtype=float)
-    parents, children, at, const, _ = _layout(tree)
-    c, s = np.cos(th), np.sin(th)
-    return _scatter(tree.n, at, np.concatenate(
-        [-c[parents], c[children], -s[parents], s[children], const]))
+    st = _as_stage(tree, headings)
+    lay, c, s = st.lay, st.cos, st.sin
+    p, ch = lay.parents, lay.children
+    return _scatter(lay.n, lay.at, np.concatenate(
+        [-c[p], c[ch], -s[p], s[ch], lay.const]))
 
 
 def coupling_rate(tree, headings, omegas):
@@ -158,25 +241,35 @@ def coupling_rate(tree, headings, omegas):
     The leader block is constant so its rate is zero; edge blocks rotate
     with their endpoints' headings.
     """
-    th = np.asarray(headings, dtype=float)
+    st = _as_stage(tree, headings)
+    lay = st.lay
     w = np.asarray(omegas, dtype=float)
-    parents, children, at, const, _ = _layout(tree)
-    wc, ws = w * np.cos(th), w * np.sin(th)
-    return _scatter(tree.n, at[:len(at) - len(const)], np.concatenate(
-        [ws[parents], -ws[children], -wc[parents], wc[children]]))
+    p, ch = lay.parents, lay.children
+    wc, ws = w * st.cos, w * st.sin
+    return _scatter(lay.n, lay.at[:len(lay.at) - len(lay.const)],
+                    np.concatenate([ws[p], -ws[ch], -wc[p], wc[ch]]))
+
+
+def _feedforward(rot, g0, edges):
+    return np.concatenate([_rotate(rot, g0), edges])
 
 
 def feedforward_term(tree, theta1, thetad, etad):
     """Desired-motion feedforward stacked alongside the coupling matrix:
     the leader's desired rate rotated into its body frame, then the
     difference of desired rates across each edge."""
-    thetad = np.asarray(thetad, dtype=float)
-    etad = np.asarray(etad, dtype=float)
-    g = np.empty((len(thetad), 3))
-    g[:, 0] = etad[:, 0] * np.cos(thetad)
-    g[:, 1] = etad[:, 0] * np.sin(thetad)
-    g[:, 2] = etad[:, 1]
-    return _stack(tree, _leader_rotate(theta1, g[0]), g)
+    g, _ = _desired_rows(np.asarray(thetad, dtype=float),
+                         np.asarray(etad, dtype=float))
+    return _feedforward(_rotation(theta1), g[0], _edge_rows(_layout(tree), g))
+
+
+def _feedforward_rate(rot, omega1, spun, gdot0, edges):
+    # R^T g spins with the leader: d/dt R^T = omega1 * SKEW @ R^T, and
+    # ``spun`` is R^T g, the feedforward's leader block
+    leader = _rotate(rot, gdot0)
+    leader[0] += omega1 * spun[1]
+    leader[1] -= omega1 * spun[0]
+    return np.concatenate([leader, edges])
 
 
 def feedforward_rate(tree, theta1, omega1, thetad, etad, etadd):
@@ -186,50 +279,37 @@ def feedforward_rate(tree, theta1, omega1, thetad, etad, etadd):
     uses the actual angular speed; edge blocks move with the desired
     trajectories only.
     """
-    thetad = np.asarray(thetad, dtype=float)
-    etad = np.asarray(etad, dtype=float)
-    etadd = np.asarray(etadd, dtype=float)
-    c, s = np.cos(thetad), np.sin(thetad)
-    v, w, a = etad[:, 0], etad[:, 1], etadd[:, 0]
-    g0, g1 = v * c, v * s
-    gdot = np.empty((len(thetad), 3))
-    # d/dt of each desired rate: spin by the desired omega plus the
-    # steering of the desired twist rate.
-    gdot[:, 0] = -w * g1 + a * c
-    gdot[:, 1] = w * g0 + a * s
-    gdot[:, 2] = etadd[:, 1]
-    # R^T g spins with the leader: d/dt R^T = omega1 * SKEW @ R^T.
-    rg = _leader_rotate(theta1, (g0[0], g1[0], w[0]))
-    leader = _leader_rotate(theta1, gdot[0])
-    leader[0] += omega1 * rg[1]
-    leader[1] -= omega1 * rg[0]
-    return _stack(tree, leader, gdot)
+    g, gdot = _desired_rows(np.asarray(thetad, dtype=float),
+                            np.asarray(etad, dtype=float),
+                            np.asarray(etadd, dtype=float))
+    rot = _rotation(theta1)
+    return _feedforward_rate(rot, omega1, _rotate(rot, g[0]), gdot[0],
+                             _edge_rows(_layout(tree), gdot))
 
 
 def tree_gram(tree, headings):
     """``TreeGram`` factor of A^T A for the coupling matrix A at
     ``headings``. Raises RankDeficient when a heading is not finite."""
-    th = np.asarray(headings, dtype=float)
-    c, s = np.cos(th), np.sin(th)
-    parents, children = _layout(tree)[:2]
-    return TreeGram(parents, children,
-                    c[parents] * c[children] + s[parents] * s[children])
+    st = _as_stage(tree, headings)
+    c, s, p, ch = st.cos, st.sin, st.lay.parents, st.lay.children
+    return TreeGram(st.lay.edges, c[p] * c[ch] + s[p] * s[ch])
 
 
-def _normal_rhs(tree, th, b):
-    """A^T b for the coupling matrix at headings ``th``, without forming
-    A: every edge row block is added to its child and subtracted from its
-    parent, each robot's sums are steered back by its heading, and the
-    leader block takes -b[0] and -b[2] unrotated."""
+def _normal_rhs(st, b):
+    """A^T b for the coupling matrix at the stage's headings, as lists of
+    its v and w entries, without forming A: every edge row block is added
+    to its child and subtracted from its parent, each robot's sums are
+    steered back by its heading, and the leader block takes -b[0] and
+    -b[2] unrotated."""
     rows = b[3:]
-    S = np.bincount(_layout(tree).gather, np.concatenate([rows, -rows]),
-                    minlength=3 * tree.n).reshape(-1, 3)
-    out = np.empty(2 * tree.n)
-    out[0::2] = np.cos(th) * S[:, 0] + np.sin(th) * S[:, 1]
-    out[1::2] = S[:, 2]
-    out[0] -= b[0]
-    out[1] -= b[2]
-    return out
+    S = np.bincount(st.lay.gather, np.concatenate([rows, -rows]),
+                    minlength=3 * st.lay.n).reshape(-1, 3).T
+    bv = (st.cos * S[0] + st.sin * S[1]).tolist()
+    bw = S[2].tolist()
+    b0, _, b2 = b[:3].tolist()
+    bv[0] -= b0
+    bw[0] -= b2
+    return bv, bw
 
 
 def kinematic_control(tree, headings, z, ff, gain):
@@ -239,9 +319,9 @@ def kinematic_control(tree, headings, z, ff, gain):
     ``gain`` is the diagonal (3n,) formation gain. Raises RankDeficient
     when a heading is not finite.
     """
-    th = np.asarray(headings, dtype=float)
+    st = _as_stage(tree, headings)
     b = -(np.asarray(gain, dtype=float) * np.asarray(z, dtype=float)) - ff
-    return tree_gram(tree, th).solve(_normal_rhs(tree, th, b))
+    return tree_gram(tree, st).solve_split(*_normal_rhs(st, b))
 
 
 @dataclass(frozen=True)
@@ -256,6 +336,36 @@ class FictitiousVelocity:
     ff: np.ndarray
 
 
+def _fictitious(tree, st, poses, twists, d, gain):
+    """``fictitious_velocity`` at a stage ``st`` of the poses, with the
+    desired terms ``d`` (twist rates included) of the same time."""
+    omega = twists[:, 1]
+    z = _error_vector(st, poses, d.qd)
+    A = coupling_matrix(tree, st)
+    ff = _feedforward(st.rot, d.rows[0], d.edges)
+
+    gram = tree_gram(tree, st)
+    w = gain * z + ff
+    etaf = -gram.solve(A.T @ w)
+
+    Adot = coupling_rate(tree, st, omega)
+    eta = twists.reshape(-1)
+    zdot = A @ eta + ff
+    # Leader body frame rotates with the robot: the stacked-error rate
+    # picks up omega_1 times the skew of the leader block.
+    zdot[0] += omega[0] * z[1]
+    zdot[1] -= omega[0] * z[0]
+    ffdot = _feedforward_rate(st.rot, omega[0], ff, d.rates[0],
+                              d.rate_edges)
+    wdot = gain * zdot + ffdot
+    # G etaf = -A^T w differentiates to G etafdot = -(Gdot etaf + Adot^T w
+    # + A^T wdot), and Gdot etaf + Adot^T w = Adot^T r + A^T Adot etaf
+    # with r = A etaf + w the least-squares residual.
+    etafdot = -gram.solve(Adot.T @ (A @ etaf + w)
+                          + A.T @ (Adot @ etaf + wdot))
+    return FictitiousVelocity(twist=etaf, rate=etafdot, z=z, A=A, ff=ff)
+
+
 def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
     """Evaluate the twist command and its derivative along the flow.
 
@@ -265,32 +375,10 @@ def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
     not finite, as ``kinematic_control`` does.
     """
     poses = np.asarray(poses, dtype=float)
-    twists = np.asarray(twists, dtype=float)
-    qd = np.asarray(qd, dtype=float)
-    gain = np.asarray(gain, dtype=float)
-    th = poses[:, 2]
-    omega = twists[:, 1]
-
-    z = _error_vector(tree, poses, qd)
-    A = coupling_matrix(tree, th)
-    ff = feedforward_term(tree, th[0], qd[:, 2], etad)
-
-    gram = tree_gram(tree, th)
-    w = gain * z + ff
-    etaf = -gram.solve(A.T @ w)
-
-    Adot = coupling_rate(tree, th, omega)
-    eta = twists.reshape(-1)
-    zdot = A @ eta + ff
-    # Leader body frame rotates with the robot: the stacked-error rate
-    # picks up omega_1 times the skew of the leader block.
-    zdot[0] += omega[0] * z[1]
-    zdot[1] -= omega[0] * z[0]
-    ffdot = feedforward_rate(tree, th[0], omega[0], qd[:, 2], etad, etadd)
-    wdot = gain * zdot + ffdot
-    # G etaf = -A^T w differentiates to G etafdot = -(Gdot etaf + Adot^T w
-    # + A^T wdot), and Gdot etaf + Adot^T w = Adot^T r + A^T Adot etaf
-    # with r = A etaf + w the least-squares residual.
-    etafdot = -gram.solve(Adot.T @ (A @ etaf + w)
-                          + A.T @ (Adot @ etaf + wdot))
-    return FictitiousVelocity(twist=etaf, rate=etafdot, z=z, A=A, ff=ff)
+    lay = _layout(tree)
+    d = _desired_terms(lay, np.asarray(qd, dtype=float),
+                      np.asarray(etad, dtype=float),
+                      np.asarray(etadd, dtype=float))
+    return _fictitious(tree, _stage(lay, poses[:, 2]), poses,
+                       np.asarray(twists, dtype=float), d,
+                       np.asarray(gain, dtype=float))

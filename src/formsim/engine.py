@@ -12,17 +12,25 @@ row, probe and ``formsim check`` line goes through it.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .adaptive import (adaptation_rate, adaptive_control, block_regression,
                        lyapunov_diagnostics, params_to_vector)
-from .controller import (_error_vector, coupling_matrix, feedforward_term,
-                         fictitious_velocity, kinematic_control)
+from .controller import (_Desired, _desired_terms, _error_vector,
+                         _feedforward, _fictitious, _layout, _stage,
+                         coupling_matrix, kinematic_control)
 from .trajectory import ProfileSet, desired_arrays, rk4_step
 
 __all__ = ["DivergenceError", "SimState", "Trace", "EvalRecord", "Engine",
            "simulate", "rk4_step"]
+
+
+# Steps whose desired terms ``Engine.advance`` evaluates in one pass; at
+# three stage times per step this bounds a block's arrays to 48 rows.
+_BLOCK_STEPS = 16
 
 
 class DivergenceError(RuntimeError):
@@ -149,6 +157,38 @@ class Engine:
 
     # ---- the control law ----
 
+    # stage time -> its hoisted _Desired while ``advance`` integrates a
+    # block; empty otherwise, and every stage evaluates its own time
+    _block = MappingProxyType({})
+
+    @cached_property
+    def _lay(self):
+        return _layout(self.tree)
+
+    def _desired(self, times):
+        """The state-independent half of the control law at one time, or
+        stacked along a leading axis at a 1-D array of times."""
+        qd, etad, etadd = desired_arrays(self.profiles, times)
+        return _desired_terms(self._lay, qd, etad,
+                              etadd if self.mode == "dynamic" else None)
+
+    def _hoist(self, starts, h):
+        """Stage time -> _Desired for RK4 steps of size h from each start
+        time, with the stage times ``rk4_step`` computes. Empty when some
+        time is outside the profiles' domain: the stage that reaches it
+        then raises as its own evaluation would, after any earlier stage
+        has raised first."""
+        times = {}
+        for t in starts:
+            times.update(dict.fromkeys((t, t + 0.5 * h, t + h)))
+        try:
+            d = self._desired(np.fromiter(times, float, len(times)))
+        except ValueError:
+            return {}
+        rows = zip(*(col if col is not None else [None] * len(times)
+                     for col in d))
+        return dict(zip(times, map(_Desired._make, rows)))
+
     def evaluate(self, t, y, record=False):
         """Evaluate the control law once at (t, y).
 
@@ -156,20 +196,21 @@ class Engine:
         derivative and the EvalRecord a trace row or a probe reads.
         """
         n = self.n
-        qd, etad, etadd = desired_arrays(self.profiles, t)
+        d = self._block.get(t)
+        if d is None:
+            d = self._desired(t)
         poses = y[:3 * n].reshape(n, 3)
-        th = poses[:, 2]
+        st = _stage(self._lay, poses[:, 2])
         dy = np.empty_like(y)
         if self.mode == "kinematic":
-            z = _error_vector(self.tree, poses, qd)
-            ff = feedforward_term(self.tree, th[0], qd[:, 2], etad)
-            eta = etaf = kinematic_control(self.tree, th, z, ff, self.gz)
+            z = _error_vector(st, poses, d.qd)
+            ff = _feedforward(st.rot, d.rows[0], d.edges)
+            eta = etaf = kinematic_control(self.tree, st, z, ff, self.gz)
             A = u = phihat = etafdot = sigma = None
         else:
             twists = y[3 * n:5 * n].reshape(n, 2)
             phihat = y[5 * n:]
-            fv = fictitious_velocity(self.tree, poses, twists, qd, etad,
-                                     etadd, self.gz)
+            fv = _fictitious(self.tree, st, poses, twists, d, self.gz)
             z, A, ff, etaf, etafdot = fv.z, fv.A, fv.ff, fv.twist, fv.rate
             eta = twists.reshape(-1)
             sigma = eta - etaf
@@ -179,13 +220,13 @@ class Engine:
             dy[3 * n:5 * n] = self.minv * (u - drag)
             dy[5 * n:] = adaptation_rate(Y, sigma, self.ga)
         v = eta[0::2]
-        dy[0:3 * n:3] = v * np.cos(th)
-        dy[1:3 * n:3] = v * np.sin(th)
+        dy[0:3 * n:3] = v * st.cos
+        dy[1:3 * n:3] = v * st.sin
         dy[2:3 * n:3] = eta[1::2]
         if not record:
             return dy
         if A is None:
-            A = coupling_matrix(self.tree, th)
+            A = coupling_matrix(self.tree, st)
         res = A @ etaf + self.gz * z + ff
         V = Va = 0.5 * float(z @ z)
         if self.mode == "dynamic":
@@ -194,7 +235,7 @@ class Engine:
                                          self.gs, res)
             phihat = phihat.copy()
         return dy, EvalRecord(
-            t=t, poses=poses.copy(), error=qd - poses, z=z, eta=eta, u=u,
+            t=t, poses=poses.copy(), error=d.qd - poses, z=z, eta=eta, u=u,
             phihat=phihat, etaf=etaf, etafdot=etafdot, sigma=sigma,
             residual=res, V=V, Va=Va, coupling=A, feedforward=ff)
 
@@ -211,17 +252,28 @@ class Engine:
         return rk4_step(self.rate, t, np.asarray(y, dtype=float), h)
 
     def advance(self, y, t0, steps):
-        """Advance ``steps`` fixed steps from t0, returning the new state."""
+        """Advance ``steps`` fixed steps from t0, returning the new state.
+
+        Steps go in blocks of at most ``_BLOCK_STEPS``: the desired terms
+        of a block's stage times are evaluated in one pass before its
+        first stage, then every stage runs through ``rate`` as in
+        ``rk4_step``."""
         dt = self.config.dt
         y = np.array(y, dtype=float)
         # overflow here is the divergence signal, not a numpy error
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(steps):
-                t = t0 + s * dt
-                y = rk4_step(self.rate, t, y, dt)
-                if not np.all(np.isfinite(y)):
-                    raise DivergenceError(
-                        f"non-finite state at t={t + dt:g}")
+            for a in range(0, steps, _BLOCK_STEPS):
+                starts = [t0 + s * dt for s in
+                          range(a, min(a + _BLOCK_STEPS, steps))]
+                self._block = self._hoist(starts, dt)
+                try:
+                    for t in starts:
+                        y = rk4_step(self.rate, t, y, dt)
+                        if not np.all(np.isfinite(y)):
+                            raise DivergenceError(
+                                f"non-finite state at t={t + dt:g}")
+                finally:
+                    del self._block
         return y
 
     # ---- trace ----

@@ -34,6 +34,7 @@ general pentadiagonal determinant and the dense solver give independent
 cross-checks of it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,26 +132,27 @@ class TreeGram:
     """L D L^T factor of the Gram matrix of a spanning-tree coupling
     matrix, eliminated leaves first (see the module docstring).
 
-    ``parents`` and ``children`` are the 0-based endpoints of the tree's
-    edges in topological order from root 0, and ``cos`` holds
+    ``edges`` are the tree's (parent, child) pairs of 0-based robot
+    indices in topological order from root 0, and ``cos`` holds
     cos(theta_p - theta_c) for each edge. Raises RankDeficient when some
     cosine is not finite.
     """
 
     __slots__ = ("_edges", "_piv", "_mult")
 
-    def __init__(self, parents, children, cos):
-        cos = np.asarray(cos, dtype=float)
-        if not np.isfinite(cos).all():
-            raise RankDeficient("Gram matrix has non-finite entries")
-        edges = list(zip(parents.tolist(), children.tolist()))
+    def __init__(self, edges, cos):
         # Every v diagonal starts at 1; eliminating child c then adds the
         # edge's 1 to its parent and subtracts cos^2 / pivot_c.
         piv = [1.0] * (len(edges) + 1)
         mult = [0.0] * len(piv)
-        for (p, c), w in zip(reversed(edges), reversed(cos.tolist())):
+        for (p, c), w in zip(reversed(edges),
+                             reversed(np.asarray(cos, dtype=float).tolist())):
             f = mult[c] = w / piv[c]
             piv[p] += 1.0 - w * f
+        # a non-finite cosine leaves its parent's pivot non-finite (or its
+        # child's already is), and += keeps a pivot non-finite
+        if not math.isfinite(sum(piv)):
+            raise RankDeficient("Gram matrix has non-finite entries")
         self._edges, self._piv, self._mult = edges, piv, mult
 
     @property
@@ -171,7 +173,11 @@ class TreeGram:
     def solve(self, rhs):
         """Solve G x = rhs for an interleaved (2n,) right-hand side."""
         rhs = np.asarray(rhs, dtype=float)
-        bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
+        return self.solve_split(rhs[0::2].tolist(), rhs[1::2].tolist())
+
+    def solve_split(self, bv, bw):
+        """``solve`` of the right-hand side given as lists of its v and w
+        entries, which are overwritten; returns the interleaved solution."""
         piv, mult = self._piv, self._mult
         for p, c in reversed(self._edges):     # L y = rhs, leaves first
             bv[p] += mult[c] * bv[c]
@@ -180,7 +186,7 @@ class TreeGram:
         for p, c in self._edges:               # D L^T x = y, root first
             bv[c] = bv[c] / piv[c] + mult[c] * bv[p]
             bw[c] += bw[p]
-        out = np.empty(len(rhs))
+        out = np.empty(2 * len(bv))
         out[0::2] = bv
         out[1::2] = bw
         return out

@@ -78,8 +78,9 @@ def _position_increment(th, h, v, w):
 
 def _pose_step(q, h, stage_twists):
     """``rk4_step`` of the pose rate from the pose(s) q (3, ...) over h,
-    given the (3, 2) twists at t, t + h/2 and t + h."""
-    v, w = stage_twists.T
+    given the twists (3, ..., 2) at t, t + h/2 and t + h; h and the
+    twists' middle axes broadcast against q's trailing ones."""
+    v, w = np.moveaxis(stage_twists, -1, 0)
     out = np.empty_like(q)
     out[:2] = q[:2] + _position_increment(q[2], h, v, w)
     out[2] = q[2] + _heading_increment(h, w)
@@ -226,17 +227,18 @@ class SampledTwist:
 
 
 class ProfileSet:
-    """Every robot's desired trajectory, evaluated together at one time.
+    """Every robot's desired trajectory, evaluated together at one time
+    or at a 1-D array of times.
 
     Built once per robot list. Constant twists are stacked once (pose0,
     v, omega, r = v/omega, and sin/cos of the start heading), arcs
     (omega != 0) and lines (omega == 0) in separate blocks whose closed
     forms are evaluated as arrays. Sampled profiles with identical
     (times, twists, rates, grid_dt) form one group: each call evaluates
-    the group's Hermite twist once, at t and at the three stage times of
-    the short pose step, and steps the group's stacked pose grids
-    together. Blocks are contiguous in an internal robot order, which is
-    mapped back to the callers' order on return when it differs.
+    the group's Hermite twist once, at every time and at the three stage
+    times of its short pose step, and steps the group's stacked pose
+    grids together. Blocks are contiguous in an internal robot order,
+    which is mapped back to the callers' order on return when it differs.
     """
 
     def __init__(self, profiles):
@@ -258,14 +260,15 @@ class ProfileSet:
                      else np.argsort(order))
         self._nc, self._na = nc, na = len(const), len(arcs)
         # one row per constant twist, transposed so each field is a
-        # contiguous row: x0, y0, theta0, v, omega, sin theta0, cos theta0
+        # contiguous row: x0, y0, theta0, v, omega, sin theta0, cos theta0;
+        # every field gets a trailing axis that broadcasts over the times
         rows = np.array([(*p.pose0, p.v, p.omega, math.sin(p.pose0[2]),
                           math.cos(p.pose0[2]))
                          for p in (profiles[i] for i in const)])
-        c = rows.reshape(nc, 7).T.copy()
+        c = rows.reshape(nc, 7).T.copy()[..., None]
         self._x0y0, self._th0, self._w = c[:2], c[2], c[4]
         self._etad = np.zeros((n, 2))
-        self._etad[:nc] = c[3:5].T
+        self._etad[:nc] = c[3:5, :, 0].T
         # (x, y) = (x0, y0) + coef * base. On arcs coef = [r; -r] with
         # r = v/omega and base = [sin; cos](theta) - [sin; cos](theta0), so
         # y = y0 - r (cos theta - cos theta0) exactly; on lines
@@ -286,16 +289,32 @@ class ProfileSet:
             at += len(group)
 
     def evaluate(self, t):
-        """Desired poses (n, 3), twists (n, 2) and twist rates (n, 2)."""
-        if t < 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
-        n, nc, na = self._n, self._nc, self._na
-        q = np.empty((3, n))           # rows x, y, theta; internal order
-        etad = self._etad.copy()
-        etadd = np.zeros((n, 2))
+        """Desired poses (n, 3), twists (n, 2) and twist rates (n, 2) at a
+        time t >= 0; at a 1-D array of m such times, the same stacked as
+        (m, n, 3), (m, n, 2) and (m, n, 2).
+
+        Every time is evaluated with the operations a single time uses,
+        so row j of an array evaluation equals the evaluation at t[j]. A
+        negative (or nan) time raises ValueError, and a sampled speed
+        below ``SPEED_FLOOR`` raises SingularSpeed naming the first time
+        at which it occurs.
+        """
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ValueError(f"t must be a time or a 1-D array of times, "
+                             f"got shape {times.shape}")
+        tt = times.reshape(-1)
+        bad = ~(tt >= 0)
+        if bad.any():
+            raise ValueError(f"t must be nonnegative, got {tt[bad][0]}")
+        m, n, nc, na = len(tt), self._n, self._nc, self._na
+        q = np.empty((3, n, m))        # rows x, y, theta; internal order
+        etad = np.empty((m, n, 2))
+        etad[:] = self._etad
+        etadd = np.zeros((m, n, 2))
         if nc:
             xy, th = q[:2, :nc], q[2, :nc]
-            np.multiply(self._w, t, out=th)
+            np.multiply(self._w, tt, out=th)
             th += self._th0
             if na:
                 tha = th[:na]
@@ -304,30 +323,35 @@ class ProfileSet:
                 xy[:, :na] -= self._arc_sc0
             if na < nc:
                 x, y = q[0, na:nc], q[1, na:nc]
-                np.multiply(self._line_v, t, out=x)
+                np.multiply(self._line_v, tt, out=x)
                 y[:] = x
             xy *= self._coef
             xy += self._x0y0
         for at, p, grids in self._groups:
-            # the stored point at or before t (clamped to the span), and
-            # the short step from it
-            tc = min(t, p.span)
-            k = min(int(tc / p.grid_dt), len(grids) - 2)
+            # the stored point at or before each time (clamped to the
+            # span), and the short step from it
+            tc = np.minimum(tt, p.span)
+            k = np.minimum((tc / p.grid_dt).astype(np.intp), len(grids) - 2)
             tk = k * p.grid_dt
             delta = tc - tk
-            val, der = _hermite(p.times, p.twists, p.rates,
-                                [t, tk, tk + 0.5 * delta, tk + delta])
-            if abs(val[0, 0]) < SPEED_FLOOR:
-                raise SingularSpeed(
-                    f"desired speed {val[0, 0]:g} below floor at t={t:g}"
-                )
-            etad[at] = val[0]
-            etadd[at] = der[0]
-            q[:, at] = (grids[k] if delta == 0.0
-                        else _pose_step(grids[k], delta, val[1:]))
-        if self._pos is None:
-            return q.T, etad, etadd
-        return q.T[self._pos], etad[self._pos], etadd[self._pos]
+            val, der = _hermite(p.times, p.twists, p.rates, np.concatenate(
+                [tt, tk, tk + 0.5 * delta, tk + delta]))
+            low = np.abs(val[:m, 0]) < SPEED_FLOOR
+            if low.any():
+                j = int(np.argmax(low))
+                raise SingularSpeed(f"desired speed {val[j, 0]:g} below "
+                                    f"floor at t={tt[j]:g}")
+            etad[:, at] = val[:m, None]
+            etadd[:, at] = der[:m, None]
+            base = grids[k].transpose(1, 2, 0)         # (3, robots, m)
+            q[:, at] = np.where(delta == 0.0, base, _pose_step(
+                base, delta, val[m:].reshape(3, m, 2)))
+        qd = q.transpose(2, 1, 0)
+        if self._pos is not None:
+            qd, etad, etadd = (a[:, self._pos] for a in (qd, etad, etadd))
+        if times.ndim == 0:
+            return qd[0], etad[0], etadd[0]
+        return qd, etad, etadd
 
 
 def desired_state(profile, t):
@@ -337,7 +361,8 @@ def desired_state(profile, t):
 
 
 def desired_arrays(profiles, t):
-    """Stack desired states of several profiles into (n,3), (n,2), (n,2).
+    """Stack desired states of several profiles into (n,3), (n,2), (n,2),
+    or into (m,n,3), (m,n,2), (m,n,2) at a 1-D array of m times.
 
     ``profiles`` is a ProfileSet, or a sequence of profiles that is
     wrapped in one."""

@@ -112,7 +112,7 @@ def test_gram_pivot_is_chain_recursion_pivot(rng):
 def test_tree_gram_two_aligned_robots():
     # G_v = [[2, -1], [-1, 1]] and G_w the same: eliminating the child
     # (pivot 1) leaves the root 2 - 1/1 = 1
-    gram = fs.TreeGram(np.array([0]), np.array([1]), [1.0])
+    gram = fs.TreeGram([(0, 1)], [1.0])
     assert np.array_equal(gram.pivots, np.ones(4))
     assert gram.pivot == 0.5
     G = np.array([[2.0, 0, -1, 0], [0, 2, 0, -1],
@@ -134,7 +134,7 @@ def test_tree_gram_chain_determinant(rng):
 def test_tree_gram_rejects_non_finite_cosines():
     for bad in (np.nan, np.inf):
         with pytest.raises(fs.RankDeficient):
-            fs.TreeGram(np.array([0, 1]), np.array([1, 2]), [0.5, bad])
+            fs.TreeGram([(0, 1), (1, 2)], [0.5, bad])
 
 
 def test_wide_matrix_rejected():
