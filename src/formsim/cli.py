@@ -6,7 +6,6 @@ rank deficiency, singular desired speed), 4 I/O error.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +32,9 @@ _RUNTIME_ERRORS = (DivergenceError, RankDeficient, SingularSpeed)
 
 
 def _load(path, overrides):
-    config = load_scenario(Path(path))
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    if changes:
-        config = replace(config, **changes)
-    return config
+    # overrides are validated with the file, like the values they replace
+    return load_scenario(Path(path), {k: v for k, v in overrides.items()
+                                      if v is not None})
 
 
 def _cmd_run(args):

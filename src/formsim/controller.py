@@ -27,6 +27,18 @@ backstepping controller consumes. The derivative accounts for the motion
 of the leader's body frame (the skew term in the stacked-error rate), not
 just the directly coupled part; without it the computed rate would be
 wrong whenever the leader still carries tracking error.
+
+Every builder is made of the pieces ``Engine.evaluate`` runs. Terms of
+the time alone (``_desired_terms``: desired poses, the desired pose rates
+g and their edge differences, which are the feedforward's edge rows, and
+the rates of both) are computed for any number of times at once. Terms
+one state shares (``_Stage``: the tree's layout, the headings' cosines
+and sines, and the leader's rotation) are computed once per evaluation.
+The public functions take a tree and plain arrays and compose the same
+pieces; ``coupling_matrix``, ``coupling_rate``, ``tree_gram`` and
+``kinematic_control`` also take a ``_Stage`` in place of the headings,
+so a caller that holds one neither recomputes the trigonometry nor looks
+the layout up.
 """
 
 import math
@@ -92,9 +104,10 @@ def _layout(tree):
     """Edge index arrays of a tree, built once per tree: the 0-based
     (parent, child) pairs in edge order, and the parents and children as
     arrays; the flat positions in an (n, 3) per-robot array of every
-    edge's parent row and of its child row; the flat positions in a (3n, 2n) matrix
-    of each edge block's cosine row, sine row and heading row (parents,
-    then children), then of the leader block's two entries; the constant
+    edge's parent row and of its child row; the flat positions in a
+    (3n, 2n) matrix of each edge block's cosine row, sine row and heading
+    row (parents, then children), then of the leader block's two
+    entries; the constant
     values of the heading rows and the leader block; and, for every entry
     of the edge rows of a stacked vector taken once for the children and
     once for the parents, its flat position in an (n, 3) per-robot array
@@ -133,6 +146,7 @@ def _rotation(theta):
 
 
 def _stage(lay, headings):
+    """The _Stage of ``headings`` over the tree of layout ``lay``."""
     th = np.asarray(headings, dtype=float)
     return _Stage(lay, np.cos(th), np.sin(th), _rotation(th[0]))
 

@@ -3,12 +3,31 @@
 One Engine instance owns one scenario run. Integration is classical
 fourth-order Runge-Kutta at the scenario step, with the control law
 re-evaluated inside every stage (continuous-control idealization). One
-evaluator, ``Engine.evaluate``, computes the control law at a state: it
-builds the stacked error and feedforward once and factors their normal
-equations once, over the spanning tree in O(n). The dense coupling
-matrix is built in kinematic mode only for a trace row, probe or check,
-which read the residual and the matrix itself. Every RK4 stage, trace
-row, probe and ``formsim check`` line goes through it.
+evaluator, ``Engine.evaluate``, computes the control law at a state, and
+every RK4 stage (through ``Engine.rate``), trace row, probe and
+``formsim check`` line goes through it.
+
+Each evaluation has a state-independent half and a state-dependent one.
+The first is the desired trajectory at the evaluation's time and what
+follows from it alone: the desired poses, the desired pose rates and
+their differences across the edges (the feedforward's edge rows), and in
+dynamic mode the rates of both. ``Engine.advance`` evaluates that half
+for a block of up to ``_BLOCK_STEPS`` steps in one pass, at every stage
+time the steps will use: t, t + h/2 and t + h, computed with
+``rk4_step``'s own expressions, so a stage finds its terms by its exact
+time. This is exact because the desired trajectory does not depend on
+the state: evaluated at the same time, it is the same numbers whether the
+state is known yet or not. Outside ``advance`` (a single ``step``, a
+trace row, a probe) an evaluation is a block of its one time. The second
+half runs per stage: the headings' cosines and sines once, the stacked
+error and the leader's feedforward block, and the tree-structured solve
+of the normal equations in O(n) (the dense coupling matrix is built in
+kinematic mode only for a trace row, probe or check, which read the
+residual and the matrix itself), then in dynamic mode the torque and
+adaptation laws. If some stage time of a block is outside the desired
+trajectory's domain, the block keeps no terms and each stage evaluates
+its own time, so an error is raised by the stage that reaches it, after
+any error of an earlier stage.
 """
 
 from dataclasses import dataclass, field

@@ -96,6 +96,15 @@ def _floats(value, length, context):
     return tuple(arr)
 
 
+def _positive(value, context):
+    """One finite, positive number: SchemaError when ``value`` is not a
+    number, ValidationError when it is not finite or not positive."""
+    x = _floats(value, 1, context)[0]
+    if not x > 0:
+        raise ValidationError(f"{context} must be positive, got {x:g}")
+    return x
+
+
 def _gain(value, n, width, context):
     """Accept one per-robot block of ``width`` gains or the full vector."""
     flat = np.asarray(value, dtype=float).reshape(-1)
@@ -172,18 +181,17 @@ def scenario_from_dict(doc):
     except GraphError as exc:
         raise ValidationError(f"bad coordination graph: {exc}") from exc
 
-    dt = float(_need(doc, "dt", "config"))
-    t_final = float(_need(doc, "t_final", "config"))
-    sample_every = int(doc.get("sample_every", 10))
-    if dt <= 0 or t_final <= 0:
-        raise ValidationError("dt and t_final must be positive")
-    if sample_every < 1:
-        raise ValidationError("sample_every must be at least 1")
+    dt = _positive(_need(doc, "dt", "config"), "dt")
+    t_final = _positive(_need(doc, "t_final", "config"), "t_final")
+    sample_every = _floats(doc.get("sample_every", 10), 1,
+                           "sample_every")[0]
+    if not (sample_every.is_integer() and sample_every >= 1):
+        raise ValidationError(f"sample_every must be an integer of at "
+                              f"least 1, got {sample_every:g}")
+    sample_every = int(sample_every)
     threshold = doc.get("threshold")
     if threshold is not None:
-        threshold = float(threshold)
-        if threshold <= 0:
-            raise ValidationError("threshold must be positive")
+        threshold = _positive(threshold, "threshold")
 
     gains = _need(doc, "gains", "config")
     formation_gain = _gain(_need(gains, "formation", "gains"), n, 3,
@@ -276,8 +284,10 @@ def serialize_scenario(config):
     return yaml.safe_dump(scenario_to_dict(config), sort_keys=False)
 
 
-def load_scenario(source):
-    """Load a config from a file path or from YAML text."""
+def load_scenario(source, overrides=None):
+    """Load a config from a file path or from YAML text. ``overrides``
+    maps top-level fields (say ``t_final``) to values that replace the
+    text's before the config is validated."""
     if isinstance(source, Path):
         text = source.read_text()
     elif isinstance(source, str) and "\n" not in source \
@@ -289,4 +299,6 @@ def load_scenario(source):
         doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"config is not valid YAML: {exc}") from exc
+    if overrides and isinstance(doc, dict):
+        doc = {**doc, **overrides}
     return scenario_from_dict(doc)

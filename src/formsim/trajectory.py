@@ -295,9 +295,10 @@ class ProfileSet:
 
         Every time is evaluated with the operations a single time uses,
         so row j of an array evaluation equals the evaluation at t[j]. A
-        negative (or nan) time raises ValueError, and a sampled speed
-        below ``SPEED_FLOOR`` raises SingularSpeed naming the first time
-        at which it occurs.
+        negative (or nan) time raises ValueError naming the first one;
+        otherwise a sampled speed below ``SPEED_FLOOR`` raises
+        SingularSpeed naming the first time at which it occurs. Either is
+        the error that evaluating the times one by one raises first.
         """
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
@@ -327,6 +328,7 @@ class ProfileSet:
                 y[:] = x
             xy *= self._coef
             xy += self._x0y0
+        singular = (m, None)            # first time below the floor
         for at, p, grids in self._groups:
             # the stored point at or before each time (clamped to the
             # span), and the short step from it
@@ -339,13 +341,17 @@ class ProfileSet:
             low = np.abs(val[:m, 0]) < SPEED_FLOOR
             if low.any():
                 j = int(np.argmax(low))
-                raise SingularSpeed(f"desired speed {val[j, 0]:g} below "
-                                    f"floor at t={tt[j]:g}")
+                singular = min(singular, (j, val[j, 0]), key=lambda s: s[0])
+                continue
             etad[:, at] = val[:m, None]
             etadd[:, at] = der[:m, None]
             base = grids[k].transpose(1, 2, 0)         # (3, robots, m)
             q[:, at] = np.where(delta == 0.0, base, _pose_step(
                 base, delta, val[m:].reshape(3, m, 2)))
+        j, speed = singular
+        if j < m:
+            raise SingularSpeed(f"desired speed {speed:g} below floor at "
+                                f"t={tt[j]:g}")
         qd = q.transpose(2, 1, 0)
         if self._pos is not None:
             qd, etad, etadd = (a[:, self._pos] for a in (qd, etad, etadd))

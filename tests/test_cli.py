@@ -128,6 +128,39 @@ def test_run_bad_sampled_table_exits_2(tmp_path, capsys, trajectory):
     assert "config error: ValidationError: robots[1].trajectory" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("dt", float("nan")),
+    ("t_final", float("inf")),
+    ("sample_every", float("nan")),
+    ("dt", float("inf")),
+    ("threshold", float("nan")),
+])
+def test_run_non_finite_scalar_exits_2(tmp_path, capsys, field, value):
+    cfg_path = _write_short_preset(tmp_path, **{field: value})
+    code = main(["run", "--config", str(cfg_path), "--trace",
+                 str(tmp_path / "t.csv"), "--metrics",
+                 str(tmp_path / "m.yaml")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: ValidationError: {field}" in err
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--dt", "nan", "dt"),
+    ("--t-final", "inf", "t_final"),
+    ("--threshold", "-1", "threshold"),
+])
+def test_run_bad_override_exits_2(tmp_path, capsys, flag, value, field):
+    # command-line overrides are validated like the file's own values
+    cfg_path = _write_short_preset(tmp_path)
+    code = main(["run", "--config", str(cfg_path), "--trace",
+                 str(tmp_path / "t.csv"), "--metrics",
+                 str(tmp_path / "m.yaml"), flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: ValidationError: {field}" in err
+
+
 def test_run_divergence_exits_3(tmp_path, capsys):
     cfg_path = _write_short_preset(tmp_path, name="adaptive-pentagon",
                                    t_final=5.0, dt=0.5)

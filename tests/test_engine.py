@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 import formsim as fs
-from formsim.engine import rk4_step
+from formsim.engine import _BLOCK_STEPS, rk4_step
 
 
 # ---- integrator ----
@@ -261,3 +261,113 @@ def test_sampled_twist_scenario_runs():
     trace = fs.simulate(cfg)
     assert np.isfinite(trace.data).all()
     assert trace.column("norm_z")[-1] < 0.5 * trace.column("norm_z")[0]
+
+
+# ---- blocks of steps ----
+
+def _stepwise(eng, y, t0, steps):
+    """``Engine.advance`` as a plain loop of ``rk4_step`` over
+    ``Engine.rate``, every stage evaluating the control law at its own
+    time."""
+    dt = eng.config.dt
+    y = np.array(y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps):
+            t = t0 + s * dt
+            y = rk4_step(eng.rate, t, y, dt)
+            if not np.all(np.isfinite(y)):
+                raise fs.DivergenceError(f"non-finite state at t={t + dt:g}")
+    return y
+
+
+def _sampled_doc():
+    doc = {
+        "mode": "kinematic", "edges": [[1, 2], [1, 3]], "dt": 1e-3,
+        "t_final": 0.2, "gains": {"formation": [1.0, 1.0, 2.0]},
+        "robots": [],
+    }
+    ts = np.linspace(0.0, 1.0, 11)
+    table = {"times": ts.tolist(),
+             "twists": np.stack([2.0 + 0.5 * np.sin(3 * ts),
+                                 0.4 * np.cos(2 * ts)], axis=1).tolist(),
+             "rates": np.stack([1.5 * np.cos(3 * ts),
+                                -0.8 * np.sin(2 * ts)], axis=1).tolist()}
+    for k, start in enumerate([[0.1, 0.2, 0.0], [1.2, -0.3, 0.1]]):
+        doc["robots"].append(
+            {"start": start,
+             "trajectory": {"kind": "sampled_twist",
+                            "start": [float(k), 0.0, 0.0], **table}})
+    doc["robots"].append(
+        {"start": [-0.8, 0.9, 0.3],
+         "trajectory": {"kind": "constant_twist", "start": [-1.0, 1.0, 0.2],
+                        "twist": [2.0, 0.3]}})
+    return doc
+
+
+def _dip_table(times, speeds, rates):
+    """A sampled twist whose Hermite speed falls below the floor between
+    knots whose speeds clear it."""
+    return {"kind": "sampled_twist", "start": [0.0, 0.0, 0.0],
+            "times": times, "twists": [[v, 0.1] for v in speeds],
+            "rates": [[a, 0.0] for a in rates]}
+
+
+CONFIGS = {
+    "kinematic": lambda: replace(fs.get_preset("kinematic-pentagon"),
+                                 t_final=0.2),
+    "dynamic": lambda: replace(fs.get_preset("adaptive-pentagon"),
+                               t_final=0.1),
+    "sampled": lambda: fs.scenario_from_dict(_sampled_doc()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_advance_matches_stepwise_rk4(kind):
+    eng = fs.Engine(CONFIGS[kind]())
+    y0 = eng.initial_state()
+    for steps in (1, _BLOCK_STEPS, 2 * _BLOCK_STEPS + 5):
+        assert np.array_equal(eng.advance(y0, 0.05, steps),
+                              _stepwise(eng, y0, 0.05, steps))
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_long_sample_interval_matches_stepwise_trace(kind, monkeypatch):
+    # sample intervals of several blocks and a short last one
+    cfg = replace(CONFIGS[kind](), sample_every=3 * _BLOCK_STEPS + 2)
+    want = fs.Engine(cfg)
+    monkeypatch.setattr(want, "advance", lambda y, t0, steps: _stepwise(
+        want, y, t0, steps))
+    assert np.array_equal(fs.Engine(cfg).run().data, want.run().data)
+
+
+def test_singular_speed_mid_block_raises_at_its_stage():
+    doc = _sampled_doc()
+    doc["sample_every"] = 100
+    doc["robots"][1]["trajectory"] = _dip_table(
+        [0.0, 1.0], [1.5e-6, 1.5e-6], [-1e-5, -1e-5])
+    cfg = fs.scenario_from_dict(doc)
+    with pytest.raises(fs.SingularSpeed) as got:
+        fs.simulate(cfg)
+    eng = fs.Engine(cfg)
+    with pytest.raises(fs.SingularSpeed) as want:
+        _stepwise(eng, eng.initial_state(), 0.0, 100)
+    assert str(got.value) == str(want.value)
+    # the first stage below the floor, in the block of steps 48 to 63
+    assert str(got.value).endswith("at t=0.061")
+
+
+def test_divergence_precedes_later_singular_speed_in_block():
+    # at dt = 0.5 the torque loop overflows at t = 1; the speed falls below
+    # the floor just after t = 3, inside the same block of steps
+    doc = fs.scenario_to_dict(fs.get_preset("adaptive-pentagon"))
+    doc.update(dt=0.5, t_final=5.0)
+    doc["robots"][0]["trajectory"] = _dip_table(
+        [0.0, 2.0, 3.0, 10.0], [1.0, 1.0, 1.5e-6, 1.5e-6],
+        [0.0, 0.0, -1e-5, -1e-5])
+    cfg = fs.scenario_from_dict(doc)
+    assert _BLOCK_STEPS * cfg.dt > 3.5
+    with pytest.raises(fs.DivergenceError, match="at t=1$"):
+        fs.simulate(cfg)
+    with pytest.raises(fs.SingularSpeed, match="at t=3.0515$"):
+        fs.Engine(replace(cfg, dt=1e-3)).advance(
+            fs.Engine(cfg).initial_state(), 2.99, 100)

@@ -4,9 +4,11 @@ Trees are chains, stars and random recursive trees with 2 to 30 robots
 (2 to 60 for the Gram factor); headings are drawn so that aligned and
 antiparallel neighbours are common. The vectorized builders are pinned to
 their per-edge block forms on trees other than chains, the engine's single
-evaluation to the composition of public functions it replaces, the
-least-squares command to ``np.linalg.lstsq``, and the leaves-first Gram
-factor to the dense A^T A it stands in for.
+evaluation to a composition of those block forms and the public solves
+(each evaluated from scratch at its own time, with none of the engine's
+hoisted desired terms or shared trig), the least-squares command to
+``np.linalg.lstsq``, and the leaves-first Gram factor to the dense A^T A
+it stands in for.
 """
 
 import numpy as np
@@ -97,6 +99,13 @@ def _error_blocks(tree, poses, qd):
     return np.concatenate(out)
 
 
+def _feedforward_blocks(tree, th1, qd, etad):
+    g = [fs.steering_matrix(qd[i, 2]) @ etad[i] for i in range(tree.n)]
+    out = [fs.body_frame_error(th1, g[0])]
+    out += [g[i - 1] - g[j - 1] for i, j in tree.edges]
+    return np.concatenate(out)
+
+
 def _close(got, want, rtol):
     return np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1.0)
 
@@ -108,7 +117,7 @@ def test_builders_match_block_forms(data):
     tree, n = eng.tree, eng.n
     poses = y[:3 * n].reshape(n, 3)
     th, w = poses[:, 2], y[3 * n + 1:5 * n:2]
-    qd = fs.desired_arrays(eng.profiles, t)[0]
+    qd, etad, _ = fs.desired_arrays(eng.profiles, t)
     assert np.array_equal(fs.coupling_matrix(tree, th),
                           _coupling_blocks(tree, th))
     h = 1e-6
@@ -117,22 +126,26 @@ def test_builders_match_block_forms(data):
     assert np.abs(fs.coupling_rate(tree, th, w) - fd).max() < 1e-8
     assert _close(fs.error_state(tree, poses, qd).vector,
                   _error_blocks(tree, poses, qd), 1e-14)
+    assert _close(fs.feedforward_term(tree, th[0], qd[:, 2], etad),
+                  _feedforward_blocks(tree, th[0], qd, etad), 1e-14)
 
 
 # ---- the engine's single evaluation ----
 
 def _composed_rate(eng, t, y):
-    """The state derivative as separate public-function calls build it,
-    stacked error and coupling matrix rebuilt for the torque law."""
+    """The state derivative from the block forms of the stacked error,
+    coupling matrix and feedforward and the public solves, each called on
+    its own, stacked error and coupling matrix rebuilt for the torque
+    law."""
     n, tree = eng.n, eng.tree
     qd, etad, etadd = fs.desired_arrays(eng.profiles, t)
     poses = y[:3 * n].reshape(n, 3)
     th = poses[:, 2]
-    z = fs.error_state(tree, poses, qd).vector
-    A = fs.coupling_matrix(tree, th)
+    z = _error_blocks(tree, poses, qd)
+    A = _coupling_blocks(tree, th)
     dy = np.empty_like(y)
     if eng.mode == "kinematic":
-        ff = fs.feedforward_term(tree, th[0], qd[:, 2], etad)
+        ff = _feedforward_blocks(tree, th[0], qd, etad)
         eta = fs.kinematic_control(tree, th, z, ff, eng.gz)
         v, w = eta[0::2], eta[1::2]
     else:
@@ -220,21 +233,41 @@ def test_non_finite_heading_raises_rank_deficient(data):
                                    etad, etadd, gain)
 
 
-def test_one_coupling_build_per_rate(monkeypatch):
-    # kinematic rates never form the dense coupling matrix; the torque
-    # law needs it, so adaptive rates build it once
+def _counter(monkeypatch, name, owners):
+    """Count the calls of ``name`` looked up in any of ``owners``."""
     calls = []
-    original = formsim.controller.coupling_matrix
+    original = getattr(owners[0], name)
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(formsim.controller, "coupling_matrix", counted)
-    monkeypatch.setattr(formsim.engine, "coupling_matrix", counted)
-    for name, builds in (("kinematic-pentagon", 0),
-                         ("adaptive-pentagon", 1)):
-        eng = fs.Engine(fs.get_preset(name))
-        calls.clear()
-        eng.rate(0.3, eng.initial_state())
-        assert len(calls) == builds, name
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_coupling_build_per_rate(monkeypatch):
+    # kinematic rates never form the dense coupling matrix; the torque
+    # law needs it, so adaptive rates build it once. Advancing by one
+    # sample interval evaluates the desired trajectory once, for all its
+    # stages, and no stage looks the tree's layout up.
+    owners = [formsim.controller, formsim.engine]
+    builds = _counter(monkeypatch, "coupling_matrix", owners)
+    desired = _counter(monkeypatch, "desired_arrays", [formsim.engine])
+    layouts = _counter(monkeypatch, "_layout", owners)
+    for name, per_rate in (("kinematic-pentagon", 0),
+                           ("adaptive-pentagon", 1)):
+        cfg = fs.get_preset(name)
+        eng = fs.Engine(cfg)
+        y = eng.initial_state()
+        eng.rate(0.3, y)
+        builds.clear()
+        eng.rate(0.3, y)
+        assert len(builds) == per_rate, name
+        for calls in (builds, desired, layouts):
+            calls.clear()
+        eng.advance(y, 0.3, cfg.sample_every)
+        assert len(desired) == 1, name
+        assert len(layouts) == 0, name
+        assert len(builds) == 4 * cfg.sample_every * per_rate, name

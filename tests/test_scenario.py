@@ -125,6 +125,25 @@ def test_validation_rejects_bad_steps():
         fs.scenario_from_dict(_tiny_doc(t_final=0.0))
 
 
+@pytest.mark.parametrize("field,value,error", [
+    ("dt", "fast", fs.SchemaError),
+    ("t_final", [1.0, 2.0], fs.SchemaError),
+    ("threshold", "tight", fs.SchemaError),
+    ("sample_every", 2.5, fs.ValidationError),
+    ("sample_every", 0, fs.ValidationError),
+    ("threshold", 0.0, fs.ValidationError),
+    ("t_final", -np.inf, fs.ValidationError),
+])
+def test_validation_rejects_bad_run_scalars(field, value, error):
+    with pytest.raises(error, match=field):
+        fs.scenario_from_dict(_tiny_doc(**{field: value}))
+
+
+def test_whole_sample_every_accepted():
+    assert fs.scenario_from_dict(_tiny_doc(sample_every=4.0)).sample_every \
+        == 4
+
+
 def test_singular_speed_surfaces():
     doc = _tiny_doc()
     doc["robots"][0]["trajectory"]["twist"] = [0.0, 1.0]

@@ -381,6 +381,42 @@ def test_profile_set_matches_each_profile(mix, t):
             assert np.all(np.abs(etadd[i] - accel) <= 8 * EPS * scale / h)
 
 
+@settings(max_examples=80, deadline=None)
+@given(profile_mixes(), st.lists(eval_times, min_size=1, max_size=12))
+def test_profile_set_times_match_each_time(mix, times):
+    # every time goes through the same elementwise operations whether it
+    # is evaluated alone or stacked with others, so rows are bit-identical
+    profile_set = fs.ProfileSet(mix[0])
+    each = []
+    for t in times:
+        try:
+            each.append(fs.desired_arrays(profile_set, t))
+        except ValueError as exc:
+            each.append(exc)
+    errors = [r for t, r in zip(times, each) if t < 0] \
+        or [r for r in each if isinstance(r, Exception)]
+    if errors:
+        with pytest.raises(ValueError) as got:
+            fs.desired_arrays(profile_set, np.array(times))
+        assert type(got.value) is type(errors[0])
+        assert str(got.value) == str(errors[0])
+        return
+    qd, etad, etadd = fs.desired_arrays(profile_set, np.array(times))
+    n = len(mix[0])
+    assert (qd.shape, etad.shape, etadd.shape) == \
+        ((len(times), n, 3), (len(times), n, 2), (len(times), n, 2))
+    for j, (pose, twist, accel) in enumerate(each):
+        assert np.array_equal(qd[j], pose)
+        assert np.array_equal(etad[j], twist)
+        assert np.array_equal(etadd[j], accel)
+
+
+def test_profile_set_rejects_stacked_times():
+    profile_set = fs.ProfileSet([_sine_profile(span=1.0)])
+    with pytest.raises(ValueError):
+        profile_set.evaluate(np.zeros((2, 2)))
+
+
 def test_profile_set_evaluates_shared_tables_once(monkeypatch):
     ts, tw, rt = TABLES[0]
     profs = [fs.SampledTwist(pose0=(float(i), 0.0, 0.1 * i), times=ts,
@@ -395,6 +431,10 @@ def test_profile_set_evaluates_shared_tables_once(monkeypatch):
                         lambda *args: calls.append(args) or hermite(*args))
     fs.desired_arrays(profile_set, 0.123)
     assert len(calls) == 2      # one per distinct (table, grid_dt)
+    calls.clear()
+    fs.desired_arrays(profile_set, np.linspace(0.0, 0.9, 7))
+    assert len(calls) == 2      # at every time at once
+    assert all(len(args[-1]) == 4 * 7 for args in calls)
 
 
 def test_lone_sampled_profile_shares_its_grid():
