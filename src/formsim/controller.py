@@ -106,12 +106,11 @@ def _layout(tree):
     arrays; the flat positions in an (n, 3) per-robot array of every
     edge's parent row and of its child row; the flat positions in a
     (3n, 2n) matrix of each edge block's cosine row, sine row and heading
-    row (parents, then children), then of the leader block's two
-    entries; the constant
-    values of the heading rows and the leader block; and, for every entry
-    of the edge rows of a stacked vector taken once for the children and
-    once for the parents, its flat position in an (n, 3) per-robot array
-    (``cflat`` then ``pflat``)."""
+    row (parents, then children), then of the leader block's two entries;
+    the constant values of the heading rows and the leader block; and,
+    for every entry of the edge rows of a stacked vector taken once for
+    the children and once for the parents, its flat position in an (n, 3)
+    per-robot array (``cflat`` then ``pflat``)."""
     n = tree.n
     parents, children = ends = tree.edge_array().T
     rows = np.tile(6 * n * np.arange(1, n), 2)   # flat start of edge blocks
@@ -152,8 +151,8 @@ def _stage(lay, headings):
 
 
 def _as_stage(tree, headings):
-    """``headings`` as a ``_Stage``; a caller that holds one passes it instead
-    of the headings, and the tree's layout is not looked up again."""
+    """``headings`` as a ``_Stage``; a caller that holds one passes it
+    instead of the headings, and the tree's layout is not looked up."""
     if isinstance(headings, _Stage):
         return headings
     return _stage(_layout(tree), headings)

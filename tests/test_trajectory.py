@@ -250,12 +250,14 @@ def _table(seed, span=1.0):
     return ts, tw, rt
 
 
-# Two tables shared by any number of sampled robots, and one whose Hermite
-# speed dips below SPEED_FLOOR for t in about (0.06, 0.38) although both
-# knot speeds clear it.
+# Two tables shared by any number of sampled robots, and two whose Hermite
+# speed dips below SPEED_FLOOR, for t in about (0.06, 0.38) and in about
+# (0.63, 0.93), although every knot speed clears it.
 TABLES = [_table(0), _table(1),
           (np.array([0.0, 1.0]), np.array([[1.5e-6, 0.1], [1.5e-6, 0.1]]),
-           np.array([[-1e-5, 0.0], [-1e-5, 0.0]]))]
+           np.array([[-1e-5, 0.0], [-1e-5, 0.0]])),
+          (np.array([0.0, 1.0]), np.array([[1.5e-6, 0.1], [1.5e-6, 0.1]]),
+           np.array([[1e-5, 0.0], [1e-5, 0.0]]))]
 
 
 @st.composite
@@ -267,7 +269,7 @@ def profile_mixes(draw):
         pose0 = (draw(st.floats(-5, 5)), draw(st.floats(-5, 5)),
                  draw(st.floats(-4, 4)))
         if kind == "sampled":
-            ts, tw, rt = TABLES[draw(st.sampled_from([0, 1, 2]))]
+            ts, tw, rt = TABLES[draw(st.sampled_from(range(len(TABLES))))]
             profs.append(fs.SampledTwist(
                 pose0=pose0, times=ts, twists=tw, rates=rt,
                 grid_dt=draw(st.sampled_from([5e-4, 1e-3]))))
@@ -285,7 +287,8 @@ def profile_mixes(draw):
 eval_times = st.one_of(
     st.integers(0, 2000).map(lambda k: k * 5e-4),    # on either grid
     st.floats(0.0, 1.0),                             # off grid
-    st.floats(0.1, 0.3),                             # in the speed dip
+    st.floats(0.1, 0.3),                             # in the speed dips
+    st.floats(0.7, 0.9),
     st.floats(1.0, 3.0),                             # past the tables
     st.floats(-1.0, -1e-9))                          # rejected
 
@@ -409,6 +412,16 @@ def test_profile_set_times_match_each_time(mix, times):
         assert np.array_equal(qd[j], pose)
         assert np.array_equal(etad[j], twist)
         assert np.array_equal(etadd[j], accel)
+
+
+def test_profile_set_names_first_singular_time():
+    # the later-dipping table comes first in robot order, so its group is
+    # evaluated first, but the earlier time in the array decides
+    profs = [fs.SampledTwist(pose0=(0.0, 0.0, 0.0), times=ts, twists=tw,
+                             rates=rt) for ts, tw, rt in TABLES[3:1:-1]]
+    profile_set = fs.ProfileSet(profs)
+    with pytest.raises(fs.SingularSpeed, match=r"at t=0\.8$"):
+        profile_set.evaluate(np.array([0.5, 0.8, 0.2]))
 
 
 def test_profile_set_rejects_stacked_times():
