@@ -12,7 +12,7 @@ The first is the desired trajectory at the evaluation's time and what
 follows from it alone: the desired poses, the desired pose rates and
 their differences across the edges (the feedforward's edge rows), and in
 dynamic mode the rates of both. ``Engine.advance`` evaluates that half
-for a block of up to ``_BLOCK_STEPS`` steps in one pass, at every stage
+for a block of steps in one pass (see ``_BLOCK_STEPS``), at every stage
 time the steps will use: t, t + h/2 and t + h, computed with
 ``rk4_step``'s own expressions, so a stage finds its terms by its exact
 time. This is exact because the desired trajectory does not depend on
@@ -47,9 +47,13 @@ __all__ = ["DivergenceError", "SimState", "Trace", "EvalRecord", "Engine",
            "simulate", "rk4_step"]
 
 
-# Steps whose desired terms ``Engine.advance`` evaluates in one pass; at
-# three stage times per step this bounds a block's arrays to 48 rows.
+# A block of steps whose desired terms ``Engine.advance`` evaluates in one
+# pass holds at most _BLOCK_STEPS steps and at most _BLOCK_ROWS robot-times
+# (three stage times per step), so each of its arrays stays within 24 KiB
+# at any formation size. Hoisting saves per-call overhead, which matters
+# for small formations; a large one still gets a block of one step.
 _BLOCK_STEPS = 16
+_BLOCK_ROWS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -273,17 +277,17 @@ class Engine:
     def advance(self, y, t0, steps):
         """Advance ``steps`` fixed steps from t0, returning the new state.
 
-        Steps go in blocks of at most ``_BLOCK_STEPS``: the desired terms
-        of a block's stage times are evaluated in one pass before its
-        first stage, then every stage runs through ``rate`` as in
+        Steps go in blocks (see ``_BLOCK_STEPS``): the desired terms of a
+        block's stage times are evaluated in one pass before its first
+        stage, then every stage runs through ``rate`` as in
         ``rk4_step``."""
         dt = self.config.dt
         y = np.array(y, dtype=float)
         # overflow here is the divergence signal, not a numpy error
+        block = max(1, min(_BLOCK_STEPS, _BLOCK_ROWS // (3 * self.n)))
         with np.errstate(over="ignore", invalid="ignore"):
-            for a in range(0, steps, _BLOCK_STEPS):
-                starts = [t0 + s * dt for s in
-                          range(a, min(a + _BLOCK_STEPS, steps))]
+            for a in range(0, steps, block):
+                starts = [t0 + s * dt for s in range(a, min(a + block, steps))]
                 self._block = self._hoist(starts, dt)
                 try:
                     for t in starts:

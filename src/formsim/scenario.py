@@ -7,6 +7,7 @@ Gains may be given per robot (3, 2, or 6 numbers broadcast to all robots)
 or in full stacked form. See the README for an annotated example.
 """
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,10 +97,22 @@ def _floats(value, length, context):
     return tuple(arr)
 
 
+def _scalar(value, context):
+    """One finite number: SchemaError when ``value`` is not a number,
+    ValidationError when it is not finite."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{context}: expected a number, got {value!r}") \
+            from exc
+    if not math.isfinite(x):
+        raise ValidationError(f"{context}: value must be finite, got {x}")
+    return x
+
+
 def _positive(value, context):
-    """One finite, positive number: SchemaError when ``value`` is not a
-    number, ValidationError when it is not finite or not positive."""
-    x = _floats(value, 1, context)[0]
+    """One finite, positive number (see ``_scalar``)."""
+    x = _scalar(value, context)
     if not x > 0:
         raise ValidationError(f"{context} must be positive, got {x:g}")
     return x
@@ -183,8 +196,7 @@ def scenario_from_dict(doc):
 
     dt = _positive(_need(doc, "dt", "config"), "dt")
     t_final = _positive(_need(doc, "t_final", "config"), "t_final")
-    sample_every = _floats(doc.get("sample_every", 10), 1,
-                           "sample_every")[0]
+    sample_every = _scalar(doc.get("sample_every", 10), "sample_every")
     if not (sample_every.is_integer() and sample_every >= 1):
         raise ValidationError(f"sample_every must be an integer of at "
                               f"least 1, got {sample_every:g}")

@@ -312,12 +312,28 @@ def _dip_table(times, speeds, rates):
             "rates": [[a, 0.0] for a in rates]}
 
 
+def _large_doc(n=60):
+    """A random tree of n robots, whose blocks are capped below
+    _BLOCK_STEPS by their robot-times."""
+    rng = np.random.default_rng(3)
+    doc = {"mode": "kinematic", "dt": 1e-2, "t_final": 0.5,
+           "edges": [[int(rng.integers(1, k)), k] for k in range(2, n + 1)],
+           "gains": {"formation": [1.0, 1.0, 2.0]}, "robots": []}
+    for q in rng.uniform(-5.0, 5.0, size=(n, 3)):
+        doc["robots"].append(
+            {"start": (q + rng.normal(0.0, 0.3, 3)).tolist(),
+             "trajectory": {"kind": "constant_twist", "start": q.tolist(),
+                            "twist": [1.0, 0.2]}})
+    return doc
+
+
 CONFIGS = {
     "kinematic": lambda: replace(fs.get_preset("kinematic-pentagon"),
                                  t_final=0.2),
     "dynamic": lambda: replace(fs.get_preset("adaptive-pentagon"),
                                t_final=0.1),
     "sampled": lambda: fs.scenario_from_dict(_sampled_doc()),
+    "large": lambda: fs.scenario_from_dict(_large_doc()),
 }
 
 

@@ -4,9 +4,8 @@ Trees are chains, stars and random recursive trees with 2 to 30 robots
 (2 to 60 for the Gram factor); headings are drawn so that aligned and
 antiparallel neighbours are common. The vectorized builders are pinned to
 their per-edge block forms on trees other than chains, the engine's single
-evaluation to a composition of those block forms and the public solves
-(each evaluated from scratch at its own time, with none of the engine's
-hoisted desired terms or shared trig), the least-squares command to
+evaluation to a composition of those block forms with dense numpy solves
+(no controller code at all), the least-squares command to
 ``np.linalg.lstsq``, and the leaves-first Gram factor to the dense A^T A
 it stands in for.
 """
@@ -99,11 +98,59 @@ def _error_blocks(tree, poses, qd):
     return np.concatenate(out)
 
 
+def _steering_rate(theta):
+    """d/dtheta of steering_matrix."""
+    return np.array([[-np.sin(theta), 0.0], [np.cos(theta), 0.0],
+                     [0.0, 0.0]])
+
+
+def _coupling_rate_blocks(tree, th, w):
+    Adot = np.zeros((3 * tree.n, 2 * tree.n))
+    for k, (i, j) in enumerate(tree.edges):
+        r = 3 * (k + 1)
+        Adot[r:r + 3, 2 * i - 2:2 * i] = -w[i - 1] * _steering_rate(th[i - 1])
+        Adot[r:r + 3, 2 * j - 2:2 * j] = w[j - 1] * _steering_rate(th[j - 1])
+    return Adot
+
+
 def _feedforward_blocks(tree, th1, qd, etad):
     g = [fs.steering_matrix(qd[i, 2]) @ etad[i] for i in range(tree.n)]
     out = [fs.body_frame_error(th1, g[0])]
     out += [g[i - 1] - g[j - 1] for i, j in tree.edges]
     return np.concatenate(out)
+
+
+def _feedforward_rate_blocks(tree, th1, om1, qd, etad, etadd):
+    # each desired rate S(theta_d) eta_d moves with theta_d and eta_d; the
+    # leader block R^T g also spins with the leader: d/dt R^T = om1 SKEW R^T
+    g = [fs.steering_matrix(qd[i, 2]) @ etad[i] for i in range(tree.n)]
+    gdot = [etad[i, 1] * _steering_rate(qd[i, 2]) @ etad[i]
+            + fs.steering_matrix(qd[i, 2]) @ etadd[i] for i in range(tree.n)]
+    out = [fs.body_frame_error(th1, gdot[0])
+           + om1 * fs.SKEW @ fs.body_frame_error(th1, g[0])]
+    out += [gdot[i - 1] - gdot[j - 1] for i, j in tree.edges]
+    return np.concatenate(out)
+
+
+def _dense_fictitious(tree, poses, twists, qd, etad, etadd, gain):
+    """The least-squares twist command by ``np.linalg.lstsq`` and its rate
+    from the differentiated normal equations G etaf = -A^T w, solved
+    densely: G etafdot = -(Gdot etaf + Adot^T w + A^T wdot)."""
+    th, om = poses[:, 2], twists[:, 1]
+    A = _coupling_blocks(tree, th)
+    Adot = _coupling_rate_blocks(tree, th, om)
+    z = _error_blocks(tree, poses, qd)
+    ff = _feedforward_blocks(tree, th[0], qd, etad)
+    w = gain * z + ff
+    etaf = np.linalg.lstsq(A, -w, rcond=None)[0]
+    zdot = A @ twists.reshape(-1) + ff
+    zdot[:3] += om[0] * fs.SKEW @ z[:3]
+    wdot = gain * zdot + _feedforward_rate_blocks(tree, th[0], om[0], qd,
+                                                  etad, etadd)
+    G = A.T @ A
+    Gdot = Adot.T @ A + A.T @ Adot
+    etafdot = np.linalg.solve(G, -(Gdot @ etaf + Adot.T @ w + A.T @ wdot))
+    return etaf, etafdot
 
 
 def _close(got, want, rtol):
@@ -134,9 +181,8 @@ def test_builders_match_block_forms(data):
 
 def _composed_rate(eng, t, y):
     """The state derivative from the block forms of the stacked error,
-    coupling matrix and feedforward and the public solves, each called on
-    its own, stacked error and coupling matrix rebuilt for the torque
-    law."""
+    coupling matrix and feedforward (and their rates) and dense solves,
+    none of which the engine runs."""
     n, tree = eng.n, eng.tree
     qd, etad, etadd = fs.desired_arrays(eng.profiles, t)
     poses = y[:3 * n].reshape(n, 3)
@@ -146,15 +192,15 @@ def _composed_rate(eng, t, y):
     dy = np.empty_like(y)
     if eng.mode == "kinematic":
         ff = _feedforward_blocks(tree, th[0], qd, etad)
-        eta = fs.kinematic_control(tree, th, z, ff, eng.gz)
+        eta = np.linalg.lstsq(A, -(eng.gz * z) - ff, rcond=None)[0]
         v, w = eta[0::2], eta[1::2]
     else:
         twists = y[3 * n:5 * n].reshape(n, 2)
         phihat = y[5 * n:]
-        fv = fs.fictitious_velocity(tree, poses, twists, qd, etad, etadd,
-                                    eng.gz)
-        sigma = twists.reshape(-1) - fv.twist
-        Y = fs.block_regression(fv.rate, twists)
+        etaf, etafdot = _dense_fictitious(tree, poses, twists, qd, etad,
+                                          etadd, eng.gz)
+        sigma = twists.reshape(-1) - etaf
+        Y = fs.block_regression(etafdot, twists)
         u = fs.adaptive_control(sigma, z, A, Y, phihat, eng.gs)
         drag = np.einsum("nij,nj->ni", eng.damp, twists).reshape(-1)
         dy[3 * n:5 * n] = eng.minv * (u - drag)
