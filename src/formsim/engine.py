@@ -41,6 +41,9 @@ from .adaptive import (adaptation_rate, adaptive_control, block_regression,
 from .controller import (_Desired, _desired_terms, _error_vector,
                          _feedforward, _fictitious, _layout, _stage,
                          coupling_matrix, kinematic_control)
+# Stages run the pieces of these two; they stay bound here, where
+# perfbench/tracing.py looks up the layers it traces.
+from .controller import feedforward_term, fictitious_velocity  # noqa: F401
 from .trajectory import ProfileSet, desired_arrays, rk4_step
 
 __all__ = ["DivergenceError", "SimState", "Trace", "EvalRecord", "Engine",
@@ -208,9 +211,8 @@ class Engine:
             d = self._desired(np.fromiter(times, float, len(times)))
         except ValueError:
             return {}
-        rows = zip(*(col if col is not None else [None] * len(times)
-                     for col in d))
-        return dict(zip(times, map(_Desired._make, rows)))
+        return {t: _Desired(*(None if col is None else col[j] for col in d))
+                for j, t in enumerate(times)}
 
     def evaluate(self, t, y, record=False):
         """Evaluate the control law once at (t, y).

@@ -328,7 +328,7 @@ class ProfileSet:
                 y[:] = x
             xy *= self._coef
             xy += self._x0y0
-        singular = (m, None)            # first time below the floor
+        first, speed = m, None          # first time below the floor
         for at, p, grids in self._groups:
             # the stored point at or before each time (clamped to the
             # span), and the short step from it
@@ -341,17 +341,17 @@ class ProfileSet:
             low = np.abs(val[:m, 0]) < SPEED_FLOOR
             if low.any():
                 j = int(np.argmax(low))
-                singular = min(singular, (j, val[j, 0]), key=lambda s: s[0])
+                if j < first:
+                    first, speed = j, val[j, 0]
                 continue
             etad[:, at] = val[:m, None]
             etadd[:, at] = der[:m, None]
             base = grids[k].transpose(1, 2, 0)         # (3, robots, m)
             q[:, at] = np.where(delta == 0.0, base, _pose_step(
                 base, delta, val[m:].reshape(3, m, 2)))
-        j, speed = singular
-        if j < m:
+        if first < m:
             raise SingularSpeed(f"desired speed {speed:g} below floor at "
-                                f"t={tt[j]:g}")
+                                f"t={tt[first]:g}")
         qd = q.transpose(2, 1, 0)
         if self._pos is not None:
             qd, etad, etadd = (a[:, self._pos] for a in (qd, etad, etadd))
