@@ -50,13 +50,9 @@ __all__ = ["DivergenceError", "SimState", "Trace", "EvalRecord", "Engine",
            "simulate", "rk4_step"]
 
 
-# A block of steps whose desired terms ``Engine.advance`` evaluates in one
-# pass holds at most _BLOCK_STEPS steps and at most _BLOCK_ROWS robot-times
-# (three stage times per step), so each of its arrays stays within 24 KiB
-# at any formation size. Hoisting saves per-call overhead, which matters
-# for small formations; a large one still gets a block of one step.
+# Steps whose desired terms ``Engine.advance`` evaluates in one pass; at
+# three stage times per step a block's arrays hold at most 48 rows.
 _BLOCK_STEPS = 16
-_BLOCK_ROWS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -286,10 +282,10 @@ class Engine:
         dt = self.config.dt
         y = np.array(y, dtype=float)
         # overflow here is the divergence signal, not a numpy error
-        block = max(1, min(_BLOCK_STEPS, _BLOCK_ROWS // (3 * self.n)))
         with np.errstate(over="ignore", invalid="ignore"):
-            for a in range(0, steps, block):
-                starts = [t0 + s * dt for s in range(a, min(a + block, steps))]
+            for a in range(0, steps, _BLOCK_STEPS):
+                starts = [t0 + s * dt for s in
+                          range(a, min(a + _BLOCK_STEPS, steps))]
                 self._block = self._hoist(starts, dt)
                 try:
                     for t in starts:
@@ -299,7 +295,12 @@ class Engine:
                                 f"non-finite state at t={t + dt:g}")
                 finally:
                     del self._block
-        return y
+        # The last state was allocated above the block's arrays; a copy
+        # made now that they are freed takes their place, so the result
+        # does not pin the heap top and the next large allocation (a
+        # trace row's dense coupling matrix, 1.9 MiB at n = 200) reuses
+        # that space instead of growing the heap.
+        return y.copy()
 
     # ---- trace ----
 

@@ -313,8 +313,7 @@ def _dip_table(times, speeds, rates):
 
 
 def _large_doc(n=60):
-    """A random tree of n robots, whose blocks are capped below
-    _BLOCK_STEPS by their robot-times."""
+    """A random tree of n robots."""
     rng = np.random.default_rng(3)
     doc = {"mode": "kinematic", "dt": 1e-2, "t_final": 0.5,
            "edges": [[int(rng.integers(1, k)), k] for k in range(2, n + 1)],
