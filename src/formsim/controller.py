@@ -37,13 +37,12 @@ and sines, and the leader's rotation) are computed once per evaluation.
 The public functions take a tree and plain arrays and compose the same
 pieces; ``coupling_matrix``, ``coupling_rate``, ``tree_gram`` and
 ``kinematic_control`` also take a ``_Stage`` in place of the headings,
-so a caller that holds one neither recomputes the trigonometry nor looks
-the layout up.
+so a caller that holds one neither recomputes the trigonometry nor
+rebuilds the layout.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -99,18 +98,17 @@ class _Layout(NamedTuple):
     gather: np.ndarray
 
 
-@lru_cache(maxsize=16)
 def _layout(tree):
-    """Edge index arrays of a tree, built once per tree: the 0-based
-    (parent, child) pairs in edge order, and the parents and children as
-    arrays; the flat positions in an (n, 3) per-robot array of every
-    edge's parent row and of its child row; the flat positions in a
-    (3n, 2n) matrix of each edge block's cosine row, sine row and heading
-    row (parents, then children), then of the leader block's two entries;
-    the constant values of the heading rows and the leader block; and,
-    for every entry of the edge rows of a stacked vector taken once for
-    the children and once for the parents, its flat position in an (n, 3)
-    per-robot array (``cflat`` then ``pflat``)."""
+    """Edge index arrays of a tree: the 0-based (parent, child) pairs in
+    edge order, and the parents and children as arrays; the flat
+    positions in an (n, 3) per-robot array of every edge's parent row and
+    of its child row; the flat positions in a (3n, 2n) matrix of each edge
+    block's cosine row, sine row and heading row (parents, then children),
+    then of the leader block's two entries; the constant values of the
+    heading rows and the leader block; and, for every entry of the edge
+    rows of a stacked vector taken once for the children and once for the
+    parents, its flat position in an (n, 3) per-robot array (``cflat``
+    then ``pflat``). An ``Engine`` builds its tree's once."""
     n = tree.n
     parents, children = ends = tree.edge_array().T
     rows = np.tile(6 * n * np.arange(1, n), 2)   # flat start of edge blocks
@@ -152,7 +150,7 @@ def _stage(lay, headings):
 
 def _as_stage(tree, headings):
     """``headings`` as a ``_Stage``; a caller that holds one passes it
-    instead of the headings, and the tree's layout is not looked up."""
+    instead of the headings, and the tree's layout is not rebuilt."""
     if isinstance(headings, _Stage):
         return headings
     return _stage(_layout(tree), headings)
@@ -337,25 +335,38 @@ def kinematic_control(tree, headings, z, ff, gain):
     return tree_gram(tree, st).solve_split(*_normal_rhs(st, b))
 
 
+def _coupled(st, eta):
+    """A eta for the coupling matrix at the stage's headings, without
+    forming A: the leader block is (-v_1, 0, -w_1), and each edge block
+    is minus the edge row (child row minus parent row) of the steered
+    twists g_i = (v_i cos theta_i, v_i sin theta_i, w_i)."""
+    lay, v = st.lay, eta[0::2]
+    g = np.empty(3 * lay.n)
+    g[0::3] = v * st.cos
+    g[1::3] = v * st.sin
+    g[2::3] = eta[1::2]
+    out = np.empty(3 * lay.n)
+    out[0], out[1], out[2] = -eta[0], 0.0, -eta[1]
+    np.subtract(g[lay.cflat], g[lay.pflat], out=out[3:])
+    return out
+
+
 @dataclass(frozen=True)
 class FictitiousVelocity:
     """Least-squares twist command and its exact time derivative, with
-    the stacked error, coupling matrix and feedforward they solve."""
+    the coupling matrix they solve (the torque law multiplies by it)."""
 
     twist: np.ndarray
     rate: np.ndarray
-    z: np.ndarray
     A: np.ndarray
-    ff: np.ndarray
 
 
-def _fictitious(tree, st, poses, twists, d, gain):
-    """``fictitious_velocity`` at a stage ``st`` of the poses, with the
-    desired terms ``d`` (twist rates included) of the same time."""
+def _fictitious(tree, st, twists, z, ff, d, gain):
+    """``fictitious_velocity`` at a stage ``st`` of the poses, with their
+    stacked error ``z`` and feedforward ``ff``, and the desired terms
+    ``d`` (twist rates included) of the same time."""
     omega = twists[:, 1]
-    z = _error_vector(st, poses, d.qd)
     A = coupling_matrix(tree, st)
-    ff = _feedforward(st.rot, d.rows[0], d.edges)
 
     gram = tree_gram(tree, st)
     w = gain * z + ff
@@ -376,7 +387,7 @@ def _fictitious(tree, st, poses, twists, d, gain):
     # with r = A etaf + w the least-squares residual.
     etafdot = -gram.solve(Adot.T @ (A @ etaf + w)
                           + A.T @ (Adot @ etaf + wdot))
-    return FictitiousVelocity(twist=etaf, rate=etafdot, z=z, A=A, ff=ff)
+    return FictitiousVelocity(twist=etaf, rate=etafdot, A=A)
 
 
 def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
@@ -388,10 +399,11 @@ def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
     not finite, as ``kinematic_control`` does.
     """
     poses = np.asarray(poses, dtype=float)
-    lay = _layout(tree)
-    d = _desired_terms(lay, np.asarray(qd, dtype=float),
+    st = _stage(_layout(tree), poses[:, 2])
+    d = _desired_terms(st.lay, np.asarray(qd, dtype=float),
                       np.asarray(etad, dtype=float),
                       np.asarray(etadd, dtype=float))
-    return _fictitious(tree, _stage(lay, poses[:, 2]), poses,
-                       np.asarray(twists, dtype=float), d,
+    return _fictitious(tree, st, np.asarray(twists, dtype=float),
+                       _error_vector(st, poses, d.qd),
+                       _feedforward(st.rot, d.rows[0], d.edges), d,
                        np.asarray(gain, dtype=float))

@@ -21,13 +21,17 @@ state is known yet or not. Outside ``advance`` (a single ``step``, a
 trace row, a probe) an evaluation is a block of its one time. The second
 half runs per stage: the headings' cosines and sines once, the stacked
 error and the leader's feedforward block, and the tree-structured solve
-of the normal equations in O(n) (the dense coupling matrix is built in
-kinematic mode only for a trace row, probe or check, which read the
-residual and the matrix itself), then in dynamic mode the torque and
-adaptation laws. If some stage time of a block is outside the desired
-trajectory's domain, the block keeps no terms and each stage evaluates
-its own time, so an error is raised by the stage that reaches it, after
-any error of an earlier stage.
+of the normal equations in O(n), then in dynamic mode the torque and
+adaptation laws, the only piece that forms the dense coupling matrix A.
+If some stage time of a block is outside the desired trajectory's
+domain, the block keeps no terms and each stage evaluates its own time,
+so an error is raised by the stage that reaches it, after any error of
+an earlier stage.
+
+A trace row, probe or check line reads the evaluation's ``EvalRecord``:
+its residual K z + ff + A eta_f (A eta_f from the stage's cosines and
+sines by ``controller._coupled``, without A) and predicted energy rate
+cost O(n) more.
 """
 
 from dataclasses import dataclass, field
@@ -38,12 +42,13 @@ import numpy as np
 
 from .adaptive import (adaptation_rate, adaptive_control, block_regression,
                        lyapunov_diagnostics, params_to_vector)
-from .controller import (_Desired, _desired_terms, _error_vector,
+from .controller import (_coupled, _Desired, _desired_terms, _error_vector,
                          _feedforward, _fictitious, _layout, _stage,
-                         coupling_matrix, kinematic_control)
-# Stages run the pieces of these two; they stay bound here, where
+                         kinematic_control)
+# Stages run the pieces of these three; they stay bound here, where
 # perfbench/tracing.py looks up the layers it traces.
-from .controller import feedforward_term, fictitious_velocity  # noqa: F401
+from .controller import (coupling_matrix, feedforward_term,  # noqa: F401
+                         fictitious_velocity)
 from .trajectory import ProfileSet, desired_arrays, rk4_step
 
 __all__ = ["DivergenceError", "SimState", "Trace", "EvalRecord", "Engine",
@@ -128,8 +133,8 @@ class EvalRecord:
     sigma: np.ndarray
     residual: np.ndarray       # least-squares residual vector
     V: float
-    Va: float
-    coupling: np.ndarray
+    Va: float                  # composite energy; V in kinematic mode
+    Vdot: float                # predicted rate of Va
     feedforward: np.ndarray
 
 
@@ -222,21 +227,21 @@ class Engine:
             d = self._desired(t)
         poses = y[:3 * n].reshape(n, 3)
         st = _stage(self._lay, poses[:, 2])
+        z = _error_vector(st, poses, d.qd)
+        ff = _feedforward(st.rot, d.rows[0], d.edges)
         dy = np.empty_like(y)
         if self.mode == "kinematic":
-            z = _error_vector(st, poses, d.qd)
-            ff = _feedforward(st.rot, d.rows[0], d.edges)
             eta = etaf = kinematic_control(self.tree, st, z, ff, self.gz)
-            A = u = phihat = etafdot = sigma = None
+            u = phihat = etafdot = sigma = None
         else:
             twists = y[3 * n:5 * n].reshape(n, 2)
             phihat = y[5 * n:]
-            fv = _fictitious(self.tree, st, poses, twists, d, self.gz)
-            z, A, ff, etaf, etafdot = fv.z, fv.A, fv.ff, fv.twist, fv.rate
+            fv = _fictitious(self.tree, st, twists, z, ff, d, self.gz)
+            etaf, etafdot = fv.twist, fv.rate
             eta = twists.reshape(-1)
             sigma = eta - etaf
             Y = block_regression(etafdot, twists)
-            u = adaptive_control(sigma, z, A, Y, phihat, self.gs)
+            u = adaptive_control(sigma, z, fv.A, Y, phihat, self.gs)
             drag = (self.damp @ twists[:, :, None]).reshape(-1)
             dy[3 * n:5 * n] = self.minv * (u - drag)
             dy[5 * n:] = adaptation_rate(Y, sigma, self.ga)
@@ -246,19 +251,19 @@ class Engine:
         dy[2:3 * n:3] = eta[1::2]
         if not record:
             return dy
-        if A is None:
-            A = coupling_matrix(self.tree, st)
-        res = A @ etaf + self.gz * z + ff
+        res = self.gz * z + ff + _coupled(st, etaf)
         V = Va = 0.5 * float(z @ z)
-        if self.mode == "dynamic":
-            Va, _ = lyapunov_diagnostics(z, sigma, phihat - self.phi_true,
-                                         self.mdiag, self.ga, self.gz,
-                                         self.gs, res)
+        if self.mode == "kinematic":
+            Vdot = float(-(z @ (self.gz * z)) + z @ res)
+        else:
+            Va, Vdot = lyapunov_diagnostics(z, sigma, phihat - self.phi_true,
+                                            self.mdiag, self.ga, self.gz,
+                                            self.gs, res)
             phihat = phihat.copy()
         return dy, EvalRecord(
             t=t, poses=poses.copy(), error=d.qd - poses, z=z, eta=eta, u=u,
             phihat=phihat, etaf=etaf, etafdot=etafdot, sigma=sigma,
-            residual=res, V=V, Va=Va, coupling=A, feedforward=ff)
+            residual=res, V=V, Va=Va, Vdot=Vdot, feedforward=ff)
 
     def rate(self, t, y):
         """State derivative: one evaluation of the control law."""
@@ -295,12 +300,7 @@ class Engine:
                                 f"non-finite state at t={t + dt:g}")
                 finally:
                     del self._block
-        # The last state was allocated above the block's arrays; a copy
-        # made now that they are freed takes their place, so the result
-        # does not pin the heap top and the next large allocation (a
-        # trace row's dense coupling matrix, 1.9 MiB at n = 200) reuses
-        # that space instead of growing the heap.
-        return y.copy()
+        return y
 
     # ---- trace ----
 

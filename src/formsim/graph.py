@@ -46,22 +46,12 @@ class SpanningTree:
 
     ``edges`` are (parent, child) pairs in topological order from the
     root. ``is_chain`` is true iff the edges are exactly (k, k+1) for
-    k = 1..n-1, which unlocks the pentadiagonal determinant fast path.
-
-    The hash is computed once, at construction: trees key per-tree caches
-    such as ``controller._layout``, which would otherwise rehash the whole
-    ``edges`` tuple on every lookup.
+    k = 1..n-1, the trees on which ``formsim check`` also runs the chain
+    pivot certificate.
     """
 
     n: int
     edges: tuple = field(default_factory=tuple)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.n, self.edges)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def is_chain(self):

@@ -110,6 +110,15 @@ def _scalar(value, context):
     return x
 
 
+def _whole(value, context):
+    """One whole number (see ``_scalar``); ValidationError for a fraction."""
+    x = _scalar(value, context)
+    if not x.is_integer():
+        raise ValidationError(f"{context}: expected a whole number, "
+                              f"got {x:g}")
+    return int(x)
+
+
 def _positive(value, context):
     """One finite, positive number (see ``_scalar``)."""
     x = _scalar(value, context)
@@ -120,7 +129,7 @@ def _positive(value, context):
 
 def _gain(value, n, width, context):
     """Accept one per-robot block of ``width`` gains or the full vector."""
-    flat = np.asarray(value, dtype=float).reshape(-1)
+    flat = _array(value, context).reshape(-1)
     if len(flat) == width:
         flat = np.tile(flat, n)
     if len(flat) != width * n:
@@ -185,9 +194,18 @@ def scenario_from_dict(doc):
     if not isinstance(robots_doc, list) or not robots_doc:
         raise SchemaError("robots must be a non-empty list")
     n = len(robots_doc)
-    if "n" in doc and int(doc["n"]) != n:
+    if "n" in doc and _whole(doc["n"], "n") != n:
         raise ValidationError(f"n={doc['n']} but {n} robots listed")
-    edges = [tuple(int(v) for v in e) for e in doc.get("edges", [])]
+    edges_doc = doc.get("edges", [])
+    if not isinstance(edges_doc, (list, tuple)):
+        raise SchemaError("edges must be a list of [parent, child] pairs")
+    edges = []
+    for idx, e in enumerate(edges_doc, start=1):
+        ctx = f"edges[{idx}]"
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise SchemaError(f"{ctx}: expected a [parent, child] pair, "
+                              f"got {e!r}")
+        edges.append((_whole(e[0], ctx), _whole(e[1], ctx)))
 
     try:
         tree = validate_spanning_tree(n, edges)
@@ -196,11 +214,10 @@ def scenario_from_dict(doc):
 
     dt = _positive(_need(doc, "dt", "config"), "dt")
     t_final = _positive(_need(doc, "t_final", "config"), "t_final")
-    sample_every = _scalar(doc.get("sample_every", 10), "sample_every")
-    if not (sample_every.is_integer() and sample_every >= 1):
-        raise ValidationError(f"sample_every must be an integer of at "
-                              f"least 1, got {sample_every:g}")
-    sample_every = int(sample_every)
+    sample_every = _whole(doc.get("sample_every", 10), "sample_every")
+    if sample_every < 1:
+        raise ValidationError(f"sample_every must be at least 1, "
+                              f"got {sample_every}")
     threshold = doc.get("threshold")
     if threshold is not None:
         threshold = _positive(threshold, "threshold")
@@ -297,16 +314,11 @@ def serialize_scenario(config):
 
 
 def load_scenario(source, overrides=None):
-    """Load a config from a file path or from YAML text. ``overrides``
-    maps top-level fields (say ``t_final``) to values that replace the
-    text's before the config is validated."""
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str) and "\n" not in source \
-            and Path(source).exists():
-        text = Path(source).read_text()
-    else:
-        text = source
+    """Load a config from a file, given as a ``Path``, or from YAML text,
+    given as a ``str`` (a string is never taken for a file name).
+    ``overrides`` maps top-level fields (say ``t_final``) to values that
+    replace the text's before the config is validated."""
+    text = source.read_text() if isinstance(source, Path) else source
     try:
         doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:

@@ -22,3 +22,23 @@ def chain_tree(n):
 def adaptive_engine():
     """Engine for the torque-level pentagon scenario."""
     return fs.Engine(fs.get_preset("adaptive-pentagon"))
+
+
+def _full_run(name):
+    eng = fs.Engine(fs.get_preset(name))
+    return {"engine": eng, "trace": eng.run()}
+
+
+# Each full-horizon preset run is integrated once per session and shared
+# by the acceptance tests and the CLI convergence test.
+
+@pytest.fixture(scope="session")
+def dynamic_run():
+    """Full torque-level pentagon run: its Engine and Trace."""
+    return _full_run("adaptive-pentagon")
+
+
+@pytest.fixture(scope="session")
+def kinematic_run():
+    """Full kinematic pentagon run: its Engine and Trace."""
+    return _full_run("kinematic-pentagon")

@@ -8,6 +8,7 @@ import yaml
 
 import formsim as fs
 from formsim.cli import main
+from formsim.metrics import report_to_yaml
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -51,19 +52,32 @@ def test_run_produces_trace_and_metrics(tmp_path, capsys):
     assert "wrote trace" in capsys.readouterr().out
 
 
+_SHARED_RUN = {"adaptive-pentagon": "dynamic_run",
+               "kinematic-pentagon": "kinematic_run"}
+
+
 @pytest.mark.parametrize("name,bound", [
     ("adaptive-pentagon", 20.0),
     ("kinematic-pentagon", 12.0),
 ])
-def test_run_full_preset_reports_convergence(tmp_path, name, bound):
+def test_run_full_preset_reports_convergence(tmp_path, request, name, bound):
+    # the CLI path on a short horizon; the convergence assertions read the
+    # metrics of the full-horizon run conftest.py shares, which is the
+    # same scenario: the emitted preset loads equal to the built-in one
     cfg_path = tmp_path / "cfg.yaml"
     assert main(["preset", name, "-o", str(cfg_path)]) == 0
     metrics_path = tmp_path / "metrics.yaml"
     code = main(["run", "--config", str(cfg_path), "--trace",
                  str(tmp_path / "trace.csv"), "--metrics",
-                 str(metrics_path)])
+                 str(metrics_path), "--t-final", "0.2"])
     assert code == 0
-    doc = yaml.safe_load(metrics_path.read_text())
+    assert "converged_all" in yaml.safe_load(metrics_path.read_text())
+    cfg = fs.load_scenario(cfg_path)
+    assert fs.scenario_to_dict(cfg) == fs.scenario_to_dict(
+        fs.get_preset(name))
+    trace = request.getfixturevalue(_SHARED_RUN[name])["trace"]
+    report = fs.compute_metrics(trace, threshold=cfg.threshold)
+    doc = yaml.safe_load(report_to_yaml(report))
     assert doc["converged_all"]
     assert max(doc["convergence_times"]) < bound
 
@@ -159,6 +173,33 @@ def test_run_bad_override_exits_2(tmp_path, capsys, flag, value, field):
     err = capsys.readouterr().err
     assert code == 2
     assert f"config error: ValidationError: {field}" in err
+
+
+_CHAIN_TAIL = [[2, 3], [3, 4], [4, 5]]
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n", "abc", "SchemaError: n"),
+    ("n", float("nan"), "ValidationError: n"),
+    ("edges", [[1, "x"]] + _CHAIN_TAIL, "SchemaError: edges[1]"),
+    ("edges", [1, 2], "SchemaError: edges[1]"),
+    ("edges", [[1, 2, 3]] + _CHAIN_TAIL, "SchemaError: edges[1]"),
+    ("gains", {"formation": "abc"}, "SchemaError: gains.formation"),
+    ("n", 5.9, "ValidationError: n"),
+    ("edges", [[1, 2.7]] + _CHAIN_TAIL, "ValidationError: edges[1]"),
+    ("edges", 5, "SchemaError: edges"),
+])
+def test_run_malformed_count_edge_or_gain_exits_2(tmp_path, capsys, field,
+                                                  value, message):
+    # counts and vertices are whole numbers, an edge is a pair, and a gain
+    # that is not a number is a schema error; each names its field
+    cfg_path = _write_short_preset(tmp_path, **{field: value})
+    code = main(["run", "--config", str(cfg_path), "--trace",
+                 str(tmp_path / "t.csv"), "--metrics",
+                 str(tmp_path / "m.yaml")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {message}" in err
 
 
 def test_run_divergence_exits_3(tmp_path, capsys):

@@ -240,7 +240,8 @@ def test_stacked_error_rate_identity(rng, chain5, adaptive_engine):
     rec = eng.diagnostics(t, y)
     n = eng.n
     twists = y[3 * n:5 * n]
-    zdot = rec.coupling @ twists + rec.feedforward
+    zdot = fs.coupling_matrix(eng.tree, rec.poses[:, 2]) @ twists \
+        + rec.feedforward
     om1 = twists[1]
     zdot[0] += om1 * rec.z[1]
     zdot[1] -= om1 * rec.z[0]

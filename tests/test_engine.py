@@ -178,6 +178,8 @@ def test_energy_rate_identity_kinematic():
     for t in (0.2, 0.7, 1.2):
         rec = eng.diagnostics(t, y)
         pred = -(rec.z @ (gain * rec.z)) + rec.z @ rec.residual
+        assert abs(rec.Vdot - pred) <= 1e-12 * abs(pred)
+        assert rec.Va == rec.V
         vp = eng.diagnostics(t + h, eng.step(t, y, h)).V
         vm = eng.diagnostics(t - h, eng.step(t, y, -h)).V
         fd = (vp - vm) / (2 * h)

@@ -220,8 +220,13 @@ def test_engine_rate_matches_composition(data):
     got, rec = eng.evaluate(t, y, record=True)
     assert _close(got, _composed_rate(eng, t, y), 1e-12)
     assert np.array_equal(eng.rate(t, y), got)
-    assert np.array_equal(rec.coupling, fs.coupling_matrix(
-        eng.tree, y[2:3 * eng.n:3]))
+    # the record's residual, formed without A, against the dense block
+    # form: each side sums three terms, so both are within a few ulps of
+    # the largest term's magnitude
+    terms = (_coupling_blocks(eng.tree, y[2:3 * eng.n:3]) @ rec.etaf,
+             eng.gz * rec.z, rec.feedforward)
+    scale = max(np.abs(term).max() for term in terms)
+    assert np.abs(rec.residual - sum(terms)).max() <= 1e-14 * scale
 
 
 @SETTINGS
@@ -230,7 +235,8 @@ def test_kinematic_control_matches_lstsq(data):
     eng, t, y = data.draw(scenes("kinematic"))
     rec = eng.diagnostics(t, y)
     b = -(eng.gz * rec.z) - rec.feedforward
-    want = np.linalg.lstsq(rec.coupling, b, rcond=None)[0]
+    A = _coupling_blocks(eng.tree, y[2:3 * eng.n:3])
+    want = np.linalg.lstsq(A, b, rcond=None)[0]
     assert np.linalg.norm(rec.etaf - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -294,8 +300,9 @@ def _counter(monkeypatch, name, owners):
 
 
 def test_one_coupling_build_per_rate(monkeypatch):
-    # kinematic rates never form the dense coupling matrix; the torque
-    # law needs it, so adaptive rates build it once. Advancing by one
+    # kinematic rates and records never form the dense coupling matrix;
+    # the torque law needs it, so adaptive rates build it once, and a
+    # record reuses that build. Advancing by one
     # sample interval evaluates the desired trajectory once, for all its
     # stages, and no stage looks the tree's layout up.
     owners = [formsim.controller, formsim.engine]
@@ -310,6 +317,9 @@ def test_one_coupling_build_per_rate(monkeypatch):
         eng.rate(0.3, y)
         builds.clear()
         eng.rate(0.3, y)
+        assert len(builds) == per_rate, name
+        builds.clear()
+        eng.diagnostics(0.3, y)
         assert len(builds) == per_rate, name
         for calls in (builds, desired, layouts):
             calls.clear()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -48,6 +50,21 @@ def test_round_trip_through_yaml():
         for a, b in zip(back.robots, cfg.robots):
             assert a.start == b.start
             assert a.profile.pose0 == b.profile.pose0
+
+
+def test_long_one_line_text_is_yaml_not_a_path():
+    # JSON is YAML; one line of it longer than a file name may be must
+    # still load as text
+    cfg = fs.get_preset("kinematic-pentagon")
+    text = json.dumps(fs.scenario_to_dict(cfg))
+    assert "\n" not in text and len(text) > 255
+    assert fs.scenario_to_dict(fs.load_scenario(text)) \
+        == fs.scenario_to_dict(cfg)
+
+
+def test_missing_path_raises_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        fs.load_scenario(tmp_path / "missing.yaml")
 
 
 def test_parse_error_on_bad_yaml():
