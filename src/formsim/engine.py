@@ -5,37 +5,45 @@ fourth-order Runge-Kutta at the scenario step, with the control law
 re-evaluated inside every stage (continuous-control idealization). One
 evaluator, ``Engine.evaluate``, computes the control law at a state, and
 every RK4 stage (through ``Engine.rate``), trace row, probe and
-``formsim check`` line goes through it.
+``formsim check`` line goes through it. One loop, ``Engine.integrate``,
+takes the steps of ``run``, ``advance`` and ``formsim check``.
 
 Each evaluation has a state-independent half and a state-dependent one.
 The first is the desired trajectory at the evaluation's time and what
 follows from it alone: the desired poses, the desired pose rates and
 their differences across the edges (the feedforward's edge rows), and in
-dynamic mode the rates of both. ``Engine.advance`` evaluates that half
+dynamic mode the rates of both. ``Engine.integrate`` evaluates that half
 for a block of steps in one pass (see ``_BLOCK_STEPS``), at every stage
 time the steps will use: t, t + h/2 and t + h, computed with
 ``rk4_step``'s own expressions, so a stage finds its terms by its exact
-time. This is exact because the desired trajectory does not depend on
-the state: evaluated at the same time, it is the same numbers whether the
-state is known yet or not. Outside ``advance`` (a single ``step``, a
-trace row, a probe) an evaluation is a block of its one time. The second
-half runs per stage: the headings' cosines and sines once, the stacked
-error and the leader's feedforward block, and the tree-structured solve
-of the normal equations in O(n), then in dynamic mode the torque and
-adaptation laws, the only piece that forms the dense coupling matrix A.
+time. Blocks run on across sample boundaries, and the last one also
+holds the time of the final sample. This is exact because the desired
+trajectory does not depend on the state: evaluated at the same time, it
+is the same numbers whether the state is known yet or not. Outside
+``integrate`` (a single ``step``, a probe) an evaluation is a block of
+its one time. The second half runs per stage: the headings' cosines and
+sines once, the stacked error and the leader's feedforward block, and
+the tree-structured solve of the normal equations in O(n), then in
+dynamic mode the torque and adaptation laws, the only piece that forms
+the dense coupling matrix A.
 If some stage time of a block is outside the desired trajectory's
 domain, the block keeps no terms and each stage evaluates its own time,
 so an error is raised by the stage that reaches it, after any error of
 an earlier stage.
 
-A trace row, probe or check line reads the evaluation's ``EvalRecord``:
-its residual K z + ff + A eta_f (A eta_f from the stage's cosines and
-sines by ``controller._coupled``, without A) and predicted energy rate
-cost O(n) more.
+A trace row or check line at a sample reads the ``EvalRecord`` of the
+evaluation that is also the next step's first stage, k1, and the step
+reuses it (``rk4_step``'s ``k1``): the sample's time cur*dt is that
+step's start cur*dt + 0*dt. Only the final sample is evaluated on its
+own. A record's residual K z + ff + A eta_f (A eta_f from the stage's
+cosines and sines by ``controller._coupled``, without A) and predicted
+energy rate cost O(n) more.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
@@ -55,8 +63,9 @@ __all__ = ["DivergenceError", "SimState", "Trace", "EvalRecord", "Engine",
            "simulate", "rk4_step"]
 
 
-# Steps whose desired terms ``Engine.advance`` evaluates in one pass; at
-# three stage times per step a block's arrays hold at most 48 rows.
+# Steps whose desired terms ``Engine.integrate`` evaluates in one pass;
+# at three stage times per step, plus the final sample's, a block's arrays
+# hold at most 49 rows.
 _BLOCK_STEPS = 16
 
 
@@ -102,8 +111,8 @@ class Trace:
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.data:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            line = ",".join(["%.17g"] * len(self.columns)) + "\n"
+            fh.writelines(line % tuple(row.tolist()) for row in self.data)
 
     @classmethod
     def read_csv(cls, path):
@@ -184,8 +193,8 @@ class Engine:
 
     # ---- the control law ----
 
-    # stage time -> its hoisted _Desired while ``advance`` integrates a
-    # block; empty otherwise, and every stage evaluates its own time
+    # stage time -> its hoisted _Desired while ``integrate`` takes a
+    # block's steps; empty otherwise, and every stage evaluates its own time
     _block = MappingProxyType({})
 
     @cached_property
@@ -199,15 +208,16 @@ class Engine:
         return _desired_terms(self._lay, qd, etad,
                               etadd if self.mode == "dynamic" else None)
 
-    def _hoist(self, starts, h):
+    def _hoist(self, starts, h, also=()):
         """Stage time -> _Desired for RK4 steps of size h from each start
-        time, with the stage times ``rk4_step`` computes. Empty when some
-        time is outside the profiles' domain: the stage that reaches it
-        then raises as its own evaluation would, after any earlier stage
-        has raised first."""
+        time, with the stage times ``rk4_step`` computes, and for the
+        times ``also``. Empty when some time is outside the profiles'
+        domain: the stage that reaches it then raises as its own
+        evaluation would, after any earlier stage has raised first."""
         times = {}
         for t in starts:
             times.update(dict.fromkeys((t, t + 0.5 * h, t + h)))
+        times.update(dict.fromkeys(also))
         try:
             d = self._desired(np.fromiter(times, float, len(times)))
         except ValueError:
@@ -277,29 +287,63 @@ class Engine:
         """Single RK4 step; h may be negative (used by probes)."""
         return rk4_step(self.rate, t, np.asarray(y, dtype=float), h)
 
-    def advance(self, y, t0, steps):
-        """Advance ``steps`` fixed steps from t0, returning the new state.
+    @contextmanager
+    def _hoisted(self, block):
+        """Let every evaluation in the block look its terms up in it."""
+        self._block = block
+        try:
+            yield
+        finally:
+            del self._block
 
-        Steps go in blocks (see ``_BLOCK_STEPS``): the desired terms of a
-        block's stage times are evaluated in one pass before its first
-        stage, then every stage runs through ``rate`` as in
-        ``rk4_step``."""
+    def integrate(self, y, legs, end=None, record=True):
+        """Integrate y by RK4 steps of ``config.dt`` through ``legs``,
+        consecutive (t0, count) pairs whose steps start at t0 + s*dt.
+
+        Steps go in blocks of up to ``_BLOCK_STEPS`` across the legs: the
+        desired terms of a block's stage times are evaluated in one pass
+        (``_hoist``) before its first stage, then every stage runs through
+        ``rate`` as in ``rk4_step``. With ``record``, yields (t0, y, rec)
+        at each leg's start, rec being the EvalRecord of the evaluation
+        that is also the leg's first stage, once the block holding that
+        step is integrated. Yields (end, y, rec) last: the final state,
+        with the record evaluated at ``end`` on its own (its time hoisted
+        with the last block), or None when ``end`` is None."""
         dt = self.config.dt
         y = np.array(y, dtype=float)
-        # overflow here is the divergence signal, not a numpy error
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a in range(0, steps, _BLOCK_STEPS):
-                starts = [t0 + s * dt for s in
-                          range(a, min(a + _BLOCK_STEPS, steps))]
-                self._block = self._hoist(starts, dt)
-                try:
-                    for t in starts:
-                        y = rk4_step(self.rate, t, y, dt)
-                        if not np.all(np.isfinite(y)):
-                            raise DivergenceError(
-                                f"non-finite state at t={t + dt:g}")
-                finally:
-                    del self._block
+        steps = ((t0 + s * dt, record and s == 0)
+                 for t0, count in legs for s in range(count))
+        total = sum(count for _, count in legs)
+        block = {}
+        for a in range(0, total, _BLOCK_STEPS):
+            starts = list(islice(steps, _BLOCK_STEPS))
+            last = a + _BLOCK_STEPS >= total and end is not None
+            block = self._hoist([t for t, _ in starts], dt,
+                                (end,) if last else ())
+            done = []
+            # overflow here is the divergence signal, not a numpy error
+            with self._hoisted(block), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                for t, lead in starts:
+                    k1 = None
+                    if lead:
+                        k1, rec = self.evaluate(t, y, record=True)
+                        done.append((t, y, rec))
+                    y = rk4_step(self.rate, t, y, dt, k1)
+                    if not np.all(np.isfinite(y)):
+                        raise DivergenceError(
+                            f"non-finite state at t={t + dt:g}")
+            yield from done
+        rec = None
+        if end is not None:
+            with self._hoisted(block):
+                rec = self.evaluate(end, y, record=True)[1]
+        yield end, y, rec
+
+    def advance(self, y, t0, steps):
+        """Advance ``steps`` fixed steps from t0 (see ``integrate``),
+        returning the new state."""
+        (_, y, _), = self.integrate(y, [(t0, steps)], record=False)
         return y
 
     # ---- trace ----
@@ -338,11 +382,10 @@ class Engine:
         marks = list(range(0, total + 1, cfg.sample_every))
         if marks[-1] != total:
             marks.append(total)
-        y = self.initial_state()
-        rows = [self._row(self.diagnostics(0.0, y))]
-        for prev, cur in zip(marks[:-1], marks[1:]):
-            y = self.advance(y, prev * cfg.dt, cur - prev)
-            rows.append(self._row(self.diagnostics(cur * cfg.dt, y)))
+        legs = [(prev * cfg.dt, cur - prev)
+                for prev, cur in zip(marks[:-1], marks[1:])]
+        rows = [self._row(rec) for _, _, rec in self.integrate(
+            self.initial_state(), legs, end=total * cfg.dt)]
         meta = {"mode": self.mode, "n": self.n,
                 "edges": list(self.tree.edges), "unit": cfg.unit,
                 "dt": cfg.dt, "sample_every": cfg.sample_every,

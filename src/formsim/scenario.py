@@ -78,6 +78,9 @@ class ScenarioConfig:
 
 
 def _need(d, key, context):
+    if not isinstance(d, dict):
+        raise SchemaError(f"{context}: expected a mapping, got "
+                          f"{type(d).__name__}")
     if key not in d:
         raise SchemaError(f"missing field {key!r} in {context}")
     return d[key]
@@ -249,13 +252,11 @@ def scenario_from_dict(doc):
         est0 = _floats(rd.get("estimate0", (0.0,) * 6), 6,
                        f"{ctx}.estimate0")
         pd = _need(rd, "params", ctx)
+        mass, inertia, damping = (_need(pd, key, f"{ctx}.params")
+                                  for key in ("mass", "inertia", "damping"))
         try:
-            params = RobotParams(
-                mass=float(_need(pd, "mass", f"{ctx}.params")),
-                inertia=float(_need(pd, "inertia", f"{ctx}.params")),
-                damping=np.asarray(_need(pd, "damping", f"{ctx}.params"),
-                                   dtype=float),
-            )
+            params = RobotParams(mass=float(mass), inertia=float(inertia),
+                                 damping=np.asarray(damping, dtype=float))
         except ValueError as exc:
             raise ValidationError(f"{ctx}.params: {exc}") from exc
         robots.append(RobotSpec(start=start, profile=profile,

@@ -50,9 +50,11 @@ class SingularSpeed(ValueError):
     """Desired translational speed too close to zero."""
 
 
-def rk4_step(f, t, y, h):
-    """One classical fourth-order Runge-Kutta step of y' = f(t, y)."""
-    k1 = f(t, y)
+def rk4_step(f, t, y, h, k1=None):
+    """One classical fourth-order Runge-Kutta step of y' = f(t, y);
+    ``k1``, when given, is f(t, y) already evaluated."""
+    if k1 is None:
+        k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
     k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = f(t + h, y + h * k3)

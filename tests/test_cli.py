@@ -188,11 +188,14 @@ _CHAIN_TAIL = [[2, 3], [3, 4], [4, 5]]
     ("n", 5.9, "ValidationError: n"),
     ("edges", [[1, 2.7]] + _CHAIN_TAIL, "ValidationError: edges[1]"),
     ("edges", 5, "SchemaError: edges"),
+    ("gains", 5, "SchemaError: gains: expected a mapping, got int"),
+    ("gains", [1.0, 2.0], "SchemaError: gains: expected a mapping, got list"),
 ])
 def test_run_malformed_count_edge_or_gain_exits_2(tmp_path, capsys, field,
                                                   value, message):
-    # counts and vertices are whole numbers, an edge is a pair, and a gain
-    # that is not a number is a schema error; each names its field
+    # counts and vertices are whole numbers, an edge is a pair, gains are
+    # a mapping, and a gain that is not a number is a schema error; each
+    # names its field
     cfg_path = _write_short_preset(tmp_path, **{field: value})
     code = main(["run", "--config", str(cfg_path), "--trace",
                  str(tmp_path / "t.csv"), "--metrics",
@@ -200,6 +203,30 @@ def test_run_malformed_count_edge_or_gain_exits_2(tmp_path, capsys, field,
     err = capsys.readouterr().err
     assert code == 2
     assert f"config error: {message}" in err
+
+
+@pytest.mark.parametrize("name,key,message", [
+    ("kinematic-pentagon", None, "robots[1]: expected a mapping, got int"),
+    ("kinematic-pentagon", "trajectory",
+     "robots[1].trajectory: expected a mapping, got int"),
+    ("adaptive-pentagon", "params",
+     "robots[1].params: expected a mapping, got int"),
+])
+def test_run_non_mapping_robot_field_exits_2(tmp_path, capsys, name, key,
+                                             message):
+    # a number where the first robot, its trajectory or its params go
+    doc = fs.scenario_to_dict(fs.get_preset(name))
+    if key is None:
+        doc["robots"][0] = 5
+    else:
+        doc["robots"][0][key] = 5
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["run", "--config", str(path), "--trace",
+                 str(tmp_path / "t.csv"), "--metrics",
+                 str(tmp_path / "m.yaml")])
+    assert code == 2
+    assert f"config error: SchemaError: {message}" in capsys.readouterr().err
 
 
 def test_run_divergence_exits_3(tmp_path, capsys):
@@ -238,6 +265,25 @@ def test_check_passes_on_presets(tmp_path, capsys):
         assert "PASS least-squares-contract" in out
         assert "PASS energy-rate-identity" in out
         assert "PASS chain-pivot-certificate" in out
+
+
+@pytest.mark.parametrize("horizon", ["0.04", "0.037"])
+@pytest.mark.parametrize("name", fs.preset_names())
+def test_check_output_matches_reference_loop(tmp_path, capsys, monkeypatch,
+                                            name, horizon):
+    # 0.04 s probes its last step; 0.037 s takes one step past the last
+    # probe
+    from test_engine import _reference_integrate
+    cfg_path = tmp_path / f"{name}.yaml"
+    cfg_path.write_text(fs.serialize_scenario(fs.get_preset(name)))
+    args = ["check", "--config", str(cfg_path), "--horizon", horizon]
+    code = main(args)
+    got = capsys.readouterr().out
+    monkeypatch.setattr(
+        fs.Engine, "integrate", lambda self, y, legs, end=None:
+        _reference_integrate(self, y, legs, end))
+    assert main(args) == code == 0
+    assert capsys.readouterr().out == got
 
 
 def test_check_skips_chain_certificate_for_star_tree(tmp_path, capsys):

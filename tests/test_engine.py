@@ -1,8 +1,11 @@
-import numpy as np
-import pytest
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 import formsim as fs
+import formsim.engine as engine_module
 from formsim.engine import _BLOCK_STEPS, rk4_step
 
 
@@ -347,14 +350,124 @@ def test_advance_matches_stepwise_rk4(kind):
                               _stepwise(eng, y0, 0.05, steps))
 
 
+def _reference_integrate(eng, y, legs, end=None):
+    """``Engine.integrate`` as a plain loop: a record by ``diagnostics``
+    at each leg's start, the leg by ``_stepwise``, then the final state
+    and its record (None without ``end``)."""
+    y = np.array(y, dtype=float)
+    for t0, count in legs:
+        yield t0, y, eng.diagnostics(t0, y)
+        y = _stepwise(eng, y, t0, count)
+    yield end, y, None if end is None else eng.diagnostics(end, y)
+
+
+def _reference_rows(eng):
+    """``Engine.run``'s trace rows from a plain loop: every sample's row
+    by ``diagnostics`` and ``_row`` at its own time, the steps between
+    samples by ``_stepwise``."""
+    cfg = eng.config
+    total = int(round(cfg.t_final / cfg.dt))
+    marks = list(range(0, total + 1, cfg.sample_every))
+    if marks[-1] != total:
+        marks.append(total)
+    y = eng.initial_state()
+    rows = [eng._row(eng.diagnostics(0.0, y))]
+    for prev, cur in zip(marks[:-1], marks[1:]):
+        y = _stepwise(eng, y, prev * cfg.dt, cur - prev)
+        rows.append(eng._row(eng.diagnostics(cur * cfg.dt, y)))
+    return np.vstack(rows)
+
+
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
-def test_long_sample_interval_matches_stepwise_trace(kind, monkeypatch):
+def test_long_sample_interval_matches_stepwise_trace(kind):
     # sample intervals of several blocks and a short last one
     cfg = replace(CONFIGS[kind](), sample_every=3 * _BLOCK_STEPS + 2)
-    want = fs.Engine(cfg)
-    monkeypatch.setattr(want, "advance", lambda y, t0, steps: _stepwise(
-        want, y, t0, steps))
-    assert np.array_equal(fs.Engine(cfg).run().data, want.run().data)
+    assert np.array_equal(fs.Engine(cfg).run().data,
+                          _reference_rows(fs.Engine(cfg)))
+
+
+@pytest.mark.parametrize("every", [1, 3, 10, 16, 17, 40])
+@pytest.mark.parametrize("kind", ["dynamic", "kinematic", "sampled"])
+def test_run_matches_reference_loop(kind, every):
+    # 41 steps: blocks straddle samples, and every sample_every above 1
+    # leaves a short last interval
+    base = CONFIGS[kind]()
+    cfg = replace(base, t_final=41 * base.dt, sample_every=every)
+    assert np.array_equal(fs.Engine(cfg).run().data,
+                          _reference_rows(fs.Engine(cfg)))
+
+
+@pytest.mark.parametrize("kind", ["dynamic", "kinematic", "sampled"])
+def test_run_without_steps_is_one_row(kind):
+    base = CONFIGS[kind]()
+    cfg = replace(base, t_final=0.4 * base.dt)
+    trace = fs.Engine(cfg).run()
+    assert trace.times.tolist() == [0.0]
+    assert np.array_equal(trace.data, _reference_rows(fs.Engine(cfg)))
+
+
+@pytest.mark.parametrize("every", [1, 10])
+@pytest.mark.parametrize("kind", ["dynamic", "sampled"])
+def test_run_evaluates_once_per_stage_and_hoists_once_per_block(
+        kind, every, monkeypatch):
+    # a row reuses its step's first stage; only the final row evaluates
+    # on its own, from the last block's hoist
+    steps = 41
+    base = CONFIGS[kind]()
+    eng = fs.Engine(replace(base, t_final=steps * base.dt,
+                            sample_every=every))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(eng, "evaluate", counted("evaluate", eng.evaluate))
+    monkeypatch.setattr(engine_module, "desired_arrays", counted(
+        "desired_arrays", engine_module.desired_arrays))
+    eng.run()
+    assert calls == {"evaluate": 4 * steps + 1,
+                     "desired_arrays": -(-steps // _BLOCK_STEPS)}
+
+
+def _diverging():
+    # at dt = 0.5 the torque loop overflows at t = 1
+    return replace(fs.get_preset("adaptive-pentagon"), dt=0.5, t_final=5.0)
+
+
+def _dipping():
+    # the second robot's desired speed falls below the floor at t = 0.061
+    doc = _sampled_doc()
+    doc["robots"][1]["trajectory"] = _dip_table(
+        [0.0, 1.0], [1.5e-6, 1.5e-6], [-1e-5, -1e-5])
+    return fs.scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("every", [1, 3, 16, 40])
+@pytest.mark.parametrize("make,error", [(_diverging, fs.DivergenceError),
+                                        (_dipping, fs.SingularSpeed)])
+def test_mid_run_error_matches_reference_loop(make, error, every):
+    cfg = replace(make(), sample_every=every)
+    with pytest.raises(error) as got:
+        fs.Engine(cfg).run()
+    with pytest.raises(error) as want:
+        _reference_rows(fs.Engine(cfg))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    data = np.array([[0.0, -0.0, 1e-300, np.nan],
+                     [np.inf, -np.inf, 5e-324, -1e-300],
+                     [1.0 / 3.0, -2.5e300, 0.1, 123456789.0]])
+    trace = fs.Trace(columns=["t", "a", "b", "c"], data=data)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    want = "t,a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                 for row in data)
+    assert path.read_bytes() == want.encode()
 
 
 def test_singular_speed_mid_block_raises_at_its_stage():
