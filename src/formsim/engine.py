@@ -296,28 +296,34 @@ class Engine:
         finally:
             del self._block
 
-    def integrate(self, y, legs, end=None, record=True):
-        """Integrate y by RK4 steps of ``config.dt`` through ``legs``,
-        consecutive (t0, count) pairs whose steps start at t0 + s*dt.
+    def integrate(self, y, marks, stop, t0=0.0):
+        """Integrate y by RK4 steps of ``config.dt`` from step index
+        ``marks[0]`` to ``stop``, recording the state at each step index
+        in ``marks`` (increasing, none past ``stop``).
 
-        Steps go in blocks of up to ``_BLOCK_STEPS`` across the legs: the
-        desired terms of a block's stage times are evaluated in one pass
-        (``_hoist``) before its first stage, then every stage runs through
-        ``rate`` as in ``rk4_step``. With ``record``, yields (t0, y, rec)
-        at each leg's start, rec being the EvalRecord of the evaluation
-        that is also the leg's first stage, once the block holding that
-        step is integrated. Yields (end, y, rec) last: the final state,
-        with the record evaluated at ``end`` on its own (its time hoisted
-        with the last block), or None when ``end`` is None."""
+        Step k starts at t0 + mark*dt + s*dt, mark being the last mark at
+        or before k and s = k - mark, so a mark's time t0 + mark*dt is
+        the start of its first step. Steps go in blocks of up to
+        ``_BLOCK_STEPS`` across the marks: the desired terms of a block's
+        stage times are evaluated in one pass (``_hoist``) before its
+        first stage, then every stage runs through ``rate`` as in
+        ``rk4_step``. Yields (t, y, rec) at each mark before ``stop``,
+        rec being the EvalRecord of the evaluation that is also the
+        mark's first stage, once the block holding that step is
+        integrated. Yields (t, y, rec) last at ``stop``: the final state,
+        with the record evaluated on its own (its time hoisted with the
+        last block) when ``stop`` is a mark, else None."""
         dt = self.config.dt
         y = np.array(y, dtype=float)
-        steps = ((t0 + s * dt, record and s == 0)
-                 for t0, count in legs for s in range(count))
-        total = sum(count for _, count in legs)
+        steps = ((t0 + mark * dt + s * dt, s == 0)
+                 for mark, cur in zip(marks, [*marks[1:], stop])
+                 for s in range(cur - mark))
+        total = stop - marks[0]
+        end, final = t0 + stop * dt, marks[-1] == stop
         block = {}
         for a in range(0, total, _BLOCK_STEPS):
             starts = list(islice(steps, _BLOCK_STEPS))
-            last = a + _BLOCK_STEPS >= total and end is not None
+            last = a + _BLOCK_STEPS >= total and final
             block = self._hoist([t for t, _ in starts], dt,
                                 (end,) if last else ())
             done = []
@@ -335,7 +341,7 @@ class Engine:
                             f"non-finite state at t={t + dt:g}")
             yield from done
         rec = None
-        if end is not None:
+        if final:
             with self._hoisted(block):
                 rec = self.evaluate(end, y, record=True)[1]
         yield end, y, rec
@@ -343,7 +349,7 @@ class Engine:
     def advance(self, y, t0, steps):
         """Advance ``steps`` fixed steps from t0 (see ``integrate``),
         returning the new state."""
-        (_, y, _), = self.integrate(y, [(t0, steps)], record=False)
+        *_, (_, y, _) = self.integrate(y, [0], steps, t0)
         return y
 
     # ---- trace ----
@@ -382,10 +388,8 @@ class Engine:
         marks = list(range(0, total + 1, cfg.sample_every))
         if marks[-1] != total:
             marks.append(total)
-        legs = [(prev * cfg.dt, cur - prev)
-                for prev, cur in zip(marks[:-1], marks[1:])]
         rows = [self._row(rec) for _, _, rec in self.integrate(
-            self.initial_state(), legs, end=total * cfg.dt)]
+            self.initial_state(), marks, total)]
         meta = {"mode": self.mode, "n": self.n,
                 "edges": list(self.tree.edges), "unit": cfg.unit,
                 "dt": cfg.dt, "sample_every": cfg.sample_every,

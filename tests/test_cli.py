@@ -279,9 +279,7 @@ def test_check_output_matches_reference_loop(tmp_path, capsys, monkeypatch,
     args = ["check", "--config", str(cfg_path), "--horizon", horizon]
     code = main(args)
     got = capsys.readouterr().out
-    monkeypatch.setattr(
-        fs.Engine, "integrate", lambda self, y, legs, end=None:
-        _reference_integrate(self, y, legs, end))
+    monkeypatch.setattr(fs.Engine, "integrate", _reference_integrate)
     assert main(args) == code == 0
     assert capsys.readouterr().out == got
 

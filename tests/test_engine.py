@@ -350,15 +350,36 @@ def test_advance_matches_stepwise_rk4(kind):
                               _stepwise(eng, y0, 0.05, steps))
 
 
-def _reference_integrate(eng, y, legs, end=None):
+def _reference_integrate(eng, y, marks, stop, t0=0.0):
     """``Engine.integrate`` as a plain loop: a record by ``diagnostics``
-    at each leg's start, the leg by ``_stepwise``, then the final state
-    and its record (None without ``end``)."""
+    at each mark before ``stop``, the steps to the next mark by
+    ``_stepwise``, then the final state and its record (None when ``stop``
+    is not a mark)."""
+    dt = eng.config.dt
     y = np.array(y, dtype=float)
-    for t0, count in legs:
-        yield t0, y, eng.diagnostics(t0, y)
-        y = _stepwise(eng, y, t0, count)
-    yield end, y, None if end is None else eng.diagnostics(end, y)
+    for mark, cur in zip(marks, [*marks[1:], stop]):
+        if mark < stop:
+            yield t0 + mark * dt, y, eng.diagnostics(t0 + mark * dt, y)
+            y = _stepwise(eng, y, t0 + mark * dt, cur - mark)
+    end = t0 + stop * dt
+    yield end, y, eng.diagnostics(end, y) if marks[-1] == stop else None
+
+
+@pytest.mark.parametrize("marks,stop", [([0, 5, 21, 40], 40),
+                                        ([0, 17, 34], 41), ([3], 3)])
+@pytest.mark.parametrize("kind", ["dynamic", "sampled"])
+def test_integrate_matches_reference_loop(kind, marks, stop):
+    # a stop past the last mark yields the final state without a record
+    eng = fs.Engine(CONFIGS[kind]())
+    y0 = eng.initial_state()
+    got = list(eng.integrate(y0, marks, stop, 0.05))
+    want = list(_reference_integrate(eng, y0, marks, stop, 0.05))
+    assert [t for t, _, _ in got] == [t for t, _, _ in want]
+    for (_, y, rec), (_, y_ref, rec_ref) in zip(got, want):
+        assert np.array_equal(y, y_ref)
+        assert (rec is None) == (rec_ref is None)
+        if rec is not None:
+            assert np.array_equal(eng._row(rec), eng._row(rec_ref))
 
 
 def _reference_rows(eng):
