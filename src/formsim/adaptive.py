@@ -10,6 +10,7 @@ No projection or leakage is added, so estimates may settle anywhere the
 error dynamics stop exciting them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +29,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RobotParams:
-    """True plant parameters: mass, inertia, and 2x2 damping matrix."""
+    """True plant parameters: finite positive mass and inertia, and a
+    finite 2x2 damping matrix."""
 
     mass: float
     inertia: float
     damping: np.ndarray
 
     def __post_init__(self):
-        if self.mass <= 0 or self.inertia <= 0:
-            raise ValueError("mass and inertia must be positive")
+        if not (0 < self.mass < math.inf and 0 < self.inertia < math.inf):
+            raise ValueError("mass and inertia must be finite and positive")
         d = np.asarray(self.damping, dtype=float)
         if d.shape != (2, 2) or not np.all(np.isfinite(d)):
             raise ValueError("damping must be a finite 2x2 matrix")

@@ -5,14 +5,27 @@ mode, per-robot initial conditions and desired-trajectory profiles, the
 diagonal gain vectors, integration step and horizon, and trace sampling.
 Gains may be given per robot (3, 2, or 6 numbers broadcast to all robots)
 or in full stacked form. See the README for an annotated example.
+
+Loading is one pass: the text is composed by ``_LOADER`` (libyaml when
+PyYAML has it), and the document is built straight from the node tree,
+handing only nodes outside the plain subset (merge keys, other tags,
+non-string keys) to the loader's own constructor. The document and every
+error are those of ``yaml.load``. Fields are then checked without numpy
+when they are flat lists of Python numbers, through numpy otherwise,
+with the same errors either way. A bool is never a number: YAML reads
+``yes``, ``on`` and ``true`` as booleans, and numpy would read them as 1.
+Plant masses and inertias are finite and positive like every other
+positive number.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .adaptive import RobotParams
 from .graph import GraphError, validate_spanning_tree
@@ -34,6 +47,125 @@ __all__ = [
 # libyaml's parser when PyYAML was built with it; the constructor, and so
 # the parsed document, is the same either way.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_STR, _INT, _FLOAT, _SEQ, _MAP = (f"tag:yaml.org,2002:{kind}" for kind in
+                                  ("str", "int", "float", "seq", "map"))
+
+
+def _load_yaml(text):
+    """``yaml.load(text, Loader=_LOADER)``: the same document, or the same
+    exception, in one pass over the composed node tree."""
+    loader = _LOADER(text)
+    try:
+        if not loader.yaml_path_resolvers:
+            _lean_resolver(loader)
+        root = loader.get_single_node()
+        return None if root is None else _construct(loader, root)
+    finally:
+        loader.dispose()
+
+
+def _lean_resolver(loader):
+    """Give ``loader``, which has no path resolvers, leaner resolver hooks
+    for composing. ``resolve`` returns the tag its own would: the first
+    implicit resolver, in its table's order, whose pattern matches a plain
+    scalar, else the kind's default tag. Each first character's list of
+    resolvers, wildcards appended, is joined once per load instead of once
+    per scalar. The path hooks do nothing without path resolvers, so a
+    no-op replaces them."""
+    table = loader.yaml_implicit_resolvers
+    wild = tuple(table.get(None, ()))
+    first = {c: tuple(resolvers) + wild for c, resolvers in table.items()
+             if c is not None}
+    default = {ScalarNode: loader.DEFAULT_SCALAR_TAG,
+               SequenceNode: loader.DEFAULT_SEQUENCE_TAG,
+               MappingNode: loader.DEFAULT_MAPPING_TAG}
+
+    def resolve(kind, value, implicit):
+        if kind is ScalarNode and implicit[0]:
+            for tag, regexp in first.get(value[:1], wild):
+                if regexp.match(value):
+                    return tag
+        return default[kind]
+
+    loader.resolve = resolve
+    loader.descend_resolver = loader.ascend_resolver = _ignore
+
+
+def _ignore(*args):
+    pass
+
+
+def _construct(loader, root):
+    """The document ``loader.construct_document(root)`` returns.
+
+    Sequences, maps whose keys are all plain strings, and scalars tagged
+    str, int or float are built here, as the loader's own constructors
+    build them. Every other node (merge keys, other tags, non-string keys)
+    goes to the loader's ``construct_object`` or ``construct_mapping``.
+    Both share the loader's table of built nodes, so an alias, recursive
+    or not, is the object its anchor built. As in the loader, a container
+    is created empty when first met and filled after every container met
+    before it, so nodes are built, and errors raised, in the loader's
+    order.
+    """
+    built = loader.constructed_objects
+    queue = deque()
+
+    def adopt(data):
+        # the loader defers filling its containers to generators; they
+        # join the queue in the order they were made
+        queue.extend(loader.state_generators)
+        loader.state_generators = []
+        return data
+
+    def build(node):
+        if node.__class__ is ScalarNode:
+            tag, text = node.tag, node.value
+            if tag == _FLOAT:
+                try:
+                    x = float(text)
+                except ValueError:      # .inf, sexagesimal, or an error
+                    x = math.nan
+                if x == x:
+                    return x
+            elif tag == _STR:
+                return text
+            elif tag == _INT and text.isdecimal() and (text[0] != "0"
+                                                       or text == "0"):
+                return int(text)        # a leading 0 is octal in YAML 1.1
+        elif node in built:
+            return built[node]
+        elif node.tag == _SEQ and node.__class__ is SequenceNode:
+            built[node] = data = []
+            queue.append((data, node))
+            return data
+        elif node.tag == _MAP and node.__class__ is MappingNode:
+            built[node] = data = {}
+            queue.append((data, node))
+            return data
+        return adopt(loader.construct_object(node))
+
+    data = build(root)
+    while queue:
+        item = queue.popleft()
+        if item.__class__ is not tuple:
+            for _ in item:
+                pass
+            adopt(None)
+            continue
+        into, node = item
+        if into.__class__ is list:
+            into.extend(map(build, node.value))
+            continue
+        items = node.value
+        keys = [k.value if k.tag == _STR and k.__class__ is ScalarNode
+                else None for k, _ in items]
+        if None in keys:
+            into.update(adopt(loader.construct_mapping(node)))
+        else:
+            into.update(zip(keys, [build(value) for _, value in items]))
+    return data
 
 
 class ParseError(ValueError):
@@ -86,24 +218,39 @@ def _need(d, key, context):
     return d[key]
 
 
+_NUMBER = frozenset((int, float))
+
+
+def _plain(value):
+    """The numbers of ``value`` as floats when it is a flat list or tuple
+    of Python ints and floats (a bool is neither), else None."""
+    if (value.__class__ is list or value.__class__ is tuple) \
+            and _NUMBER.issuperset(map(type, value)):
+        try:
+            return list(map(float, value))
+        except OverflowError:       # an int beyond float: numpy's error
+            pass
+    return None
+
+
 def _floats(value, length, context):
-    try:
-        arr = [float(v) for v in np.asarray(value, dtype=float).reshape(-1)]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{context}: expected numbers, got {value!r}") \
-            from exc
+    arr = _plain(value)
+    if arr is None:
+        arr = _array(value, context).reshape(-1).tolist()
     if len(arr) != length:
         raise SchemaError(f"{context}: expected {length} values, "
                           f"got {len(arr)}")
-    if not all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr)):
         raise ValidationError(f"{context}: values must be finite")
     return tuple(arr)
 
 
 def _scalar(value, context):
-    """One finite number: SchemaError when ``value`` is not a number,
-    ValidationError when it is not finite."""
+    """One finite number: SchemaError when ``value`` is not a number (a
+    bool is not one), ValidationError when it is not finite."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError("a bool is not a number")
         x = float(value)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{context}: expected a number, got {value!r}") \
@@ -115,6 +262,8 @@ def _scalar(value, context):
 
 def _whole(value, context):
     """One whole number (see ``_scalar``); ValidationError for a fraction."""
+    if value.__class__ is int and abs(value) <= 2 ** 53:
+        return value                # exactly int(float(value))
     x = _scalar(value, context)
     if not x.is_integer():
         raise ValidationError(f"{context}: expected a whole number, "
@@ -132,23 +281,39 @@ def _positive(value, context):
 
 def _gain(value, n, width, context):
     """Accept one per-robot block of ``width`` gains or the full vector."""
-    flat = _array(value, context).reshape(-1)
-    if len(flat) == width:
-        flat = np.tile(flat, n)
-    if len(flat) != width * n:
+    flat = _plain(value)
+    if flat is None:
+        flat = _array(value, context).reshape(-1).tolist()
+    if len(flat) not in (width, width * n):
         raise SchemaError(f"{context}: expected {width} or {width * n} "
                           f"values, got {len(flat)}")
-    if not np.all(np.isfinite(flat)) or np.any(flat <= 0):
+    if not all(0.0 < v < math.inf for v in flat):
         raise ValidationError(f"{context}: gains must be positive")
-    return tuple(float(v) for v in flat)
+    # one per-robot block stands for every robot's
+    return tuple(flat) * (n if len(flat) == width else 1)
 
 
 def _array(value, context):
+    """``value`` as a float array; SchemaError when it is not numbers,
+    or holds a bool, which numpy would read as 0 or 1."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
+        cause = None
     except (TypeError, ValueError) as exc:
+        cause = exc
+    if cause is not None or _holds_bool(value):
         raise SchemaError(f"{context}: expected numbers, got {value!r}") \
-            from exc
+            from cause
+    return arr
+
+
+def _holds_bool(value):
+    # called on what numpy took for numbers, so its nesting is shallow;
+    # a row of plain numbers is passed over at once
+    if isinstance(value, (list, tuple)):
+        return not _NUMBER.issuperset(map(type, value)) \
+            and any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
 
 
 def _profile_from_dict(d, context):
@@ -254,9 +419,11 @@ def scenario_from_dict(doc):
         pd = _need(rd, "params", ctx)
         mass, inertia, damping = (_need(pd, key, f"{ctx}.params")
                                   for key in ("mass", "inertia", "damping"))
+        mass = _positive(mass, f"{ctx}.params.mass")
+        inertia = _positive(inertia, f"{ctx}.params.inertia")
+        damping = _array(damping, f"{ctx}.params.damping")
         try:
-            params = RobotParams(mass=float(mass), inertia=float(inertia),
-                                 damping=np.asarray(damping, dtype=float))
+            params = RobotParams(mass=mass, inertia=inertia, damping=damping)
         except ValueError as exc:
             raise ValidationError(f"{ctx}.params: {exc}") from exc
         robots.append(RobotSpec(start=start, profile=profile,
@@ -321,7 +488,7 @@ def load_scenario(source, overrides=None):
     replace the text's before the config is validated."""
     text = source.read_text() if isinstance(source, Path) else source
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        doc = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"config is not valid YAML: {exc}") from exc
     if overrides and isinstance(doc, dict):

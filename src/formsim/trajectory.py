@@ -18,11 +18,14 @@ is independent of the state, and the x/y increments follow from the
 stage cosines and sines. Written with the same operations in the same
 order as ``rk4_step``, the closed form is the same floating-point step;
 it lets a whole pose grid be built with a handful of array operations and
-two running sums, and lets robots sharing a twist table step together.
+two running sums, and lets robots sharing a twist table step together:
+their stage twists and heading increments are computed once, and only
+the stage headings and the running sums carry a robot axis.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +44,9 @@ __all__ = [
 
 SPEED_FLOOR = 1e-6
 
-# Grid steps integrated per array pass; bounds the construction's
-# temporaries (tens of floats per step) to a few MiB for any span.
+# Grid points (steps times robots) integrated per array pass; bounds the
+# construction's temporaries (tens of floats per point) to a few MiB for
+# any span and any number of robots.
 _GRID_CHUNK = 4096
 
 
@@ -140,9 +144,14 @@ class ConstantTwist:
             raise SingularSpeed(
                 f"|v|={abs(self.v):g} below floor {SPEED_FLOOR:g}"
             )
-        if not np.all(np.isfinite([*self.pose0, self.v, self.omega])):
+        values = (*self.pose0, self.v, self.omega)
+        if all(v.__class__ is float for v in values):
+            finite = all(map(math.isfinite, values))
+        else:
+            finite = np.all(np.isfinite(values))
+        if not finite:
             raise ValueError("profile parameters must be finite")
-        object.__setattr__(self, "pose0", tuple(float(c) for c in self.pose0))
+        object.__setattr__(self, "pose0", tuple(map(float, self.pose0)))
 
 
 @dataclass(frozen=True)
@@ -153,16 +162,15 @@ class SampledTwist:
     Twist between samples is cubic Hermite in each component, so the
     returned twist rate is the exact derivative of the returned twist.
     Outside the table the twist is held constant with zero rate. The pose
-    is integrated once at construction, by classical fourth-order
-    Runge-Kutta at ``grid_dt`` (finite and positive; the last step is
-    shortened to end at the table's span); ``ProfileSet`` (and so
-    ``desired_state``) evaluates it at arbitrary t by a single short step
-    from the stored grid point at or before t, keeping evaluation pure and
-    the profile immutable. Both use the closed-stage form of the step
-    described in the module docstring: the Hermite twist is evaluated at
-    every step's three stage times in array passes of ``_GRID_CHUNK``
-    steps, the headings are a running sum of their increments, and the
-    positions a running sum of increments built from the stage headings.
+    is integrated by classical fourth-order Runge-Kutta at ``grid_dt``
+    (finite and positive; the last step is shortened to end at the
+    table's span) into a grid of poses, once, on first use (``_grid``).
+    ``ProfileSet`` (and so ``desired_state``) evaluates the pose at
+    arbitrary t by a single short step from the stored grid point at or
+    before t, keeping evaluation pure. Robots sharing one table get their
+    grids from ``ProfileSet`` in one pass, bit-identical to each one's
+    ``_grid`` (see ``_pose_grids``). Both use the closed-stage form of the
+    step described in the module docstring.
     """
 
     pose0: tuple
@@ -170,7 +178,6 @@ class SampledTwist:
     twists: np.ndarray
     rates: np.ndarray
     grid_dt: float = 5e-4
-    _grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -191,12 +198,11 @@ class SampledTwist:
         if not (math.isfinite(grid_dt) and grid_dt > 0):
             raise ValueError(f"grid_dt must be finite and positive, "
                              f"got {grid_dt}")
-        object.__setattr__(self, "pose0", tuple(float(c) for c in self.pose0))
+        object.__setattr__(self, "pose0", tuple(map(float, self.pose0)))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "grid_dt", grid_dt)
-        object.__setattr__(self, "_grid", self._integrate_grid())
 
     @property
     def span(self):
@@ -207,25 +213,46 @@ class SampledTwist:
         val, der = _hermite(self.times, self.twists, self.rates, [t])
         return val[0], der[0]
 
-    def _integrate_grid(self):
-        steps = int(math.ceil(self.span / self.grid_dt))
-        grid = np.empty((steps + 1, 3))
-        grid[0] = self.pose0
-        # The running sums carry over from one chunk's last point to the
-        # next, so chunking only bounds the stage-twist temporaries.
-        for a in range(0, steps, _GRID_CHUNK):
-            b = min(a + _GRID_CHUNK, steps)
-            tk = np.arange(a, b) * self.grid_dt
-            h = np.minimum(self.grid_dt, self.span - tk)
-            stages = _hermite(self.times, self.twists, self.rates,
-                              np.concatenate([tk, tk + 0.5 * h, tk + h]))[0]
-            v, w = stages.reshape(3, b - a, 2).transpose(2, 0, 1)
-            cell = grid[a:b + 1]
-            cell[1:, 2] = _heading_increment(h, w)
-            np.add.accumulate(cell[:, 2], out=cell[:, 2])
-            cell[1:, :2] = _position_increment(cell[:-1, 2], h, v, w).T
-            np.add.accumulate(cell[:, :2], axis=0, out=cell[:, :2])
-        return grid
+    @cached_property
+    def _grid(self):
+        """Pose grid (steps + 1, 3) at ``grid_dt`` from ``pose0``."""
+        return _pose_grids(self, [self.pose0])[:, :, 0]
+
+
+def _pose_grids(table, poses0):
+    """Pose grids (steps + 1, 3, R) of R start poses ``poses0`` (R, 3)
+    under the twist of ``table``, a SampledTwist.
+
+    Column r is bit for bit the grid of poses0[r] alone: every entry goes
+    through the same operations whatever R is. The Hermite twist is
+    evaluated once per pass at each step's three stage times, and so are
+    the heading increments; the stage headings and the running sums of
+    the headings and positions carry the robot axis. A pass covers
+    ``_GRID_CHUNK // R`` steps, and the running sums carry over from one
+    pass's last point to the next, so passes only bound the temporaries.
+    """
+    span, dt = table.span, table.grid_dt
+    steps = int(math.ceil(span / dt))
+    grid = np.empty((steps + 1, 3, len(poses0)))
+    grid[0] = np.transpose(poses0)
+    chunk = max(1, _GRID_CHUNK // len(poses0))
+    for a in range(0, steps, chunk):
+        b = min(a + chunk, steps)
+        tk = np.arange(a, b) * dt
+        h = np.minimum(dt, span - tk)
+        stages = _hermite(table.times, table.twists, table.rates,
+                          np.concatenate([tk, tk + 0.5 * h, tk + h]))[0]
+        # stage twists (3, steps, 1) and steps (steps, 1) broadcast over
+        # the robots
+        v, w = stages.reshape(3, b - a, 2, 1).transpose(2, 0, 1, 3)
+        h = h[:, None]
+        cell = grid[a:b + 1]
+        cell[1:, 2] = _heading_increment(h, w)
+        np.add.accumulate(cell[:, 2], axis=0, out=cell[:, 2])
+        cell[1:, :2] = _position_increment(cell[:-1, 2], h, v,
+                                           w).transpose(1, 0, 2)
+        np.add.accumulate(cell[:, :2], axis=0, out=cell[:, :2])
+    return grid
 
 
 class ProfileSet:
@@ -239,8 +266,10 @@ class ProfileSet:
     (times, twists, rates, grid_dt) form one group: each call evaluates
     the group's Hermite twist once, at every time and at the three stage
     times of its short pose step, and steps the group's stacked pose
-    grids together. Blocks are contiguous in an internal robot order,
-    which is mapped back to the callers' order on return when it differs.
+    grids together. A group of several robots integrates its grids here
+    in one pass (``_pose_grids``); a lone robot uses its profile's own
+    grid. Blocks are contiguous in an internal robot order, which is
+    mapped back to the callers' order on return when it differs.
     """
 
     def __init__(self, profiles):
@@ -284,10 +313,10 @@ class ProfileSet:
         at = nc
         for group in tables.values():
             # (steps + 1, 3, robots); a lone robot's grid is a view
-            grids = (profiles[group[0]]._grid[:, :, None] if len(group) == 1
-                     else np.stack([profiles[i]._grid for i in group], axis=2))
-            self._groups.append((slice(at, at + len(group)),
-                                 profiles[group[0]], grids))
+            p = profiles[group[0]]
+            grids = (p._grid[:, :, None] if len(group) == 1 else
+                     _pose_grids(p, [profiles[i].pose0 for i in group]))
+            self._groups.append((slice(at, at + len(group)), p, grids))
             at += len(group)
 
     def evaluate(self, t):

@@ -205,6 +205,69 @@ def test_run_malformed_count_edge_or_gain_exits_2(tmp_path, capsys, field,
     assert f"config error: {message}" in err
 
 
+@pytest.mark.parametrize("line,message", [
+    ("dt: yes", "SchemaError: dt: expected a number, got True"),
+    ("sample_every: on", "SchemaError: sample_every: expected a number, "
+                         "got True"),
+    ("t_final: true", "SchemaError: t_final: expected a number, got True"),
+    ("threshold: off", "SchemaError: threshold: expected a number, "
+                       "got False"),
+    ("n: yes", "SchemaError: n: expected a number, got True"),
+    ("edges: [[1, on], [2, 3], [3, 4], [4, 5]]",
+     "SchemaError: edges[1]: expected a number, got True"),
+    ("gains: {formation: [2, yes, 10]}",
+     "SchemaError: gains.formation: expected numbers, got [2, True, 10]"),
+    ("gains: {formation: yes}",
+     "SchemaError: gains.formation: expected numbers, got True"),
+])
+def test_run_boolean_for_number_exits_2(tmp_path, capsys, line, message):
+    # YAML 1.1 reads yes, on and true (no, off, false) as booleans; where
+    # a number goes each is a schema error, not a silent 1 (or 0)
+    doc = fs.scenario_to_dict(fs.get_preset("kinematic-pentagon"))
+    doc["t_final"] = 0.2
+    doc.pop(line.split(":")[0], None)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc) + line + "\n")
+    code = main(["run", "--config", str(path), "--trace",
+                 str(tmp_path / "t.csv"), "--metrics",
+                 str(tmp_path / "m.yaml")])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("robot,field,value,message", [
+    (0, "mass", float("nan"),
+     "ValidationError: robots[1].params.mass: value must be finite"),
+    (0, "mass", float("inf"),
+     "ValidationError: robots[1].params.mass: value must be finite"),
+    (0, "mass", "abc",
+     "SchemaError: robots[1].params.mass: expected a number, got 'abc'"),
+    (3, "inertia", float("nan"),
+     "ValidationError: robots[4].params.inertia: value must be finite"),
+    (3, "inertia", float("-inf"),
+     "ValidationError: robots[4].params.inertia: value must be finite"),
+    (3, "inertia", "abc",
+     "SchemaError: robots[4].params.inertia: expected a number"),
+    (4, "mass", True,
+     "SchemaError: robots[5].params.mass: expected a number, got True"),
+])
+def test_run_bad_plant_parameter_exits_2(tmp_path, capsys, robot, field,
+                                         value, message):
+    # a plant parameter is checked like every other number, and the
+    # error names it (a nan mass used to fail at run time, an infinite
+    # one to run)
+    doc = fs.scenario_to_dict(fs.get_preset("adaptive-pentagon"))
+    doc["t_final"] = 0.2
+    doc["robots"][robot]["params"][field] = value
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["run", "--config", str(path), "--trace",
+                 str(tmp_path / "t.csv"), "--metrics",
+                 str(tmp_path / "m.yaml")])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name,key,message", [
     ("kinematic-pentagon", None, "robots[1]: expected a mapping, got int"),
     ("kinematic-pentagon", "trajectory",

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,127 @@ def test_validation_rejects_bad_steps():
 def test_validation_rejects_bad_run_scalars(field, value, error):
     with pytest.raises(error, match=field):
         fs.scenario_from_dict(_tiny_doc(**{field: value}))
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+_PENTAGON = fs.scenario_to_dict(fs.get_preset("adaptive-pentagon"))
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("dt",), True, "dt: expected a number, got True"),
+    (("sample_every",), True, "sample_every: expected a number, got True"),
+    (("threshold",), False, "threshold: expected a number, got False"),
+    (("n",), True, "n: expected a number, got True"),
+    (("edges",), [[1, True]], "edges[1]: expected a number, got True"),
+    (("gains", "formation"), [1.0, True, 1.0],
+     "gains.formation: expected numbers, got [1.0, True, 1.0]"),
+    (("gains", "formation"), [1.0] * 5 + [False], "gains.formation"),
+    (("robots", 0, "start"), [True, 0.0, 0.0],
+     "robots[1].start: expected numbers, got [True, 0.0, 0.0]"),
+    (("robots", 0, "start"), [[0.0, False, 0.0]], "robots[1].start"),
+    (("robots", 0, "start"), True, "robots[1].start: expected numbers, got "
+                                   "True"),
+    (("robots", 1, "trajectory", "twist"), [1.0, True],
+     "robots[2].trajectory.twist"),
+    (("robots", 1, "trajectory", "start"), (0, 0, False),
+     "robots[2].trajectory.start"),
+])
+def test_booleans_are_not_numbers(path, value, message):
+    # YAML reads yes, on and true as booleans; numpy and float() would
+    # take them for 1, so wherever a number goes a bool is a schema error
+    doc = _tiny_doc(threshold=0.1)
+    _set(doc, path, value)
+    with pytest.raises(fs.SchemaError, match=re.escape(message)):
+        fs.scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("robots", 2, "start_twist"), [0.0, True]),
+    (("robots", 2, "estimate0"), [0.0] * 5 + [True]),
+    (("robots", 2, "params", "damping"), [[0.3, True], [0.0, 0.004]]),
+    (("robots", 2, "params", "mass"), True),
+    (("gains", "twist"), [3.0, True]),
+    (("gains", "adaptation"), [True] * 6),
+])
+def test_booleans_are_not_numbers_in_dynamic_fields(path, value):
+    doc = json.loads(json.dumps(_PENTAGON))
+    _set(doc, path, value)
+    context = "".join(f"[{k + 1}]" if isinstance(k, int) else f".{k}"
+                      for k in path).lstrip(".")
+    with pytest.raises(fs.SchemaError, match=re.escape(context)):
+        fs.scenario_from_dict(doc)
+
+
+def test_boolean_in_sampled_table_is_schema_error():
+    doc = _tiny_doc()
+    doc["robots"][1]["trajectory"] = {
+        "kind": "sampled_twist", "start": [1, 0, 0], "times": [0.0, 2.0],
+        "twists": [[1.0, 0.5], [True, 0.5]], "rates": [[0.0, 0.0]] * 2}
+    with pytest.raises(fs.SchemaError,
+                       match=re.escape("robots[2].trajectory.twists")):
+        fs.scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("path,flat,nested", [
+    (("robots", 0, "start"), [1.0, 2.0], [[1.0, 2.0]]),
+    (("robots", 0, "start"), [1, 2, float("nan")], [[1, 2, float("nan")]]),
+    (("robots", 0, "start"), [1, 2, 3], [[1], [2], [3]]),
+    (("robots", 0, "trajectory", "twist"), [1, "x"], [[1, "x"]]),
+    (("gains", "formation"), [1.0, 0.0, 1.0], [[1.0, 0.0, 1.0]]),
+    (("gains", "formation"), [1, 2], [[1, 2]]),
+    (("gains", "formation"), [1, 2, float("inf")], [[1, 2, float("inf")]]),
+    (("gains", "formation"), [1, 2, 3] * 2, [[1, 2, 3]] * 2),
+    (("robots", 0, "start"), [10 ** 400, 0, 0], [[10 ** 400, 0, 0]]),
+])
+def test_flat_and_nested_numbers_check_alike(path, flat, nested):
+    # a flat list of Python numbers is checked without numpy, anything
+    # else through an array; both give the same values or the same error
+    outcomes = []
+    for value in (flat, nested):
+        doc = _tiny_doc()
+        _set(doc, path, value)
+        try:
+            cfg = fs.scenario_from_dict(doc)
+            outcomes.append((cfg.robots[0].start, cfg.robots[0].profile,
+                             cfg.formation_gain))
+        except (ValueError, OverflowError) as exc:
+            outcomes.append((type(exc), str(exc).replace(repr(value), "")))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("field,value,error,message", [
+    ("mass", float("nan"), fs.ValidationError,
+     "robots[3].params.mass: value must be finite, got nan"),
+    ("mass", float("inf"), fs.ValidationError,
+     "robots[3].params.mass: value must be finite, got inf"),
+    ("mass", "abc", fs.SchemaError,
+     "robots[3].params.mass: expected a number, got 'abc'"),
+    ("inertia", 0.0, fs.ValidationError,
+     "robots[3].params.inertia must be positive, got 0"),
+    ("damping", "abc", fs.SchemaError,
+     "robots[3].params.damping: expected numbers, got 'abc'"),
+    ("damping", [[1.0, 0.0]], fs.ValidationError,
+     "robots[3].params: damping must be a finite 2x2 matrix"),
+])
+def test_plant_parameters_are_checked_numbers(field, value, error, message):
+    doc = json.loads(json.dumps(_PENTAGON))
+    doc["robots"][2]["params"][field] = value
+    with pytest.raises(error) as info:
+        fs.scenario_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_robot_params_reject_non_finite():
+    for mass, inertia in [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf),
+                          (1.0, -np.inf)]:
+        with pytest.raises(ValueError, match="finite and positive"):
+            fs.RobotParams(mass=mass, inertia=inertia,
+                           damping=np.zeros((2, 2)))
 
 
 def test_whole_sample_every_accepted():

@@ -1,5 +1,6 @@
 import bisect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -448,6 +449,40 @@ def test_profile_set_evaluates_shared_tables_once(monkeypatch):
     fs.desired_arrays(profile_set, np.linspace(0.0, 0.9, 7))
     assert len(calls) == 2      # at every time at once
     assert all(len(args[-1]) == 4 * 7 for args in calls)
+
+
+@pytest.mark.parametrize("robots,chunk", [(5, 4096), (7, 30), (3, 1)])
+def test_shared_table_grids_match_lone_builds(monkeypatch, robots, chunk):
+    # robots on one table integrate their grids in one pass of
+    # _GRID_CHUNK // robots steps (at least one); each column is, bit for
+    # bit, the grid its profile builds alone in passes of 4096 steps
+    rng = np.random.default_rng(robots)
+    base = _sine_profile(span=1.0, grid_dt=3e-4)
+    profs = [replace(base, pose0=tuple(rng.normal(size=3) * 3))
+             for _ in range(robots)]
+    want = [p._grid for p in profs]
+    monkeypatch.setattr(formsim.trajectory, "_GRID_CHUNK", chunk)
+    (_, _, grids), = fs.ProfileSet(profs)._groups
+    assert grids.shape == (len(want[0]), 3, robots)
+    for j, grid in enumerate(want):
+        assert np.array_equal(grids[:, :, j], grid)
+
+
+def test_shared_table_grid_evaluates_hermite_once(monkeypatch):
+    ts, tw, rt = TABLES[0]
+    profs = [fs.SampledTwist(pose0=(float(i), 0.0, 0.1 * i), times=ts,
+                             twists=tw, rates=rt) for i in range(6)]
+    calls = []
+    hermite = formsim.trajectory._hermite
+    monkeypatch.setattr(formsim.trajectory, "_hermite",
+                        lambda *args: calls.append(args) or hermite(*args))
+    fs.ProfileSet(profs)
+    # one call per pass of _GRID_CHUNK // 6 steps for the whole group, and
+    # no robot builds a grid of its own
+    steps = math.ceil(profs[0].span / profs[0].grid_dt)
+    assert len(calls) == math.ceil(
+        steps / (formsim.trajectory._GRID_CHUNK // len(profs)))
+    assert all("_grid" not in vars(p) for p in profs)
 
 
 def test_lone_sampled_profile_shares_its_grid():
