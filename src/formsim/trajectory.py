@@ -144,12 +144,7 @@ class ConstantTwist:
             raise SingularSpeed(
                 f"|v|={abs(self.v):g} below floor {SPEED_FLOOR:g}"
             )
-        values = (*self.pose0, self.v, self.omega)
-        if all(v.__class__ is float for v in values):
-            finite = all(map(math.isfinite, values))
-        else:
-            finite = np.all(np.isfinite(values))
-        if not finite:
+        if not all(map(math.isfinite, (*self.pose0, self.v, self.omega))):
             raise ValueError("profile parameters must be finite")
         object.__setattr__(self, "pose0", tuple(map(float, self.pose0)))
 
