@@ -10,30 +10,27 @@ CLI with CSV traces and YAML metrics.
 
 from .adaptive import (RobotParams, adaptation_rate, adaptive_control,
                        block_regression, lyapunov_diagnostics,
-                       params_to_vector, regression_matrix,
-                       vector_to_params)
+                       params_to_vector, regression_matrix)
 from .controller import (ErrorState, FictitiousVelocity, coupling_matrix,
                          coupling_rate, error_state, feedforward_rate,
                          feedforward_term, fictitious_velocity,
                          kinematic_control, tree_gram)
-from .engine import (DivergenceError, Engine, EvalRecord, SimState, Trace,
-                     rk4_step, simulate)
+from .engine import (DivergenceError, Engine, EvalRecord, Trace, rk4_step,
+                     simulate)
 from .graph import (CountError, CycleError, DisconnectedError, GraphError,
-                    SpanningTree, propagate_errors, validate_spanning_tree)
-from .linalg import (LeastSquaresResult, Pentadiagonal, PivotBreakdown,
-                     RankDeficient, TreeGram, chain_gram_determinant,
-                     chain_gram_pentadiagonal, chain_pivot_bounds,
-                     gram_pivot, least_squares_solve,
-                     pentadiagonal_determinant)
+                    SpanningTree, validate_spanning_tree)
+from .linalg import (LeastSquaresResult, RankDeficient, TreeGram,
+                     chain_gram_determinant, chain_pivot_bounds, gram_pivot,
+                     least_squares_solve)
 from .metrics import EmptyTrace, MetricsReport, compute_metrics
 from .presets import get_preset, preset_names
 from .scenario import (ParseError, RobotSpec, ScenarioConfig, SchemaError,
                        ValidationError, load_scenario, scenario_from_dict,
                        scenario_to_dict, serialize_scenario)
-from .se2 import (SELECT, SKEW, Pose, Twist, body_frame_error,
-                  rotation_matrix, steering_matrix, unicycle_rate)
+from .se2 import (SELECT, SKEW, body_frame_error, rotation_matrix,
+                  steering_matrix, unicycle_rate)
 from .trajectory import (ConstantTwist, DesiredState, ProfileSet,
                          SampledTwist, SingularSpeed, desired_arrays,
-                         desired_state, omega_from_cartesian)
+                         desired_state)
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "RobotParams",
     "params_to_vector",
-    "vector_to_params",
     "regression_matrix",
     "block_regression",
     "adaptive_control",
@@ -50,12 +49,6 @@ def params_to_vector(params):
     d = params.damping
     return np.array([params.mass, params.inertia,
                      d[0, 0], d[0, 1], d[1, 0], d[1, 1]])
-
-
-def vector_to_params(phi):
-    phi = np.asarray(phi, dtype=float)
-    return RobotParams(mass=phi[0], inertia=phi[1],
-                       damping=phi[2:6].reshape(2, 2))
 
 
 def regression_matrix(mu, twist):

@@ -142,6 +142,11 @@ def _check_lines(config, horizon):
 
 
 def _cmd_check(args):
+    # a horizon past t_final is cut to it, so inf is the whole run
+    if not args.horizon >= 0:
+        print(f"config error: --horizon must be a non-negative number of "
+              f"seconds, got {args.horizon}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config = _load(args.config, {"dt": args.dt})
     except _CONFIG_ERRORS as exc:

@@ -59,8 +59,8 @@ from .controller import (coupling_matrix, feedforward_term,  # noqa: F401
                          fictitious_velocity)
 from .trajectory import ProfileSet, desired_arrays, rk4_step
 
-__all__ = ["DivergenceError", "SimState", "Trace", "EvalRecord", "Engine",
-           "simulate", "rk4_step"]
+__all__ = ["DivergenceError", "Trace", "EvalRecord", "Engine", "simulate",
+           "rk4_step"]
 
 
 # Steps whose desired terms ``Engine.integrate`` evaluates in one pass;
@@ -71,16 +71,6 @@ _BLOCK_STEPS = 16
 
 class DivergenceError(RuntimeError):
     """State left the finite range during integration."""
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Unpacked simulation state at one instant."""
-
-    t: float
-    poses: np.ndarray
-    twists: np.ndarray = None
-    phihat: np.ndarray = None
 
 
 @dataclass
@@ -181,15 +171,6 @@ class Engine:
                                  for spec in cfg.robots])
         return np.concatenate([poses.reshape(-1), twists.reshape(-1),
                                phihat])
-
-    def unpack(self, t, y):
-        n = self.n
-        poses = y[:3 * n].reshape(n, 3).copy()
-        if self.mode == "kinematic":
-            return SimState(t=t, poses=poses)
-        return SimState(t=t, poses=poses,
-                        twists=y[3 * n:5 * n].reshape(n, 2).copy(),
-                        phihat=y[5 * n:].copy())
 
     # ---- the control law ----
 

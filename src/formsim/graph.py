@@ -5,8 +5,8 @@ leader). Edges are oriented parent-first, with the parent the endpoint
 closer to the root; the per-edge coordination error is defined as
 e_parent - e_child in that orientation. Validation reorders edges
 topologically from the root so that downstream consumers (error stacking,
-coupling matrix columns, error propagation) can rely on parents appearing
-before their children.
+coupling matrix columns, the leaves-first Gram factor) can rely on parents
+appearing before their children.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,6 @@ __all__ = [
     "CountError",
     "SpanningTree",
     "validate_spanning_tree",
-    "propagate_errors",
 ]
 
 
@@ -109,18 +108,3 @@ def validate_spanning_tree(n, edges):
     if remaining or len(ordered) != n - 1:
         raise CountError(f"expected {n - 1} edges, got {len(edges)}")
     return SpanningTree(n=n, edges=tuple(ordered))
-
-
-def propagate_errors(tree, root_error, edge_errors):
-    """Recover every per-robot tracking error from the root error and the
-    per-edge coordination errors: e_child = e_parent - eps_edge.
-
-    ``edge_errors`` is indexed in the tree's edge order; returns an (n, 3)
-    array of tracking errors indexed by 0-based vertex.
-    """
-    root_error = np.asarray(root_error, dtype=float)
-    e = np.empty((tree.n, 3))
-    e[0] = root_error
-    for k, (i, j) in enumerate(tree.edges):
-        e[j - 1] = e[i - 1] - np.asarray(edge_errors[k], dtype=float)
-    return e

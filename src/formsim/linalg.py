@@ -1,4 +1,4 @@
-"""Least-squares solves of the control law and pentadiagonal machinery.
+"""Least-squares solves of the control law and the chain pivot certificate.
 
 The control law's normal equations G x = A^T b sit over a spanning tree
 rooted at robot 1 (index 0), and G = A^T A has a closed form that needs
@@ -29,9 +29,9 @@ column order; for chains they are the recursion pivots of
 2/m against a largest diagonal of 2.
 
 The Gram matrix of a chain is pentadiagonal with a fixed sparsity pattern,
-which admits an O(m) determinant recursion with provable pivot bounds; a
-general pentadiagonal determinant and the dense solver give independent
-cross-checks of it.
+which admits an O(m) determinant recursion with provable pivot bounds.
+The tests cross-check that recursion against ``TreeGram``'s pivots and
+against dense LAPACK: the determinant and the Cholesky factor of A^T A.
 """
 
 import math
@@ -41,30 +41,20 @@ import numpy as np
 
 __all__ = [
     "PIVOT_RTOL",
-    "PIVOT_FLOOR",
     "RankDeficient",
-    "PivotBreakdown",
     "LeastSquaresResult",
     "gram_pivot",
     "least_squares_solve",
     "TreeGram",
-    "Pentadiagonal",
-    "pentadiagonal_determinant",
-    "chain_gram_pentadiagonal",
     "chain_gram_determinant",
     "chain_pivot_bounds",
 ]
 
 PIVOT_RTOL = 1e-12
-PIVOT_FLOOR = 1e-14
 
 
 class RankDeficient(RuntimeError):
     """Normal-equations matrix too close to singular to trust."""
-
-
-class PivotBreakdown(RuntimeError):
-    """A determinant-recursion pivot fell below double-precision meaning."""
 
 
 def gram_pivot(G):
@@ -163,13 +153,6 @@ class TreeGram:
         out[0::2] = self._piv
         return out
 
-    @property
-    def pivot(self):
-        """Smallest pivot divided by the largest diagonal entry of G."""
-        children = np.bincount([p for p, _ in self._edges],
-                               minlength=len(self._piv))
-        return float(self.pivots.min() / (1 + children.max()))
-
     def solve(self, rhs):
         """Solve G x = rhs for an interleaved (2n,) right-hand side."""
         rhs = np.asarray(rhs, dtype=float)
@@ -190,114 +173,6 @@ class TreeGram:
         out[0::2] = bv
         out[1::2] = bw
         return out
-
-
-@dataclass(frozen=True)
-class Pentadiagonal:
-    """Banded matrix with nonzeros only on the main diagonal and the two
-    diagonals on each side. Diagonals are stored dense: main (m,),
-    super1/sub1 (m-1,), super2/sub2 (m-2,).
-    """
-
-    main: np.ndarray
-    super1: np.ndarray
-    super2: np.ndarray
-    sub1: np.ndarray
-    sub2: np.ndarray
-
-    def __post_init__(self):
-        m = self.order
-        if m < 1:
-            raise ValueError("order must be at least 1")
-        want = (m, max(m - 1, 0), max(m - 2, 0))
-        got = (len(self.main), len(self.super1), len(self.super2))
-        if got != want or (len(self.sub1), len(self.sub2)) != want[1:]:
-            raise ValueError(f"inconsistent diagonal lengths {got} for m={m}")
-
-    @property
-    def order(self):
-        return len(self.main)
-
-    def dense(self):
-        m = self.order
-        out = np.zeros((m, m))
-        out[np.arange(m), np.arange(m)] = self.main
-        if m > 1:
-            idx = np.arange(m - 1)
-            out[idx, idx + 1] = self.super1
-            out[idx + 1, idx] = self.sub1
-        if m > 2:
-            idx = np.arange(m - 2)
-            out[idx, idx + 2] = self.super2
-            out[idx + 2, idx] = self.sub2
-        return out
-
-
-def pentadiagonal_determinant(penta):
-    """Determinant of a pentadiagonal matrix by the linear-recurrence
-    elimination: det = prod(x_i) with x, y, z sequences built in O(m).
-
-    Raises PivotBreakdown when some |x_i| < PIVOT_FLOOR, the regime where
-    the recurrence divides by a value without double-precision meaning.
-    """
-    a = np.asarray(penta.main, dtype=float)
-    b = np.asarray(penta.super1, dtype=float)
-    c = np.asarray(penta.super2, dtype=float)
-    d = np.asarray(penta.sub1, dtype=float)
-    e = np.asarray(penta.sub2, dtype=float)
-    m = len(a)
-
-    x = np.empty(m)
-    y = np.empty(max(m - 1, 1))
-    z = np.empty(max(m, 2))
-
-    def _checked(value, i):
-        if abs(value) < PIVOT_FLOOR:
-            raise PivotBreakdown(f"pivot x_{i + 1} = {value:.3e}")
-        return value
-
-    x[0] = _checked(a[0], 0)
-    if m == 1:
-        return float(x[0])
-    y[0] = b[0]
-    z[1] = d[0] / x[0]
-    x[1] = _checked(a[1] - y[0] * z[1], 1)
-    if m > 2:
-        y[1] = b[1] - z[1] * c[0]
-    for i in range(2, m):
-        z[i] = (d[i - 1] - e[i - 2] * y[i - 2] / x[i - 2]) / x[i - 1]
-        x[i] = _checked(
-            a[i] - y[i - 1] * z[i] - e[i - 2] * c[i - 2] / x[i - 2], i
-        )
-        if i < m - 1:
-            y[i] = b[i] - z[i] * c[i - 1]
-    return float(np.prod(x))
-
-
-def chain_gram_pentadiagonal(headings):
-    """Pentadiagonal form of the chain coupling matrix's Gram matrix.
-
-    For a chain of n robots the Gram matrix is 2n x 2n with main diagonal
-    (2, ..., 2, 1, 1), empty first off-diagonals, and second off-diagonals
-    alternating -cos(heading difference across an edge) and -1.
-    """
-    th = np.asarray(headings, dtype=float)
-    n = len(th)
-    if n < 1:
-        raise ValueError("need at least one robot")
-    m = 2 * n
-    main = np.full(m, 2.0)
-    main[m - 2:] = 1.0
-    super1 = np.zeros(max(m - 1, 0))
-    super2 = np.empty(max(m - 2, 0))
-    for ic in range(m - 2):
-        if ic % 2 == 0:
-            k = ic // 2
-            super2[ic] = -np.cos(th[k] - th[k + 1])
-        else:
-            super2[ic] = -1.0
-    return Pentadiagonal(main=main, super1=super1, super2=super2,
-                         sub1=super1.copy(), sub2=super2.copy())
 
 
 def chain_gram_determinant(headings):

@@ -78,8 +78,7 @@ def compute_metrics(trace, threshold=None):
     err = np.stack([trace.column(f"norm_e{i}") for i in range(1, n + 1)],
                    axis=1)
     if threshold is None:
-        threshold = float(trace.meta.get("threshold") or 0.0) or \
-            DEFAULT_THRESHOLD_FRACTION * float(err[0].max())
+        threshold = DEFAULT_THRESHOLD_FRACTION * float(err[0].max())
 
     conv, unconverged = [], []
     for i in range(n):

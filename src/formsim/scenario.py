@@ -232,7 +232,7 @@ def _plain(value):
             and _NUMBER.issuperset(map(type, value)):
         try:
             return list(map(float, value))
-        except OverflowError:       # an int beyond float: numpy's error
+        except OverflowError:       # an int beyond float: _array's error
             pass
     return None
 
@@ -251,7 +251,8 @@ def _floats(value, length, context):
 
 def _scalar(value, context):
     """One finite number: SchemaError when ``value`` is not a number (a
-    bool is not one), ValidationError when it is not finite."""
+    bool is not one), ValidationError when it is not finite, as an int
+    beyond float range is not."""
     try:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError("a bool is not a number")
@@ -259,6 +260,8 @@ def _scalar(value, context):
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{context}: expected a number, got {value!r}") \
             from exc
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
     if not math.isfinite(x):
         raise ValidationError(f"{context}: value must be finite, got {x}")
     return x
@@ -297,12 +300,15 @@ def _gain(value, n, width, context):
 
 def _array(value, context):
     """``value`` as a float array; SchemaError when it is not numbers,
-    or holds a bool, which numpy would read as 0 or 1."""
+    or holds a bool, which numpy would read as 0 or 1, ValidationError
+    when it holds an int beyond float range."""
     try:
         arr = np.asarray(value, dtype=float)
         cause = None
     except (TypeError, ValueError) as exc:
         cause = exc
+    except OverflowError as exc:
+        raise ValidationError(f"{context}: values must be finite") from exc
     if cause is not None or _holds_bool(value):
         raise SchemaError(f"{context}: expected numbers, got {value!r}") \
             from cause
@@ -493,6 +499,11 @@ def load_scenario(source, overrides=None):
         doc = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"config is not valid YAML: {exc}") from exc
+    except (ValueError, LookupError, AttributeError) as exc:
+        # PyYAML's constructors raise these untyped for a tagged scalar
+        # they cannot build, such as !!int abc or !!float ""
+        raise ParseError(f"config has a value YAML cannot construct: "
+                         f"{type(exc).__name__}: {exc}") from exc
     if overrides and isinstance(doc, dict):
         doc = {**doc, **overrides}
     return scenario_from_dict(doc)

@@ -6,15 +6,11 @@ directly and desired headings grow without bound on circular maneuvers.
 All matrices are small dense float arrays with value semantics.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "SKEW",
     "SELECT",
-    "Pose",
-    "Twist",
     "rotation_matrix",
     "steering_matrix",
     "body_frame_error",
@@ -29,47 +25,6 @@ SKEW = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 # equals steering_matrix(0). Its transpose selects the surge and heading
 # components of a body-frame vector.
 SELECT = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Planar configuration (x, y, heading). Heading is not wrapped."""
-
-    x: float
-    y: float
-    theta: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.x, self.y, self.theta])):
-            raise ValueError(f"pose must be finite, got {self}")
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.theta])
-
-    @classmethod
-    def from_array(cls, q):
-        q = np.asarray(q, dtype=float)
-        return cls(q[0], q[1], q[2])
-
-
-@dataclass(frozen=True)
-class Twist:
-    """Body velocities: translational speed v and angular speed omega."""
-
-    v: float
-    omega: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.v, self.omega])):
-            raise ValueError(f"twist must be finite, got {self}")
-
-    def as_array(self):
-        return np.array([self.v, self.omega])
-
-    @classmethod
-    def from_array(cls, eta):
-        eta = np.asarray(eta, dtype=float)
-        return cls(eta[0], eta[1])
 
 
 def rotation_matrix(theta):

@@ -38,7 +38,6 @@ __all__ = [
     "ProfileSet",
     "desired_state",
     "desired_arrays",
-    "omega_from_cartesian",
     "rk4_step",
 ]
 
@@ -401,12 +400,3 @@ def desired_arrays(profiles, t):
     if not isinstance(profiles, ProfileSet):
         profiles = ProfileSet(profiles)
     return profiles.evaluate(t)
-
-
-def omega_from_cartesian(xdot, xddot, ydot, yddot, v):
-    """Angular speed implied by Cartesian derivatives of a rolling path:
-    (xdot * yddot - xddot * ydot) / v**2. Guards the v -> 0 singularity.
-    """
-    if abs(v) < SPEED_FLOOR:
-        raise SingularSpeed(f"|v|={abs(v):g} below floor {SPEED_FLOOR:g}")
-    return (xdot * yddot - xddot * ydot) / (v * v)

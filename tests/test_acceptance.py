@@ -81,12 +81,9 @@ def test_03_determinant_equivalence(rng):
         for _ in range(500):
             th = rng.uniform(-12.0, 12.0, n)
             d_rec, _ = fs.chain_gram_determinant(th)
-            d_gen = fs.pentadiagonal_determinant(
-                fs.chain_gram_pentadiagonal(th))
             A = fs.coupling_matrix(tree, th)
             d_lu = np.linalg.det(A.T @ A)
             assert d_rec > 0.0
-            assert abs(d_rec - d_gen) <= 1e-9 * abs(d_rec)
             assert abs(d_rec - d_lu) <= 1e-9 * max(abs(d_rec), abs(d_lu))
     _report(3, "determinant-equivalence")
 

@@ -190,6 +190,10 @@ _CHAIN_TAIL = [[2, 3], [3, 4], [4, 5]]
     ("edges", 5, "SchemaError: edges"),
     ("gains", 5, "SchemaError: gains: expected a mapping, got int"),
     ("gains", [1.0, 2.0], "SchemaError: gains: expected a mapping, got list"),
+    pytest.param("sample_every", 10 ** 400, "ValidationError: sample_every",
+                 id="sample_every-10**400"),
+    pytest.param("gains", {"formation": [2, 10 ** 400, 10]},
+                 "ValidationError: gains.formation", id="gains-10**400"),
 ])
 def test_run_malformed_count_edge_or_gain_exits_2(tmp_path, capsys, field,
                                                   value, message):
@@ -233,6 +237,21 @@ def test_run_boolean_for_number_exits_2(tmp_path, capsys, line, message):
                  str(tmp_path / "m.yaml")])
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["dt: !!int abc", 'dt: !!float ""'])
+def test_run_unconstructible_value_exits_2(tmp_path, capsys, line):
+    # PyYAML's constructors fail untyped on these tagged scalars
+    doc = fs.scenario_to_dict(fs.get_preset("kinematic-pentagon"))
+    doc["t_final"] = 0.2
+    doc.pop("dt")
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc) + line + "\n")
+    code = main(["run", "--config", str(path), "--trace",
+                 str(tmp_path / "t.csv"), "--metrics",
+                 str(tmp_path / "m.yaml")])
+    assert code == 2
+    assert "config error: ParseError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("robot,field,value,message", [
@@ -345,6 +364,25 @@ def test_check_output_matches_reference_loop(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(fs.Engine, "integrate", _reference_integrate)
     assert main(args) == code == 0
     assert capsys.readouterr().out == got
+
+
+@pytest.mark.parametrize("horizon", ["nan", "-1"])
+def test_check_bad_horizon_exits_2(tmp_path, capsys, horizon):
+    cfg_path = _write_short_preset(tmp_path)
+    code = main(["check", "--config", str(cfg_path), "--horizon", horizon])
+    assert code == 2
+    assert "config error: --horizon" in capsys.readouterr().err
+
+
+def test_check_horizon_zero_and_inf(tmp_path, capsys):
+    # zero probes the start alone; inf is cut to t_final
+    cfg_path = _write_short_preset(tmp_path)
+    for horizon in ("0", "inf"):
+        code = main(["check", "--config", str(cfg_path),
+                     "--horizon", horizon])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "PASS least-squares-contract" in out
 
 
 def test_check_skips_chain_certificate_for_star_tree(tmp_path, capsys):

@@ -78,8 +78,15 @@ def test_coupling_gram_matches_chain_assembly(rng):
     tree = chain_tree(3)
     th = rng.uniform(-5, 5, 3)
     A = fs.coupling_matrix(tree, th)
-    assert np.abs(A.T @ A
-                  - fs.chain_gram_pentadiagonal(th).dense()).max() < 1e-13
+    # the closed form of the linalg docstring: diagonal 2, but 1 for the
+    # last robot; -cos of each edge's heading difference between its v
+    # slots and -1 between its w slots
+    want = np.diag([2.0, 2.0, 2.0, 2.0, 1.0, 1.0])
+    for k in range(2):
+        want[2 * k, 2 * k + 2] = want[2 * k + 2, 2 * k] = \
+            -np.cos(th[k] - th[k + 1])
+        want[2 * k + 1, 2 * k + 3] = want[2 * k + 3, 2 * k + 1] = -1.0
+    assert np.abs(A.T @ A - want).max() < 1e-13
 
 
 def test_coupling_full_rank_at_pentagon_start():

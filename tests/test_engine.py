@@ -123,13 +123,14 @@ def test_unpack_round_trip():
     cfg = _mini_dynamic(n=3)
     eng = fs.Engine(cfg)
     y = eng.initial_state()
-    state = eng.unpack(0.0, y)
-    assert state.poses.shape == (3, 3)
-    assert state.twists.shape == (3, 2)
-    assert state.phihat.shape == (18,)
-    assert np.array_equal(
-        np.concatenate([state.poses.reshape(-1), state.twists.reshape(-1),
-                        state.phihat]), y)
+    # the state stacks poses (3n), twists (2n) and estimates (6n)
+    assert y.shape == (3 * 3 + 2 * 3 + 6 * 3,)
+    assert np.array_equal(y[:9].reshape(3, 3),
+                          [spec.start for spec in cfg.robots])
+    assert np.array_equal(y[9:15].reshape(3, 2),
+                          [spec.start_twist for spec in cfg.robots])
+    assert np.array_equal(y[15:].reshape(3, 6),
+                          [spec.estimate0 for spec in cfg.robots])
 
 
 # ---- simulate ----

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import formsim as fs
@@ -63,27 +62,6 @@ def test_error_hierarchy():
     for cls in (fs.CycleError, fs.DisconnectedError, fs.CountError):
         assert issubclass(cls, fs.GraphError)
         assert issubclass(cls, ValueError)
-
-
-def test_propagate_zero_edge_errors():
-    tree = fs.validate_spanning_tree(4, [(1, 2), (2, 3), (3, 4)])
-    e = fs.propagate_errors(tree, [1.0, 1.0, 0.0], np.zeros((3, 3)))
-    assert np.array_equal(e, np.tile([1.0, 1.0, 0.0], (4, 1)))
-
-
-def test_propagate_two_robot_chain():
-    tree = fs.validate_spanning_tree(2, [(1, 2)])
-    e = fs.propagate_errors(tree, np.zeros(3), [[1.0, 0.0, 0.0]])
-    assert np.array_equal(e[1], [-1.0, 0.0, 0.0])
-
-
-def test_propagate_round_trip(rng):
-    tree = fs.validate_spanning_tree(4, [(1, 2), (2, 3), (3, 4)])
-    for _ in range(50):
-        eps = rng.normal(size=(3, 3))
-        e = fs.propagate_errors(tree, rng.normal(size=3), eps)
-        back = np.array([e[i - 1] - e[j - 1] for i, j in tree.edges])
-        assert np.abs(back - eps).max() < 1e-13
 
 
 def _oracle_accepts(n, edges):

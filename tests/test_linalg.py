@@ -17,16 +17,6 @@ def _cofactor_det(M):
     return total
 
 
-def _random_penta(rng, m):
-    return fs.Pentadiagonal(
-        main=rng.uniform(2.0, 4.0, m),
-        super1=rng.normal(size=max(m - 1, 0)),
-        super2=rng.normal(size=max(m - 2, 0)),
-        sub1=rng.normal(size=max(m - 1, 0)),
-        sub2=rng.normal(size=max(m - 2, 0)),
-    )
-
-
 # ---- least squares ----
 
 def test_selector_least_squares():
@@ -114,7 +104,6 @@ def test_tree_gram_two_aligned_robots():
     # (pivot 1) leaves the root 2 - 1/1 = 1
     gram = fs.TreeGram([(0, 1)], [1.0])
     assert np.array_equal(gram.pivots, np.ones(4))
-    assert gram.pivot == 0.5
     G = np.array([[2.0, 0, -1, 0], [0, 2, 0, -1],
                   [-1, 0, 1, 0], [0, -1, 0, 1]])
     rhs = np.array([1.0, -2.0, 3.0, 0.5])
@@ -142,51 +131,16 @@ def test_wide_matrix_rejected():
         fs.least_squares_solve(np.ones((2, 3)), np.ones(2))
 
 
-# ---- pentadiagonal determinant ----
+# ---- chain Gram matrix ----
 
-def test_identity_determinant():
-    penta = fs.Pentadiagonal(main=np.ones(4), super1=np.zeros(3),
-                             super2=np.zeros(2), sub1=np.zeros(3),
-                             sub2=np.zeros(2))
-    assert fs.pentadiagonal_determinant(penta) == 1.0
+def _chain_gram(th):
+    A = fs.coupling_matrix(chain_tree(len(th)), th)
+    return A.T @ A
 
 
 def test_chain_gram_aligned_headings_det_one():
-    penta = fs.chain_gram_pentadiagonal(np.zeros(3))
-    dense = penta.dense()
-    assert abs(fs.pentadiagonal_determinant(penta) - 1.0) < 1e-12
-    assert abs(_cofactor_det(dense) - 1.0) < 1e-10
+    assert abs(_cofactor_det(_chain_gram(np.zeros(3))) - 1.0) < 1e-10
 
-
-def test_determinant_matches_dense_lu(rng):
-    for _ in range(200):
-        m = int(rng.integers(1, 13))
-        penta = _random_penta(rng, m)
-        got = fs.pentadiagonal_determinant(penta)
-        want = np.linalg.det(penta.dense())
-        assert abs(got - want) <= 1e-9 * max(abs(want), 1e-30)
-
-
-def test_determinant_small_orders(rng):
-    one = fs.Pentadiagonal(main=np.array([3.5]), super1=np.zeros(0),
-                           super2=np.zeros(0), sub1=np.zeros(0),
-                           sub2=np.zeros(0))
-    assert fs.pentadiagonal_determinant(one) == 3.5
-    two = fs.Pentadiagonal(main=np.array([2.0, 3.0]),
-                           super1=np.array([1.0]), super2=np.zeros(0),
-                           sub1=np.array([4.0]), sub2=np.zeros(0))
-    assert abs(fs.pentadiagonal_determinant(two) - 2.0) < 1e-14
-
-
-def test_pivot_breakdown():
-    penta = fs.Pentadiagonal(main=np.zeros(4), super1=np.ones(3),
-                             super2=np.ones(2), sub1=np.ones(3),
-                             sub2=np.ones(2))
-    with pytest.raises(fs.PivotBreakdown):
-        fs.pentadiagonal_determinant(penta)
-
-
-# ---- chain Gram matrix ----
 
 def test_chain_gram_structure_three_robots():
     th = np.array([0.4, -0.9, 2.2])
@@ -200,23 +154,13 @@ def test_chain_gram_structure_three_robots():
         [0, 0, -c23, 0, 1, 0],
         [0, 0, 0, -1, 0, 1],
     ], dtype=float)
-    assert np.abs(fs.chain_gram_pentadiagonal(th).dense() - want).max() \
-        < 1e-15
+    assert np.abs(_chain_gram(th) - want).max() < 1e-15
 
 
 def test_chain_gram_two_robots_diagonal():
-    penta = fs.chain_gram_pentadiagonal(np.array([0.3, 0.3]))
-    assert np.array_equal(penta.main, [2.0, 2.0, 1.0, 1.0])
-
-
-def test_chain_gram_matches_explicit_product(rng):
-    for n in range(1, 9):
-        tree = chain_tree(n)
-        for _ in range(20):
-            th = rng.uniform(-15, 15, n)
-            A = fs.coupling_matrix(tree, th)
-            dense = fs.chain_gram_pentadiagonal(th).dense()
-            assert np.abs(A.T @ A - dense).max() < 1e-13
+    # cos^2 + sin^2 may round an ulp off 1, as in the structure test
+    G = _chain_gram(np.array([0.3, 0.3]))
+    assert np.abs(np.diag(G) - [2.0, 2.0, 1.0, 1.0]).max() < 1e-15
 
 
 def test_chain_determinant_hand_case():
@@ -233,17 +177,11 @@ def test_chain_determinant_last_pivot_exact(rng):
 
 def test_chain_recursion_matches_other_paths(rng):
     for n in range(2, 9):
-        tree = chain_tree(n)
         for _ in range(60):
             th = rng.uniform(-15, 15, n)
             d_rec, _ = fs.chain_gram_determinant(th)
-            d_penta = fs.pentadiagonal_determinant(
-                fs.chain_gram_pentadiagonal(th))
-            d_lu = np.linalg.det(
-                fs.coupling_matrix(tree, th).T
-                @ fs.coupling_matrix(tree, th))
+            d_lu = np.linalg.det(_chain_gram(th))
             assert d_rec > 0
-            assert abs(d_rec - d_penta) <= 1e-10 * abs(d_rec)
             assert abs(d_rec - d_lu) <= 1e-9 * abs(d_rec)
 
 

@@ -73,6 +73,41 @@ def test_parse_error_on_bad_yaml():
         fs.load_scenario("mode: [unclosed\n  nonsense: {\n")
 
 
+@pytest.mark.parametrize("line", [
+    "dt: !!int abc",            # ValueError in PyYAML's constructor
+    'dt: !!float ""',           # IndexError
+    "dt: !!bool maybe",         # KeyError
+    "dt: !!timestamp soon",     # AttributeError
+])
+def test_parse_error_on_unconstructible_value(line):
+    # PyYAML's constructors raise untyped errors for these tagged scalars
+    text = yaml.safe_dump(_tiny_doc()).replace("dt: 0.001\n", "")
+    assert "dt:" not in text
+    with pytest.raises(fs.ParseError, match="cannot construct"):
+        fs.load_scenario(text + line + "\n")
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("sample_every",), 10 ** 400, "sample_every: value must be finite"),
+    (("sample_every",), -10 ** 400, "sample_every: value must be finite"),
+    (("edges",), [[1, 10 ** 400]], "edges[1]: value must be finite"),
+    (("gains", "formation"), [2, 10 ** 400, 10],
+     "gains.formation: values must be finite"),
+    (("robots", 0, "start"), [10 ** 400, 0, 0],
+     "robots[1].start: values must be finite"),
+    (("robots", 1, "trajectory"),
+     {"kind": "sampled_twist", "start": [1, 0, 0], "times": [0.0, 2.0],
+      "twists": [[1.0, 0.5], [10 ** 400, 0.5]], "rates": [[0.0, 0.0]] * 2},
+     "robots[2].trajectory.twists: values must be finite"),
+], ids=["sample_every", "-sample_every", "edges", "gains", "start", "table"])
+def test_int_beyond_float_is_not_finite(path, value, message):
+    # a number too large for a float is refused like .inf, naming its field
+    doc = _tiny_doc()
+    _set(doc, path, value)
+    with pytest.raises(fs.ValidationError, match=re.escape(message)):
+        fs.load_scenario(yaml.safe_dump(doc))
+
+
 def _random_tree_text(n, seed):
     rng = np.random.default_rng(seed)
     doc = _tiny_doc(edges=[[int(rng.integers(1, k)), k]

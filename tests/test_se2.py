@@ -97,14 +97,3 @@ def test_skew_quadratic_form_vanishes(rng):
         w = rng.normal()
         val = s @ ((w * fs.SKEW) @ s)
         assert abs(val) <= 1e-15 * (1 + abs(w * s[0] * s[1]))
-
-
-def test_pose_twist_validation():
-    with pytest.raises(ValueError):
-        fs.Pose(np.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        fs.Twist(np.inf, 0.0)
-    q = fs.Pose(1.0, 2.0, 9.5)
-    assert np.array_equal(q.as_array(), [1.0, 2.0, 9.5])
-    assert fs.Pose.from_array(q.as_array()) == q
-    assert fs.Twist.from_array([3.0, -1.0]) == fs.Twist(3.0, -1.0)

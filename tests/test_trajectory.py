@@ -157,20 +157,6 @@ def test_sampled_pose_matches_constant_twist():
                       - fs.desired_state(arc, t).pose).max() < 1e-11
 
 
-def test_omega_from_cartesian_circle():
-    # x = 5 cos t, y = 5 sin t at t = 0.9
-    t = 0.9
-    xd, yd = -5 * np.sin(t), 5 * np.cos(t)
-    xdd, ydd = -5 * np.cos(t), -5 * np.sin(t)
-    assert abs(fs.omega_from_cartesian(xd, xdd, yd, ydd, 5.0) - 1.0) < 1e-14
-
-
-def test_omega_from_cartesian_line_and_guard():
-    assert fs.omega_from_cartesian(2.0, 0.0, 0.0, 0.0, 2.0) == 0.0
-    with pytest.raises(fs.SingularSpeed):
-        fs.omega_from_cartesian(1.0, 0.0, 0.0, 0.0, 1e-9)
-
-
 def test_desired_arrays_shapes(rng):
     profs = [fs.ConstantTwist(pose0=(i, 0.0, 0.1), v=1.0, omega=0.2)
              for i in range(3)]
