@@ -6,20 +6,21 @@ diagonal gain vectors, integration step and horizon, and trace sampling.
 Gains may be given per robot (3, 2, or 6 numbers broadcast to all robots)
 or in full stacked form. See the README for an annotated example.
 
-Loading is one pass: the text is composed by ``_LOADER`` (libyaml when
-PyYAML has it), and the document is built straight from the node tree,
-handing only nodes outside the plain subset (merge keys, other tags,
-non-string keys) to the loader's own constructor. The document and every
-error are those of ``yaml.load``. Fields are then checked without numpy
-when they are flat lists of Python numbers, through numpy otherwise,
-with the same errors either way. A bool is never a number: YAML reads
-``yes``, ``on`` and ``true`` as booleans, and numpy would read them as 1.
-Plant masses and inertias are finite and positive like every other
-positive number.
+Loading composes the text with ``_LOADER`` (libyaml when PyYAML has it).
+A document whose every node is plain (maps with string keys, sequences,
+and string, decimal integer and float scalars), as every scenario formsim
+writes is, is built straight from the node tree in one short pass. Any
+other document (a boolean, a null, a merge key, another tag) is built
+whole by the loader's own constructor. The document and every error are
+those of ``yaml.load``. Fields are then checked without numpy when they
+are flat lists of Python numbers, through numpy otherwise, with the same
+errors either way. A bool or a null is never a number: YAML reads
+``yes``, ``on`` and ``true`` as booleans and ``~`` as a null, and numpy
+would read them as 1 and nan. Plant masses and inertias are finite and
+positive like every other positive number.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,13 +55,20 @@ _STR, _INT, _FLOAT, _SEQ, _MAP = (f"tag:yaml.org,2002:{kind}" for kind in
 
 def _load_yaml(text):
     """``yaml.load(text, Loader=_LOADER)``: the same document, or the same
-    exception, in one pass over the composed node tree."""
+    exception. A plain document is built by ``_build``; any other, or one
+    nested too deep for it, is built whole by the loader's constructor,
+    as ``yaml.load`` builds it."""
     loader = _LOADER(text)
     try:
         if not loader.yaml_path_resolvers:
             _lean_resolver(loader)
         root = loader.get_single_node()
-        return None if root is None else _construct(loader, root)
+        if root is None:
+            return None
+        try:
+            return _build(root, {})
+        except (_NotPlain, RecursionError):
+            return loader.construct_document(root)
     finally:
         loader.dispose()
 
@@ -100,76 +108,47 @@ def _ignore(*args):
     pass
 
 
-def _construct(loader, root):
-    """The document ``loader.construct_document(root)`` returns.
+class _NotPlain(Exception):
+    """A node ``_build`` leaves to the loader's constructor."""
 
-    Sequences, maps whose keys are all plain strings, and scalars tagged
-    str, int or float are built here, as the loader's own constructors
-    build them. Every other node (merge keys, other tags, non-string keys)
-    goes to the loader's ``construct_object`` or ``construct_mapping``.
-    Both share the loader's table of built nodes, so an alias, recursive
-    or not, is the object its anchor built. As in the loader, a container
-    is created empty when first met and filled after every container met
-    before it, so nodes are built, and errors raised, in the loader's
-    order.
-    """
-    built = loader.constructed_objects
-    queue = deque()
 
-    def adopt(data):
-        # the loader defers filling its containers to generators; they
-        # join the queue in the order they were made
-        queue.extend(loader.state_generators)
-        loader.state_generators = []
+def _build(node, memo):
+    """What the loader's constructor builds from ``node`` when every node
+    under it is plain: a sequence, a map whose keys are all str-tagged
+    scalars, or a scalar tagged str, int (decimal, no leading 0) or float
+    (one ``float`` reads that is not nan). Raises ``_NotPlain`` at the
+    first other node. A container is entered in ``memo`` before it is
+    filled, so an alias, recursive or not, is the object its anchor
+    built."""
+    if node.__class__ is ScalarNode:
+        tag, text = node.tag, node.value
+        if tag == _STR:
+            return text
+        if tag == _FLOAT:
+            try:
+                x = float(text)
+            except ValueError:          # .inf, sexagesimal, or an error
+                raise _NotPlain from None
+            if x == x:
+                return x
+        elif tag == _INT and text.isdecimal() and (text[0] != "0"
+                                                   or text == "0"):
+            return int(text)            # a leading 0 is octal in YAML 1.1
+        raise _NotPlain
+    if node in memo:
+        return memo[node]
+    if node.tag == _SEQ and node.__class__ is SequenceNode:
+        memo[node] = data = []
+        data.extend([_build(item, memo) for item in node.value])
         return data
-
-    def build(node):
-        if node.__class__ is ScalarNode:
-            tag, text = node.tag, node.value
-            if tag == _FLOAT:
-                try:
-                    x = float(text)
-                except ValueError:      # .inf, sexagesimal, or an error
-                    x = math.nan
-                if x == x:
-                    return x
-            elif tag == _STR:
-                return text
-            elif tag == _INT and text.isdecimal() and (text[0] != "0"
-                                                       or text == "0"):
-                return int(text)        # a leading 0 is octal in YAML 1.1
-        elif node in built:
-            return built[node]
-        elif node.tag == _SEQ and node.__class__ is SequenceNode:
-            built[node] = data = []
-            queue.append((data, node))
-            return data
-        elif node.tag == _MAP and node.__class__ is MappingNode:
-            built[node] = data = {}
-            queue.append((data, node))
-            return data
-        return adopt(loader.construct_object(node))
-
-    data = build(root)
-    while queue:
-        item = queue.popleft()
-        if item.__class__ is not tuple:
-            for _ in item:
-                pass
-            adopt(None)
-            continue
-        into, node = item
-        if into.__class__ is list:
-            into.extend(map(build, node.value))
-            continue
-        items = node.value
-        keys = [k.value if k.tag == _STR and k.__class__ is ScalarNode
-                else None for k, _ in items]
-        if None in keys:
-            into.update(adopt(loader.construct_mapping(node)))
-        else:
-            into.update(zip(keys, [build(value) for _, value in items]))
-    return data
+    if node.tag == _MAP and node.__class__ is MappingNode:
+        memo[node] = data = {}
+        for key, value in node.value:
+            if key.tag != _STR or key.__class__ is not ScalarNode:
+                raise _NotPlain
+            data[key.value] = _build(value, memo)
+        return data
+    raise _NotPlain
 
 
 class ParseError(ValueError):
@@ -300,8 +279,8 @@ def _gain(value, n, width, context):
 
 def _array(value, context):
     """``value`` as a float array; SchemaError when it is not numbers,
-    or holds a bool, which numpy would read as 0 or 1, ValidationError
-    when it holds an int beyond float range."""
+    or holds a bool or a None, which numpy would read as 0 or 1 or as
+    nan, ValidationError when it holds an int beyond float range."""
     try:
         arr = np.asarray(value, dtype=float)
         cause = None
@@ -321,7 +300,7 @@ def _holds_bool(value):
     if isinstance(value, (list, tuple)):
         return not _NUMBER.issuperset(map(type, value)) \
             and any(map(_holds_bool, value))
-    return isinstance(value, (bool, np.bool_))
+    return value is None or isinstance(value, (bool, np.bool_))
 
 
 def _profile_from_dict(d, context):

@@ -25,7 +25,6 @@ the stage headings and the running sums carry a robot axis.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -158,13 +157,12 @@ class SampledTwist:
     Outside the table the twist is held constant with zero rate. The pose
     is integrated by classical fourth-order Runge-Kutta at ``grid_dt``
     (finite and positive; the last step is shortened to end at the
-    table's span) into a grid of poses, once, on first use (``_grid``).
-    ``ProfileSet`` (and so ``desired_state``) evaluates the pose at
-    arbitrary t by a single short step from the stored grid point at or
-    before t, keeping evaluation pure. Robots sharing one table get their
-    grids from ``ProfileSet`` in one pass, bit-identical to each one's
-    ``_grid`` (see ``_pose_grids``). Both use the closed-stage form of the
-    step described in the module docstring.
+    table's span) into a grid of poses. The profile stores no grid:
+    ``ProfileSet`` (and so ``desired_state``) integrates the grids of the
+    robots sharing one table in one pass (``_pose_grids``, in the
+    closed-stage form of the step described in the module docstring),
+    and evaluates the pose at arbitrary t by a single short step from the
+    stored grid point at or before t, keeping evaluation pure.
     """
 
     pose0: tuple
@@ -206,11 +204,6 @@ class SampledTwist:
         """Hermite twist and its exact rate at time t (clamped outside)."""
         val, der = _hermite(self.times, self.twists, self.rates, [t])
         return val[0], der[0]
-
-    @cached_property
-    def _grid(self):
-        """Pose grid (steps + 1, 3) at ``grid_dt`` from ``pose0``."""
-        return _pose_grids(self, [self.pose0])[:, :, 0]
 
 
 def _pose_grids(table, poses0):
@@ -260,10 +253,9 @@ class ProfileSet:
     (times, twists, rates, grid_dt) form one group: each call evaluates
     the group's Hermite twist once, at every time and at the three stage
     times of its short pose step, and steps the group's stacked pose
-    grids together. A group of several robots integrates its grids here
-    in one pass (``_pose_grids``); a lone robot uses its profile's own
-    grid. Blocks are contiguous in an internal robot order, which is
-    mapped back to the callers' order on return when it differs.
+    grids together. Each group integrates its grids here in one pass
+    (``_pose_grids``). Blocks are contiguous in an internal robot order,
+    which is mapped back to the callers' order on return when it differs.
     """
 
     def __init__(self, profiles):
@@ -306,10 +298,9 @@ class ProfileSet:
         self._groups = []
         at = nc
         for group in tables.values():
-            # (steps + 1, 3, robots); a lone robot's grid is a view
+            # (steps + 1, 3, robots)
             p = profiles[group[0]]
-            grids = (p._grid[:, :, None] if len(group) == 1 else
-                     _pose_grids(p, [profiles[i].pose0 for i in group]))
+            grids = _pose_grids(p, [profiles[i].pose0 for i in group])
             self._groups.append((slice(at, at + len(group)), p, grids))
             at += len(group)
 
@@ -386,7 +377,8 @@ class ProfileSet:
 
 
 def desired_state(profile, t):
-    """Evaluate a profile at time t >= 0."""
+    """Evaluate a profile at time t >= 0. Each call integrates a sampled
+    profile's pose grid afresh; evaluate one ``ProfileSet`` to reuse it."""
     qd, etad, etadd = desired_arrays([profile], t)
     return DesiredState(pose=qd[0], twist=etad[0], accel=etadd[0])
 

@@ -1,11 +1,14 @@
-"""The scenario loader's one-pass YAML construction against ``yaml.load``.
+"""The scenario loader's YAML construction against ``yaml.load``.
 
-``scenario._load_yaml`` builds the document straight from the composed
-node tree, with its own resolver hooks, and hands every node it does not
-build itself to the loader's constructor. For every text it must return
-what ``yaml.load`` returns, with the same types, the same aliasing and
-the same recursion, or raise the same exception with the same message,
-under the pure-Python and the libyaml loaders alike.
+``scenario._load_yaml`` composes the text with its own resolver hooks. It
+builds a document whose nodes are all plain (maps with string keys,
+sequences, and string, decimal integer and float scalars) straight from
+the node tree, and gives any other document whole to the loader's
+constructor. For every text it must return what ``yaml.load`` returns,
+with the same types, the same aliasing and the same recursion, or raise
+the same exception with the same message, under the pure-Python and the
+libyaml loaders alike. Every scenario formsim writes is plain, so none
+reaches the constructor.
 """
 
 import math
@@ -243,3 +246,75 @@ def test_two_loads_share_no_arrays():
         for a in ours:
             for b in _arrays(second):
                 assert not np.shares_memory(a, b)
+
+
+def _tree_text(robots):
+    # a random recursive tree sharing one constant twist, as the
+    # benchmark's tree-200 workload writes it
+    rng = np.random.default_rng(0)
+    return yaml.safe_dump({
+        "mode": "kinematic", "n": robots,
+        "edges": [[int(rng.integers(1, j)), j]
+                  for j in range(2, robots + 1)],
+        "dt": 0.01, "t_final": 0.05, "sample_every": 10,
+        "gains": {"formation": [1.0, 1.0, 2.0]},
+        "robots": [{"start": rng.normal(size=3).tolist(),
+                    "trajectory": {"kind": "constant_twist",
+                                   "start": rng.normal(size=3).tolist(),
+                                   "twist": [1.0, 0.2]}}
+                   for _ in range(robots)]}, sort_keys=False)
+
+
+@pytest.mark.usefixtures("restore_loader")
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_only_documents_with_other_nodes_reach_the_constructor(
+        loader, monkeypatch):
+    calls = []
+    construct = loader.construct_document
+
+    def counted(self, node):
+        calls.append(node)
+        return construct(self, node)
+
+    monkeypatch.setattr(loader, "construct_document", counted)
+    scenario._LOADER = loader
+    kinematic = fs.serialize_scenario(fs.get_preset("kinematic-pentagon"))
+    plain = [fs.serialize_scenario(fs.get_preset(name))
+             for name in fs.preset_names()]
+    plain += [_sampled_text(4), _tree_text(200)]
+    for text in plain:
+        scenario._load_yaml(text)
+    assert calls == []
+    # !!int 7 would be plain: the tag is the one 7 resolves to
+    for extra in ["note: yes\n", "note: ~\n", "note: {<<: {a: 1}}\n",
+                  "note: !!int 0x1F\n"]:
+        calls.clear()
+        doc = scenario._load_yaml(kinematic + extra)
+        assert len(calls) == 1, extra
+        assert doc == yaml.load(kinematic + extra, Loader=loader)
+
+
+def _depth(load, text):
+    """How deep the nested lists ``load`` returns go and the innermost
+    one, walked without recursion, or the type of what it raised."""
+    try:
+        data = load(text)
+    except Exception as exc:     # every exception yaml.load can raise
+        return type(exc)
+    depth = 0
+    while type(data) is list and len(data) == 1:
+        data, = data
+        depth += 1
+    return depth, data
+
+
+@pytest.mark.usefixtures("restore_loader")
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_deep_nesting_loads_as_yaml_load(loader):
+    # deeper than the interpreter's recursion limit: the pure-Python
+    # composer raises RecursionError, libyaml's composes it, and the
+    # constructor builds it without recursing
+    text = "[" * 5000 + "]" * 5000 + "\n"
+    want = _depth(lambda t: yaml.load(t, Loader=loader), text)
+    scenario._LOADER = loader
+    assert _depth(scenario._load_yaml, text) == want

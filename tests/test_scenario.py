@@ -219,10 +219,13 @@ _PENTAGON = fs.scenario_to_dict(fs.get_preset("adaptive-pentagon"))
      "robots[2].trajectory.twist"),
     (("robots", 1, "trajectory", "start"), (0, 0, False),
      "robots[2].trajectory.start"),
+    (("robots", 0, "start"), [None, 0, 0],
+     "robots[1].start: expected numbers, got [None, 0, 0]"),
 ])
 def test_booleans_are_not_numbers(path, value, message):
-    # YAML reads yes, on and true as booleans; numpy and float() would
-    # take them for 1, so wherever a number goes a bool is a schema error
+    # YAML reads yes, on and true as booleans and ~ as a null; numpy and
+    # float() would take a bool for 1 and numpy a null for nan, so
+    # wherever a number goes either is a schema error
     doc = _tiny_doc(threshold=0.1)
     _set(doc, path, value)
     with pytest.raises(fs.SchemaError, match=re.escape(message)):
@@ -236,6 +239,9 @@ def test_booleans_are_not_numbers(path, value, message):
     (("robots", 2, "params", "mass"), True),
     (("gains", "twist"), [3.0, True]),
     (("gains", "adaptation"), [True] * 6),
+    (("robots", 2, "params", "damping"), [[None, 0], [0, 0.004]]),
+    (("gains", "twist"), [None, 1]),
+    (("robots", 2, "start_twist"), None),
 ])
 def test_booleans_are_not_numbers_in_dynamic_fields(path, value):
     doc = json.loads(json.dumps(_PENTAGON))

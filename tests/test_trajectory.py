@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import formsim as fs
 import formsim.trajectory
 from formsim.engine import rk4_step
+from formsim.trajectory import _pose_grids
 
 EPS = np.finfo(float).eps
 
@@ -217,14 +218,15 @@ def test_sampled_grid_matches_stepwise_rk4(span, grid_dt):
     # 5 s at 5e-4 is built in three chunks of steps
     prof = _sine_profile(span=span, grid_dt=grid_dt)
     want = _stepwise_grid(prof)
-    assert prof._grid.shape == want.shape
+    grid = _pose_grids(prof, [prof.pose0])[:, :, 0]
+    assert grid.shape == want.shape
     # The closed-stage form runs rk4_step's operations in rk4_step's order,
     # so it is exact where np.cos/np.sin round like math.cos/math.sin. A
     # host whose array and scalar cosines differ by an ulp perturbs each
     # step by a few ulps of the running sums, which accumulate at most
     # linearly over the steps.
     tol = len(want) * 4 * EPS * (1 + np.abs(want))
-    assert np.all(np.abs(prof._grid - want) <= tol)
+    assert np.all(np.abs(grid - want) <= tol)
 
 
 def _table(seed, span=1.0):
@@ -321,8 +323,9 @@ def _scalar_state(p, t):
         return np.array([v * math.cos(q[2]), v * math.sin(q[2]), w])
 
     tc = min(t, p.span)
-    k = min(int(tc / p.grid_dt), len(p._grid) - 2)
-    pose = rk4_step(rate, k * p.grid_dt, p._grid[k], tc - k * p.grid_dt)
+    grid = _pose_grids(p, [p.pose0])[:, :, 0]
+    k = min(int(tc / p.grid_dt), len(grid) - 2)
+    pose = rk4_step(rate, k * p.grid_dt, grid[k], tc - k * p.grid_dt)
     return (pose, *_scalar_twist(p, t)[:2])
 
 
@@ -446,7 +449,7 @@ def test_shared_table_grids_match_lone_builds(monkeypatch, robots, chunk):
     base = _sine_profile(span=1.0, grid_dt=3e-4)
     profs = [replace(base, pose0=tuple(rng.normal(size=3) * 3))
              for _ in range(robots)]
-    want = [p._grid for p in profs]
+    want = [_pose_grids(p, [p.pose0])[:, :, 0] for p in profs]
     monkeypatch.setattr(formsim.trajectory, "_GRID_CHUNK", chunk)
     (_, _, grids), = fs.ProfileSet(profs)._groups
     assert grids.shape == (len(want[0]), 3, robots)
@@ -463,20 +466,10 @@ def test_shared_table_grid_evaluates_hermite_once(monkeypatch):
     monkeypatch.setattr(formsim.trajectory, "_hermite",
                         lambda *args: calls.append(args) or hermite(*args))
     fs.ProfileSet(profs)
-    # one call per pass of _GRID_CHUNK // 6 steps for the whole group, and
-    # no robot builds a grid of its own
+    # one call per pass of _GRID_CHUNK // 6 steps for the whole group
     steps = math.ceil(profs[0].span / profs[0].grid_dt)
     assert len(calls) == math.ceil(
         steps / (formsim.trajectory._GRID_CHUNK // len(profs)))
-    assert all("_grid" not in vars(p) for p in profs)
-
-
-def test_lone_sampled_profile_shares_its_grid():
-    # desired_state builds a ProfileSet per call: one robot's grid is a
-    # view, not a copy, so the call costs the same for any span
-    prof = _sine_profile(span=5.0)
-    (_, _, grids), = fs.ProfileSet([prof])._groups
-    assert np.shares_memory(grids, prof._grid)
 
 
 def test_profile_set_rejects_unknown_profile():
