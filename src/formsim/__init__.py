@@ -11,14 +11,12 @@ CLI with CSV traces and YAML metrics.
 from .adaptive import (RobotParams, adaptation_rate, adaptive_control,
                        block_regression, lyapunov_diagnostics,
                        params_to_vector, regression_matrix)
-from .controller import (ErrorState, FictitiousVelocity, coupling_matrix,
-                         coupling_rate, error_state, feedforward_rate,
-                         feedforward_term, fictitious_velocity,
-                         kinematic_control, tree_gram)
+from .controller import (coupling_matrix, coupling_rate, kinematic_control,
+                         tree_gram)
 from .engine import (DivergenceError, Engine, EvalRecord, Trace, rk4_step,
                      simulate)
-from .graph import (CountError, CycleError, DisconnectedError, GraphError,
-                    SpanningTree, validate_spanning_tree)
+from .graph import (CycleError, DisconnectedError, GraphError, SpanningTree,
+                    validate_spanning_tree)
 from .linalg import (LeastSquaresResult, RankDeficient, TreeGram,
                      chain_gram_determinant, chain_pivot_bounds, gram_pivot,
                      least_squares_solve)
@@ -29,8 +27,7 @@ from .scenario import (ParseError, RobotSpec, ScenarioConfig, SchemaError,
                        scenario_to_dict, serialize_scenario)
 from .se2 import (SELECT, SKEW, body_frame_error, rotation_matrix,
                   steering_matrix, unicycle_rate)
-from .trajectory import (ConstantTwist, DesiredState, ProfileSet,
-                         SampledTwist, SingularSpeed, desired_arrays,
-                         desired_state)
+from .trajectory import (ConstantTwist, ProfileSet, SampledTwist,
+                         SingularSpeed, desired_arrays)
 
 __version__ = "0.1.0"

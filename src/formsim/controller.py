@@ -28,17 +28,19 @@ of the leader's body frame (the skew term in the stacked-error rate), not
 just the directly coupled part; without it the computed rate would be
 wrong whenever the leader still carries tracking error.
 
-Every builder is made of the pieces ``Engine.evaluate`` runs. Terms of
-the time alone (``_desired_terms``: desired poses, the desired pose rates
-g and their edge differences, which are the feedforward's edge rows, and
-the rates of both) are computed for any number of times at once. Terms
-one state shares (``_Stage``: the tree's layout, the headings' cosines
-and sines, and the leader's rotation) are computed once per evaluation.
-The public functions take a tree and plain arrays and compose the same
-pieces; ``coupling_matrix``, ``coupling_rate``, ``tree_gram`` and
-``kinematic_control`` also take a ``_Stage`` in place of the headings,
-so a caller that holds one neither recomputes the trigonometry nor
-rebuilds the layout.
+Each piece of the law is one function, and ``Engine.evaluate`` calls it.
+Terms of the time alone (``_desired_terms``: desired poses, the desired
+pose rates g and their edge differences, which are the feedforward's edge
+rows, and the rates of both) are computed for any number of times at
+once. Terms one state shares (``_Stage``: the tree's layout, the
+headings' cosines and sines, and the leader's rotation) are computed once
+per evaluation. ``feedforward_term``, ``feedforward_rate`` and
+``fictitious_velocity`` take a ``_Stage`` and a ``_Desired``.
+``coupling_matrix``, ``coupling_rate``, ``tree_gram`` and
+``kinematic_control`` take a tree and either the headings, as the
+independent oracles of the tests and ``formsim check`` pass them, or a
+``_Stage``, so a caller that holds one neither recomputes the
+trigonometry nor rebuilds the layout.
 """
 
 import math
@@ -52,36 +54,11 @@ import numpy as np
 from .linalg import TreeGram, least_squares_solve  # noqa: F401
 
 __all__ = [
-    "ErrorState",
-    "error_state",
     "coupling_matrix",
     "coupling_rate",
-    "feedforward_term",
-    "feedforward_rate",
     "tree_gram",
     "kinematic_control",
-    "FictitiousVelocity",
-    "fictitious_velocity",
 ]
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    """Stacked 3n error vector with per-edge addressing."""
-
-    vector: np.ndarray
-    tree: object
-
-    @property
-    def leader_body_error(self):
-        return self.vector[:3]
-
-    def edge_error(self, k):
-        return self.vector[3 * (k + 1): 3 * (k + 2)]
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.vector))
 
 
 class _Layout(NamedTuple):
@@ -133,19 +110,16 @@ class _Stage(NamedTuple):
     rot: tuple
 
 
-def _rotation(theta):
-    """(cos, sin) of one heading, for the leader block of the stacking."""
-    if math.isinf(theta):
-        # math.cos raises on it; as nan it reaches the factor's finite
-        # check and raises RankDeficient like any other bad heading
-        theta = math.nan
-    return math.cos(theta), math.sin(theta)
-
-
 def _stage(lay, headings):
     """The _Stage of ``headings`` over the tree of layout ``lay``."""
     th = np.asarray(headings, dtype=float)
-    return _Stage(lay, np.cos(th), np.sin(th), _rotation(th[0]))
+    lead = th[0]
+    if math.isinf(lead):
+        # math.cos raises on it; as nan it reaches the factor's finite
+        # check and raises RankDeficient like any other bad heading
+        lead = math.nan
+    return _Stage(lay, np.cos(th), np.sin(th),
+                  (math.cos(lead), math.sin(lead)))
 
 
 def _as_stage(tree, headings):
@@ -186,10 +160,13 @@ class _Desired(NamedTuple):
     rate_edges: np.ndarray = None
 
 
-def _desired_rows(thetad, etad, etadd=None):
-    """Desired pose rates g (..., n, 3) from the desired headings and
-    twists, and with the twist rates also their rates: each g spins with
-    the desired omega and steers the desired twist rate."""
+def _desired_terms(lay, qd, etad, etadd=None):
+    """``_Desired`` of the desired poses, twists and (optionally) twist
+    rates, at one time or stacked along a leading time axis. The desired
+    pose rates are g = (v cos theta_d, v sin theta_d, w) per robot, and
+    each g spins with the desired omega and steers the desired twist
+    rate."""
+    thetad = qd[..., 2]
     c, s = np.cos(thetad), np.sin(thetad)
     v, w = etad[..., 0], etad[..., 1]
     g = np.empty(thetad.shape + (3,))
@@ -197,35 +174,18 @@ def _desired_rows(thetad, etad, etadd=None):
     g[..., 1] = v * s
     g[..., 2] = w
     if etadd is None:
-        return g, None
+        return _Desired(qd, g, _edge_rows(lay, g))
     a = etadd[..., 0]
     gdot = np.empty_like(g)
     gdot[..., 0] = -w * g[..., 1] + a * c
     gdot[..., 1] = w * g[..., 0] + a * s
     gdot[..., 2] = etadd[..., 1]
-    return g, gdot
-
-
-def _desired_terms(lay, qd, etad, etadd=None):
-    """``_Desired`` of the desired poses, twists and (optionally) twist
-    rates, at one time or stacked along a leading time axis."""
-    g, gdot = _desired_rows(qd[..., 2], etad, etadd)
-    return _Desired(qd, g, _edge_rows(lay, g), gdot,
-                   None if gdot is None else _edge_rows(lay, gdot))
+    return _Desired(qd, g, _edge_rows(lay, g), gdot, _edge_rows(lay, gdot))
 
 
 def _error_vector(st, poses, desired_poses):
     e = desired_poses - poses
     return np.concatenate([_rotate(st.rot, e[0]), _edge_rows(st.lay, e)])
-
-
-def error_state(tree, poses, desired_poses):
-    """Stack the leader's body-frame tracking error and all coordination
-    errors (parent minus child, in tree edge order)."""
-    poses = np.asarray(poses, dtype=float)
-    st = _stage(_layout(tree), poses[:, 2])
-    return ErrorState(vector=_error_vector(
-        st, poses, np.asarray(desired_poses, dtype=float)), tree=tree)
 
 
 def _scatter(n, at, values):
@@ -261,41 +221,29 @@ def coupling_rate(tree, headings, omegas):
                     np.concatenate([ws[p], -ws[ch], -wc[p], wc[ch]]))
 
 
-def _feedforward(rot, g0, edges):
-    return np.concatenate([_rotate(rot, g0), edges])
-
-
-def feedforward_term(tree, theta1, thetad, etad):
-    """Desired-motion feedforward stacked alongside the coupling matrix:
-    the leader's desired rate rotated into its body frame, then the
+def feedforward_term(st, d):
+    """Desired-motion feedforward stacked alongside the coupling matrix,
+    at a stage ``st`` and the desired terms ``d`` of one time: the
+    leader's desired rate rotated into its body frame, then the
     difference of desired rates across each edge."""
-    g, _ = _desired_rows(np.asarray(thetad, dtype=float),
-                         np.asarray(etad, dtype=float))
-    return _feedforward(_rotation(theta1), g[0], _edge_rows(_layout(tree), g))
+    return np.concatenate([_rotate(st.rot, d.rows[0]), d.edges])
 
 
-def _feedforward_rate(rot, omega1, spun, gdot0, edges):
-    # R^T g spins with the leader: d/dt R^T = omega1 * SKEW @ R^T, and
-    # ``spun`` is R^T g, the feedforward's leader block
-    leader = _rotate(rot, gdot0)
-    leader[0] += omega1 * spun[1]
-    leader[1] -= omega1 * spun[0]
-    return np.concatenate([leader, edges])
-
-
-def feedforward_rate(tree, theta1, omega1, thetad, etad, etadd):
-    """Exact time derivative of the feedforward term.
+def feedforward_rate(st, omega1, ff, d):
+    """Exact time derivative of the feedforward term ``ff`` at a stage
+    ``st``, with the leader's angular speed ``omega1`` and the desired
+    terms ``d`` (twist rates included) of the same time.
 
     The leader block depends on the robot's actual heading, so its rate
     uses the actual angular speed; edge blocks move with the desired
     trajectories only.
     """
-    g, gdot = _desired_rows(np.asarray(thetad, dtype=float),
-                            np.asarray(etad, dtype=float),
-                            np.asarray(etadd, dtype=float))
-    rot = _rotation(theta1)
-    return _feedforward_rate(rot, omega1, _rotate(rot, g[0]), gdot[0],
-                             _edge_rows(_layout(tree), gdot))
+    # R^T g spins with the leader: d/dt R^T = omega1 * SKEW @ R^T, and R^T g
+    # is ff's leader block
+    leader = _rotate(st.rot, d.rates[0])
+    leader[0] += omega1 * ff[1]
+    leader[1] -= omega1 * ff[0]
+    return np.concatenate([leader, d.rate_edges])
 
 
 def tree_gram(tree, headings):
@@ -361,10 +309,17 @@ class FictitiousVelocity:
     A: np.ndarray
 
 
-def _fictitious(tree, st, twists, z, ff, d, gain):
-    """``fictitious_velocity`` at a stage ``st`` of the poses, with their
-    stacked error ``z`` and feedforward ``ff``, and the desired terms
-    ``d`` (twist rates included) of the same time."""
+def fictitious_velocity(tree, st, twists, z, ff, d, gain):
+    """The twist command and its derivative along the flow, at a stage
+    ``st`` of the poses, with their stacked error ``z`` and feedforward
+    ``ff``, and the desired terms ``d`` (twist rates included) of the same
+    time.
+
+    ``twists`` (n, 2) are the robots' actual twists, which enter through
+    the stacked-error rate and the coupling-matrix rate. Both solves share
+    one ``TreeGram`` factor, which raises RankDeficient when a heading is
+    not finite, as ``kinematic_control`` does.
+    """
     omega = twists[:, 1]
     A = coupling_matrix(tree, st)
 
@@ -379,8 +334,7 @@ def _fictitious(tree, st, twists, z, ff, d, gain):
     # picks up omega_1 times the skew of the leader block.
     zdot[0] += omega[0] * z[1]
     zdot[1] -= omega[0] * z[0]
-    ffdot = _feedforward_rate(st.rot, omega[0], ff, d.rates[0],
-                              d.rate_edges)
+    ffdot = feedforward_rate(st, omega[0], ff, d)
     wdot = gain * zdot + ffdot
     # G etaf = -A^T w differentiates to G etafdot = -(Gdot etaf + Adot^T w
     # + A^T wdot), and Gdot etaf + Adot^T w = Adot^T r + A^T Adot etaf
@@ -388,22 +342,3 @@ def _fictitious(tree, st, twists, z, ff, d, gain):
     etafdot = -gram.solve(Adot.T @ (A @ etaf + w)
                           + A.T @ (Adot @ etaf + wdot))
     return FictitiousVelocity(twist=etaf, rate=etafdot, A=A)
-
-
-def fictitious_velocity(tree, poses, twists, qd, etad, etadd, gain):
-    """Evaluate the twist command and its derivative along the flow.
-
-    ``twists`` are the robots' actual twists, which enter through the
-    stacked-error rate and the coupling-matrix rate. Both solves share
-    one ``TreeGram`` factor, which raises RankDeficient when a heading is
-    not finite, as ``kinematic_control`` does.
-    """
-    poses = np.asarray(poses, dtype=float)
-    st = _stage(_layout(tree), poses[:, 2])
-    d = _desired_terms(st.lay, np.asarray(qd, dtype=float),
-                      np.asarray(etad, dtype=float),
-                      np.asarray(etadd, dtype=float))
-    return _fictitious(tree, st, np.asarray(twists, dtype=float),
-                       _error_vector(st, poses, d.qd),
-                       _feedforward(st.rot, d.rows[0], d.edges), d,
-                       np.asarray(gain, dtype=float))

@@ -5,8 +5,11 @@ fourth-order Runge-Kutta at the scenario step, with the control law
 re-evaluated inside every stage (continuous-control idealization). One
 evaluator, ``Engine.evaluate``, computes the control law at a state, and
 every RK4 stage (through ``Engine.rate``), trace row, probe and
-``formsim check`` line goes through it. One loop, ``Engine.integrate``,
-takes the steps of ``run``, ``advance`` and ``formsim check``.
+``formsim check`` line goes through it. It calls each piece of the
+control law in ``controller`` once: ``feedforward_term``, then
+``kinematic_control`` or, in dynamic mode, ``fictitious_velocity``. One
+loop, ``Engine.integrate``, takes the steps of ``run`` and ``formsim
+check``.
 
 Each evaluation has a state-independent half and a state-dependent one.
 The first is the desired trajectory at the evaluation's time and what
@@ -51,12 +54,11 @@ import numpy as np
 from .adaptive import (adaptation_rate, adaptive_control, block_regression,
                        lyapunov_diagnostics, params_to_vector)
 from .controller import (_coupled, _Desired, _desired_terms, _error_vector,
-                         _feedforward, _fictitious, _layout, _stage,
-                         kinematic_control)
-# Stages run the pieces of these three; they stay bound here, where
-# perfbench/tracing.py looks up the layers it traces.
-from .controller import (coupling_matrix, feedforward_term,  # noqa: F401
-                         fictitious_velocity)
+                         _layout, _stage, feedforward_term,
+                         fictitious_velocity, kinematic_control)
+# Not called here (fictitious_velocity builds A in controller); it stays
+# bound where perfbench/tracing.py looks up the layers it traces.
+from .controller import coupling_matrix  # noqa: F401
 from .trajectory import ProfileSet, desired_arrays, rk4_step
 
 __all__ = ["DivergenceError", "Trace", "EvalRecord", "Engine", "simulate",
@@ -219,7 +221,7 @@ class Engine:
         poses = y[:3 * n].reshape(n, 3)
         st = _stage(self._lay, poses[:, 2])
         z = _error_vector(st, poses, d.qd)
-        ff = _feedforward(st.rot, d.rows[0], d.edges)
+        ff = feedforward_term(st, d)
         dy = np.empty_like(y)
         if self.mode == "kinematic":
             eta = etaf = kinematic_control(self.tree, st, z, ff, self.gz)
@@ -227,7 +229,8 @@ class Engine:
         else:
             twists = y[3 * n:5 * n].reshape(n, 2)
             phihat = y[5 * n:]
-            fv = _fictitious(self.tree, st, twists, z, ff, d, self.gz)
+            fv = fictitious_velocity(self.tree, st, twists, z, ff, d,
+                                     self.gz)
             etaf, etafdot = fv.twist, fv.rate
             eta = twists.reshape(-1)
             sigma = eta - etaf
@@ -326,12 +329,6 @@ class Engine:
             with self._hoisted(block):
                 rec = self.evaluate(end, y, record=True)[1]
         yield end, y, rec
-
-    def advance(self, y, t0, steps):
-        """Advance ``steps`` fixed steps from t0 (see ``integrate``),
-        returning the new state."""
-        *_, (_, y, _) = self.integrate(y, [0], steps, t0)
-        return y
 
     # ---- trace ----
 

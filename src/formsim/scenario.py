@@ -30,7 +30,8 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .adaptive import RobotParams
 from .graph import GraphError, validate_spanning_tree
-from .trajectory import ConstantTwist, SampledTwist, SingularSpeed
+from .trajectory import _MAX_STEPS, ConstantTwist, SampledTwist, \
+    SingularSpeed
 
 __all__ = [
     "ParseError",
@@ -369,6 +370,9 @@ def scenario_from_dict(doc):
 
     dt = _positive(_need(doc, "dt", "config"), "dt")
     t_final = _positive(_need(doc, "t_final", "config"), "t_final")
+    if not t_final / dt < _MAX_STEPS:
+        raise ValidationError(f"dt {dt:g} takes t_final / dt = "
+                              f"{t_final / dt:g} steps, not below 2**53")
     sample_every = _whole(doc.get("sample_every", 10), "sample_every")
     if sample_every < 1:
         raise ValidationError(f"sample_every must be at least 1, "

@@ -31,16 +31,18 @@ import numpy as np
 __all__ = [
     "SPEED_FLOOR",
     "SingularSpeed",
-    "DesiredState",
     "ConstantTwist",
     "SampledTwist",
     "ProfileSet",
-    "desired_state",
     "desired_arrays",
     "rk4_step",
 ]
 
 SPEED_FLOOR = 1e-6
+
+# Bound on a step count: below 2**53 every step index k is an exact float,
+# and so is k times the step, up to its own rounding.
+_MAX_STEPS = 2.0 ** 53
 
 # Grid points (steps times robots) integrated per array pass; bounds the
 # construction's temporaries (tens of floats per point) to a few MiB for
@@ -117,15 +119,6 @@ def _hermite(times, twists, rates, t):
 
 
 @dataclass(frozen=True)
-class DesiredState:
-    """Desired pose (3,), twist (2,), and twist rate (2,) at one instant."""
-
-    pose: np.ndarray
-    twist: np.ndarray
-    accel: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConstantTwist:
     """Closed-form profile for a constant (v, omega) command.
 
@@ -158,7 +151,7 @@ class SampledTwist:
     is integrated by classical fourth-order Runge-Kutta at ``grid_dt``
     (finite and positive; the last step is shortened to end at the
     table's span) into a grid of poses. The profile stores no grid:
-    ``ProfileSet`` (and so ``desired_state``) integrates the grids of the
+    ``ProfileSet`` (and so ``desired_arrays``) integrates the grids of the
     robots sharing one table in one pass (``_pose_grids``, in the
     closed-stage form of the step described in the module docstring),
     and evaluates the pose at arbitrary t by a single short step from the
@@ -190,6 +183,10 @@ class SampledTwist:
         if not (math.isfinite(grid_dt) and grid_dt > 0):
             raise ValueError(f"grid_dt must be finite and positive, "
                              f"got {grid_dt}")
+        if not times[-1] / grid_dt < _MAX_STEPS:
+            raise ValueError(f"grid_dt {grid_dt:g} takes span / grid_dt = "
+                             f"{times[-1] / grid_dt:g} steps, not below "
+                             f"2**53")
         object.__setattr__(self, "pose0", tuple(map(float, self.pose0)))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "twists", twists)
@@ -200,10 +197,6 @@ class SampledTwist:
     def span(self):
         return float(self.times[-1])
 
-    def twist_at(self, t):
-        """Hermite twist and its exact rate at time t (clamped outside)."""
-        val, der = _hermite(self.times, self.twists, self.rates, [t])
-        return val[0], der[0]
 
 
 def _pose_grids(table, poses0):
@@ -374,13 +367,6 @@ class ProfileSet:
         if times.ndim == 0:
             return qd[0], etad[0], etadd[0]
         return qd, etad, etadd
-
-
-def desired_state(profile, t):
-    """Evaluate a profile at time t >= 0. Each call integrates a sampled
-    profile's pose grid afresh; evaluate one ``ProfileSet`` to reuse it."""
-    qd, etad, etadd = desired_arrays([profile], t)
-    return DesiredState(pose=qd[0], twist=etad[0], accel=etadd[0])
 
 
 def desired_arrays(profiles, t):

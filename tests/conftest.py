@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import formsim as fs
+from formsim.controller import _desired_terms, _layout, _stage
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +17,16 @@ def chain5():
 
 def chain_tree(n):
     return fs.validate_spanning_tree(n, [(k, k + 1) for k in range(1, n)])
+
+
+def stage_terms(tree, headings, qd, etad, etadd=None):
+    """The ``_Stage`` of ``headings`` and the ``_Desired`` of the desired
+    poses, twists and twist rates over ``tree``: the arguments that
+    ``Engine.evaluate`` hands the control law's pieces."""
+    lay = _layout(tree)
+    arrays = [np.asarray(a, dtype=float) for a in (qd, etad, etadd)
+              if a is not None]
+    return _stage(lay, headings), _desired_terms(lay, *arrays)
 
 
 @pytest.fixture(scope="session")

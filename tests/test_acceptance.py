@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import formsim as fs
-from conftest import chain_tree
+from conftest import chain_tree, stage_terms
+from formsim.controller import _error_vector, feedforward_term
 
 
 def _report(num, slug):
@@ -19,7 +20,7 @@ def _report(num, slug):
 def _trace_states(run, t_final, every_steps):
     """(t, y) of a shared run at regular step marks up to ``t_final``,
     read from its trace rows, which hold the state at every sample
-    exactly as ``Engine.advance`` returned it."""
+    exactly as ``Engine.integrate`` yielded it."""
     eng, trace = run["engine"], run["trace"]
     cfg, n = eng.config, eng.n
     assert every_steps % cfg.sample_every == 0
@@ -180,9 +181,10 @@ def test_07_least_squares_contract(adaptive_engine, kinematic_run,
         poses = rng.normal(size=(5, 3)) * 3
         qd = poses + rng.normal(size=(5, 3))
         etad = rng.normal(size=(5, 2)) + [[4.0, 1.0]] * 5
-        z = fs.error_state(tree, poses, qd).vector
+        st, d = stage_terms(tree, poses[:, 2], qd, etad)
+        z = _error_vector(st, poses, d.qd)
         A = fs.coupling_matrix(tree, poses[:, 2])
-        ff = fs.feedforward_term(tree, poses[0, 2], qd[:, 2], etad)
+        ff = feedforward_term(st, d)
         eta = fs.kinematic_control(tree, poses[:, 2], z, ff, gain)
         b = -(gain * z) - ff
         J_star = np.sum((A @ eta - b) ** 2)

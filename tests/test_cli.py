@@ -130,6 +130,7 @@ def _sampled_doc(**trajectory):
     {"grid_dt": float("inf")},
     {"grid_dt": 0.0},
     {"times": [0.0, 0.6, 0.3, 1.0]},
+    {"grid_dt": 1e-300},
 ])
 def test_run_bad_sampled_table_exits_2(tmp_path, capsys, trajectory):
     path = tmp_path / "bad.yaml"
@@ -163,6 +164,8 @@ def test_run_non_finite_scalar_exits_2(tmp_path, capsys, field, value):
     ("--dt", "nan", "dt"),
     ("--t-final", "inf", "t_final"),
     ("--threshold", "-1", "threshold"),
+    ("--dt", "1e-300", "dt"),
+    ("--t-final", "1e300", "dt"),
 ])
 def test_run_bad_override_exits_2(tmp_path, capsys, flag, value, field):
     # command-line overrides are validated like the file's own values
@@ -237,6 +240,26 @@ def test_run_boolean_for_number_exits_2(tmp_path, capsys, line, message):
                  str(tmp_path / "m.yaml")])
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edits,args,field", [
+    ({"dt": 1e-300}, [], "dt"),
+    ({}, ["--dt", "1e-300"], "dt"),
+    ("sampled", [], "robots[1].trajectory: grid_dt"),
+])
+def test_check_step_count_past_2_53_exits_2(tmp_path, capsys, edits, args,
+                                            field):
+    # integrating 2**53 steps or more would not end; it is a config error
+    # naming its field, as in ``formsim run``
+    if edits == "sampled":
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(_sampled_doc(grid_dt=1e-300)))
+    else:
+        path = _write_short_preset(tmp_path, **edits)
+    assert main(["check", "--config", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: ValidationError: {field} " in err
+    assert "2**53" in err
 
 
 @pytest.mark.parametrize("line", ["dt: !!int abc", 'dt: !!float ""'])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import formsim as fs
-from conftest import chain_tree
+from conftest import chain_tree, stage_terms
+from formsim.controller import (_error_vector, feedforward_rate,
+                                feedforward_term, fictitious_velocity)
 
 
 def _random_profiles(rng, n, v=4.0, w=1.0):
@@ -22,9 +24,10 @@ def _rand_state(rng, tree, t=1.7):
 
 def test_error_state_zero_on_trajectory(rng, chain5):
     qd = rng.normal(size=(5, 3))
-    z = fs.error_state(chain5, qd, qd)
-    assert np.array_equal(z.vector, np.zeros(15))
-    assert z.norm == 0.0
+    st, d = stage_terms(chain5, qd[:, 2], qd, np.zeros((5, 2)))
+    z = _error_vector(st, qd, d.qd)
+    assert np.array_equal(z, np.zeros(15))
+    assert np.linalg.norm(z) == 0.0
 
 
 def test_error_state_two_robot_shift():
@@ -32,27 +35,31 @@ def test_error_state_two_robot_shift():
     qd = np.array([[1.0, 2.0, 0.5], [3.0, 4.0, 0.5]])
     poses = qd.copy()
     poses[1] -= [1.0, 0.0, 0.0]
-    z = fs.error_state(tree, poses, qd)
-    assert np.allclose(z.leader_body_error, 0.0)
-    assert np.allclose(z.edge_error(0), [-1.0, 0.0, 0.0])
+    st, d = stage_terms(tree, poses[:, 2], qd, np.zeros((2, 2)))
+    z = _error_vector(st, poses, d.qd)
+    assert np.allclose(z[:3], 0.0)
+    assert np.allclose(z[3:6], [-1.0, 0.0, 0.0])
 
 
 def test_coordination_error_equals_tracking_difference(rng, chain5):
     # relative-position form vs difference of tracking errors
-    poses, _, qd, _, _ = _rand_state(rng, chain5)
-    z = fs.error_state(chain5, poses, qd)
+    poses, _, qd, etad, _ = _rand_state(rng, chain5)
+    st, d = stage_terms(chain5, poses[:, 2], qd, etad)
+    z = _error_vector(st, poses, d.qd)
     e = qd - poses
     for k, (i, j) in enumerate(chain5.edges):
         rel = (qd[i - 1] - qd[j - 1]) - (poses[i - 1] - poses[j - 1])
-        assert np.abs(z.edge_error(k) - (e[i - 1] - e[j - 1])).max() < 1e-13
-        assert np.abs(z.edge_error(k) - rel).max() < 1e-13
+        edge = z[3 * (k + 1):3 * (k + 2)]
+        assert np.abs(edge - (e[i - 1] - e[j - 1])).max() < 1e-13
+        assert np.abs(edge - rel).max() < 1e-13
 
 
 def test_leader_error_in_body_frame(rng, chain5):
-    poses, _, qd, _, _ = _rand_state(rng, chain5)
-    z = fs.error_state(chain5, poses, qd)
+    poses, _, qd, etad, _ = _rand_state(rng, chain5)
+    st, d = stage_terms(chain5, poses[:, 2], qd, etad)
+    z = _error_vector(st, poses, d.qd)
     want = fs.body_frame_error(poses[0, 2], qd[0] - poses[0])
-    assert np.abs(z.leader_body_error - want).max() < 1e-14
+    assert np.abs(z[:3] - want).max() < 1e-14
 
 
 # ---- coupling matrix ----
@@ -111,19 +118,23 @@ def test_coupling_rate_matches_finite_difference(rng):
 
 def test_feedforward_zero_for_zero_desired_twist(chain5):
     qd = np.zeros((5, 3))
-    ff = fs.feedforward_term(chain5, 0.3, qd[:, 2], np.zeros((5, 2)))
+    ff = feedforward_term(*stage_terms(chain5, [0.3, 0, 0, 0, 0], qd,
+                                       np.zeros((5, 2))))
     assert np.array_equal(ff, np.zeros(15))
 
 
 def test_feedforward_single_robot_aligned():
     tree = fs.validate_spanning_tree(1, [])
-    ff = fs.feedforward_term(tree, 0.9, [0.9], [[4.0, 1.0]])
+    ff = feedforward_term(*stage_terms(tree, [0.9], [[0.0, 0.0, 0.9]],
+                                       [[4.0, 1.0]]))
     assert np.allclose(ff, [4.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_feedforward_edge_cancels_for_identical_trajectories():
     tree = chain_tree(2)
-    ff = fs.feedforward_term(tree, 0.2, [1.1, 1.1], [[3.0, 0.5]] * 2)
+    ff = feedforward_term(*stage_terms(tree, [0.2, 0.0],
+                                       [[0.0, 0.0, 1.1]] * 2,
+                                       [[3.0, 0.5]] * 2))
     assert np.array_equal(ff[3:], np.zeros(3))
 
 
@@ -136,10 +147,12 @@ def test_feedforward_rate_matches_finite_difference(rng, chain5):
 
     def ff_at(tau, th):
         qd, etad, _ = fs.desired_arrays(profs, tau)
-        return fs.feedforward_term(chain5, th, qd[:, 2], etad)
+        return feedforward_term(*stage_terms(chain5, [th, 0, 0, 0, 0], qd,
+                                             etad))
 
     qd, etad, etadd = fs.desired_arrays(profs, t)
-    got = fs.feedforward_rate(chain5, th1, om1, qd[:, 2], etad, etadd)
+    st, d = stage_terms(chain5, [th1, 0, 0, 0, 0], qd, etad, etadd)
+    got = feedforward_rate(st, om1, feedforward_term(st, d), d)
     fd = (ff_at(t + h, th1 + h * om1) - ff_at(t - h, th1 - h * om1)) / (2 * h)
     assert np.abs(got - fd).max() < 1e-8
 
@@ -157,9 +170,10 @@ def test_control_single_robot_hand_case():
 def test_control_exact_tracking_returns_desired(rng, chain5):
     profs = _random_profiles(rng, 5)
     qd, etad, _ = fs.desired_arrays(profs, 3.1)
-    z = fs.error_state(chain5, qd, qd).vector
+    st, d = stage_terms(chain5, qd[:, 2], qd, etad)
+    z = _error_vector(st, qd, d.qd)
     A = fs.coupling_matrix(chain5, qd[:, 2])
-    ff = fs.feedforward_term(chain5, qd[0, 2], qd[:, 2], etad)
+    ff = feedforward_term(st, d)
     gain = np.ones(15)
     eta = fs.kinematic_control(chain5, qd[:, 2], z, ff, gain)
     assert np.abs(eta - etad.reshape(-1)).max() < 1e-12
@@ -170,9 +184,10 @@ def test_control_normal_equations(rng, chain5):
     gain = np.tile([2.0, 2.0, 10.0], 5)
     for _ in range(50):
         poses, _, qd, etad, _ = _rand_state(rng, chain5)
-        z = fs.error_state(chain5, poses, qd).vector
+        st, d = stage_terms(chain5, poses[:, 2], qd, etad)
+        z = _error_vector(st, poses, d.qd)
         A = fs.coupling_matrix(chain5, poses[:, 2])
-        ff = fs.feedforward_term(chain5, poses[0, 2], qd[:, 2], etad)
+        ff = feedforward_term(st, d)
         eta = fs.kinematic_control(chain5, poses[:, 2], z, ff, gain)
         b = -(gain * z) - ff
         assert np.abs(A.T @ (A @ eta - b)).max() \
@@ -182,9 +197,10 @@ def test_control_normal_equations(rng, chain5):
 def test_control_cost_optimality(rng, chain5):
     gain = np.ones(15)
     poses, _, qd, etad, _ = _rand_state(rng, chain5)
-    z = fs.error_state(chain5, poses, qd).vector
+    st, d = stage_terms(chain5, poses[:, 2], qd, etad)
+    z = _error_vector(st, poses, d.qd)
     A = fs.coupling_matrix(chain5, poses[:, 2])
-    ff = fs.feedforward_term(chain5, poses[0, 2], qd[:, 2], etad)
+    ff = feedforward_term(st, d)
     eta = fs.kinematic_control(chain5, poses[:, 2], z, ff, gain)
     b = -(gain * z) - ff
     J_star = np.sum((A @ eta - b) ** 2)
@@ -200,9 +216,11 @@ def test_rate_zero_at_rest_with_zero_desired_twist(rng):
     tree = chain_tree(3)
     poses = rng.normal(size=(3, 3))
     qd = rng.normal(size=(3, 3))
-    fv = fs.fictitious_velocity(tree, poses, np.zeros((3, 2)), qd,
-                                np.zeros((3, 2)), np.zeros((3, 2)),
-                                np.ones(9))
+    st, d = stage_terms(tree, poses[:, 2], qd, np.zeros((3, 2)),
+                        np.zeros((3, 2)))
+    fv = fictitious_velocity(tree, st, np.zeros((3, 2)),
+                             _error_vector(st, poses, d.qd),
+                             feedforward_term(st, d), d, np.ones(9))
     assert np.abs(fv.rate).max() < 1e-12
 
 
@@ -210,8 +228,10 @@ def test_rate_zero_on_exact_tracking_circle(rng, chain5):
     profs = _random_profiles(rng, 5)
     for t in (0.0, 1.3, 4.8):
         qd, etad, etadd = fs.desired_arrays(profs, t)
-        fv = fs.fictitious_velocity(chain5, qd, etad, qd, etad, etadd,
-                                    np.ones(15))
+        st, d = stage_terms(chain5, qd[:, 2], qd, etad, etadd)
+        fv = fictitious_velocity(chain5, st, etad,
+                                 _error_vector(st, qd, d.qd),
+                                 feedforward_term(st, d), d, np.ones(15))
         assert np.abs(fv.twist - etad.reshape(-1)).max() < 1e-10
         assert np.abs(fv.rate).max() < 1e-8
 
@@ -219,9 +239,10 @@ def test_rate_zero_on_exact_tracking_circle(rng, chain5):
 def test_twist_matches_kinematic_control(rng, chain5):
     gain = np.tile([1.0, 2.0, 3.0], 5)
     poses, twists, qd, etad, etadd = _rand_state(rng, chain5)
-    fv = fs.fictitious_velocity(chain5, poses, twists, qd, etad, etadd, gain)
-    z = fs.error_state(chain5, poses, qd).vector
-    ff = fs.feedforward_term(chain5, poses[0, 2], qd[:, 2], etad)
+    st, d = stage_terms(chain5, poses[:, 2], qd, etad, etadd)
+    z = _error_vector(st, poses, d.qd)
+    ff = feedforward_term(st, d)
+    fv = fictitious_velocity(chain5, st, twists, z, ff, d, gain)
     assert np.abs(fv.twist - fs.kinematic_control(
         chain5, poses[:, 2], z, ff, gain)).max() < 1e-11
 
@@ -242,7 +263,7 @@ def test_stacked_error_rate_identity(rng, chain5, adaptive_engine):
     # equals coupling @ twists + feedforward plus the leader skew term
     eng = adaptive_engine
     y = eng.initial_state()
-    y = eng.advance(y, 0.0, 700)
+    *_, (_, y, _) = eng.integrate(y, [0], 700)
     t = 0.7
     rec = eng.diagnostics(t, y)
     n = eng.n

@@ -37,7 +37,7 @@ def test_rk4_fourth_order_on_circle():
         steps = int(round(1.6 / h))
         for k in range(steps):
             q = rk4_step(f, k * h, q, h)
-        return np.abs(q - fs.desired_state(prof, 1.6).pose).max()
+        return np.abs(q - fs.desired_arrays([prof], 1.6)[0][0]).max()
 
     e1, e2 = err(0.02), err(0.01)
     assert 12.0 < e1 / e2 < 20.0
@@ -177,7 +177,7 @@ def test_energy_rate_identity_kinematic():
     cfg = fs.get_preset("kinematic-pentagon")
     eng = fs.Engine(cfg)
     gain = np.asarray(cfg.formation_gain)
-    y = eng.advance(eng.initial_state(), 0.0, 200)
+    *_, (_, y, _) = eng.integrate(eng.initial_state(), [0], 200)
     h = 1e-5
     for t in (0.2, 0.7, 1.2):
         rec = eng.diagnostics(t, y)
@@ -188,14 +188,14 @@ def test_energy_rate_identity_kinematic():
         vm = eng.diagnostics(t - h, eng.step(t, y, -h)).V
         fd = (vp - vm) / (2 * h)
         assert abs(fd - pred) < 1e-6 * abs(pred)
-        y = eng.advance(y, t, 500)
+        *_, (_, y, _) = eng.integrate(y, [0], 500, t)
 
 
 def test_leader_body_error_rate_identity(adaptive_engine):
     # finite-difference rate of the leader's body-frame error matches the
     # spin term plus rotated desired rate minus the selected twist
     eng = adaptive_engine
-    y = eng.advance(eng.initial_state(), 0.0, 500)
+    *_, (_, y, _) = eng.integrate(eng.initial_state(), [0], 500)
     t = 0.5
     n = eng.n
     rec = eng.diagnostics(t, y)
@@ -272,9 +272,9 @@ def test_sampled_twist_scenario_runs():
 # ---- blocks of steps ----
 
 def _stepwise(eng, y, t0, steps):
-    """``Engine.advance`` as a plain loop of ``rk4_step`` over
-    ``Engine.rate``, every stage evaluating the control law at its own
-    time."""
+    """The final state of ``Engine.integrate`` from one mark, as a plain
+    loop of ``rk4_step`` over ``Engine.rate``, every stage evaluating the
+    control law at its own time."""
     dt = eng.config.dt
     y = np.array(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,8 +347,8 @@ def test_advance_matches_stepwise_rk4(kind):
     eng = fs.Engine(CONFIGS[kind]())
     y0 = eng.initial_state()
     for steps in (1, _BLOCK_STEPS, 2 * _BLOCK_STEPS + 5):
-        assert np.array_equal(eng.advance(y0, 0.05, steps),
-                              _stepwise(eng, y0, 0.05, steps))
+        *_, (_, y, _) = eng.integrate(y0, [0], steps, 0.05)
+        assert np.array_equal(y, _stepwise(eng, y0, 0.05, steps))
 
 
 def _reference_integrate(eng, y, marks, stop, t0=0.0):
@@ -521,5 +521,5 @@ def test_divergence_precedes_later_singular_speed_in_block():
     with pytest.raises(fs.DivergenceError, match="at t=1$"):
         fs.simulate(cfg)
     with pytest.raises(fs.SingularSpeed, match="at t=3.0515$"):
-        fs.Engine(replace(cfg, dt=1e-3)).advance(
-            fs.Engine(cfg).initial_state(), 2.99, 100)
+        list(fs.Engine(replace(cfg, dt=1e-3)).integrate(
+            fs.Engine(cfg).initial_state(), [0], 100, 2.99))

@@ -59,7 +59,7 @@ def test_out_of_range_vertex_rejected():
 
 
 def test_error_hierarchy():
-    for cls in (fs.CycleError, fs.DisconnectedError, fs.CountError):
+    for cls in (fs.CycleError, fs.DisconnectedError):
         assert issubclass(cls, fs.GraphError)
         assert issubclass(cls, ValueError)
 

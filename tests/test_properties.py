@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 import formsim as fs
 import formsim.controller
 import formsim.engine
+from conftest import stage_terms
+from formsim.controller import (_error_vector, feedforward_term,
+                                fictitious_velocity)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -171,9 +174,10 @@ def test_builders_match_block_forms(data):
     fd = (_coupling_blocks(tree, th + h * w)
           - _coupling_blocks(tree, th - h * w)) / (2 * h)
     assert np.abs(fs.coupling_rate(tree, th, w) - fd).max() < 1e-8
-    assert _close(fs.error_state(tree, poses, qd).vector,
+    stage, d = stage_terms(tree, th, qd, etad)
+    assert _close(_error_vector(stage, poses, d.qd),
                   _error_blocks(tree, poses, qd), 1e-14)
-    assert _close(fs.feedforward_term(tree, th[0], qd[:, 2], etad),
+    assert _close(feedforward_term(stage, d),
                   _feedforward_blocks(tree, th[0], qd, etad), 1e-14)
 
 
@@ -276,13 +280,14 @@ def test_non_finite_heading_raises_rank_deficient(data):
     qd, etad, etadd = (rng.normal(size=(n, k)) for k in (3, 2, 2))
     gain = np.ones(3 * n)
     with np.errstate(invalid="ignore"):
-        z = fs.error_state(tree, poses, qd).vector
-        ff = fs.feedforward_term(tree, poses[0, 2], qd[:, 2], etad)
+        stage, d = stage_terms(tree, poses[:, 2], qd, etad, etadd)
+        z = _error_vector(stage, poses, d.qd)
+        ff = feedforward_term(stage, d)
         with pytest.raises(fs.RankDeficient):
             fs.kinematic_control(tree, poses[:, 2], z, ff, gain)
         with pytest.raises(fs.RankDeficient):
-            fs.fictitious_velocity(tree, poses, rng.normal(size=(n, 2)), qd,
-                                   etad, etadd, gain)
+            fictitious_velocity(tree, stage, rng.normal(size=(n, 2)), z, ff,
+                                d, gain)
 
 
 def _counter(monkeypatch, name, owners):
@@ -302,28 +307,40 @@ def _counter(monkeypatch, name, owners):
 def test_one_coupling_build_per_rate(monkeypatch):
     # kinematic rates and records never form the dense coupling matrix;
     # the torque law needs it, so adaptive rates build it once, and a
-    # record reuses that build. Advancing by one
-    # sample interval evaluates the desired trajectory once, for all its
-    # stages, and no stage looks the tree's layout up.
+    # record reuses that build. Every evaluation calls the named pieces of
+    # the law, where perfbench/tracing.py counts them: the feedforward
+    # once, and in dynamic mode the twist command and the feedforward's
+    # rate once. Integrating one sample interval evaluates the desired
+    # trajectory once, for all its stages, and no stage looks the tree's
+    # layout up.
     owners = [formsim.controller, formsim.engine]
     builds = _counter(monkeypatch, "coupling_matrix", owners)
     desired = _counter(monkeypatch, "desired_arrays", [formsim.engine])
     layouts = _counter(monkeypatch, "_layout", owners)
+    ffs = _counter(monkeypatch, "feedforward_term", owners)
+    twists = _counter(monkeypatch, "fictitious_velocity", [formsim.engine])
+    ff_rates = _counter(monkeypatch, "feedforward_rate",
+                        [formsim.controller])
+    counts = (builds, desired, layouts, ffs, twists, ff_rates)
     for name, per_rate in (("kinematic-pentagon", 0),
                            ("adaptive-pentagon", 1)):
         cfg = fs.get_preset(name)
         eng = fs.Engine(cfg)
         y = eng.initial_state()
         eng.rate(0.3, y)
-        builds.clear()
-        eng.rate(0.3, y)
-        assert len(builds) == per_rate, name
-        builds.clear()
-        eng.diagnostics(0.3, y)
-        assert len(builds) == per_rate, name
-        for calls in (builds, desired, layouts):
+        for evaluate in (eng.rate, eng.diagnostics):
+            for calls in counts:
+                calls.clear()
+            evaluate(0.3, y)
+            assert len(builds) == per_rate, name
+            assert len(ffs) == 1, name
+            assert len(twists) == len(ff_rates) == per_rate, name
+        for calls in counts:
             calls.clear()
-        eng.advance(y, 0.3, cfg.sample_every)
+        *_, (_, y, _) = eng.integrate(y, [0], cfg.sample_every, 0.3)
+        stages = 4 * cfg.sample_every
         assert len(desired) == 1, name
         assert len(layouts) == 0, name
-        assert len(builds) == 4 * cfg.sample_every * per_rate, name
+        assert len(builds) == stages * per_rate, name
+        assert len(ffs) == stages, name
+        assert len(twists) == len(ff_rates) == stages * per_rate, name

@@ -178,6 +178,23 @@ def test_validation_rejects_bad_steps():
         fs.scenario_from_dict(_tiny_doc(t_final=0.0))
 
 
+def test_step_counts_just_below_2_53_are_accepted():
+    # 2**53 steps are rejected (see the cases below and in test_cli.py);
+    # past them a step index times the step is no longer exact
+    assert fs.scenario_from_dict(_tiny_doc(dt=2.0 ** -52)).dt == 2.0 ** -52
+    doc = _tiny_doc()
+    table = {"kind": "sampled_twist", "start": [1, 0, 0],
+             "times": [0.0, 2.0], "twists": [[1.0, 0.5]] * 2,
+             "rates": [[0.0, 0.0]] * 2}
+    doc["robots"][1]["trajectory"] = {**table, "grid_dt": 2.0 ** -52}
+    with pytest.raises(fs.ValidationError, match=re.escape(
+            "robots[2].trajectory: grid_dt")):
+        fs.scenario_from_dict(doc)
+    doc["robots"][1]["trajectory"] = {**table, "grid_dt": 2.0 ** -51}
+    assert fs.scenario_from_dict(doc).robots[1].profile.grid_dt \
+        == 2.0 ** -51
+
+
 @pytest.mark.parametrize("field,value,error", [
     ("dt", "fast", fs.SchemaError),
     ("t_final", [1.0, 2.0], fs.SchemaError),
@@ -186,6 +203,9 @@ def test_validation_rejects_bad_steps():
     ("sample_every", 0, fs.ValidationError),
     ("threshold", 0.0, fs.ValidationError),
     ("t_final", -np.inf, fs.ValidationError),
+    ("dt", 1e-300, fs.ValidationError),
+    ("t_final", 1e300, fs.ValidationError),
+    ("dt", 2.0 ** -53, fs.ValidationError),     # exactly 2**53 steps
 ])
 def test_validation_rejects_bad_run_scalars(field, value, error):
     with pytest.raises(error, match=field):

@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 import formsim as fs
 import formsim.trajectory
 from formsim.engine import rk4_step
-from formsim.trajectory import _pose_grids
+from formsim.trajectory import _hermite, _pose_grids
 
 EPS = np.finfo(float).eps
 
 
 def test_arc_closed_form_quarter_circle():
     prof = fs.ConstantTwist(pose0=(5.0, 10.0, np.pi / 2), v=5.0, omega=1.0)
-    d = fs.desired_state(prof, np.pi)
-    assert np.allclose(d.pose, [-5.0, 10.0, 3 * np.pi / 2], atol=1e-12)
-    assert np.array_equal(d.twist, [5.0, 1.0])
-    assert np.array_equal(d.accel, [0.0, 0.0])
+    (pose,), (twist,), (accel,) = fs.desired_arrays([prof], np.pi)
+    assert np.allclose(pose, [-5.0, 10.0, 3 * np.pi / 2], atol=1e-12)
+    assert np.array_equal(twist, [5.0, 1.0])
+    assert np.array_equal(accel, [0.0, 0.0])
 
 
 def test_arc_closed_form_matches_integration():
@@ -35,18 +35,18 @@ def test_arc_closed_form_matches_integration():
     h = np.pi / steps
     for k in range(steps):
         q = rk4_step(f, k * h, q, h)
-    assert np.abs(q - fs.desired_state(prof, np.pi).pose).max() < 1e-10
+    assert np.abs(q - fs.desired_arrays([prof], np.pi)[0][0]).max() < 1e-10
 
 
 def test_straight_line():
     prof = fs.ConstantTwist(pose0=(0.0, 0.0, 0.0), v=3.0, omega=0.0)
-    d = fs.desired_state(prof, 2.0)
-    assert np.allclose(d.pose, [6.0, 0.0, 0.0], atol=1e-15)
+    pose = fs.desired_arrays([prof], 2.0)[0][0]
+    assert np.allclose(pose, [6.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_profile_initial_condition_preserved():
     prof = fs.ConstantTwist(pose0=(4.0, 1.0, np.pi / 2), v=4.0, omega=1.0)
-    assert np.array_equal(fs.desired_state(prof, 0.0).pose,
+    assert np.array_equal(fs.desired_arrays([prof], 0.0)[0][0],
                           [4.0, 1.0, np.pi / 2])
 
 
@@ -60,7 +60,7 @@ def test_constant_twist_rejects_singular_speed():
 def test_negative_time_rejected():
     prof = fs.ConstantTwist(pose0=(0.0, 0.0, 0.0), v=1.0, omega=0.5)
     with pytest.raises(ValueError):
-        fs.desired_state(prof, -0.1)
+        fs.desired_arrays([prof], -0.1)
 
 
 def test_arc_stays_on_circle():
@@ -69,7 +69,7 @@ def test_arc_stays_on_circle():
     cx = 5.0 - (v / w) * np.sin(np.pi / 2)
     cy = 10.0 + (v / w) * np.cos(np.pi / 2)
     for t in np.linspace(0, 20, 97):
-        q = fs.desired_state(prof, t).pose
+        q = fs.desired_arrays([prof], t)[0][0]
         assert abs(np.hypot(q[0] - cx, q[1] - cy) - v / w) < 1e-10
 
 
@@ -85,7 +85,7 @@ def test_sampled_twist_matches_table_at_nodes():
     prof = _sine_profile()
     for k in (0, 7, 19, 32):
         t = prof.times[k]
-        tw, _ = prof.twist_at(t)
+        tw = _hermite(prof.times, prof.twists, prof.rates, [t])[0][0]
         assert np.allclose(tw, prof.twists[k], atol=1e-13)
 
 
@@ -93,11 +93,10 @@ def test_sampled_rate_is_twist_derivative():
     prof = _sine_profile()
     for t in (0.31, 1.07, 2.553, 3.9):
         h = 1e-6
-        tw_p, _ = prof.twist_at(t + h)
-        tw_m, _ = prof.twist_at(t - h)
-        fd = (tw_p - tw_m) / (2 * h)
-        _, rate = prof.twist_at(t)
-        assert np.abs(fd - rate).max() < 1e-7
+        tw, rate = _hermite(prof.times, prof.twists, prof.rates,
+                            [t + h, t - h, t])
+        fd = (tw[0] - tw[1]) / (2 * h)
+        assert np.abs(fd - rate[2]).max() < 1e-7
 
 
 @pytest.mark.parametrize("make", [
@@ -106,13 +105,13 @@ def test_sampled_rate_is_twist_derivative():
 ])
 def test_pose_rate_consistency_second_order(make):
     # central difference of the desired pose vs steering(heading) @ twist
-    prof = make()
+    profile_set = fs.ProfileSet([make()])
 
     def gap(t, h):
-        qp = fs.desired_state(prof, t + h).pose
-        qm = fs.desired_state(prof, t - h).pose
-        d = fs.desired_state(prof, t)
-        want = fs.unicycle_rate(d.pose[2], d.twist)
+        qp = fs.desired_arrays(profile_set, t + h)[0][0]
+        qm = fs.desired_arrays(profile_set, t - h)[0][0]
+        (pose,), (twist,), _ = fs.desired_arrays(profile_set, t)
+        want = fs.unicycle_rate(pose[2], twist)
         return np.abs((qp - qm) / (2 * h) - want).max()
 
     t = 1.23037  # mid-cell for the sampled grid
@@ -154,8 +153,8 @@ def test_sampled_pose_matches_constant_twist():
                            rates=rt, grid_dt=1e-3)
     arc = fs.ConstantTwist(pose0=(1.0, 1.0, 0.2), v=2.0, omega=0.5)
     for t in (0.0, 0.6137, 1.5, 2.9):
-        assert np.abs(fs.desired_state(samp, t).pose
-                      - fs.desired_state(arc, t).pose).max() < 1e-11
+        assert np.abs(fs.desired_arrays([samp], t)[0]
+                      - fs.desired_arrays([arc], t)[0]).max() < 1e-11
 
 
 def test_desired_arrays_shapes(rng):
@@ -170,10 +169,10 @@ def _assert_arrays_match_states(profs, times):
     for t in times:
         qd, etad, etadd = fs.desired_arrays(profs, t)
         for i, prof in enumerate(profs):
-            d = fs.desired_state(prof, t)
-            assert np.array_equal(qd[i], d.pose)
-            assert np.array_equal(etad[i], d.twist)
-            assert np.array_equal(etadd[i], d.accel)
+            (pose,), (twist,), (accel,) = fs.desired_arrays([prof], t)
+            assert np.array_equal(qd[i], pose)
+            assert np.array_equal(etad[i], twist)
+            assert np.array_equal(etadd[i], accel)
 
 
 def test_desired_arrays_matches_desired_state_constant():
@@ -196,9 +195,9 @@ def test_desired_arrays_matches_desired_state_sampled():
 
 def _stepwise_grid(prof):
     """The pose grid integrated one ``rk4_step`` at a time, with the pose
-    rate built from ``twist_at``."""
+    rate built from the Hermite twist."""
     def rate(t, q):
-        v, w = prof.twist_at(t)[0]
+        v, w = _hermite(prof.times, prof.twists, prof.rates, [t])[0][0]
         return np.array([v * math.cos(q[2]), v * math.sin(q[2]), w])
 
     steps = math.ceil(prof.span / prof.grid_dt)
@@ -336,7 +335,8 @@ def test_profile_set_matches_each_profile(mix, t):
     profile_set = fs.ProfileSet(profs)
     if t < 0:
         expected = ValueError
-    elif any(abs(p.twist_at(t)[0][0]) < fs.trajectory.SPEED_FLOOR
+    elif any(abs(_hermite(p.times, p.twists, p.rates, [t])[0][0, 0])
+             < fs.trajectory.SPEED_FLOOR
              for p in profs if isinstance(p, fs.SampledTwist)):
         expected = fs.SingularSpeed
     else:
@@ -348,7 +348,7 @@ def test_profile_set_matches_each_profile(mix, t):
         raised = set()
         for p in profs:
             try:
-                fs.desired_state(p, t)
+                fs.desired_arrays([p], t)
             except ValueError as exc:
                 raised.add(type(exc))
         assert raised == {expected}
