@@ -1,7 +1,8 @@
 """Command-line interface: run scenarios, emit presets, check invariants.
 
 Exit codes: 0 success, 2 config error, 3 runtime failure (divergence,
-rank deficiency, singular desired speed), 4 I/O error.
+rank deficiency, singular desired speed, a pose grid too large to
+allocate), 4 I/O error.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .metrics import compute_metrics, report_to_yaml
 from .presets import get_preset, preset_names
 from .scenario import ParseError, SchemaError, ValidationError, \
     load_scenario, serialize_scenario
-from .trajectory import SingularSpeed
+from .trajectory import GridAllocationError, SampledTwist, SingularSpeed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,7 +29,8 @@ EXIT_IO = 4
 
 _CONFIG_ERRORS = (ParseError, SchemaError, ValidationError, GraphError,
                   SingularSpeed)
-_RUNTIME_ERRORS = (DivergenceError, RankDeficient, SingularSpeed)
+_RUNTIME_ERRORS = (DivergenceError, RankDeficient, SingularSpeed,
+                   GridAllocationError)
 
 
 def _load(path, overrides):
@@ -96,6 +98,11 @@ def _check_lines(config, horizon):
     probe_every = max(1, steps_total // 8)
     marks = range(0, steps_total + 1, probe_every)
     h = 1e-5
+    end = min((spec.profile.span for spec in config.robots
+               if isinstance(spec.profile, SampledTwist)), default=np.inf)
+
+    def va(t, y, k):   # Va after one probe step of k h from (t, y)
+        return engine.diagnostics(t + k * h, engine.step(t, y, k * h)).Va
 
     lsq_ok, rate_ok, chain_ok = True, True, True
     details = {"lsq": "", "rate": ""}
@@ -117,12 +124,15 @@ def _check_lines(config, horizon):
         bound = 1e-10 * (1 + np.linalg.norm(A) * np.linalg.norm(b))
         if defect > bound:
             lsq_ok, details["lsq"] = False, f"defect {defect:.2e} at t={t:g}"
-        # energy-rate identity, finite differences vs prediction (needs
-        # a backward probe, so skip the very first instant)
+        # energy-rate identity, finite differences vs prediction (skip the
+        # first instant); past a sampled table's end the desired pose is
+        # clamped, so a probe there looks back, at second order
         if t - h >= 0:
-            val_p = engine.diagnostics(t + h, engine.step(t, y, h)).Va
-            val_m = engine.diagnostics(t - h, engine.step(t, y, -h)).Va
-            fd, pred = (val_p - val_m) / (2 * h), rec.Vdot
+            if t + h <= end:
+                fd = (va(t, y, 1) - va(t, y, -1)) / (2 * h)
+            else:
+                fd = (3 * rec.Va - 4 * va(t, y, -1) + va(t, y, -2)) / (2 * h)
+            pred = rec.Vdot
             floor = 1e3 * np.finfo(float).eps * max(rec.Va, 1.0) / h
             if abs(pred) > floor and abs(fd - pred) > 1e-5 * abs(pred):
                 rate_ok = False

@@ -9,38 +9,33 @@ commanded twists minimize the residual energy of driving that relation to
 the gain-weighted error, an overdetermined least-squares problem solved
 through the normal equations.
 
-Those normal equations are never formed densely. Over a spanning tree the
+The normal equations are never formed densely. Over a spanning tree the
 Gram matrix G = A^T A has a closed form: robot i's v and w diagonal
-entries are both 1 plus its number of children (its neighbour count,
-plus 1 for the root), each edge (p, c) contributes -cos(theta_p -
-theta_c) between the v slots and -1 between the w slots, and v never
-couples to w. ``linalg.TreeGram`` eliminates that matrix leaves first, in
-reverse topological edge order, with no fill-in and every pivot at least
-1 (pivot_c = deg~_c - sum over children of cos^2/pivot >= deg~_c -
-#children = 1), and A^T b is a gather and a ``bincount`` over the edges.
-Both solves therefore cost O(n), and the only way to lose the factor is a
-non-finite heading, which raises RankDeficient.
+entries are both 1 plus its number of children, each edge (p, c) gives
+-cos(theta_p - theta_c) between the v slots and -1 between the w slots,
+and v never couples to w. ``linalg.TreeGram`` eliminates it leaves first
+with no fill-in and every pivot at least 1, and A^T b is a gather and a
+``bincount`` over the edges (``_normal_rhs``), so a solve costs O(n) and
+only a non-finite heading, which raises RankDeficient, loses the factor.
 
-``fictitious_velocity`` additionally returns the exact time derivative of
-the commanded twist along the closed-loop flow, which the torque-level
-backstepping controller consumes. The derivative accounts for the motion
-of the leader's body frame (the skew term in the stacked-error rate), not
-just the directly coupled part; without it the computed rate would be
-wrong whenever the leader still carries tracking error.
+``fictitious_velocity`` also returns the exact time derivative of the
+commanded twist along the closed-loop flow, which the torque-level
+backstepping controller consumes, including the motion of the leader's
+body frame (the skew term in the stacked-error rate).
 
-Each piece of the law is one function, and ``Engine.evaluate`` calls it.
-Terms of the time alone (``_desired_terms``: desired poses, the desired
-pose rates g and their edge differences, which are the feedforward's edge
-rows, and the rates of both) are computed for any number of times at
-once. Terms one state shares (``_Stage``: the tree's layout, the
-headings' cosines and sines, and the leader's rotation) are computed once
-per evaluation. ``feedforward_term``, ``feedforward_rate`` and
-``fictitious_velocity`` take a ``_Stage`` and a ``_Desired``.
+Each piece of the law is one function that ``Engine.evaluate`` calls.
+Terms of the time alone (``_Desired``: desired poses, their rates g and
+the edge differences of g, the feedforward's edge rows, and the rates of
+both) are computed for any number of times at once, and terms one state
+shares (``_Stage``: the layout, the headings' cosines and sines, the
+leader's rotation) once per evaluation. A kinematic stage is one call,
+``_kinematic_twist``: it forms b = -(K z) - ff from the poses without
+building z or ff, and eliminates A^T b in the factor's own loop. In
+dynamic mode ``feedforward_term``, ``feedforward_rate`` and
+``fictitious_velocity`` take the ``_Stage`` and the ``_Desired``.
 ``coupling_matrix``, ``coupling_rate``, ``tree_gram`` and
-``kinematic_control`` take a tree and either the headings, as the
-independent oracles of the tests and ``formsim check`` pass them, or a
-``_Stage``, so a caller that holds one neither recomputes the
-trigonometry nor rebuilds the layout.
+``kinematic_control``, the independent oracles of the tests and
+``formsim check``, take a tree and the headings, or a ``_Stage``.
 """
 
 import math
@@ -51,7 +46,7 @@ import numpy as np
 
 # least_squares_solve is the dense reference the tests compare against; it
 # stays bound here, where perfbench/tracing.py counts its calls.
-from .linalg import TreeGram, least_squares_solve  # noqa: F401
+from .linalg import TreeGram, _interleave, least_squares_solve  # noqa: F401
 
 __all__ = [
     "coupling_matrix",
@@ -79,13 +74,12 @@ def _layout(tree):
     """Edge index arrays of a tree: the 0-based (parent, child) pairs in
     edge order, and the parents and children as arrays; the flat
     positions in an (n, 3) per-robot array of every edge's parent row and
-    of its child row; the flat positions in a (3n, 2n) matrix of each edge
-    block's cosine row, sine row and heading row (parents, then children),
-    then of the leader block's two entries; the constant values of the
-    heading rows and the leader block; and, for every entry of the edge
-    rows of a stacked vector taken once for the children and once for the
-    parents, its flat position in an (n, 3) per-robot array (``cflat``
-    then ``pflat``). An ``Engine`` builds its tree's once."""
+    child row; the flat positions in a (3n, 2n) matrix of each edge
+    block's cosine, sine and heading rows (parents, then children), then
+    of the leader block's two entries, and the constant values of the
+    heading rows and the leader block; and ``cflat`` then ``pflat``, the
+    gather of edge rows into robots. An ``Engine`` builds its tree's
+    once."""
     n = tree.n
     parents, children = ends = tree.edge_array().T
     rows = np.tile(6 * n * np.arange(1, n), 2)   # flat start of edge blocks
@@ -249,23 +243,25 @@ def feedforward_rate(st, omega1, ff, d):
 def tree_gram(tree, headings):
     """``TreeGram`` factor of A^T A for the coupling matrix A at
     ``headings``. Raises RankDeficient when a heading is not finite."""
-    st = _as_stage(tree, headings)
+    return _gram(_as_stage(tree, headings))
+
+
+def _gram(st, rhs=None):
+    """``tree_gram`` at a stage, eliminating ``rhs`` in its loop."""
     c, s, p, ch = st.cos, st.sin, st.lay.parents, st.lay.children
-    return TreeGram(st.lay.edges, c[p] * c[ch] + s[p] * s[ch])
+    return TreeGram(st.lay.edges, c[p] * c[ch] + s[p] * s[ch], rhs)
 
 
-def _normal_rhs(st, b):
+def _normal_rhs(st, rows, b0, b2):
     """A^T b for the coupling matrix at the stage's headings, as lists of
-    its v and w entries, without forming A: every edge row block is added
-    to its child and subtracted from its parent, each robot's sums are
-    steered back by its heading, and the leader block takes -b[0] and
-    -b[2] unrotated."""
-    rows = b[3:]
+    its v and w entries, without forming A, from b's edge rows and its
+    leader entries b0 and b2 (b1 meets a zero row): every edge row block
+    is added to its child and subtracted from its parent, each robot's
+    sums are steered back by its heading, and the leader takes -b0, -b2."""
     S = np.bincount(st.lay.gather, np.concatenate([rows, -rows]),
-                    minlength=3 * st.lay.n).reshape(-1, 3).T
-    bv = (st.cos * S[0] + st.sin * S[1]).tolist()
-    bw = S[2].tolist()
-    b0, _, b2 = b[:3].tolist()
+                    minlength=3 * st.lay.n)
+    bv = (st.cos * S[0::3] + st.sin * S[1::3]).tolist()
+    bw = S[2::3].tolist()
     bv[0] -= b0
     bw[0] -= b2
     return bv, bw
@@ -280,7 +276,25 @@ def kinematic_control(tree, headings, z, ff, gain):
     """
     st = _as_stage(tree, headings)
     b = -(np.asarray(gain, dtype=float) * np.asarray(z, dtype=float)) - ff
-    return tree_gram(tree, st).solve_split(*_normal_rhs(st, b))
+    rhs = _normal_rhs(st, b[3:], b[0], b[2])
+    return _interleave(*_gram(st, rhs).back(*rhs))
+
+
+def _kinematic_twist(st, poses, d, gain):
+    """``kinematic_control``'s v and w, as lists, at a stage ``st`` of the
+    poses (n, 3) with the desired terms ``d`` and the (3n,) gain: b's edge
+    rows straight from the poses, its leader entries in floats with
+    ``_rotate``'s operations, and A^T b eliminated in the factor."""
+    lay = st.lay
+    e = (d.qd - poses).reshape(-1)
+    rows = -(gain[3:] * (e[lay.pflat] - e[lay.cflat])) - d.edges
+    c, s = st.rot
+    x, y, w = e[:3].tolist()
+    gx, gy, gw = d.rows[0].tolist()
+    k0, _, k2 = gain[:3].tolist()
+    rhs = _normal_rhs(st, rows, -(k0 * (c * x + s * y)) - (c * gx + s * gy),
+                      -(k2 * w) - gw)
+    return _gram(st, rhs).back(*rhs)
 
 
 def _coupled(st, eta):
@@ -323,7 +337,7 @@ def fictitious_velocity(tree, st, twists, z, ff, d, gain):
     omega = twists[:, 1]
     A = coupling_matrix(tree, st)
 
-    gram = tree_gram(tree, st)
+    gram = _gram(st)
     w = gain * z + ff
     etaf = -gram.solve(A.T @ w)
 

@@ -1,46 +1,36 @@
 """Fixed-step closed-loop integration and trace recording.
 
-One Engine instance owns one scenario run. Integration is classical
-fourth-order Runge-Kutta at the scenario step, with the control law
-re-evaluated inside every stage (continuous-control idealization). One
-evaluator, ``Engine.evaluate``, computes the control law at a state, and
-every RK4 stage (through ``Engine.rate``), trace row, probe and
-``formsim check`` line goes through it. It calls each piece of the
-control law in ``controller`` once: ``feedforward_term``, then
-``kinematic_control`` or, in dynamic mode, ``fictitious_velocity``. One
-loop, ``Engine.integrate``, takes the steps of ``run`` and ``formsim
-check``.
+One Engine instance owns one scenario run: classical fourth-order
+Runge-Kutta at the scenario step, with the control law re-evaluated in
+every stage (continuous-control idealization). One evaluator,
+``Engine.evaluate``, computes the law at a state; every RK4 stage
+(through ``Engine.rate``), trace row, probe and ``formsim check`` line
+goes through it, and one loop, ``Engine.integrate``, takes the steps of
+``run`` and ``formsim check``.
 
-Each evaluation has a state-independent half and a state-dependent one.
-The first is the desired trajectory at the evaluation's time and what
-follows from it alone: the desired poses, the desired pose rates and
-their differences across the edges (the feedforward's edge rows), and in
-dynamic mode the rates of both. ``Engine.integrate`` evaluates that half
-for a block of steps in one pass (see ``_BLOCK_STEPS``), at every stage
-time the steps will use: t, t + h/2 and t + h, computed with
-``rk4_step``'s own expressions, so a stage finds its terms by its exact
-time. Blocks run on across sample boundaries, and the last one also
-holds the time of the final sample. This is exact because the desired
-trajectory does not depend on the state: evaluated at the same time, it
-is the same numbers whether the state is known yet or not. Outside
-``integrate`` (a single ``step``, a probe) an evaluation is a block of
-its one time. The second half runs per stage: the headings' cosines and
-sines once, the stacked error and the leader's feedforward block, and
-the tree-structured solve of the normal equations in O(n), then in
-dynamic mode the torque and adaptation laws, the only piece that forms
-the dense coupling matrix A.
-If some stage time of a block is outside the desired trajectory's
-domain, the block keeps no terms and each stage evaluates its own time,
-so an error is raised by the stage that reaches it, after any error of
-an earlier stage.
+An evaluation has a state-independent half: the desired poses, the
+desired pose rates and their edge differences (the feedforward's edge
+rows), and in dynamic mode the rates of both. ``integrate`` evaluates it
+in one pass for a block of steps (``_BLOCK_STEPS``), at every stage time
+t, t + h/2 and t + h as ``rk4_step`` computes them, and at the final
+sample's time in the last block; it is the same numbers as evaluating
+each time alone, since it does not depend on the state. If some time is
+outside the trajectory's domain, the block keeps no terms and each stage
+evaluates its own time, so the stage that reaches it raises. The
+state-dependent half runs per stage: the headings' cosines and sines
+once, then in kinematic mode one call of ``controller._kinematic_twist``,
+which forms the normal equations' right-hand side from the poses and
+eliminates it in the leaves-first factor, and from whose v and w the pose
+rates are written. Dynamic mode builds the stacked error and the
+feedforward (``feedforward_term``), then ``fictitious_velocity`` and the
+torque and adaptation laws, the only piece that forms the dense A.
 
 A trace row or check line at a sample reads the ``EvalRecord`` of the
-evaluation that is also the next step's first stage, k1, and the step
-reuses it (``rk4_step``'s ``k1``): the sample's time cur*dt is that
-step's start cur*dt + 0*dt. Only the final sample is evaluated on its
-own. A record's residual K z + ff + A eta_f (A eta_f from the stage's
-cosines and sines by ``controller._coupled``, without A) and predicted
-energy rate cost O(n) more.
+evaluation that is also the next step's first stage (``rk4_step``'s
+``k1``); only the final sample is evaluated on its own. A record also
+builds the stacked error, the feedforward and the interleaved twists,
+and its residual K z + ff + A eta_f (A eta_f by ``controller._coupled``,
+without A) and predicted energy rate cost O(n) more.
 """
 
 from contextlib import contextmanager
@@ -54,11 +44,11 @@ import numpy as np
 from .adaptive import (adaptation_rate, adaptive_control, block_regression,
                        lyapunov_diagnostics, params_to_vector)
 from .controller import (_coupled, _Desired, _desired_terms, _error_vector,
-                         _layout, _stage, feedforward_term,
-                         fictitious_velocity, kinematic_control)
-# Not called here (fictitious_velocity builds A in controller); it stays
-# bound where perfbench/tracing.py looks up the layers it traces.
-from .controller import coupling_matrix  # noqa: F401
+                         _interleave, _kinematic_twist, _layout, _stage,
+                         feedforward_term, fictitious_velocity)
+# Not called here, but bound where perfbench/tracing.py looks up the
+# layers it traces.
+from .controller import coupling_matrix, kinematic_control  # noqa: F401
 from .trajectory import ProfileSet, desired_arrays, rk4_step
 
 __all__ = ["DivergenceError", "Trace", "EvalRecord", "Engine", "simulate",
@@ -220,31 +210,36 @@ class Engine:
             d = self._desired(t)
         poses = y[:3 * n].reshape(n, 3)
         st = _stage(self._lay, poses[:, 2])
-        z = _error_vector(st, poses, d.qd)
-        ff = feedforward_term(st, d)
         dy = np.empty_like(y)
         if self.mode == "kinematic":
-            eta = etaf = kinematic_control(self.tree, st, z, ff, self.gz)
-            u = phihat = etafdot = sigma = None
+            v, w = _kinematic_twist(st, poses, d, self.gz)
+            v = np.array(v)
         else:
+            z = _error_vector(st, poses, d.qd)
+            ff = feedforward_term(st, d)
             twists = y[3 * n:5 * n].reshape(n, 2)
             phihat = y[5 * n:]
             fv = fictitious_velocity(self.tree, st, twists, z, ff, d,
                                      self.gz)
             etaf, etafdot = fv.twist, fv.rate
             eta = twists.reshape(-1)
+            v, w = eta[0::2], eta[1::2]
             sigma = eta - etaf
             Y = block_regression(etafdot, twists)
             u = adaptive_control(sigma, z, fv.A, Y, phihat, self.gs)
             drag = (self.damp @ twists[:, :, None]).reshape(-1)
             dy[3 * n:5 * n] = self.minv * (u - drag)
             dy[5 * n:] = adaptation_rate(Y, sigma, self.ga)
-        v = eta[0::2]
         dy[0:3 * n:3] = v * st.cos
         dy[1:3 * n:3] = v * st.sin
-        dy[2:3 * n:3] = eta[1::2]
+        dy[2:3 * n:3] = w
         if not record:
             return dy
+        if self.mode == "kinematic":
+            z = _error_vector(st, poses, d.qd)
+            ff = feedforward_term(st, d)
+            eta = etaf = _interleave(v, w)
+            u = phihat = etafdot = sigma = None
         res = self.gz * z + ff + _coupled(st, etaf)
         V = Va = 0.5 * float(z @ z)
         if self.mode == "kinematic":
@@ -285,18 +280,14 @@ class Engine:
         ``marks[0]`` to ``stop``, recording the state at each step index
         in ``marks`` (increasing, none past ``stop``).
 
-        Step k starts at t0 + mark*dt + s*dt, mark being the last mark at
-        or before k and s = k - mark, so a mark's time t0 + mark*dt is
-        the start of its first step. Steps go in blocks of up to
-        ``_BLOCK_STEPS`` across the marks: the desired terms of a block's
-        stage times are evaluated in one pass (``_hoist``) before its
-        first stage, then every stage runs through ``rate`` as in
-        ``rk4_step``. Yields (t, y, rec) at each mark before ``stop``,
-        rec being the EvalRecord of the evaluation that is also the
-        mark's first stage, once the block holding that step is
-        integrated. Yields (t, y, rec) last at ``stop``: the final state,
-        with the record evaluated on its own (its time hoisted with the
-        last block) when ``stop`` is a mark, else None."""
+        Step k starts at t0 + mark*dt + s*dt, with mark the last mark at
+        or before k and s = k - mark. Steps go in blocks of up to
+        ``_BLOCK_STEPS`` across the marks, each block's desired terms
+        evaluated in one pass (``_hoist``) before its first stage. Yields
+        (t, y, rec) at each mark before ``stop``, rec being the
+        EvalRecord of the mark's first stage, once its block is
+        integrated; last, at ``stop``, the final state and, when ``stop``
+        is a mark, its own record, else None."""
         dt = self.config.dt
         y = np.array(y, dtype=float)
         steps = ((t0 + mark * dt + s * dt, s == 0)

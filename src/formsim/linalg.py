@@ -1,37 +1,30 @@
 """Least-squares solves of the control law and the chain pivot certificate.
 
 The control law's normal equations G x = A^T b sit over a spanning tree
-rooted at robot 1 (index 0), and G = A^T A has a closed form that needs
-neither A nor a matrix product. Let deg~_i be robot i's number of tree
-neighbours, plus 1 for the root; equivalently, 1 plus its number of
-children. Then, with twists interleaved as (v_1, w_1, v_2, w_2, ...):
-
-* the diagonal of G is deg~_i in both robot i's v slot and its w slot;
-* for each edge (p, c) the off-diagonal entries are -cos(theta_p -
-  theta_c) between the v slots and -1 between the w slots;
-* v and w never couple.
+rooted at robot 1 (index 0), and G = A^T A has a closed form. Let deg~_i
+be 1 plus robot i's number of children. With twists interleaved as
+(v_1, w_1, v_2, w_2, ...), G has deg~_i in both of robot i's diagonal
+slots, -cos(theta_p - theta_c) between the v slots and -1 between the w
+slots of each edge (p, c), and no v-w coupling.
 
 ``TreeGram`` factors G as L D L^T by eliminating robots in reverse
-topological edge order, leaves first. A robot is eliminated only after
-all of its children, and only its parent row is updated, so there is no
-fill-in and the work is O(n). Every pivot is at least 1, by induction
-from the leaves: pivot_c = deg~_c - sum over children k of
-cos^2/pivot_k >= deg~_c - #children = 1. The w pivots are exactly 1. A
-finite heading therefore always gives a factor; a non-finite heading is
-the only way to lose one, and it raises RankDeficient.
+topological edge order, leaves first: a robot goes only after all of its
+children and updates only its parent's row, so there is no fill-in and
+the work is O(n). Every pivot is at least 1, by induction from the
+leaves: pivot_c = deg~_c - sum over children k of cos^2/pivot_k >=
+deg~_c - #children = 1, and the w pivots are exactly 1. Only a
+non-finite heading loses the factor, and it raises RankDeficient. The
+same loop can carry one right-hand side's forward elimination.
 
 ``least_squares_solve`` and its rank guard ``gram_pivot`` form the dense
 reference: G = A^T A formed explicitly, every squared Cholesky pivot of G
 above PIVOT_RTOL = 1e-12 times the largest diagonal entry of G, and two
 LU solves. The squared pivots are the Gaussian-elimination pivots of G in
 column order; for chains they are the recursion pivots of
-``chain_gram_determinant``, which ``chain_pivot_bounds`` keeps at or above
-2/m against a largest diagonal of 2.
-
-The Gram matrix of a chain is pentadiagonal with a fixed sparsity pattern,
-which admits an O(m) determinant recursion with provable pivot bounds.
-The tests cross-check that recursion against ``TreeGram``'s pivots and
-against dense LAPACK: the determinant and the Cholesky factor of A^T A.
+``chain_gram_determinant``, the O(m) determinant recursion of the
+pentadiagonal chain Gram matrix, which ``chain_pivot_bounds`` keeps at or
+above 2/m against a largest diagonal of 2. The tests cross-check that
+recursion against ``TreeGram``'s pivots and against dense LAPACK.
 """
 
 import math
@@ -126,19 +119,27 @@ class TreeGram:
     indices in topological order from root 0, and ``cos`` holds
     cos(theta_p - theta_c) for each edge. Raises RankDeficient when some
     cosine is not finite.
+
+    ``rhs``, optional, is one right-hand side as lists (bv, bw) of its v
+    and w entries. The factor's loop then also runs its forward
+    elimination L y = rhs, overwriting the lists with y, and ``back``
+    finishes the solve. ``solve`` takes any later right-hand side.
     """
 
     __slots__ = ("_edges", "_piv", "_mult")
 
-    def __init__(self, edges, cos):
+    def __init__(self, edges, cos, rhs=None):
         # Every v diagonal starts at 1; eliminating child c then adds the
         # edge's 1 to its parent and subtracts cos^2 / pivot_c.
         piv = [1.0] * (len(edges) + 1)
         mult = [0.0] * len(piv)
+        bv, bw = rhs or (mult.copy(), mult.copy())
         for (p, c), w in zip(reversed(edges),
                              reversed(np.asarray(cos, dtype=float).tolist())):
             f = mult[c] = w / piv[c]
             piv[p] += 1.0 - w * f
+            bv[p] += f * bv[c]
+            bw[p] += bw[c]
         # a non-finite cosine leaves its parent's pivot non-finite (or its
         # child's already is), and += keeps a pivot non-finite
         if not math.isfinite(sum(piv)):
@@ -149,30 +150,35 @@ class TreeGram:
     def pivots(self):
         """Pivots of the elimination, interleaved like the twists: the v
         pivots in the even slots, the w pivots (all 1) in the odd ones."""
-        out = np.ones(2 * len(self._piv))
-        out[0::2] = self._piv
-        return out
+        return _interleave(self._piv, [1.0] * len(self._piv))
 
     def solve(self, rhs):
         """Solve G x = rhs for an interleaved (2n,) right-hand side."""
         rhs = np.asarray(rhs, dtype=float)
-        return self.solve_split(rhs[0::2].tolist(), rhs[1::2].tolist())
-
-    def solve_split(self, bv, bw):
-        """``solve`` of the right-hand side given as lists of its v and w
-        entries, which are overwritten; returns the interleaved solution."""
-        piv, mult = self._piv, self._mult
+        bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
+        mult = self._mult
         for p, c in reversed(self._edges):     # L y = rhs, leaves first
             bv[p] += mult[c] * bv[c]
             bw[p] += bw[c]
+        return _interleave(*self.back(bv, bw))
+
+    def back(self, bv, bw):
+        """D L^T x = y, root first, for y given as lists of its v and w
+        entries, which are overwritten with x and returned."""
+        piv, mult = self._piv, self._mult
         bv[0] /= piv[0]
-        for p, c in self._edges:               # D L^T x = y, root first
+        for p, c in self._edges:
             bv[c] = bv[c] / piv[c] + mult[c] * bv[p]
             bw[c] += bw[p]
-        out = np.empty(2 * len(bv))
-        out[0::2] = bv
-        out[1::2] = bw
-        return out
+        return bv, bw
+
+
+def _interleave(v, w):
+    """The (2n,) array (v_1, w_1, v_2, w_2, ...) of n v and n w entries."""
+    out = np.empty(2 * len(v))
+    out[0::2] = v
+    out[1::2] = w
+    return out
 
 
 def chain_gram_determinant(headings):

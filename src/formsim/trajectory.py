@@ -31,6 +31,7 @@ import numpy as np
 __all__ = [
     "SPEED_FLOOR",
     "SingularSpeed",
+    "GridAllocationError",
     "ConstantTwist",
     "SampledTwist",
     "ProfileSet",
@@ -52,6 +53,10 @@ _GRID_CHUNK = 4096
 
 class SingularSpeed(ValueError):
     """Desired translational speed too close to zero."""
+
+
+class GridAllocationError(MemoryError):
+    """A sampled twist's pose grid is too large to allocate."""
 
 
 def rk4_step(f, t, y, h, k1=None):
@@ -213,7 +218,11 @@ def _pose_grids(table, poses0):
     """
     span, dt = table.span, table.grid_dt
     steps = int(math.ceil(span / dt))
-    grid = np.empty((steps + 1, 3, len(poses0)))
+    try:
+        grid = np.empty(shape := (steps + 1, 3, len(poses0)))
+    except MemoryError:
+        raise GridAllocationError(f"cannot allocate the pose grid of "
+                                  f"grid_dt {dt:g}, shape {shape}") from None
     grid[0] = np.transpose(poses0)
     chunk = max(1, _GRID_CHUNK // len(poses0))
     for a in range(0, steps, chunk):

@@ -143,6 +143,23 @@ def test_run_bad_sampled_table_exits_2(tmp_path, capsys, trajectory):
     assert "config error: ValidationError: robots[1].trajectory" in err
 
 
+@pytest.mark.parametrize("command,failed", [("run", "run failed"),
+                                            ("check", "check run failed")])
+def test_unallocatable_pose_grid_exits_3(tmp_path, capsys, command, failed):
+    # 1e15 grid steps pass the 2**53 step bound, but their pose grid (24
+    # PB) cannot be allocated; the request fails at once, touching no
+    # memory
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(_sampled_doc(grid_dt=1e-15)))
+    args = ["--trace", str(tmp_path / "t.csv"), "--metrics",
+            str(tmp_path / "m.yaml")] if command == "run" else []
+    code = main([command, "--config", str(path), *args])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"{failed}: GridAllocationError" in err
+    assert "grid_dt 1e-15" in err
+
+
 @pytest.mark.parametrize("field,value", [
     ("dt", float("nan")),
     ("t_final", float("inf")),
@@ -387,6 +404,27 @@ def test_check_output_matches_reference_loop(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(fs.Engine, "integrate", _reference_integrate)
     assert main(args) == code == 0
     assert capsys.readouterr().out == got
+
+
+def test_check_passes_at_the_end_of_a_sampled_table(tmp_path, capsys):
+    # the tables end at t_final, and past their span the desired poses
+    # are clamped: a centred energy-rate probe at t_final straddles that
+    # kink, so the check takes the backward difference there
+    twists = [[1.0, 0.2], [1.2, 0.5], [0.9, -0.3]]
+    rates = [[2.0, 1.0], [0.0, -4.0], [-3.0, 2.0]]
+    doc = _sampled_doc(times=[0.0, 0.05, 0.1], twists=twists, rates=rates)
+    second = yaml.safe_load(yaml.safe_dump(doc["robots"][0]))
+    second["start"] = [-0.4, 0.3, 0.2]
+    second["trajectory"]["start"] = [-0.5, 0.0, 0.0]
+    doc.update(edges=[[1, 2]], dt=0.005, t_final=0.1, sample_every=1,
+               robots=[doc["robots"][0], second])
+    path = tmp_path / "table.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    for horizon in ("0.1", "0.09"):
+        code = main(["check", "--config", str(path), "--horizon", horizon])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "PASS energy-rate-identity" in out
 
 
 @pytest.mark.parametrize("horizon", ["nan", "-1"])

@@ -120,6 +120,21 @@ def test_tree_gram_chain_determinant(rng):
                           rtol=1e-12)
 
 
+def test_tree_gram_fused_rhs_matches_solve(rng):
+    # eliminating a right-hand side in the factor's loop and then
+    # back-substituting is the same arithmetic as a later solve
+    for n in (1, 2, 5, 40):
+        edges = [(int(rng.integers(0, k)), k) for k in range(1, n)]
+        cos = rng.uniform(-1, 1, n - 1)
+        rhs = rng.normal(size=2 * n)
+        bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
+        gram = fs.TreeGram(edges, cos, (bv, bw))
+        x = np.empty(2 * n)
+        x[0::2], x[1::2] = gram.back(bv, bw)
+        assert np.array_equal(x, fs.TreeGram(edges, cos).solve(rhs))
+        assert np.array_equal(gram.pivots, fs.TreeGram(edges, cos).pivots)
+
+
 def test_tree_gram_rejects_non_finite_cosines():
     for bad in (np.nan, np.inf):
         with pytest.raises(fs.RankDeficient):

@@ -308,8 +308,10 @@ def test_one_coupling_build_per_rate(monkeypatch):
     # kinematic rates and records never form the dense coupling matrix;
     # the torque law needs it, so adaptive rates build it once, and a
     # record reuses that build. Every evaluation calls the named pieces of
-    # the law, where perfbench/tracing.py counts them: the feedforward
-    # once, and in dynamic mode the twist command and the feedforward's
+    # the law, where perfbench/tracing.py counts them. A kinematic stage
+    # is one call of the one-pass stage, and only a record builds the
+    # stacked error and the feedforward, once each. A dynamic evaluation
+    # builds them once and calls the twist command and the feedforward's
     # rate once. Integrating one sample interval evaluates the desired
     # trajectory once, for all its stages, and no stage looks the tree's
     # layout up.
@@ -318,29 +320,88 @@ def test_one_coupling_build_per_rate(monkeypatch):
     desired = _counter(monkeypatch, "desired_arrays", [formsim.engine])
     layouts = _counter(monkeypatch, "_layout", owners)
     ffs = _counter(monkeypatch, "feedforward_term", owners)
+    errors = _counter(monkeypatch, "_error_vector", owners)
+    stages = _counter(monkeypatch, "_kinematic_twist", [formsim.engine])
     twists = _counter(monkeypatch, "fictitious_velocity", [formsim.engine])
     ff_rates = _counter(monkeypatch, "feedforward_rate",
                         [formsim.controller])
-    counts = (builds, desired, layouts, ffs, twists, ff_rates)
+    counts = (builds, desired, layouts, ffs, errors, stages, twists,
+              ff_rates)
     for name, per_rate in (("kinematic-pentagon", 0),
                            ("adaptive-pentagon", 1)):
         cfg = fs.get_preset(name)
         eng = fs.Engine(cfg)
         y = eng.initial_state()
         eng.rate(0.3, y)
-        for evaluate in (eng.rate, eng.diagnostics):
+        for evaluate, record in ((eng.rate, 0), (eng.diagnostics, 1)):
             for calls in counts:
                 calls.clear()
             evaluate(0.3, y)
             assert len(builds) == per_rate, name
-            assert len(ffs) == 1, name
+            assert len(ffs) == len(errors) == max(per_rate, record), name
+            assert len(stages) == 1 - per_rate, name
             assert len(twists) == len(ff_rates) == per_rate, name
         for calls in counts:
             calls.clear()
+        # one record, at the interval's first stage, and no final record
         *_, (_, y, _) = eng.integrate(y, [0], cfg.sample_every, 0.3)
-        stages = 4 * cfg.sample_every
+        n_stages = 4 * cfg.sample_every
         assert len(desired) == 1, name
         assert len(layouts) == 0, name
-        assert len(builds) == stages * per_rate, name
-        assert len(ffs) == stages, name
-        assert len(twists) == len(ff_rates) == stages * per_rate, name
+        assert len(builds) == n_stages * per_rate, name
+        assert len(ffs) == len(errors) == (n_stages if per_rate else 1), \
+            name
+        assert len(stages) == n_stages * (1 - per_rate), name
+        assert len(twists) == len(ff_rates) == n_stages * per_rate, name
+
+
+@st.composite
+def kinematic_scenes(draw):
+    """A kinematic Engine on a random recursive tree of 2 to 30 robots,
+    with random poses, headings in (-pi, pi], constant twists and a
+    random diagonal gain, and a time to evaluate at."""
+    n = draw(st.integers(2, 30))
+    edges = [[draw(st.integers(1, k - 1)), k] for k in range(2, n + 1)]
+    th = draw(st.lists(st.floats(-np.pi, np.pi, exclude_min=True),
+                       min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    robots = [{"start": [*rng.normal(size=2) * 3, th[i]],
+               "trajectory": {"kind": "constant_twist",
+                              "start": [*rng.normal(size=2) * 3,
+                                        rng.uniform(-np.pi, np.pi)],
+                              "twist": [rng.uniform(0.5, 5.0)
+                                        * rng.choice([-1, 1]),
+                                        rng.uniform(-2.0, 2.0)]}}
+              for i in range(n)]
+    doc = {"mode": "kinematic", "edges": edges, "dt": 1e-3,
+           "t_final": 1.0, "robots": robots,
+           "gains": {"formation": rng.uniform(0.5, 10.0, 3 * n).tolist()}}
+    engine = fs.Engine(fs.scenario_from_dict(doc))
+    return engine, float(rng.uniform(0.0, 5.0)), engine.initial_state()
+
+
+@SETTINGS
+@given(scene=kinematic_scenes(), bad=st.sampled_from([np.nan, np.inf,
+                                                      -np.inf]),
+       data=st.data())
+def test_one_pass_stage_matches_composition(scene, bad, data):
+    # the one-pass kinematic stage is the old composition of the stacked
+    # error, the feedforward and kinematic_control, bit for bit
+    eng, t, y = scene
+    n = eng.n
+    poses = y[:3 * n].reshape(n, 3)
+    qd, etad, _ = fs.desired_arrays(eng.profiles, t)
+    stage, d = stage_terms(eng.tree, poses[:, 2], qd, etad)
+    eta = fs.kinematic_control(eng.tree, poses[:, 2],
+                               _error_vector(stage, poses, d.qd),
+                               feedforward_term(stage, d), eng.gz)
+    want = np.empty(3 * n)
+    want[0::3] = eta[0::2] * stage.cos
+    want[1::3] = eta[0::2] * stage.sin
+    want[2::3] = eta[1::2]
+    assert np.array_equal(eng.rate(t, y), want)
+    # and a non-finite heading, the leader's or a follower's, raises
+    y = y.copy()
+    y[3 * data.draw(st.integers(0, n - 1)) + 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(fs.RankDeficient):
+        eng.rate(t, y)
