@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 config error, 3 runtime failure (divergence,
 rank deficiency, singular desired speed, a pose grid too large to
-allocate), 4 I/O error.
+allocate), 4 I/O error. ``run`` and ``check`` load a config in one place,
+so a fault of the file is the same config error from either.
 """
 
 import argparse
@@ -13,7 +14,6 @@ import numpy as np
 
 from .controller import coupling_matrix, tree_gram
 from .engine import DivergenceError, Engine, simulate
-from .graph import GraphError
 from .linalg import RankDeficient, chain_gram_determinant, \
     chain_pivot_bounds
 from .metrics import compute_metrics, report_to_yaml
@@ -27,28 +27,31 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
-_CONFIG_ERRORS = (ParseError, SchemaError, ValidationError, GraphError,
-                  SingularSpeed)
+_CONFIG_ERRORS = (ParseError, SchemaError, ValidationError, SingularSpeed)
 _RUNTIME_ERRORS = (DivergenceError, RankDeficient, SingularSpeed,
                    GridAllocationError)
 
 
-def _load(path, overrides):
-    # overrides are validated with the file, like the values they replace
-    return load_scenario(Path(path), {k: v for k, v in overrides.items()
-                                      if v is not None})
-
-
-def _cmd_run(args):
+def _load(args, *fields):
+    """The config ``args.config`` names, validated with the ``fields``
+    given on the command line in place of its own, or the exit code after
+    saying why it cannot be loaded."""
     try:
-        config = _load(args.config, {"dt": args.dt, "t_final": args.t_final,
-                                     "threshold": args.threshold})
+        return load_scenario(Path(args.config), {
+            k: getattr(args, k) for k in fields
+            if getattr(args, k) is not None})
     except _CONFIG_ERRORS as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+def _cmd_run(args):
+    config = _load(args, "dt", "t_final", "threshold")
+    if isinstance(config, int):
+        return config
     try:
         trace = simulate(config)
     except _RUNTIME_ERRORS as exc:
@@ -124,11 +127,12 @@ def _check_lines(config, horizon):
         bound = 1e-10 * (1 + np.linalg.norm(A) * np.linalg.norm(b))
         if defect > bound:
             lsq_ok, details["lsq"] = False, f"defect {defect:.2e} at t={t:g}"
-        # energy-rate identity, finite differences vs prediction (skip the
-        # first instant); past a sampled table's end the desired pose is
-        # clamped, so a probe there looks back, at second order
-        if t - h >= 0:
-            if t + h <= end:
+        # energy-rate identity, finite differences vs prediction, where the
+        # probe stays in t >= 0; past a sampled table's end the desired pose
+        # is clamped, so a probe there looks back, at second order
+        ahead = t + h <= end
+        if t - (1 if ahead else 2) * h >= 0:
+            if ahead:
                 fd = (va(t, y, 1) - va(t, y, -1)) / (2 * h)
             else:
                 fd = (3 * rec.Va - 4 * va(t, y, -1) + va(t, y, -2)) / (2 * h)
@@ -157,14 +161,9 @@ def _cmd_check(args):
         print(f"config error: --horizon must be a non-negative number of "
               f"seconds, got {args.horizon}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        config = _load(args.config, {"dt": args.dt})
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    config = _load(args, "dt")
+    if isinstance(config, int):
+        return config
     failed = False
     try:
         for name, ok, detail in _check_lines(config, args.horizon):

@@ -345,8 +345,7 @@ class Engine:
         if self.mode == "dynamic":
             parts += [rec.u, rec.phihat]
         parts.append(np.linalg.norm(rec.error, axis=1))
-        eps = rec.z[3:].reshape(-1, 3)
-        parts.append(np.linalg.norm(eps, axis=1) if len(eps) else np.empty(0))
+        parts.append(np.linalg.norm(rec.z[3:].reshape(-1, 3), axis=1))
         parts.append(np.array([np.linalg.norm(rec.z), rec.V, rec.Va,
                                np.linalg.norm(rec.residual)]))
         return np.concatenate(parts)

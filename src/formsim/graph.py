@@ -53,26 +53,26 @@ class SpanningTree:
 
     def edge_array(self):
         """Edges as an (n-1, 2) int array of 0-based vertex indices."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64) - 1
+        return np.array(self.edges, dtype=np.int64).reshape(-1, 2) - 1
 
 
 def validate_spanning_tree(n, edges):
     """Check and normalize an oriented edge list into a SpanningTree.
 
-    Raises CycleError for repeated children, self loops, or any edge
-    pointing back at the root; DisconnectedError when a vertex cannot be
-    reached from vertex 1. An edge set that passes both is a spanning
-    tree: once every vertex is reached, every edge has been taken, and
-    as the children are distinct and none is the root, there are n - 1.
+    Every fault raises a GraphError: CycleError for repeated children,
+    self loops, or any edge pointing back at the root; DisconnectedError
+    when a vertex cannot be reached from vertex 1; GraphError itself for
+    n < 1 or an endpoint outside 1..n. An edge set that passes is a
+    spanning tree: once every vertex is reached, every edge has been
+    taken, and as the children are distinct and none is the root, there
+    are n - 1.
     """
     if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
+        raise GraphError(f"need at least one vertex, got n={n}")
     edges = [(int(i), int(j)) for i, j in edges]
     for i, j in edges:
         if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"edge ({i}, {j}) outside vertex range 1..{n}")
+            raise GraphError(f"edge ({i}, {j}) outside vertex range 1..{n}")
 
     children = [j for _, j in edges]
     if any(i == j for i, j in edges):
@@ -84,15 +84,13 @@ def validate_spanning_tree(n, edges):
         raise CycleError(f"vertex {dup[0]} has more than one parent")
 
     # Breadth-first from the root, collecting edges in topological order.
-    remaining = list(edges)
-    ordered = []
-    reached = {1}
+    ordered, reached = [], {1}
     progress = True
-    while remaining and progress:
+    while edges and progress:
         progress = False
-        for e in list(remaining):
+        for e in list(edges):
             if e[0] in reached:
-                remaining.remove(e)
+                edges.remove(e)
                 ordered.append(e)
                 reached.add(e[1])
                 progress = True

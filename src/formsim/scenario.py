@@ -6,7 +6,8 @@ diagonal gain vectors, integration step and horizon, and trace sampling.
 Gains may be given per robot (3, 2, or 6 numbers broadcast to all robots)
 or in full stacked form. See the README for an annotated example.
 
-Loading composes the text with ``_LOADER`` (libyaml when PyYAML has it).
+Loading composes the text, or a file's bytes, with ``_LOADER`` (libyaml
+when PyYAML has it), which decodes bytes by YAML's own rules.
 A document whose every node is plain (maps with string keys, sequences,
 and string, decimal integer and float scalars), as every scenario formsim
 writes is, is built straight from the node tree in one short pass. Any
@@ -21,7 +22,7 @@ positive like every other positive number.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,7 @@ def _build(node, memo):
 
 
 class ParseError(ValueError):
-    """Input text is not well-formed YAML."""
+    """Input is not well-formed YAML, or not decodable as YAML text."""
 
 
 class SchemaError(ValueError):
@@ -181,7 +182,7 @@ class ScenarioConfig:
     unit: str
     mode: str
     n: int
-    edges: tuple
+    tree: object
     robots: tuple
     formation_gain: tuple
     dt: float
@@ -190,7 +191,6 @@ class ScenarioConfig:
     twist_gain: tuple = None
     adapt_gain: tuple = None
     threshold: float = None
-    tree: object = field(default=None, compare=False)
 
 
 def _need(d, key, context):
@@ -430,10 +430,10 @@ def scenario_from_dict(doc):
 
     return ScenarioConfig(
         name=str(doc.get("name", "scenario")), unit=str(doc.get("unit", "m")),
-        mode=mode, n=n, edges=tuple(edges), robots=tuple(robots),
+        mode=mode, n=n, tree=tree, robots=tuple(robots),
         formation_gain=formation_gain, twist_gain=twist_gain,
         adapt_gain=adapt_gain, dt=dt, t_final=t_final,
-        sample_every=sample_every, threshold=threshold, tree=tree,
+        sample_every=sample_every, threshold=threshold,
     )
 
 
@@ -443,7 +443,7 @@ def scenario_to_dict(config):
         "unit": config.unit,
         "mode": config.mode,
         "n": config.n,
-        "edges": [list(e) for e in config.edges],
+        "edges": [list(e) for e in config.tree.edges],
         "dt": config.dt,
         "t_final": config.t_final,
         "sample_every": config.sample_every,
@@ -476,8 +476,10 @@ def load_scenario(source, overrides=None):
     """Load a config from a file, given as a ``Path``, or from YAML text,
     given as a ``str`` (a string is never taken for a file name).
     ``overrides`` maps top-level fields (say ``t_final``) to values that
-    replace the text's before the config is validated."""
-    text = source.read_text() if isinstance(source, Path) else source
+    replace the text's before the config is validated. A file is decoded
+    as YAML is (UTF-8, or UTF-16 with a BOM), whatever the locale. Faults
+    raise ParseError, SchemaError, ValidationError or SingularSpeed."""
+    text = source.read_bytes() if isinstance(source, Path) else source
     try:
         doc = _load_yaml(text)
     except yaml.YAMLError as exc:

@@ -279,6 +279,37 @@ def test_check_step_count_past_2_53_exits_2(tmp_path, capsys, edits, args,
     assert "2**53" in err
 
 
+def _run_or_check(command, path, tmp_path):
+    args = ["--trace", str(tmp_path / "t.csv"), "--metrics",
+            str(tmp_path / "m.yaml")] if command == "run" else []
+    return main([command, "--config", str(path), *args])
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("name", fs.preset_names())
+@pytest.mark.parametrize("k,edge", [(0, [0, 2]), (0, [1, -1]),
+                                    (3, [4, 7])])
+def test_edge_outside_the_robots_exits_2(tmp_path, capsys, command, name,
+                                         k, edge):
+    # an endpoint naming no robot is a bad graph, from either command
+    edges = [[1, 2], [2, 3], [3, 4], [4, 5]]
+    edges[k] = edge
+    path = _write_short_preset(tmp_path, name=name, edges=edges)
+    assert _run_or_check(command, path, tmp_path) == 2
+    assert (f"config error: ValidationError: bad coordination graph: edge "
+            f"({edge[0]}, {edge[1]}) outside vertex range 1..5"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_undecodable_config_exits_2(tmp_path, capsys, command):
+    # a 0xFF byte is neither UTF-8 nor UTF-16: the file is not YAML
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"name: x\n\xff\n")
+    assert _run_or_check(command, path, tmp_path) == 2
+    assert "config error: ParseError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["dt: !!int abc", 'dt: !!float ""'])
 def test_run_unconstructible_value_exits_2(tmp_path, capsys, line):
     # PyYAML's constructors fail untyped on these tagged scalars
@@ -425,6 +456,37 @@ def test_check_passes_at_the_end_of_a_sampled_table(tmp_path, capsys):
         out = capsys.readouterr().out
         assert code == 0, out
         assert "PASS energy-rate-identity" in out
+
+
+def test_check_skips_a_probe_that_would_reach_before_t0(tmp_path, capsys):
+    # one step as short as the tables: at t_final the backward probe would
+    # reach t = -h, so that mark is skipped like the first instant
+    ts = [0.0, 1.5e-5]
+    doc = _sampled_doc(times=ts, twists=[[1.0, 0.5]] * 2,
+                       rates=[[0.0, 0.0]] * 2)
+    second = yaml.safe_load(yaml.safe_dump(doc["robots"][0]))
+    second["start"] = [-0.4, 0.3, 0.2]
+    doc.update(edges=[[1, 2]], dt=ts[1], t_final=ts[1],
+               robots=[doc["robots"][0], second])
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["check", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS ") == 4 and "FAIL" not in out
+
+
+def test_single_robot_runs_and_checks(tmp_path, capsys):
+    # n = 1: no edges, so no coordination-error columns and no chain
+    # certificate
+    path = tmp_path / "one.yaml"
+    path.write_text(yaml.safe_dump(_sampled_doc()))
+    assert _run_or_check("run", path, tmp_path) == 0
+    trace = fs.Trace.read_csv(tmp_path / "t.csv")
+    assert not any(c.startswith("norm_eps") for c in trace.columns)
+    assert "norm_e1" in trace.columns
+    assert main(["check", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS ") == 3 and "chain-pivot-certificate" not in out
 
 
 @pytest.mark.parametrize("horizon", ["nan", "-1"])

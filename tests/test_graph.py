@@ -54,8 +54,23 @@ def test_missing_edge_disconnected():
 
 
 def test_out_of_range_vertex_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(fs.GraphError, match=r"edge \(2, 7\) outside"):
         fs.validate_spanning_tree(3, [(1, 2), (2, 7)])
+
+
+@pytest.mark.parametrize("edge", [(0, 2), (1, -1), (4, 6), (-1, 2)])
+def test_every_endpoint_outside_1_to_n_is_a_graph_error(edge):
+    # the one error family a scenario turns into a ValidationError
+    with pytest.raises(fs.GraphError,
+                       match=rf"edge \({edge[0]}, {edge[1]}\) outside "
+                             r"vertex range 1\.\.5"):
+        fs.validate_spanning_tree(5, [(1, 2), (2, 3), (3, 4), edge])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_no_vertices_is_a_graph_error(n):
+    with pytest.raises(fs.GraphError, match="at least one vertex"):
+        fs.validate_spanning_tree(n, [])
 
 
 def test_error_hierarchy():

@@ -171,6 +171,58 @@ def test_validation_rejects_bad_tree():
         fs.scenario_from_dict(_tiny_doc(edges=[[2, 1]]))
 
 
+@pytest.mark.parametrize("edge", [[0, 2], [1, -1], [1, 3]])
+def test_edge_outside_the_robots_is_a_bad_graph(edge):
+    # an endpoint that names no robot is a fault of the graph like any
+    # other, not an untyped error
+    with pytest.raises(fs.ValidationError,
+                       match=r"bad coordination graph: edge .* outside "
+                             r"vertex range 1\.\.2"):
+        fs.scenario_from_dict(_tiny_doc(edges=[edge]))
+
+
+def test_config_stores_the_tree_in_topological_order():
+    # one tree, its edges parents first: the config serializes it, loads
+    # back equal, and runs the trace of the in-order text
+    doc = _tiny_doc(edges=[[3, 4], [1, 2], [2, 3]])
+    doc["robots"] = [dict(doc["robots"][0], start=[0.3 * k, -0.2 * k, 0.1])
+                     for k in range(4)]
+    cfg = fs.scenario_from_dict(doc)
+    assert cfg.tree.edges == ((1, 2), (2, 3), (3, 4))
+    assert fs.scenario_to_dict(cfg)["edges"] == [[1, 2], [2, 3], [3, 4]]
+    assert fs.load_scenario(fs.serialize_scenario(cfg)) == cfg
+    in_order = fs.scenario_from_dict(dict(doc, edges=[[1, 2], [2, 3],
+                                                      [3, 4]]))
+    assert in_order == cfg
+    a = fs.simulate(replace(cfg, t_final=0.05))
+    b = fs.simulate(replace(in_order, t_final=0.05))
+    assert a.columns == b.columns
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader] + (
+    [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else []),
+    ids=lambda c: c.__name__)
+def test_file_is_decoded_as_yaml(tmp_path, monkeypatch, loader):
+    # a file's bytes are decoded by YAML's rules, not the locale's: UTF-8,
+    # or UTF-16 with a byte-order mark, load to the same config, and bytes
+    # that decode as neither are a ParseError like any unreadable YAML
+    monkeypatch.setattr(scenario, "_LOADER", loader)
+    for name in fs.preset_names():
+        text = fs.serialize_scenario(fs.get_preset(name))
+        utf8, utf16 = tmp_path / "utf8.yaml", tmp_path / "utf16.yaml"
+        utf8.write_bytes(text.encode("utf-8"))
+        utf16.write_bytes(text.encode("utf-16"))
+        assert utf16.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+        want = fs.scenario_to_dict(fs.load_scenario(text))
+        assert fs.scenario_to_dict(fs.load_scenario(utf8)) == want
+        assert fs.scenario_to_dict(fs.load_scenario(utf16)) == want
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"name: x\n\xff\n")
+    with pytest.raises(fs.ParseError, match="not valid YAML"):
+        fs.load_scenario(bad)
+
+
 def test_validation_rejects_bad_steps():
     with pytest.raises(fs.ValidationError):
         fs.scenario_from_dict(_tiny_doc(dt=-1e-3))
@@ -361,7 +413,7 @@ def test_robot_count_cross_check():
 def test_kinematic_pentagon_preset_values():
     cfg = fs.get_preset("kinematic-pentagon")
     assert cfg.mode == "kinematic" and cfg.unit == "cm"
-    assert cfg.edges == ((1, 2), (2, 3), (3, 4), (4, 5))
+    assert cfg.tree.edges == ((1, 2), (2, 3), (3, 4), (4, 5))
     assert cfg.formation_gain == tuple([2.0, 2.0, 10.0] * 5)
     half = np.pi / 2
     desired0 = [
