@@ -9,6 +9,7 @@ coupling matrix columns, the leaves-first Gram factor) can rely on parents
 appearing before their children.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,13 @@ def validate_spanning_tree(n, edges):
     spanning tree: once every vertex is reached, every edge has been
     taken, and as the children are distinct and none is the root, there
     are n - 1.
+
+    The edges come back in the order of repeated sweeps over the input
+    list, each taking, in list order, every edge whose parent is already
+    reached. That order is built in one pass: an edge from the root is in
+    sweep 0, and any other edge is in its parent edge's sweep when listed
+    after that edge, in the next sweep otherwise; the edges are then
+    sorted by (sweep, position in the list).
     """
     if n < 1:
         raise GraphError(f"need at least one vertex, got n={n}")
@@ -80,23 +88,25 @@ def validate_spanning_tree(n, edges):
     if 1 in children:
         raise CycleError("root vertex 1 appears as a child")
     if len(set(children)) != len(children):
-        dup = sorted(j for j in set(children) if children.count(j) > 1)
-        raise CycleError(f"vertex {dup[0]} has more than one parent")
+        dup = min(j for j, c in Counter(children).items() if c > 1)
+        raise CycleError(f"vertex {dup} has more than one parent")
 
-    # Breadth-first from the root, collecting edges in topological order.
-    ordered, reached = [], {1}
-    progress = True
-    while edges and progress:
-        progress = False
-        for e in list(edges):
-            if e[0] in reached:
-                edges.remove(e)
-                ordered.append(e)
-                reached.add(e[1])
-                progress = True
+    # each edge's sweep, walked from the root: a vertex on a cycle is
+    # never reached
+    by_parent = {}
+    for k, (i, _) in enumerate(edges):
+        by_parent.setdefault(i, []).append(k)
+    sweep, stack = {}, [(1, 0, -1)]     # vertex, its edge's sweep, position
+    while stack:
+        i, s, at = stack.pop()
+        for k in by_parent.get(i, ()):
+            sweep[k] = s + (k < at)
+            stack.append((edges[k][1], sweep[k], k))
+    reached = {1, *(edges[k][1] for k in sweep)}
     unreachable = set(range(1, n + 1)) - reached
     if unreachable:
         raise DisconnectedError(
             f"vertices {sorted(unreachable)} unreachable from the root"
         )
-    return SpanningTree(n=n, edges=tuple(ordered))
+    ordered = sorted(sweep, key=lambda k: (sweep[k], k))
+    return SpanningTree(n=n, edges=tuple(edges[k] for k in ordered))

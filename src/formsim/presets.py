@@ -19,6 +19,27 @@ _CHAIN5 = [[1, 2], [2, 3], [3, 4], [4, 5]]
 _HALF = float(np.pi / 2)
 
 
+def _pentagon(name, unit, mode, cx, radius, twist, starts, gains, robot):
+    """A regular pentagon of circumradius ``radius`` about (cx, 0), first
+    vertex on top, each robot desired at a vertex with heading pi/2 and
+    the common ``twist``; ``robot`` holds the fields every robot shares
+    besides its start and trajectory."""
+    c10, s10 = float(np.cos(np.pi / 10)), float(np.sin(np.pi / 10))
+    c5, s5 = float(np.cos(np.pi / 5)), float(np.sin(np.pi / 5))
+    vertices = [(0.0, 1.0), (c10, s10), (s5, -c5), (-s5, -c5), (-c10, s10)]
+    return scenario_from_dict({
+        "name": name, "unit": unit, "mode": mode, "n": 5, "edges": _CHAIN5,
+        "dt": 1e-3, "t_final": 50.0, "sample_every": 10, "gains": gains,
+        "robots": [
+            {"start": q0, **robot,
+             "trajectory": {"kind": "constant_twist",
+                            "start": [cx + radius * c, radius * s, _HALF],
+                            "twist": twist}}
+            for q0, (c, s) in zip(starts, vertices)
+        ],
+    })
+
+
 def _kinematic_pentagon():
     starts = [
         [2.37, 8.0, 0.0162],
@@ -27,32 +48,8 @@ def _kinematic_pentagon():
         [-9.9, -11.49, 0.0517],
         [-4.45, 8.62, -0.0452],
     ]
-    c10, s10 = float(np.cos(np.pi / 10)), float(np.sin(np.pi / 10))
-    c5, s5 = float(np.cos(np.pi / 5)), float(np.sin(np.pi / 5))
-    desired0 = [
-        [5.0, 10.0, _HALF],
-        [5.0 + 10.0 * c10, 10.0 * s10, _HALF],
-        [5.0 + 10.0 * s5, -10.0 * c5, _HALF],
-        [5.0 - 10.0 * s5, -10.0 * c5, _HALF],
-        [5.0 - 10.0 * c10, 10.0 * s10, _HALF],
-    ]
-    return scenario_from_dict({
-        "name": "kinematic-pentagon",
-        "unit": "cm",
-        "mode": "kinematic",
-        "n": 5,
-        "edges": _CHAIN5,
-        "dt": 1e-3,
-        "t_final": 50.0,
-        "sample_every": 10,
-        "gains": {"formation": [2.0, 2.0, 10.0]},
-        "robots": [
-            {"start": q0,
-             "trajectory": {"kind": "constant_twist", "start": qd0,
-                            "twist": [5.0, 1.0]}}
-            for q0, qd0 in zip(starts, desired0)
-        ],
-    })
+    return _pentagon("kinematic-pentagon", "cm", "kinematic", 5.0, 10.0,
+                     [5.0, 1.0], starts, {"formation": [2.0, 2.0, 10.0]}, {})
 
 
 def _adaptive_pentagon():
@@ -63,38 +60,13 @@ def _adaptive_pentagon():
         [2.4002, 1.2942, 2.7319],
         [0.5455, 0.7914, 0.4366],
     ]
-    c10, s10 = float(np.cos(np.pi / 10)), float(np.sin(np.pi / 10))
-    c5, s5 = float(np.cos(np.pi / 5)), float(np.sin(np.pi / 5))
-    desired0 = [
-        [4.0, 1.0, _HALF],
-        [4.0 + c10, s10, _HALF],
-        [4.0 + s5, -c5, _HALF],
-        [4.0 - s5, -c5, _HALF],
-        [4.0 - c10, s10, _HALF],
-    ]
-    return scenario_from_dict({
-        "name": "adaptive-pentagon",
-        "unit": "m",
-        "mode": "dynamic",
-        "n": 5,
-        "edges": _CHAIN5,
-        "dt": 1e-3,
-        "t_final": 50.0,
-        "sample_every": 10,
-        "gains": {"formation": [1.0, 1.0, 1.0],
-                  "twist": [3.0, 3.0],
-                  "adaptation": [1.0] * 6},
-        "robots": [
-            {"start": q0,
-             "start_twist": [0.0, 0.0],
-             "estimate0": [0.0] * 6,
-             "params": {"mass": 3.6, "inertia": 0.0405,
-                        "damping": [[0.3, 0.0], [0.0, 0.004]]},
-             "trajectory": {"kind": "constant_twist", "start": qd0,
-                            "twist": [4.0, 1.0]}}
-            for q0, qd0 in zip(starts, desired0)
-        ],
-    })
+    return _pentagon("adaptive-pentagon", "m", "dynamic", 4.0, 1.0,
+                     [4.0, 1.0], starts,
+                     {"formation": [1.0, 1.0, 1.0], "twist": [3.0, 3.0],
+                      "adaptation": [1.0] * 6},
+                     {"start_twist": [0.0, 0.0], "estimate0": [0.0] * 6,
+                      "params": {"mass": 3.6, "inertia": 0.0405,
+                                 "damping": [[0.3, 0.0], [0.0, 0.004]]}})
 
 
 _BUILDERS = {

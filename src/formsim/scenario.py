@@ -318,8 +318,7 @@ def _profile_from_dict(d, context):
         for key in ("times", "twists", "rates"):
             kwargs[key] = _array(_need(d, key, context), f"{context}.{key}")
         if "grid_dt" in d:
-            kwargs["grid_dt"] = _floats(d["grid_dt"], 1,
-                                        f"{context}.grid_dt")[0]
+            kwargs["grid_dt"] = _scalar(d["grid_dt"], f"{context}.grid_dt")
     else:
         raise SchemaError(f"{context}: unknown trajectory kind {kind!r}")
     try:

@@ -6,6 +6,9 @@ construction (the rolling constraint). The desired translational speed
 must stay away from zero; below ``SPEED_FLOOR`` the heading-from-velocity
 relation degenerates and evaluation raises SingularSpeed.
 
+Constant twists have one closed form, the chord of the arc (see
+``ConstantTwist``), whatever the turn rate.
+
 Sampled profiles integrate the pose rate (v cos theta, v sin theta, w)
 with classical RK4 in a closed-stage form. The rate never depends on x or
 y, and its heading component w(t) does not depend on the pose at all, so
@@ -127,8 +130,11 @@ def _hermite(times, twists, rates, t):
 class ConstantTwist:
     """Closed-form profile for a constant (v, omega) command.
 
-    With omega nonzero the pose follows a circular arc of radius v/omega;
-    with omega zero it follows a straight line. Twist rates are zero.
+    The heading is theta0 + omega t. The position moves along the chord
+    of the path: (x0, y0) + v t (sin h / h) (cos, sin)(theta0 + h), with
+    h = omega t / 2 and sin h / h = 1 at h = 0. This is the circular arc
+    of radius v/omega for omega nonzero and the straight line for omega
+    zero, in one formula that cancels for no omega. Twist rates are zero.
     """
 
     pose0: tuple
@@ -249,62 +255,44 @@ class ProfileSet:
     or at a 1-D array of times.
 
     Built once per robot list. Constant twists are stacked once (pose0,
-    v, omega, r = v/omega, and sin/cos of the start heading), arcs
-    (omega != 0) and lines (omega == 0) in separate blocks whose closed
-    forms are evaluated as arrays. Sampled profiles with identical
-    (times, twists, rates, grid_dt) form one group: each call evaluates
-    the group's Hermite twist once, at every time and at the three stage
-    times of its short pose step, and steps the group's stacked pose
-    grids together. Each group integrates its grids here in one pass
-    (``_pose_grids``). Blocks are contiguous in an internal robot order,
-    which is mapped back to the callers' order on return when it differs.
+    v, omega) into one block whose chord form (see ``ConstantTwist``) is
+    evaluated as arrays. Sampled profiles with identical (times, twists,
+    rates, grid_dt) form one group: each call evaluates the group's
+    Hermite twist once, at every time and at the three stage times of its
+    short pose step, and steps the group's stacked pose grids together.
+    Each group integrates its grids here in one pass (``_pose_grids``).
+    Every block is written straight into the callers' robot order by
+    index.
     """
 
     def __init__(self, profiles):
         profiles = tuple(profiles)
-        arcs, lines, tables = [], [], {}
+        const, tables = [], {}
         for i, p in enumerate(profiles):
             if isinstance(p, ConstantTwist):
-                (arcs if abs(p.omega) > 1e-12 else lines).append(i)
+                const.append(i)
             elif isinstance(p, SampledTwist):
                 key = (p.grid_dt, p.times.tobytes(), p.twists.tobytes(),
                        p.rates.tobytes())
                 tables.setdefault(key, []).append(i)
             else:
                 raise TypeError(f"unknown profile type {type(p).__name__}")
-        const = arcs + lines
-        order = const + [i for group in tables.values() for i in group]
-        self._n = n = len(order)
-        self._pos = (None if order == list(range(n))
-                     else np.argsort(order))
-        self._nc, self._na = nc, na = len(const), len(arcs)
+        self._n = n = len(profiles)
+        self._const = np.array(const, dtype=np.intp)
         # one row per constant twist, transposed so each field is a
-        # contiguous row: x0, y0, theta0, v, omega, sin theta0, cos theta0;
-        # every field gets a trailing axis that broadcasts over the times
-        rows = np.array([(*p.pose0, p.v, p.omega, math.sin(p.pose0[2]),
-                          math.cos(p.pose0[2]))
-                         for p in (profiles[i] for i in const)])
-        c = rows.reshape(nc, 7).T.copy()[..., None]
-        self._x0y0, self._th0, self._w = c[:2], c[2], c[4]
+        # contiguous row: x0, y0, theta0, v, omega; every field gets a
+        # trailing axis that broadcasts over the times
+        c = np.array([(*profiles[i].pose0, profiles[i].v, profiles[i].omega)
+                      for i in const]).reshape(-1, 5).T.copy()[..., None]
+        self._x0y0, self._th0, self._v, self._w = c[:2], c[2], c[3], c[4]
         self._etad = np.zeros((n, 2))
-        self._etad[:nc] = c[3:5, :, 0].T
-        # (x, y) = (x0, y0) + coef * base. On arcs coef = [r; -r] with
-        # r = v/omega and base = [sin; cos](theta) - [sin; cos](theta0), so
-        # y = y0 - r (cos theta - cos theta0) exactly; on lines
-        # coef = [cos; sin](theta0) and base = [v t; v t].
-        r = c[3, :na] / c[4, :na]
-        self._arc_sc0 = c[5:7, :na]
-        self._coef = np.array([np.concatenate([r, c[6, na:]]),
-                               np.concatenate([-r, c[5, na:]])])
-        self._line_v = c[3, na:]
+        self._etad[const] = c[3:5, :, 0].T
         self._groups = []
-        at = nc
         for group in tables.values():
             # (steps + 1, 3, robots)
             p = profiles[group[0]]
             grids = _pose_grids(p, [profiles[i].pose0 for i in group])
-            self._groups.append((slice(at, at + len(group)), p, grids))
-            at += len(group)
+            self._groups.append((np.array(group), p, grids))
 
     def evaluate(self, t):
         """Desired poses (n, 3), twists (n, 2) and twist rates (n, 2) at a
@@ -326,26 +314,25 @@ class ProfileSet:
         bad = ~(tt >= 0)
         if bad.any():
             raise ValueError(f"t must be nonnegative, got {tt[bad][0]}")
-        m, n, nc, na = len(tt), self._n, self._nc, self._na
-        q = np.empty((3, n, m))        # rows x, y, theta; internal order
+        m, n = len(tt), self._n
+        q = np.empty((3, n, m))        # rows x, y, theta
         etad = np.empty((m, n, 2))
         etad[:] = self._etad
         etadd = np.zeros((m, n, 2))
-        if nc:
-            xy, th = q[:2, :nc], q[2, :nc]
-            np.multiply(self._w, tt, out=th)
-            th += self._th0
-            if na:
-                tha = th[:na]
-                np.sin(tha, out=q[0, :na])
-                np.cos(tha, out=q[1, :na])
-                xy[:, :na] -= self._arc_sc0
-            if na < nc:
-                x, y = q[0, na:nc], q[1, na:nc]
-                np.multiply(self._line_v, tt, out=x)
-                y[:] = x
-            xy *= self._coef
-            xy += self._x0y0
+        # constant twists, in the chord form of ConstantTwist: the chord's
+        # length v t sin(h) / h (1 at h = 0, never 0/0) and direction
+        wt = self._w * tt
+        h = 0.5 * wt
+        chord = np.divide(np.sin(h), h, out=np.ones_like(h), where=h != 0.0)
+        chord *= self._v * tt
+        h += self._th0
+        qc = np.empty((3, *h.shape))
+        np.cos(h, out=qc[0])
+        np.sin(h, out=qc[1])
+        qc[:2] *= chord
+        qc[:2] += self._x0y0
+        np.add(wt, self._th0, out=qc[2])
+        q[:, self._const] = qc
         first, speed = m, None          # first time below the floor
         for at, p, grids in self._groups:
             # the stored point at or before each time (clamped to the
@@ -371,8 +358,6 @@ class ProfileSet:
             raise SingularSpeed(f"desired speed {speed:g} below floor at "
                                 f"t={tt[first]:g}")
         qd = q.transpose(2, 1, 0)
-        if self._pos is not None:
-            qd, etad, etadd = (a[:, self._pos] for a in (qd, etad, etadd))
         if times.ndim == 0:
             return qd[0], etad[0], etadd[0]
         return qd, etad, etadd

@@ -143,6 +143,20 @@ def test_run_bad_sampled_table_exits_2(tmp_path, capsys, trajectory):
     assert "config error: ValidationError: robots[1].trajectory" in err
 
 
+@pytest.mark.parametrize("grid_dt", [[0.001], [[0.001]]])
+def test_run_list_grid_dt_exits_2(tmp_path, capsys, grid_dt):
+    # grid_dt is one number, as dt is
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_sampled_doc(grid_dt=grid_dt)))
+    code = main(["run", "--config", str(path), "--trace",
+                 str(tmp_path / "t.csv"), "--metrics",
+                 str(tmp_path / "m.yaml")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert ("config error: SchemaError: robots[1].trajectory.grid_dt: "
+            "expected a number") in err
+
+
 @pytest.mark.parametrize("command,failed", [("run", "run failed"),
                                             ("check", "check run failed")])
 def test_unallocatable_pose_grid_exits_3(tmp_path, capsys, command, failed):

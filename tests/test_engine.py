@@ -119,6 +119,30 @@ def test_kinematic_rate_on_trajectory_matches_desired():
     assert np.abs(dy - want).max() < 1e-11
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("omega", [1e-6, 1e-9, 2e-12])
+def test_near_straight_trajectory_keeps_robots_on_it(n, omega):
+    # Robots started on their desired trajectories stay on them (the
+    # invariant manifold) up to the integration's error. Over 10 s at
+    # omega <= 1e-6 the path turns by at most 1e-5 rad, so RK4's
+    # truncation is far below rounding; each step rounds a pose of size
+    # |q| <= 13 by about an ulp (2e-15), and the unit gains forget an
+    # error within about 1 s (100 steps), so the errors stay at a few
+    # 1e-14. A desired pose off by more than 1e-13 shows here.
+    start = [[0.5 * i, 2.0 - i, 0.3 + 0.1 * i] for i in range(n)]
+    cfg = fs.scenario_from_dict({
+        "mode": "kinematic", "dt": 0.01, "t_final": 10.0,
+        "edges": [[k, k + 1] for k in range(1, n)],
+        "gains": {"formation": [1.0, 1.0, 1.0]},
+        "robots": [{"start": q, "trajectory": {"kind": "constant_twist",
+                                               "start": q,
+                                               "twist": [1.0, omega]}}
+                   for q in start]})
+    trace = fs.simulate(cfg)
+    norms = [f"norm_e{i}" for i in range(1, n + 1)] + ["norm_z"]
+    assert max(trace.column(c).max() for c in norms) < 1e-13
+
+
 def test_unpack_round_trip():
     cfg = _mini_dynamic(n=3)
     eng = fs.Engine(cfg)

@@ -125,3 +125,41 @@ def test_equal_trees_compare_and_hash_equal():
     b = fs.validate_spanning_tree(5, list(edges))
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != fs.validate_spanning_tree(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+
+
+def _sweep_order(edges):
+    """The topological order as validation once built it: sweep the
+    remaining edges in list order, again and again, taking each edge whose
+    parent is already reached."""
+    edges, ordered, reached = list(edges), [], {1}
+    progress = True
+    while edges and progress:
+        progress = False
+        for e in list(edges):
+            if e[0] in reached:
+                edges.remove(e)
+                ordered.append(e)
+                reached.add(e[1])
+                progress = True
+    return tuple(ordered)
+
+
+def test_edge_order_matches_repeated_sweeps(rng):
+    # random recursive trees, relabelled and listed in shuffled order
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        label = [0, 1, *(rng.permutation(n - 1) + 2)]
+        edges = [(label[int(rng.integers(1, k))], label[k])
+                 for k in range(2, n + 1)]
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        assert fs.validate_spanning_tree(n, edges).edges \
+            == _sweep_order(edges), edges
+
+
+def test_chain_listed_leaves_first_comes_back_in_chain_order():
+    # one sweep per edge under the repeated-sweep rule
+    n = 4000
+    tree = fs.validate_spanning_tree(
+        n, [(k, k + 1) for k in range(n - 1, 0, -1)])
+    assert tree.edges == tuple((k, k + 1) for k in range(1, n))
+    assert tree.is_chain

@@ -1,6 +1,7 @@
 import bisect
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -71,6 +72,66 @@ def test_arc_stays_on_circle():
     for t in np.linspace(0, 20, 97):
         q = fs.desired_arrays([prof], t)[0][0]
         assert abs(np.hypot(q[0] - cx, q[1] - cy) - v / w) < 1e-10
+
+
+_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944")
+
+
+def _sin_cos(x):
+    """sin x and cos x of a Decimal x, by their Taylor series at the
+    context's precision after reducing x into [-pi, pi]."""
+    x -= 2 * _PI * (x / (2 * _PI)).to_integral_value()
+    s, c, term, k = Decimal(0), Decimal(0), Decimal(1), 0
+    while abs(term) > Decimal("1e-55"):
+        if k % 2:
+            s += term if k % 4 == 1 else -term
+        else:
+            c += term if k % 4 == 0 else -term
+        k += 1
+        term = term * x / k
+    return s, c
+
+
+def _exact_position(p, t):
+    """x, y of a constant twist at t to 60 digits, from the textbook arc
+    (x0 + (v/w)(sin th - sin th0), y0 - (v/w)(cos th - cos th0)) or line,
+    sharing no code with the profile. The arc's cancellation costs about
+    as many digits as |w t| has leading zeros, at most 13 here, leaving
+    well over double precision."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x0, y0, th0, v, w, t = map(Decimal, (*p.pose0, p.v, p.omega, t))
+        s0, c0 = _sin_cos(th0)
+        if w == 0:
+            return x0 + v * t * c0, y0 + v * t * s0
+        s1, c1 = _sin_cos(th0 + w * t)
+        return x0 + v / w * (s1 - s0), y0 - v / w * (c1 - c0)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-12, -1e-12, 2e-12, -2e-12,
+                                   1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3,
+                                   1.0, -1.0, 10.0, -10.0])
+def test_constant_twist_position_matches_exact_arc(omega):
+    # the chord form's rounding, with u = EPS / 2: the chord length
+    # v t sin(h)/h (h = w t / 2) to a few u of |v t| (w t, sin, the
+    # quotient and the product each round once, and sin(h)/h moves by at
+    # most |h| times its slope, under 1, per unit relative change of h);
+    # its direction theta0 + h to u |theta0| + u |h| absolute, which moves
+    # the point by the chord length times that, at most u |v t| (1 +
+    # |theta0|) as chord * |h| = |v t sin h| <= |v t|; the cosine and sine,
+    # the product and the sum with x0 round once more each, relative to
+    # |v t| and |x|. With |theta0| <= 3 that is under 16 u (|x| + |v t|),
+    # here 8 EPS (|x| + |v t|) per coordinate.
+    for pose0, v in (((0.0, 0.0, 0.0), 1.0), ((3.0, -2.0, 2.9), -4.5),
+                     ((-7.5, 1.25, -1.3), 0.3)):
+        prof = fs.ConstantTwist(pose0=pose0, v=v, omega=omega)
+        times = np.array([0.0, 0.37, 1.0, 2.5, 10.0, 33.3, 100.0])
+        qd = fs.desired_arrays([prof], times)[0][:, 0]
+        for t, (x, y, th) in zip(times, qd):
+            assert th == pose0[2] + omega * t
+            for got, want in zip((x, y), _exact_position(prof, t)):
+                tol = 8 * EPS * (abs(got) + abs(v * t))
+                assert abs(Decimal(got) - want) <= tol, (t, got, want)
 
 
 def _sine_profile(span=4.0, grid_dt=5e-4):
@@ -251,7 +312,7 @@ TABLES = [_table(0), _table(1),
 @st.composite
 def profile_mixes(draw):
     """Arcs, lines (omega = 0) and sampled profiles in any order."""
-    profs, radius = [], []
+    profs = []
     for kind in draw(st.lists(st.sampled_from(["arc", "line", "sampled"]),
                               min_size=1, max_size=8)):
         pose0 = (draw(st.floats(-5, 5)), draw(st.floats(-5, 5)),
@@ -261,15 +322,13 @@ def profile_mixes(draw):
             profs.append(fs.SampledTwist(
                 pose0=pose0, times=ts, twists=tw, rates=rt,
                 grid_dt=draw(st.sampled_from([5e-4, 1e-3]))))
-            radius.append(0.0)
             continue
         v = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([-1, 1]))
         w = 0.0
         if kind == "arc":
             w = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1, 1]))
         profs.append(fs.ConstantTwist(pose0=pose0, v=v, omega=w))
-        radius.append(abs(v / w) if w else 0.0)
-    return profs, np.array(radius)
+    return profs
 
 
 eval_times = st.one_of(
@@ -302,19 +361,17 @@ def _scalar_twist(p, t):
 
 
 def _scalar_state(p, t):
-    """Desired pose, twist and rate of one profile at t >= 0: math.sin and
-    math.cos closed forms for a constant twist; for a sampled profile one
+    """Desired pose, twist and rate of one profile at t >= 0: the chord
+    form in math.sin and math.cos for a constant twist (see
+    ``ConstantTwist``); for a sampled profile one
     ``rk4_step`` of the pose rate from the stored grid point at or before t
     (clamped to the span), with the twist from ``_scalar_twist``."""
     if isinstance(p, fs.ConstantTwist):
         x0, y0, th0 = p.pose0
-        if p.omega == 0.0:
-            s = p.v * t
-            pose = [x0 + s * math.cos(th0), y0 + s * math.sin(th0), th0]
-        else:
-            th, r = th0 + p.omega * t, p.v / p.omega
-            pose = [x0 + r * (math.sin(th) - math.sin(th0)),
-                    y0 - r * (math.cos(th) - math.cos(th0)), th]
+        h = 0.5 * (p.omega * t)
+        chord = p.v * t * (math.sin(h) / h if h else 1.0)
+        pose = [x0 + chord * math.cos(th0 + h),
+                y0 + chord * math.sin(th0 + h), th0 + p.omega * t]
         return np.array(pose), np.array([p.v, p.omega]), np.zeros(2)
 
     def rate(s, q):
@@ -330,8 +387,7 @@ def _scalar_state(p, t):
 
 @settings(max_examples=80, deadline=None)
 @given(profile_mixes(), eval_times)
-def test_profile_set_matches_each_profile(mix, t):
-    profs, radius = mix
+def test_profile_set_matches_each_profile(profs, t):
     profile_set = fs.ProfileSet(profs)
     if t < 0:
         expected = ValueError
@@ -357,11 +413,17 @@ def test_profile_set_matches_each_profile(mix, t):
     for i, p in enumerate(profs):
         pose, twist, accel = _scalar_state(p, t)
         # ProfileSet runs the oracle's operations in the oracle's order,
-        # except that array sines and cosines may round an ulp differently
-        # from math.sin/math.cos on some hosts, which an arc scales by its
-        # radius |v/omega|; the short step's stage twists move the pose by
-        # h times their own few-ulp difference, well inside this bound.
-        tol = 4 * EPS * (1 + np.abs(pose) + radius[i])
+        # so the two agree bit for bit where array sines and cosines round
+        # like math.sin/math.cos. Where they differ by an ulp on some host:
+        # a constant twist's heading involves no trig at all, and its
+        # x - x0 = chord * cos(direction) (likewise y) moves by an ulp of
+        # itself through the chord's sin(h) and through the cosine, a
+        # displacement of at most |x| + 5 here, so about 4 EPS (1 + |x|);
+        # unlike the arc's (v/omega)(sin th - sin th0), nothing scales the
+        # difference by the radius. The short step's stage twists move a
+        # sampled pose by h times their own few-ulp difference, well inside
+        # this bound.
+        tol = 4 * EPS * (1 + np.abs(pose))
         assert np.all(np.abs(qd[i] - pose) <= tol)
         if isinstance(p, fs.ConstantTwist):
             assert np.array_equal(etad[i], twist)
@@ -376,10 +438,10 @@ def test_profile_set_matches_each_profile(mix, t):
 
 @settings(max_examples=80, deadline=None)
 @given(profile_mixes(), st.lists(eval_times, min_size=1, max_size=12))
-def test_profile_set_times_match_each_time(mix, times):
+def test_profile_set_times_match_each_time(profs, times):
     # every time goes through the same elementwise operations whether it
     # is evaluated alone or stacked with others, so rows are bit-identical
-    profile_set = fs.ProfileSet(mix[0])
+    profile_set = fs.ProfileSet(profs)
     each = []
     for t in times:
         try:
@@ -395,7 +457,7 @@ def test_profile_set_times_match_each_time(mix, times):
         assert str(got.value) == str(errors[0])
         return
     qd, etad, etadd = fs.desired_arrays(profile_set, np.array(times))
-    n = len(mix[0])
+    n = len(profs)
     assert (qd.shape, etad.shape, etadd.shape) == \
         ((len(times), n, 3), (len(times), n, 2), (len(times), n, 2))
     for j, (pose, twist, accel) in enumerate(each):
