@@ -107,6 +107,9 @@ def _check_lines(config, horizon):
     def va(t, y, k):   # Va after one probe step of k h from (t, y)
         return engine.diagnostics(t + k * h, engine.step(t, y, k * h)).Va
 
+    # ||A||_F: two leader entries of 1 and, per edge, four columns of unit
+    # norm (cos, sin, 0) and (0, 0, 1)
+    norm_a = np.sqrt(4 * config.n - 2)
     lsq_ok, rate_ok, chain_ok = True, True, True
     details = {"lsq": "", "rate": ""}
     min_pivot = np.inf
@@ -124,7 +127,7 @@ def _check_lines(config, horizon):
                         tree_gram(config.tree, rec.poses[:, 2]).pivots.min())
         b = -(np.asarray(config.formation_gain) * rec.z) - rec.feedforward
         defect = np.max(np.abs(A.T @ (A @ rec.etaf - b)))
-        bound = 1e-10 * (1 + np.linalg.norm(A) * np.linalg.norm(b))
+        bound = 1e-10 * (1 + norm_a * np.linalg.norm(b))
         if defect > bound:
             lsq_ok, details["lsq"] = False, f"defect {defect:.2e} at t={t:g}"
         # energy-rate identity, finite differences vs prediction, where the

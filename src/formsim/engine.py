@@ -73,16 +73,10 @@ class Trace:
     data: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        # the first of repeated names wins, as with list.index
-        self._index = {}
-        for k, name in enumerate(self.columns):
-            self._index.setdefault(name, k)
-
     def column(self, name):
         try:
-            idx = self._index[name]
-        except KeyError:
+            idx = self.columns.index(name)
+        except ValueError:
             raise KeyError(f"no trace column {name!r}") from None
         return self.data[:, idx]
 

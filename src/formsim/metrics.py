@@ -1,11 +1,22 @@
 """Run metrics computed from a trace.
 
-Convergence time per robot is the first sample time after which its
-tracking-error norm never rises back above the threshold. The threshold
-defaults to 2% of the largest initial tracking-error norm; runs whose
-errors start at exactly zero therefore converge at t = 0 (comparisons
-are inclusive). The decay rate is the least-squares slope of the log of
-the stacked-error norm over its leading strictly decreasing segment.
+The header is read once for the blocks of ``Engine.trace_columns``: the
+poses from ``x1``, the control pairs from ``F1`` (dynamic) or ``v1``, the
+n ``norm_e*`` and n - 1 ``norm_eps_*`` errors up to ``norm_z``, and
+``ls_residual``. Every per-robot and per-edge number is then an array
+operation on those slices.
+
+A robot converges at the first sample after which its tracking-error
+norm never rises back above the threshold (a norm at it is not above).
+An explicit threshold is used as given. The default is 2% of the largest
+initial norm, floored at N u P, the most that N steps can round an error
+that is zero in exact arithmetic to: each step rounds a pose of
+magnitude at most P (the pose block's largest) once, by at most u P
+(u = 2**-53), and the feedback pulls the error back, not further off.
+N is the sample intervals times the meta's ``sample_every`` (1 when it
+has none, as a trace read back from CSV). The decay rate is the
+least-squares slope of log ``norm_z`` over its leading strictly
+decreasing segment.
 """
 
 from dataclasses import dataclass, field
@@ -42,20 +53,6 @@ class MetricsReport:
         return not self.unconverged
 
 
-def _edge_columns(columns):
-    return [c for c in columns if c.startswith("norm_eps_")]
-
-
-def _settle_time(times, norms, threshold):
-    above = norms > threshold
-    if not above.any():
-        return float(times[0])
-    last = int(np.nonzero(above)[0][-1])
-    if last == len(times) - 1:
-        return None
-    return float(times[last + 1])
-
-
 def _decay_rate(times, norm_z):
     start = int(np.argmax(norm_z))
     end = start
@@ -70,44 +67,41 @@ def _decay_rate(times, norm_z):
 
 
 def compute_metrics(trace, threshold=None):
-    if len(trace.data) == 0:
+    data, cols = trace.data, trace.columns
+    if len(data) == 0:
         raise EmptyTrace("trace has no samples")
     times = trace.times
-    n = sum(1 for c in trace.columns if c.startswith("norm_e")
-            and not c.startswith("norm_eps"))
-    err = np.stack([trace.column(f"norm_e{i}") for i in range(1, n + 1)],
-                   axis=1)
+    e1, z = cols.index("norm_e1"), cols.index("norm_z")
+    n = (z - e1 + 1) // 2       # n errors, then n - 1 edge errors
+    err = data[:, e1:e1 + n]
     if threshold is None:
-        threshold = DEFAULT_THRESHOLD_FRACTION * float(err[0].max())
+        x1 = cols.index("x1")
+        steps = (len(data) - 1) * trace.meta.get("sample_every", 1)
+        floor = steps * np.finfo(float).eps / 2 \
+            * np.abs(data[:, x1:x1 + 3 * n]).max()
+        threshold = max(DEFAULT_THRESHOLD_FRACTION * err[0].max(), floor)
 
-    conv, unconverged = [], []
-    for i in range(n):
-        t_c = _settle_time(times, err[:, i], threshold)
-        conv.append(t_c)
-        if t_c is None:
-            unconverged.append(i + 1)
+    # each robot's first sample after its last one above the threshold;
+    # len(times) when its last sample is above, 0 when none is
+    above = err > threshold
+    settle = len(times) - np.argmax(above[::-1], axis=0)
+    settle[~above.any(axis=0)] = 0
+    conv = [float(times[k]) if k < len(times) else None for k in settle]
 
-    peaks = []
-    has_torque = "F1" in trace.columns
-    for i in range(1, n + 1):
-        if has_torque:
-            mag = np.hypot(trace.column(f"F{i}"), trace.column(f"tau{i}"))
-        else:
-            mag = np.hypot(trace.column(f"v{i}"), trace.column(f"w{i}"))
-        peaks.append(float(mag.max()))
-
+    c = cols.index("F1" if "F1" in cols else "v1")
+    pairs = data[:, c:c + 2 * n]
     res = trace.column("ls_residual")
     return MetricsReport(
         threshold=float(threshold),
         convergence_times=conv,
-        final_tracking_errors=[float(v) for v in err[-1]],
-        final_coordination_errors=[float(trace.column(c)[-1])
-                                   for c in _edge_columns(trace.columns)],
-        decay_rate=_decay_rate(times, trace.column("norm_z")),
-        peak_controls=peaks,
+        final_tracking_errors=err[-1].tolist(),
+        final_coordination_errors=data[-1, e1 + n:z].tolist(),
+        decay_rate=_decay_rate(times, data[:, z]),
+        peak_controls=np.hypot(pairs[:, 0::2], pairs[:, 1::2]).max(
+            axis=0).tolist(),
         residual_stats={"max": float(res.max()), "mean": float(res.mean()),
                         "final": float(res[-1])},
-        unconverged=unconverged,
+        unconverged=[i + 1 for i, t in enumerate(conv) if t is None],
     )
 
 

@@ -390,6 +390,11 @@ def scenario_from_dict(doc):
         adapt_gain = _gain(_need(gains, "adaptation", "gains"), n, 6,
                            "gains.adaptation")
 
+    # A table must reach the run's last step, round(t_final / dt) dt. Meant
+    # to end there, it is parted from that product by three roundings, of
+    # dt, of the product and of its own last time, each within u of it.
+    end = round(t_final / dt) * dt
+    reach = end * (1 - 3 * 2.0 ** -53)
     robots = []
     for idx, rd in enumerate(robots_doc, start=1):
         ctx = f"robots[{idx}]"
@@ -398,6 +403,11 @@ def scenario_from_dict(doc):
                                          f"{ctx}.trajectory")
         except SingularSpeed as exc:
             raise SingularSpeed(f"{ctx}: {exc}") from exc
+        if isinstance(profile, SampledTwist) and profile.span < reach:
+            raise ValidationError(
+                f"{ctx}.trajectory: sampled trajectory spans "
+                f"{profile.span:g} < {end:g}, t_final {t_final:g} rounded "
+                f"to whole steps of dt {dt:g}")
         start = _floats(_need(rd, "start", ctx), 3, f"{ctx}.start")
         if mode == "kinematic":
             robots.append(RobotSpec(start=start, profile=profile))
@@ -419,13 +429,6 @@ def scenario_from_dict(doc):
         robots.append(RobotSpec(start=start, profile=profile,
                                 start_twist=twist0, estimate0=est0,
                                 params=params))
-
-    for spec in robots:
-        p = spec.profile
-        if isinstance(p, SampledTwist) and p.span < t_final:
-            raise ValidationError(
-                f"sampled trajectory spans {p.span:g} < t_final {t_final:g}"
-            )
 
     return ScenarioConfig(
         name=str(doc.get("name", "scenario")), unit=str(doc.get("unit", "m")),

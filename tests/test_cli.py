@@ -489,6 +489,37 @@ def test_check_skips_a_probe_that_would_reach_before_t0(tmp_path, capsys):
     assert out.count("PASS ") == 4 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_table_short_of_the_last_step_exits_2(tmp_path, capsys, command):
+    # 1 / 0.6 rounds to 2 steps: the run would end at 1.2, past the table,
+    # where the desired pose stops while the held twist keeps moving
+    doc = _sampled_doc()
+    doc.update(dt=0.6, t_final=1.0)
+    path = tmp_path / "short.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert _run_or_check(command, path, tmp_path) == 2
+    assert ("config error: ValidationError: robots[1].trajectory: sampled "
+            "trajectory spans 1 < 1.2" in capsys.readouterr().err)
+
+
+def test_robot_started_on_a_straight_trajectory_converges_at_0(tmp_path,
+                                                               capsys):
+    # its tracking error is rounding alone, a few u times the poses, which
+    # the default threshold's floor covers
+    traj = {"kind": "constant_twist", "start": [0.0, 0.0, 0.3],
+            "twist": [1.0, 1e-9]}
+    doc = {"mode": "kinematic", "dt": 0.01, "t_final": 10,
+           "gains": {"formation": [1.0, 1.0, 1.0]},
+           "robots": [{"start": [0.0, 0.0, 0.3], "trajectory": traj}]}
+    path = tmp_path / "straight.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert _run_or_check("run", path, tmp_path) == 0
+    assert "all robots converged" in capsys.readouterr().out
+    report = yaml.safe_load((tmp_path / "m.yaml").read_text())
+    assert report["convergence_times"] == [0.0]
+    assert 0 < report["threshold"] < 2e-12
+
+
 def test_single_robot_runs_and_checks(tmp_path, capsys):
     # n = 1: no edges, so no coordination-error columns and no chain
     # certificate

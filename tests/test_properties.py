@@ -26,8 +26,8 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def trees(draw, max_n=30):
-    n = draw(st.integers(2, max_n))
+def trees(draw, max_n=30, min_n=2):
+    n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from(["chain", "star", "random"]))
     if kind == "chain":
         edges = [(k, k + 1) for k in range(1, n)]
@@ -242,6 +242,67 @@ def test_kinematic_control_matches_lstsq(data):
     A = _coupling_blocks(eng.tree, y[2:3 * eng.n:3])
     want = np.linalg.lstsq(A, b, rcond=None)[0]
     assert np.linalg.norm(rec.etaf - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_twist_rate_matches_flow_difference(data):
+    # a record's etafdot against the central difference of etaf along the
+    # flow, with the states at t +- h from Engine.step: an oracle that
+    # shares no code with fictitious_velocity
+    eng, t, y = data.draw(scenes("dynamic"))
+    n, u = eng.n, 2.0 ** -53
+    rec = eng.diagnostics(t, y)
+
+    def quotient(h):
+        ahead, back = (eng.diagnostics(t + k, eng.step(t, y, k)).etaf
+                       for k in (h, -h))
+        return (ahead - back) / (2 * h)
+
+    # Rounding. etaf solves min |A x - b| at a state rounded to u P, P the
+    # largest magnitude among the poses, the desired poses and A's
+    # entries (at most 1). Each entry of b = K z + ff is an edge
+    # difference of four such poses, off by 4 u P max(K), and each entry
+    # of A by u P, so to first order (Golub & Van Loan, sec. 5.3) etaf is
+    # off by at most eps = (|db| + |dA| |x|) / s + |dA| |r| / s^2, with s
+    # the least singular value of A, and a quotient at h by eps / h.
+    A = fs.coupling_matrix(eng.tree, y[2:3 * n:3])
+    s = np.linalg.svd(A, compute_uv=False)[-1]
+    qd = fs.desired_arrays(eng.profiles, t)[0]
+    P = max(np.abs(y[:3 * n]).max(), np.abs(qd).max(), 1.0)
+    dA = u * P * np.sqrt(4 * n - 2)
+    db = 4 * u * P * eng.gz.max() * np.sqrt(3 * n)
+    eps = (db + dA * np.linalg.norm(rec.etaf)) / s \
+        + dA * np.linalg.norm(rec.residual) / s ** 2
+    # Truncation. A quotient at h is off by h^2 |D3| / 6 + O(h^4), D3 the
+    # third time derivative of etaf, so those at h0 and h0 / 2 differ by
+    # h0^2 |D3| / 8 up to their rounding, 3 eps / h0. At h0 = 1e-4 the h^2
+    # term leads on these scenes: quotients there and at h0 / 10 differ
+    # from etafdot in the ratio 100.
+    h0 = 1e-4
+    d3 = 8 * (np.linalg.norm(quotient(h0) - quotient(h0 / 2))
+              + 3 * eps / h0) / h0 ** 2
+    # the h (at most h0 / 2) that minimizes h^2 d3 / 6 + eps / h
+    h = (3 * eps / d3) ** (1 / 3)
+    gap = np.linalg.norm(quotient(h) - rec.etafdot)
+    assert gap <= h ** 2 * d3 / 6 + eps / h
+
+
+@SETTINGS
+@given(data=st.data())
+def test_coupling_norm_has_its_closed_form(data):
+    # ||A||_F^2 = 4n - 2: the leader's two entries of 1 and, per edge,
+    # four columns (cos, sin, 0), (0, 0, 1) of unit norm. The dense norm
+    # rounds each cosine and sine (2 u), its square (u) and 4n - 3 sums,
+    # and the square root halves that and adds u: (2n + 2) u relative.
+    tree = data.draw(trees(max_n=30, min_n=1))
+    n = tree.n
+    th = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=n, max_size=n)))
+    want = np.sqrt(4 * n - 2)
+    got = np.linalg.norm(fs.coupling_matrix(tree, th))
+    assert abs(got - want) <= (2 * n + 2) * 2.0 ** -53 * want
 
 
 # ---- the leaves-first Gram factor ----

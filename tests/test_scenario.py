@@ -497,6 +497,41 @@ def test_trace_column_contract():
         trace.column("bogus")
 
 
+def _table_doc(dt, t_final, span):
+    doc = _tiny_doc(dt=dt, t_final=t_final)
+    table = {"kind": "sampled_twist", "start": [0.0, 0.0, 0.0],
+             "times": [0.0, span], "twists": [[1.0, 0.5]] * 2,
+             "rates": [[0.0, 0.0]] * 2}
+    for rd in doc["robots"]:
+        rd["trajectory"] = table
+    return doc
+
+
+def test_sampled_table_must_reach_the_last_whole_step():
+    # 1 / 0.6 rounds to 2 steps, so the run ends at 1.2, past the table
+    with pytest.raises(fs.ValidationError,
+                       match=r"robots\[1\]\.trajectory: sampled trajectory "
+                             r"spans 1 < 1\.2, t_final 1 rounded"):
+        fs.scenario_from_dict(_table_doc(0.6, 1.0, 1.0))
+    # 1 / 0.3 rounds down to 3 steps: a table reaching 0.9 covers the run
+    fs.scenario_from_dict(_table_doc(0.3, 1.0, 0.9))
+
+
+def test_sampled_table_ending_at_a_whole_t_final_loads():
+    # a table meant to end at t_final = k dt can fall up to three
+    # roundings short of round(t_final / dt) * dt (for 3 steps of 0.1 the
+    # product is 0.30000000000000004); every such config loads
+    from decimal import Decimal
+    above = 0
+    for step in ("0.1", "0.3", "0.05", "0.007", "1e-4"):
+        dt = float(step)
+        for k in range(1, 400):
+            t_final = float(k * Decimal(step))
+            above += round(t_final / dt) * dt > t_final
+            fs.scenario_from_dict(_table_doc(dt, t_final, t_final))
+    assert above > 0
+
+
 # ---- metrics ----
 
 def _synthetic_trace(times, err_norms, zvals=None):
@@ -539,6 +574,23 @@ def test_metrics_threshold_default_is_two_percent():
     tr = _synthetic_trace(ts, errs)
     rep = fs.compute_metrics(tr)
     assert abs(rep.threshold - 0.08) < 1e-12
+
+
+def test_metrics_zero_start_floor_keeps_a_later_error():
+    # the robot starts on its trajectory (error 0), moves out to x = 10
+    # with rounding-sized errors, and is 1e-3 off at one sample mid-run:
+    # the default threshold is the rounding floor N u P, above the
+    # rounding and far below that error, so the robot converges after it
+    ts = np.linspace(0.0, 1.0, 101)
+    errs = np.full(101, 4e-15)
+    errs[0], errs[60] = 0.0, 1e-3
+    tr = _synthetic_trace(ts, errs)
+    tr.data[:, 1] = 10.0 * ts
+    tr.meta["sample_every"] = 10
+    rep = fs.compute_metrics(tr)
+    assert rep.threshold == 100 * 10 * 10.0 * 2.0 ** -53
+    assert rep.convergence_times == [ts[61]]
+    assert rep.converged_all
 
 
 def test_metrics_empty_trace():
