@@ -17,20 +17,20 @@ N is the sample intervals times the meta's ``sample_every`` (1 when it
 has none, as a trace read back from CSV). The decay rate is the
 least-squares slope of log ``norm_z`` over its leading strictly
 decreasing segment.
+
+``report_to_yaml`` writes the report's fixed, flat schema directly, as
+the text of PyYAML's safe dump (``sort_keys=False``).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 __all__ = ["EmptyTrace", "MetricsReport", "compute_metrics",
            "report_to_yaml"]
 
 DEFAULT_THRESHOLD_FRACTION = 0.02
-
-# libyaml's emitter when PyYAML was built with it; both emit the same text
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class EmptyTrace(ValueError):
@@ -105,16 +105,30 @@ def compute_metrics(trace, threshold=None):
     )
 
 
+def _yaml_scalar(x):
+    """``x``, None, a bool, an int or a float, as ``SafeRepresenter``
+    writes it; ``.0`` goes before a bare exponent, as YAML's floats need."""
+    if not isinstance(x, float):
+        return "null" if x is None else str(x).lower()
+    if not math.isfinite(x):
+        return ".nan" if x != x else ".inf" if x > 0 else "-.inf"
+    text = repr(x)
+    return text if "." in text or "e" not in text else text.replace("e", ".0e")
+
+
 def report_to_yaml(report):
-    doc = {
-        "threshold": report.threshold,
-        "converged_all": report.converged_all,
-        "unconverged_robots": report.unconverged,
-        "convergence_times": report.convergence_times,
-        "final_tracking_errors": report.final_tracking_errors,
-        "final_coordination_errors": report.final_coordination_errors,
-        "decay_rate": report.decay_rate,
-        "peak_controls": report.peak_controls,
-        "residual": report.residual_stats,
-    }
-    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)
+    def seq(values):
+        return "".join(f"\n- {_yaml_scalar(v)}" for v in values) or " []"
+
+    residual = "".join(f"\n  {key}: {_yaml_scalar(value)}"
+                       for key, value in report.residual_stats.items())
+    return (f"threshold: {_yaml_scalar(report.threshold)}\n"
+            f"converged_all: {_yaml_scalar(report.converged_all)}\n"
+            f"unconverged_robots:{seq(report.unconverged)}\n"
+            f"convergence_times:{seq(report.convergence_times)}\n"
+            f"final_tracking_errors:{seq(report.final_tracking_errors)}\n"
+            f"final_coordination_errors:"
+            f"{seq(report.final_coordination_errors)}\n"
+            f"decay_rate: {_yaml_scalar(report.decay_rate)}\n"
+            f"peak_controls:{seq(report.peak_controls)}\n"
+            f"residual:{residual}\n")

@@ -6,19 +6,18 @@ diagonal gain vectors, integration step and horizon, and trace sampling.
 Gains may be given per robot (3, 2, or 6 numbers broadcast to all robots)
 or in full stacked form. See the README for an annotated example.
 
-Loading composes the text, or a file's bytes, with ``_LOADER`` (libyaml
-when PyYAML has it), which decodes bytes by YAML's own rules.
-A document whose every node is plain (maps with string keys, sequences,
-and string, decimal integer and float scalars), as every scenario formsim
-writes is, is built straight from the node tree in one short pass. Any
-other document (a boolean, a null, a merge key, another tag) is built
-whole by the loader's own constructor. The document and every error are
-those of ``yaml.load``. Fields are then checked without numpy when they
-are flat lists of Python numbers, through numpy otherwise, with the same
-errors either way. A bool or a null is never a number: YAML reads
-``yes``, ``on`` and ``true`` as booleans and ``~`` as a null, and numpy
-would read them as 1 and nan. Plant masses and inertias are finite and
-positive like every other positive number.
+Loading parses the text, or a file's bytes (decoded by YAML's rules),
+with ``_LOADER``, libyaml's when PyYAML has it. A document whose every
+node is plain (maps with string keys, sequences, and string, decimal
+integer and float scalars), as every scenario formsim writes is, is built
+straight from the parser's events; any other text (a boolean, a null, a
+merge key, another tag) goes to ``yaml.load``. The document and every
+error are those of ``yaml.load``. Fields are then checked without numpy
+when they are flat lists of Python numbers, through numpy otherwise, with
+the same errors either way. A bool or a null is never a number: YAML
+reads ``yes``, ``on`` and ``true`` as booleans and ``~`` as a null, and
+numpy would read them as 1 and nan. Plant masses and inertias are finite
+and positive like every other positive number.
 """
 
 import math
@@ -27,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.events import AliasEvent, MappingEndEvent, MappingStartEvent, \
+    ScalarEvent, SequenceEndEvent, SequenceStartEvent, StreamEndEvent
 
 from .adaptive import RobotParams
 from .graph import GraphError, validate_spanning_tree
@@ -55,102 +55,106 @@ _STR, _INT, _FLOAT, _SEQ, _MAP = (f"tag:yaml.org,2002:{kind}" for kind in
                                   ("str", "int", "float", "seq", "map"))
 
 
+# Deeper nesting is left to yaml.load, whose pure-Python composer recurses
+# per level and so, well past this depth, raises RecursionError.
+_MAX_DEPTH = 100
+_KEY = object()     # an open map's next node is a key
+
+
 def _load_yaml(text):
     """``yaml.load(text, Loader=_LOADER)``: the same document, or the same
-    exception. A plain document is built by ``_build``; any other, or one
-    nested too deep for it, is built whole by the loader's constructor,
-    as ``yaml.load`` builds it."""
-    loader = _LOADER(text)
-    try:
-        if not loader.yaml_path_resolvers:
-            _lean_resolver(loader)
-        root = loader.get_single_node()
-        if root is None:
-            return None
+    exception. A plain document is built from the parser's events; any
+    other text goes to ``yaml.load``, as all do under a path resolver."""
+    if not _LOADER.yaml_path_resolvers:
+        loader = _LOADER(text)
         try:
-            return _build(root, {})
-        except (_NotPlain, RecursionError):
-            return loader.construct_document(root)
-    finally:
-        loader.dispose()
+            return _plain_document(loader)
+        except yaml.YAMLError:      # not plain, or not YAML
+            loader.dispose()
+    return yaml.load(text, Loader=_LOADER)
 
 
-def _lean_resolver(loader):
-    """Give ``loader``, which has no path resolvers, leaner resolver hooks
-    for composing. ``resolve`` returns the tag its own would: the first
-    implicit resolver, in its table's order, whose pattern matches a plain
-    scalar, else the kind's default tag. Each first character's list of
-    resolvers, wildcards appended, is joined once per load instead of once
-    per scalar. The path hooks do nothing without path resolvers, so a
-    no-op replaces them. (A path resolver registered on ``_LOADER``'s
-    class, by any code in the process, leaves the loader's own hooks in
-    place.) On tree-200 (4 423 resolves per load) this saves about 6% of
-    ``perfbench`` ``setup_s``: 25.3 against 23.8 ms, 10 of 10 alternating
-    pairs, 2-CPU x86_64 host, Python 3.11, PyYAML 6.0 with libyaml."""
+def _plain_document(loader):
+    """What ``yaml.load`` builds from ``loader``'s one document, nested at
+    most ``_MAX_DEPTH`` deep, when every node is plain: a sequence, a map
+    with str-tagged scalar keys, or a scalar tagged str, int (decimal, no
+    leading 0) or float (one ``float`` reads, not nan). Untagged plain
+    scalars are resolved as the composer resolves them. A container is
+    entered under its anchor before it is filled, so an alias is the
+    object its anchor built. Else raises ``yaml.YAMLError``."""
     table = loader.yaml_implicit_resolvers
     wild = tuple(table.get(None, ()))
     first = {c: tuple(resolvers) + wild for c, resolvers in table.items()
              if c is not None}
-    default = {ScalarNode: loader.DEFAULT_SCALAR_TAG,
-               SequenceNode: loader.DEFAULT_SEQUENCE_TAG,
-               MappingNode: loader.DEFAULT_MAPPING_TAG}
-
-    def resolve(kind, value, implicit):
-        if kind is ScalarNode and implicit[0]:
-            for tag, regexp in first.get(value[:1], wild):
-                if regexp.match(value):
-                    return tag
-        return default[kind]
-
-    loader.resolve = resolve
-    loader.descend_resolver = loader.ascend_resolver = _ignore
-
-
-def _ignore(*args):
-    pass
-
-
-class _NotPlain(Exception):
-    """A node ``_build`` leaves to the loader's constructor."""
-
-
-def _build(node, memo):
-    """What the loader's constructor builds from ``node`` when every node
-    under it is plain: a sequence, a map whose keys are all str-tagged
-    scalars, or a scalar tagged str, int (decimal, no leading 0) or float
-    (one ``float`` reads that is not nan). Raises ``_NotPlain`` at the
-    first other node. A container is entered in ``memo`` before it is
-    filled, so an alias, recursive or not, is the object its anchor
-    built."""
-    if node.__class__ is ScalarNode:
-        tag, text = node.tag, node.value
-        if tag == _STR:
-            return text
-        if tag == _FLOAT:
-            try:
-                x = float(text)
-            except ValueError:          # .inf, sexagesimal, or an error
-                raise _NotPlain from None
-            if x == x:
-                return x
-        elif tag == _INT and text.isdecimal() and (text[0] != "0"
-                                                   or text == "0"):
-            return int(text)            # a leading 0 is octal in YAML 1.1
-        raise _NotPlain
-    if node in memo:
-        return memo[node]
-    if node.tag == _SEQ and node.__class__ is SequenceNode:
-        memo[node] = data = []
-        data.extend([_build(item, memo) for item in node.value])
-        return data
-    if node.tag == _MAP and node.__class__ is MappingNode:
-        memo[node] = data = {}
-        for key, value in node.value:
-            if key.tag != _STR or key.__class__ is not ScalarNode:
-                raise _NotPlain
-            data[key.value] = _build(value, memo)
-        return data
-    raise _NotPlain
+    get = loader.get_event
+    get()                                       # the stream's start
+    if get().__class__ is StreamEndEvent:       # else a document's start
+        return None
+    anchors, stack = {}, []
+    # the open container, None at the root, and the key its next node is
+    # the value of: _KEY when that node is a key, None outside a map
+    top = key = None
+    while True:
+        event = get()
+        kind = event.__class__
+        if kind is SequenceEndEvent or kind is MappingEndEvent:
+            obj, (top, key) = top, stack.pop()
+        elif kind is AliasEvent:
+            obj = anchors.get(event.anchor, _KEY)
+            if obj is _KEY or key is _KEY:
+                raise yaml.YAMLError
+        else:
+            if kind is ScalarEvent:
+                obj, tag = event.value, event.tag
+                if tag is None and event.implicit[0]:
+                    for tag, regexp in first.get(obj[:1], wild):
+                        if regexp.match(obj):
+                            break
+                    else:
+                        tag = None
+                if tag is None or tag == _STR:
+                    pass
+                elif key is not _KEY and tag == _FLOAT:
+                    try:
+                        obj = float(obj)
+                    except ValueError:  # .inf, sexagesimal, or an error
+                        raise yaml.YAMLError from None
+                    if obj != obj:
+                        raise yaml.YAMLError
+                elif key is not _KEY and tag == _INT and obj.isdecimal() \
+                        and (obj[0] != "0" or obj == "0"):
+                    obj = int(obj)      # a leading 0 is octal in YAML 1.1
+                else:                   # a key must be a str
+                    raise yaml.YAMLError
+            elif key is _KEY or len(stack) == _MAX_DEPTH:
+                raise yaml.YAMLError
+            elif kind is SequenceStartEvent and event.tag in (None, _SEQ):
+                obj = []
+            elif kind is MappingStartEvent and event.tag in (None, _MAP):
+                obj = {}
+            else:
+                raise yaml.YAMLError
+            if event.anchor is not None:
+                if event.anchor in anchors:
+                    raise yaml.YAMLError
+                anchors[event.anchor] = obj
+            if kind is not ScalarEvent:
+                stack.append((top, key))
+                top, key = obj, (_KEY if kind is MappingStartEvent else None)
+                continue
+        if key is None:
+            if top is None:
+                break
+            top.append(obj)
+        elif key is _KEY:
+            key = obj
+        else:
+            top[key] = obj
+            key = _KEY
+    get()                                       # the document's end
+    if get().__class__ is not StreamEndEvent:
+        raise yaml.YAMLError
+    return obj
 
 
 class ParseError(ValueError):
@@ -203,6 +207,7 @@ def _need(d, key, context):
 
 
 _NUMBER = frozenset((int, float))
+_TABLE = ("times", "twists", "rates")
 
 
 def _plain(value):
@@ -304,7 +309,10 @@ def _holds_bool(value):
     return value is None or isinstance(value, (bool, np.bool_))
 
 
-def _profile_from_dict(d, context):
+def _profile_from_dict(d, context, tables):
+    """The profile ``d`` describes. ``tables`` maps the ids of a sampled
+    table's times, twists and rates, which the document holds, to a
+    profile built from them: at its grid_dt, its checked arrays serve."""
     kind = _need(d, "kind", context)
     if kind == "constant_twist":
         start = _floats(_need(d, "start", context), 3, f"{context}.start")
@@ -315,18 +323,27 @@ def _profile_from_dict(d, context):
         make = SampledTwist
         kwargs = {"pose0": _floats(_need(d, "start", context), 3,
                                    f"{context}.start")}
-        for key in ("times", "twists", "rates"):
-            kwargs[key] = _array(_need(d, key, context), f"{context}.{key}")
+        ids = tuple(id(d.get(key)) for key in _TABLE)
+        if ids in tables and tables[ids].grid_dt == _scalar(
+                d.get("grid_dt", SampledTwist.grid_dt), f"{context}.grid_dt"):
+            return tables[ids].started_at(kwargs["pose0"])
+        for key in _TABLE:
+            kwargs[key] = arr = _array(_need(d, key, context),
+                                       f"{context}.{key}").view()
+            arr.flags.writeable = False
         if "grid_dt" in d:
             kwargs["grid_dt"] = _scalar(d["grid_dt"], f"{context}.grid_dt")
     else:
         raise SchemaError(f"{context}: unknown trajectory kind {kind!r}")
     try:
-        return make(**kwargs)
+        profile = make(**kwargs)
     except SingularSpeed:
         raise
     except ValueError as exc:
         raise ValidationError(f"{context}: {exc}") from exc
+    if make is SampledTwist:
+        tables[ids] = profile
+    return profile
 
 
 def _profile_to_dict(p):
@@ -395,12 +412,12 @@ def scenario_from_dict(doc):
     # dt, of the product and of its own last time, each within u of it.
     end = round(t_final / dt) * dt
     reach = end * (1 - 3 * 2.0 ** -53)
-    robots = []
+    robots, tables = [], {}
     for idx, rd in enumerate(robots_doc, start=1):
         ctx = f"robots[{idx}]"
         try:
             profile = _profile_from_dict(_need(rd, "trajectory", ctx),
-                                         f"{ctx}.trajectory")
+                                         f"{ctx}.trajectory", tables)
         except SingularSpeed as exc:
             raise SingularSpeed(f"{ctx}: {exc}") from exc
         if isinstance(profile, SampledTwist) and profile.span < reach:

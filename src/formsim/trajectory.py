@@ -26,6 +26,7 @@ their stage twists and heading increments are computed once, and only
 the stage headings and the running sums carry a robot axis.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -207,6 +208,12 @@ class SampledTwist:
     @property
     def span(self):
         return float(self.times[-1])
+
+    def started_at(self, pose0):
+        """This profile from ``pose0``, its checked table shared."""
+        profile = copy.copy(self)
+        object.__setattr__(profile, "pose0", tuple(map(float, pose0)))
+        return profile
 
 
 

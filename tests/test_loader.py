@@ -1,18 +1,20 @@
 """The scenario loader's YAML construction against ``yaml.load``.
 
-``scenario._load_yaml`` composes the text with its own resolver hooks. It
-builds a document whose nodes are all plain (maps with string keys,
-sequences, and string, decimal integer and float scalars) straight from
-the node tree, and gives any other document whole to the loader's
-constructor. For every text it must return what ``yaml.load`` returns,
+``scenario._load_yaml`` builds a document whose nodes are all plain (maps
+with string keys, sequences, and string, decimal integer and float
+scalars) straight from the parser's events, resolving untagged scalars
+by the loader's own resolver table, and gives any other text to
+``yaml.load``. For every text it must return what ``yaml.load`` returns,
 with the same types, the same aliasing and the same recursion, or raise
 the same exception with the same message, under the pure-Python and the
-libyaml loaders alike. Every scenario formsim writes is plain, so none
-reaches the constructor.
+libyaml loaders alike. Every scenario formsim writes is plain, so each is
+parsed once and none reaches the constructor.
 """
 
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,9 +171,9 @@ def test_loader_agrees_on_edge_cases(loader, text):
 @pytest.mark.usefixtures("restore_loader")
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
 def test_loader_keeps_custom_resolvers(loader):
-    # a path resolver leaves composing to the loader's own hooks, and an
-    # implicit resolver added to a loader class is honoured by the lean
-    # resolve as by the loader's own; either tag has no constructor
+    # a path resolver sends the text to yaml.load, and an implicit
+    # resolver added to a loader class is honoured by the event builder
+    # as by the composer; either tag has no constructor
     class PathLoader(loader):
         pass
 
@@ -292,6 +294,51 @@ def test_only_documents_with_other_nodes_reach_the_constructor(
         doc = scenario._load_yaml(kinematic + extra)
         assert len(calls) == 1, extra
         assert doc == yaml.load(kinematic + extra, Loader=loader)
+
+
+def _workloads():
+    """The benchmark's scenario generators, perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.usefixtures("restore_loader")
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_plain_texts_are_parsed_once(loader, monkeypatch):
+    # a plain text takes one parser and no yaml.load; any other text
+    # falls back to yaml.load once, which parses it again
+    workloads = _workloads()
+    plain = [workloads.scenario_text(name, seed)
+             for name in workloads.GENERATORS for seed in range(3)]
+    plain += [fs.serialize_scenario(fs.get_preset(name))
+              for name in fs.preset_names()]
+    plain.append(_sampled_text(4))
+    other = ["note: yes\n", "a: 1\n---\nb: 2\n", "a: *missing\n",
+             "[" * 5000 + "]" * 5000 + "\n"]
+    parsers, loads = [], []
+
+    class Counted(loader):
+        def __init__(self, stream):
+            parsers.append(stream)
+            super().__init__(stream)
+
+    load = yaml.load
+
+    def counted_load(stream, Loader):
+        loads.append(stream)
+        return load(stream, Loader)
+
+    monkeypatch.setattr(yaml, "load", counted_load)
+    scenario._LOADER = Counted
+    for text, counts in [(t, (1, 0)) for t in plain] \
+            + [(t, (2, 1)) for t in other]:
+        parsers.clear()
+        loads.clear()
+        _outcome(scenario._load_yaml, text)
+        assert (len(parsers), len(loads)) == counts, text[:40]
 
 
 def _depth(load, text):

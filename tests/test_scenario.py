@@ -1,9 +1,12 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import formsim as fs
 import formsim.metrics as metrics
@@ -517,6 +520,35 @@ def test_sampled_table_must_reach_the_last_whole_step():
     fs.scenario_from_dict(_table_doc(0.3, 1.0, 0.9))
 
 
+def test_a_shared_table_is_checked_once(monkeypatch):
+    # robots holding the same three lists share the first one's checked,
+    # read-only arrays, at the same grid_dt without a second check
+    checks = []
+    post_init = fs.SampledTwist.__post_init__
+    monkeypatch.setattr(fs.SampledTwist, "__post_init__",
+                        lambda self: checks.append(post_init(self)))
+    doc = _table_doc(0.01, 1.0, 1.0)
+    doc["robots"].append({"start": [2.0, 0.0, 0.0], "trajectory": {
+        **doc["robots"][0]["trajectory"], "start": [2.0, 1.0, 0.0]}})
+    doc["robots"].append({"start": [3.0, 0.0, 0.0], "trajectory": {
+        **doc["robots"][0]["trajectory"], "grid_dt": 1e-3}})
+    doc["edges"] += [[1, 3], [1, 4]]
+    first, same, moved, other = (spec.profile for spec in
+                                 fs.scenario_from_dict(doc).robots)
+    assert len(checks) == 2
+    for key in ("times", "twists", "rates"):
+        arrays = [getattr(p, key) for p in (first, same, moved, other)]
+        assert all(a is arrays[0] for a in arrays[:3])
+        assert not any(a.flags.writeable for a in arrays)
+    assert moved.pose0 == (2.0, 1.0, 0.0) and same.pose0 == first.pose0
+    assert (first.grid_dt, other.grid_dt) == (5e-4, 1e-3)
+    # a fault in the shared table names the first robot that holds it
+    doc["robots"][0]["trajectory"]["times"][1] = 0.0
+    with pytest.raises(fs.ValidationError, match=re.escape(
+            "robots[1].trajectory: times must be strictly increasing")):
+        fs.scenario_from_dict(doc)
+
+
 def test_sampled_table_ending_at_a_whole_t_final_loads():
     # a table meant to end at t_final = k dt can fall up to three
     # roundings short of round(t_final / dt) * dt (for 3 steps of 0.1 the
@@ -609,17 +641,65 @@ def test_metrics_report_yaml_loads():
                         "decay_rate", "peak_controls", "residual"}
 
 
-@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
-                    reason="PyYAML built without libyaml")
-def test_libyaml_and_python_dumpers_agree(monkeypatch):
+DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper]
+                               if hasattr(yaml, "CSafeDumper") else [])
+
+
+def _assert_dumped_as_pyyaml(rep):
+    doc = {
+        "threshold": rep.threshold,
+        "converged_all": rep.converged_all,
+        "unconverged_robots": rep.unconverged,
+        "convergence_times": rep.convergence_times,
+        "final_tracking_errors": rep.final_tracking_errors,
+        "final_coordination_errors": rep.final_coordination_errors,
+        "decay_rate": rep.decay_rate,
+        "peak_controls": rep.peak_controls,
+        "residual": rep.residual_stats,
+    }
+    text = report_to_yaml(rep)
+    for dumper in DUMPERS:
+        assert text == yaml.dump(doc, Dumper=dumper, sort_keys=False)
+
+
+def test_libyaml_and_python_dumpers_agree():
+    # the directly written metrics YAML is the text both of PyYAML's safe
+    # dumpers write for the report
     configs = [replace(fs.get_preset(name), t_final=2.0)
                for name in fs.preset_names()]
     configs.append(replace(fs.load_scenario(_random_tree_text(200, 7)),
                            t_final=0.05))
     for cfg in configs:
-        rep = fs.compute_metrics(fs.simulate(cfg))
-        texts = []
-        for dumper in (yaml.CSafeDumper, yaml.SafeDumper):
-            monkeypatch.setattr(metrics, "_DUMPER", dumper)
-            texts.append(report_to_yaml(rep))
-        assert texts[0] == texts[1]
+        _assert_dumped_as_pyyaml(fs.compute_metrics(fs.simulate(cfg)))
+
+
+# every float, and the ones whose repr is easy to get wrong: a signed
+# zero, the least subnormal, 1e16 and 1e17 (repr "1e+16", no point), and
+# a tiny normal
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e17, 1.5e-300, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _reports(draw):
+    n = draw(st.integers(1, 50))
+    times = draw(st.lists(st.none() | _FLOATS, min_size=n, max_size=n))
+    return metrics.MetricsReport(
+        threshold=draw(_FLOATS),
+        convergence_times=times,
+        final_tracking_errors=draw(st.lists(_FLOATS, min_size=n,
+                                            max_size=n)),
+        final_coordination_errors=draw(st.lists(_FLOATS, min_size=n - 1,
+                                                max_size=n - 1)),
+        decay_rate=draw(st.none() | _FLOATS),
+        peak_controls=draw(st.lists(_FLOATS, min_size=n, max_size=n)),
+        residual_stats=dict(zip(("max", "mean", "final"),
+                                draw(st.tuples(_FLOATS, _FLOATS, _FLOATS)))),
+        unconverged=[i + 1 for i, t in enumerate(times) if t is None],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(rep=_reports())
+def test_report_yaml_is_pyyaml_safe_dump(rep):
+    _assert_dumped_as_pyyaml(rep)
