@@ -23,19 +23,20 @@ commanded twist along the closed-loop flow, which the torque-level
 backstepping controller consumes, including the motion of the leader's
 body frame (the skew term in the stacked-error rate).
 
-Each piece of the law is one function that ``Engine.evaluate`` calls.
-Terms of the time alone (``_Desired``: desired poses, their rates g and
-the edge differences of g, the feedforward's edge rows, and the rates of
-both) are computed for any number of times at once, and terms one state
-shares (``_Stage``: the layout, the headings' cosines and sines, the
-leader's rotation) once per evaluation. A kinematic stage is one call,
-``_kinematic_twist``: it forms b = -(K z) - ff from the poses without
-building z or ff, and eliminates A^T b in the factor's own loop. In
-dynamic mode ``feedforward_term``, ``feedforward_rate`` and
-``fictitious_velocity`` take the ``_Stage`` and the ``_Desired``.
-``coupling_matrix``, ``coupling_rate``, ``tree_gram`` and
-``kinematic_control``, the independent oracles of the tests and
-``formsim check``, take a tree and the headings, or a ``_Stage``.
+Each piece of the law is one function. Terms of the time alone
+(``_Desired``: desired poses, their rates g and the edge differences of
+g, the feedforward's edge rows, and the rates of both) are computed for
+any number of times at once, and terms one state shares (``_Stage``: the
+layout, the headings' cosines and sines, the leader's rotation) once per
+evaluation. A stage of ``Engine.evaluate`` is one call, and no stage
+forms A. ``_kinematic_twist`` forms b = -(K z) - ff from the poses
+without building z or ff, and eliminates A^T b in the factor's own loop.
+``_torque_stage`` computes the twist command and its rate, the torque and
+the estimates' rate in floats over the edges, with one factor for both
+solves. ``coupling_matrix``, ``coupling_rate``, ``tree_gram``,
+``kinematic_control``, ``feedforward_rate`` and ``fictitious_velocity``,
+the independent oracles of the tests and ``formsim check``, take a tree
+and the headings, or a ``_Stage``.
 """
 
 import math
@@ -116,7 +117,7 @@ def _stage(lay, headings):
                   (math.cos(lead), math.sin(lead)))
 
 
-def _as_stage(tree, headings):
+def _aystage(tree, headings):
     """``headings`` as a ``_Stage``; a caller that holds one passes it
     instead of the headings, and the tree's layout is not rebuilt."""
     if isinstance(headings, _Stage):
@@ -193,7 +194,7 @@ def coupling_matrix(tree, headings):
     """Tall (3n, 2n) matrix relating robot twists to the stacked-error
     rate: leader row block is minus the twist selector, each edge block
     carries minus the parent's steering matrix and plus the child's."""
-    st = _as_stage(tree, headings)
+    st = _aystage(tree, headings)
     lay, c, s = st.lay, st.cos, st.sin
     p, ch = lay.parents, lay.children
     return _scatter(lay.n, lay.at, np.concatenate(
@@ -206,7 +207,7 @@ def coupling_rate(tree, headings, omegas):
     The leader block is constant so its rate is zero; edge blocks rotate
     with their endpoints' headings.
     """
-    st = _as_stage(tree, headings)
+    st = _aystage(tree, headings)
     lay = st.lay
     w = np.asarray(omegas, dtype=float)
     p, ch = lay.parents, lay.children
@@ -243,7 +244,7 @@ def feedforward_rate(st, omega1, ff, d):
 def tree_gram(tree, headings):
     """``TreeGram`` factor of A^T A for the coupling matrix A at
     ``headings``. Raises RankDeficient when a heading is not finite."""
-    return _gram(_as_stage(tree, headings))
+    return _gram(_aystage(tree, headings))
 
 
 def _gram(st, rhs=None):
@@ -274,7 +275,7 @@ def kinematic_control(tree, headings, z, ff, gain):
     ``gain`` is the diagonal (3n,) formation gain. Raises RankDeficient
     when a heading is not finite.
     """
-    st = _as_stage(tree, headings)
+    st = _aystage(tree, headings)
     b = -(np.asarray(gain, dtype=float) * np.asarray(z, dtype=float)) - ff
     rhs = _normal_rhs(st, b[3:], b[0], b[2])
     return _interleave(*_gram(st, rhs).back(*rhs))
@@ -315,12 +316,10 @@ def _coupled(st, eta):
 
 @dataclass(frozen=True)
 class FictitiousVelocity:
-    """Least-squares twist command and its exact time derivative, with
-    the coupling matrix they solve (the torque law multiplies by it)."""
+    """Least-squares twist command and its exact time derivative."""
 
     twist: np.ndarray
     rate: np.ndarray
-    A: np.ndarray
 
 
 def fictitious_velocity(tree, st, twists, z, ff, d, gain):
@@ -355,4 +354,137 @@ def fictitious_velocity(tree, st, twists, z, ff, d, gain):
     # with r = A etaf + w the least-squares residual.
     etafdot = -gram.solve(Adot.T @ (A @ etaf + w)
                           + A.T @ (Adot @ etaf + wdot))
-    return FictitiousVelocity(twist=etaf, rate=etafdot, A=A)
+    return FictitiousVelocity(twist=etaf, rate=etafdot)
+
+
+class _Torque(NamedTuple):
+    """One evaluation of the torque-level law by ``_torque_stage``, as
+    lists: the stacked error z, the feedforward ff and the residual
+    A eta_f + K z + ff (3n, stacked like the dense forms), the v and w
+    entries of the twist command eta_f and of its rate, the torque u and
+    the twists' rate (interleaved like the twists), and the estimates'
+    rate (6 per robot)."""
+
+    z: list
+    ff: list
+    residual: list
+    etaf: tuple
+    etafdot: tuple
+    u: list
+    twist_rate: list
+    phidot: list
+
+
+def _torque_plant(gz, gs, ga, minv, damp):
+    """The constants ``_torque_stage`` reads, as floats: the formation
+    gain's leader entries and its edge rows' x, y and heading lists, and
+    per robot (K_sigma v, w; Gamma 1..6; 1/mass, 1/inertia; d11, d12,
+    d21, d22), from the (3n,), (2n,), (6n,), (2n,) and (n, 2, 2) arrays
+    an Engine holds."""
+    n = len(damp)
+    robots = np.column_stack([gs.reshape(n, 2), ga.reshape(n, 6),
+                              minv.reshape(n, 2), damp.reshape(n, 4)])
+    return (gz[:3].tolist(), gz[3:].reshape(-1, 3).T.tolist(),
+            list(map(tuple, robots.tolist())))
+
+
+def _torque_stage(st, poses, eta, phihat, d, plant):
+    """``fictitious_velocity``, ``adaptive_control`` and ``adaptation_rate``
+    in one call, in floats over the tree's edges, without forming A or
+    Adot: at a stage ``st`` of the poses (n, 3), with the actual twists
+    ``eta`` and estimates ``phihat`` laid out as in the state, the desired
+    terms ``d`` (twist rates included) and ``_torque_plant``'s ``plant``.
+
+    Leaves first, A^T z and -A^T w (w = K z + ff) are gathered from the
+    edge rows (child +, parent -) and steered by each robot's (cos, sin);
+    the factor eliminates -A^T w and ``back`` gives eta_f. Root first,
+    each edge's rows of r = A eta_f + w and of q = Adot eta_f + K zdot +
+    ffdot are gathered the same way: Adot eta_f's edge rows are the child
+    minus the parent of omega v_f (-sin, cos, 0), and Adot^T r's v entries
+    are omega (cos S_y - sin S_x) of r's sums S. The same factor then
+    solves G etafdot = -(Adot^T r + A^T q), and the torque and the
+    gradient update are written out per robot. Raises RankDeficient when a
+    heading is not finite, as ``fictitious_velocity`` does."""
+    (k0, k1, k2), (Kx, Ky, Kh), robots = plant
+    n, edges = st.lay.n, st.lay.edges
+    c, s = st.cos.tolist(), st.sin.tolist()
+    Ex, Ey, Eh = (d.qd - poses).T.tolist()
+    v, om = eta[0::2].tolist(), eta[1::2].tolist()
+    # the leader's blocks, in its body frame as ``_rotate`` computes them
+    cr, sr = st.rot
+    x, y, h = Ex[0], Ey[0], Eh[0]
+    gx, gy, gh = d.rows[0].tolist()
+    z = [cr * x + sr * y, cr * y - sr * x, h]
+    ff = [cr * gx + sr * gy, cr * gy - sr * gx, gh, *d.edges.tolist()]
+    Fx, Fy, Fh = ff[3::3], ff[4::3], ff[5::3]
+    # leaves first: A^T z's sums and -A^T w's, w = K z + ff
+    zx, zy, zh = [0.0] * n, [0.0] * n, [0.0] * n
+    bx, by, bh = [0.0] * n, [0.0] * n, [0.0] * n
+    w = []
+    for (p, ch), kx, ky, kh, fx, fy, fh in zip(edges, Kx, Ky, Kh, Fx, Fy, Fh):
+        ex, ey, eh = Ex[p] - Ex[ch], Ey[p] - Ey[ch], Eh[p] - Eh[ch]
+        wx, wy, wh = kx * ex + fx, ky * ey + fy, kh * eh + fh
+        z += ex, ey, eh
+        w.append((wx, wy, wh))
+        zx[p], zy[p], zh[p] = zx[p] - ex, zy[p] - ey, zh[p] - eh
+        zx[ch], zy[ch], zh[ch] = zx[ch] + ex, zy[ch] + ey, zh[ch] + eh
+        bx[p], by[p], bh[p] = bx[p] + wx, by[p] + wy, bh[p] + wh
+        bx[ch], by[ch], bh[ch] = bx[ch] - wx, by[ch] - wy, bh[ch] - wh
+    w0, w2 = k0 * z[0] + ff[0], k2 * z[2] + ff[2]
+    bv = [ci * sx + si * sy for ci, si, sx, sy in zip(c, s, bx, by)]
+    bv[0] += w0
+    bh[0] += w2
+    gram = _gram(st, (bv, bh))
+    vf, wf = gram.back(bv, bh)
+
+    # root first: r's sums, and the negated sums of q, from each edge's
+    # x and y of r (ra, rb), its q row (qa, qb, qc) and ffdot's (dx, dy, dh)
+    r = [w0 - vf[0], k1 * z[1] + ff[1], w2 - wf[0]]
+    Dx, Dy, Dh = d.rate_edges.reshape(-1, 3).T.tolist()
+    rx, ry = [0.0] * n, [0.0] * n
+    qx, qy, qh = [0.0] * n, [0.0] * n, [0.0] * n
+    for (p, ch), (wx, wy, wh), kx, ky, kh, fx, fy, fh, dx, dy, dh in zip(
+            edges, w, Kx, Ky, Kh, Fx, Fy, Fh, Dx, Dy, Dh):
+        cp, cq, sp, sq = c[p], c[ch], s[p], s[ch]
+        fp, fq, op, oq, vp, vq = vf[p], vf[ch], om[p], om[ch], v[p], v[ch]
+        ra, rb = fq * cq - fp * cp + wx, fq * sq - fp * sp + wy
+        r += ra, rb, wf[ch] - wf[p] + wh
+        qa = (op * (fp * sp) - oq * (fq * sq)
+              + (kx * (vq * cq - vp * cp + fx) + dx))
+        qb = (oq * (fq * cq) - op * (fp * cp)
+              + (ky * (vq * sq - vp * sp + fy) + dy))
+        qc = kh * (oq - op + fh) + dh
+        rx[p], ry[p] = rx[p] - ra, ry[p] - rb
+        rx[ch], ry[ch] = rx[ch] + ra, ry[ch] + rb
+        qx[p], qy[p], qh[p] = qx[p] + qa, qy[p] + qb, qh[p] + qc
+        qx[ch], qy[ch], qh[ch] = qx[ch] - qa, qy[ch] - qb, qh[ch] - qc
+    # -(Adot^T r + A^T q), then the leader's q block: K zdot, with zdot's
+    # skew term, plus ffdot
+    mv = [oi * (si * sx - ci * sy) + (ci * tx + si * ty)
+          for oi, ci, si, sx, sy, tx, ty in zip(om, c, s, rx, ry, qx, qy)]
+    gx, gy, gh = d.rates[0].tolist()
+    o = om[0]
+    mv[0] += k0 * (ff[0] - v[0] + o * z[1]) + (cr * gx + sr * gy + o * ff[1])
+    qh[0] += k2 * (ff[2] - o) + gh
+    mv, mw = gram.solve_lists(mv, qh)
+
+    # per robot: u = -K_sigma sigma - A^T z + Y phihat, the twists' rate
+    # (u - drag) / (mass, inertia), and phihat's rate -Gamma Y^T sigma
+    zv = [ci * sx + si * sy for ci, si, sx, sy in zip(c, s, zx, zy)]
+    zv[0] -= z[0]
+    zh[0] -= z[2]
+    u, rate, phidot = [], [], []
+    for vi, oi, fv, fw, gv, gw, av, aw, ph, pl in zip(
+            v, om, vf, wf, mv, mw, zv, zh, phihat.reshape(-1, 6).tolist(),
+            robots):
+        p0, p1, p2, p3, p4, p5 = ph
+        kv, kw, g0, g1, g2, g3, g4, g5, iv, iw, d11, d12, d21, d22 = pl
+        sv, sw = vi - fv, oi - fw
+        uv = -(kv * sv) - av + (gv * p0 + vi * p2 + oi * p3)
+        uw = -(kw * sw) - aw + (gw * p1 + vi * p4 + oi * p5)
+        u += uv, uw
+        rate += (iv * (uv - (d11 * vi + d12 * oi)),
+                 iw * (uw - (d21 * vi + d22 * oi)))
+        phidot += (-(g0 * (sv * gv)), -(g1 * (sw * gw)), -(g2 * (sv * vi)),
+                   -(g3 * (sv * oi)), -(g4 * (sw * vi)), -(g5 * (sw * oi)))
+    return _Torque(z, ff, r, (vf, wf), (mv, mw), u, rate, phidot)

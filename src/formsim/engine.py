@@ -21,16 +21,18 @@ state-dependent half runs per stage: the headings' cosines and sines
 once, then in kinematic mode one call of ``controller._kinematic_twist``,
 which forms the normal equations' right-hand side from the poses and
 eliminates it in the leaves-first factor, and from whose v and w the pose
-rates are written. Dynamic mode builds the stacked error and the
-feedforward (``feedforward_term``), then ``fictitious_velocity`` and the
-torque and adaptation laws, the only piece that forms the dense A.
+rates are written, and in dynamic mode one call of
+``controller._torque_stage``, which computes the twist command and its
+rate, the torque and the estimates' rate in floats over the edges, with
+one factor for both solves. No stage forms A.
 
 A trace row or check line at a sample reads the ``EvalRecord`` of the
 evaluation that is also the next step's first stage (``rk4_step``'s
-``k1``); only the final sample is evaluated on its own. A record also
-builds the stacked error, the feedforward and the interleaved twists,
-and its residual K z + ff + A eta_f (A eta_f by ``controller._coupled``,
-without A) and predicted energy rate cost O(n) more.
+``k1``); only the final sample is evaluated on its own. A kinematic
+record also builds the stacked error, the feedforward and the
+interleaved twists, and its residual K z + ff + A eta_f (A eta_f by
+``controller._coupled``, without A); a dynamic record reads them from
+the stage's call. Either costs O(n) more, with the predicted energy rate.
 """
 
 from contextlib import contextmanager
@@ -41,14 +43,16 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .adaptive import (adaptation_rate, adaptive_control, block_regression,
-                       lyapunov_diagnostics, params_to_vector)
+from .adaptive import lyapunov_diagnostics, params_to_vector
 from .controller import (_coupled, _Desired, _desired_terms, _error_vector,
                          _interleave, _kinematic_twist, _layout, _stage,
-                         feedforward_term, fictitious_velocity)
+                         _torque_plant, _torque_stage, feedforward_term)
 # Not called here, but bound where perfbench/tracing.py looks up the
 # layers it traces.
-from .controller import coupling_matrix, kinematic_control  # noqa: F401
+from .adaptive import (adaptation_rate, adaptive_control,  # noqa: F401
+                       block_regression)
+from .controller import (coupling_matrix, fictitious_velocity,  # noqa: F401
+                         kinematic_control)
 from .trajectory import ProfileSet, desired_arrays, rk4_step
 
 __all__ = ["DivergenceError", "Trace", "EvalRecord", "Engine", "simulate",
@@ -143,6 +147,8 @@ class Engine:
             self.damp = np.array([p.damping for p in params])
             self.phi_true = np.concatenate([params_to_vector(p)
                                             for p in params])
+            self._plant = _torque_plant(self.gz, self.gs, self.ga,
+                                        self.minv, self.damp)
 
     # ---- state packing ----
 
@@ -209,21 +215,12 @@ class Engine:
             v, w = _kinematic_twist(st, poses, d, self.gz)
             v = np.array(v)
         else:
-            z = _error_vector(st, poses, d.qd)
-            ff = feedforward_term(st, d)
-            twists = y[3 * n:5 * n].reshape(n, 2)
+            eta = y[3 * n:5 * n]
             phihat = y[5 * n:]
-            fv = fictitious_velocity(self.tree, st, twists, z, ff, d,
-                                     self.gz)
-            etaf, etafdot = fv.twist, fv.rate
-            eta = twists.reshape(-1)
+            law = _torque_stage(st, poses, eta, phihat, d, self._plant)
             v, w = eta[0::2], eta[1::2]
-            sigma = eta - etaf
-            Y = block_regression(etafdot, twists)
-            u = adaptive_control(sigma, z, fv.A, Y, phihat, self.gs)
-            drag = (self.damp @ twists[:, :, None]).reshape(-1)
-            dy[3 * n:5 * n] = self.minv * (u - drag)
-            dy[5 * n:] = adaptation_rate(Y, sigma, self.ga)
+            dy[3 * n:5 * n] = law.twist_rate
+            dy[5 * n:] = law.phidot
         dy[0:3 * n:3] = v * st.cos
         dy[1:3 * n:3] = v * st.sin
         dy[2:3 * n:3] = w
@@ -234,7 +231,12 @@ class Engine:
             ff = feedforward_term(st, d)
             eta = etaf = _interleave(v, w)
             u = phihat = etafdot = sigma = None
-        res = self.gz * z + ff + _coupled(st, etaf)
+            res = self.gz * z + ff + _coupled(st, etaf)
+        else:
+            z, ff, res, u = map(np.array, (law.z, law.ff, law.residual,
+                                           law.u))
+            etaf, etafdot = _interleave(*law.etaf), _interleave(*law.etafdot)
+            sigma = eta - etaf
         V = Va = 0.5 * float(z @ z)
         if self.mode == "kinematic":
             Vdot = float(-(z @ (self.gz * z)) + z @ res)

@@ -123,7 +123,8 @@ class TreeGram:
     ``rhs``, optional, is one right-hand side as lists (bv, bw) of its v
     and w entries. The factor's loop then also runs its forward
     elimination L y = rhs, overwriting the lists with y, and ``back``
-    finishes the solve. ``solve`` takes any later right-hand side.
+    finishes the solve. ``solve`` and ``solve_lists`` take any later
+    right-hand side.
     """
 
     __slots__ = ("_edges", "_piv", "_mult")
@@ -155,12 +156,17 @@ class TreeGram:
     def solve(self, rhs):
         """Solve G x = rhs for an interleaved (2n,) right-hand side."""
         rhs = np.asarray(rhs, dtype=float)
-        bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
+        return _interleave(*self.solve_lists(rhs[0::2].tolist(),
+                                             rhs[1::2].tolist()))
+
+    def solve_lists(self, bv, bw):
+        """Solve G x = rhs for rhs given as lists of its v and w entries,
+        which are overwritten with x and returned."""
         mult = self._mult
         for p, c in reversed(self._edges):     # L y = rhs, leaves first
             bv[p] += mult[c] * bv[c]
             bw[p] += bw[c]
-        return _interleave(*self.back(bv, bw))
+        return self.back(bv, bw)
 
     def back(self, bv, bw):
         """D L^T x = y, root first, for y given as lists of its v and w

@@ -26,9 +26,9 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def trees(draw, max_n=30, min_n=2):
+def trees(draw, max_n=30, min_n=2, kinds=("chain", "star", "random")):
     n = draw(st.integers(min_n, max_n))
-    kind = draw(st.sampled_from(["chain", "star", "random"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "chain":
         edges = [(k, k + 1) for k in range(1, n)]
     elif kind == "star":
@@ -50,9 +50,10 @@ def headings(draw, n):
 
 
 @st.composite
-def scenes(draw, mode):
-    """A random scenario in ``mode`` and a state (t, y) to evaluate at."""
-    tree = draw(trees())
+def scenes(draw, mode, tree_strategy=trees()):
+    """A random scenario in ``mode`` over a tree ``tree_strategy`` draws,
+    and a state (t, y) to evaluate at."""
+    tree = draw(tree_strategy)
     n = tree.n
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -233,6 +234,65 @@ def test_engine_rate_matches_composition(data):
     assert np.abs(rec.residual - sum(terms)).max() <= 1e-14 * scale
 
 
+def _max_gap(got, want, *terms):
+    """The largest entry of |got - want| over the largest magnitude among
+    ``terms`` (``want`` when none are given), the sum each side rounds."""
+    scale = max(np.abs(term).max(initial=0.0) for term in terms or (want,))
+    return np.abs(got - want).max(initial=0.0) / max(scale, 1e-300)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_torque_record_matches_dense_oracles(data):
+    # a dynamic record's fields, from the one-call float stage, against
+    # fictitious_velocity and adaptive_control with coupling_matrix's A.
+    # The dense and the float stage round different sums of the same
+    # terms, so a difference or a sum (sigma, u, the residual) is held to
+    # its terms' magnitude, and a solve (etaf, etafdot) to its own: cond
+    # of A^T A stays below 1e3 on these trees, and 1e-12 leaves 10x.
+    eng, t, y = data.draw(scenes("dynamic",
+                                 trees(min_n=1, kinds=("random",))))
+    n = eng.n
+    rec = eng.diagnostics(t, y)
+    poses = y[:3 * n].reshape(n, 3)
+    twists = y[3 * n:5 * n].reshape(n, 2)
+    stage, d = stage_terms(eng.tree, poses[:, 2],
+                           *fs.desired_arrays(eng.profiles, t))
+    z = _error_vector(stage, poses, d.qd)
+    ff = feedforward_term(stage, d)
+    fv = fictitious_velocity(eng.tree, stage, twists, z, ff, d, eng.gz)
+    A = fs.coupling_matrix(eng.tree, poses[:, 2])
+    sigma = twists.reshape(-1) - fv.twist
+    Y = fs.block_regression(fv.rate, twists)
+    u = fs.adaptive_control(sigma, z, A, Y, y[5 * n:], eng.gs)
+    gaps = [
+        _max_gap(rec.z, z),
+        _max_gap(rec.feedforward, ff),
+        _max_gap(rec.etaf, fv.twist),
+        _max_gap(rec.etafdot, fv.rate),
+        _max_gap(rec.sigma, sigma, twists, fv.twist),
+        _max_gap(rec.u, u, eng.gs * sigma, A.T @ z,
+                 (Y @ y[5 * n:].reshape(n, 6, 1)).reshape(-1)),
+        _max_gap(rec.residual, A @ fv.twist + eng.gz * z + ff,
+                 A @ fv.twist, eng.gz * z, ff),
+    ]
+    assert max(gaps) <= 1e-12, gaps
+
+
+@SETTINGS
+@given(scene=scenes("dynamic", trees(min_n=2, kinds=("random",))),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+def test_dynamic_non_finite_heading_raises_rank_deficient(scene, bad, data):
+    # the torque-level stage takes its cosines from the stage, so a
+    # non-finite heading, the leader's or a follower's, reaches the
+    # factor's finite check as in the kinematic stage
+    eng, t, y = scene
+    y = y.copy()
+    y[3 * data.draw(st.integers(0, eng.n - 1)) + 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(fs.RankDeficient):
+        eng.rate(t, y)
+
+
 @SETTINGS
 @given(data=st.data())
 def test_kinematic_control_matches_lstsq(data):
@@ -366,30 +426,29 @@ def _counter(monkeypatch, name, owners):
 
 
 def test_one_coupling_build_per_rate(monkeypatch):
-    # kinematic rates and records never form the dense coupling matrix;
-    # the torque law needs it, so adaptive rates build it once, and a
-    # record reuses that build. Every evaluation calls the named pieces of
-    # the law, where perfbench/tracing.py counts them. A kinematic stage
-    # is one call of the one-pass stage, and only a record builds the
-    # stacked error and the feedforward, once each. A dynamic evaluation
-    # builds them once and calls the twist command and the feedforward's
-    # rate once. Integrating one sample interval evaluates the desired
+    # no rate or record forms the dense coupling matrix or its rate, or
+    # calls the dense twist command or the feedforward's rate: those are
+    # the oracles of the tests and formsim check. A stage is one call of
+    # its mode's one-pass stage (controller._kinematic_twist, or
+    # controller._torque_stage, which also gives a dynamic record its
+    # stacked error and feedforward); only a kinematic record builds those
+    # two, once each. Integrating one sample interval evaluates the desired
     # trajectory once, for all its stages, and no stage looks the tree's
     # layout up.
     owners = [formsim.controller, formsim.engine]
-    builds = _counter(monkeypatch, "coupling_matrix", owners)
+    dense = [_counter(monkeypatch, "coupling_matrix", owners),
+             _counter(monkeypatch, "coupling_rate", [formsim.controller]),
+             _counter(monkeypatch, "fictitious_velocity", owners),
+             _counter(monkeypatch, "feedforward_rate", [formsim.controller])]
     desired = _counter(monkeypatch, "desired_arrays", [formsim.engine])
     layouts = _counter(monkeypatch, "_layout", owners)
     ffs = _counter(monkeypatch, "feedforward_term", owners)
     errors = _counter(monkeypatch, "_error_vector", owners)
     stages = _counter(monkeypatch, "_kinematic_twist", [formsim.engine])
-    twists = _counter(monkeypatch, "fictitious_velocity", [formsim.engine])
-    ff_rates = _counter(monkeypatch, "feedforward_rate",
-                        [formsim.controller])
-    counts = (builds, desired, layouts, ffs, errors, stages, twists,
-              ff_rates)
-    for name, per_rate in (("kinematic-pentagon", 0),
-                           ("adaptive-pentagon", 1)):
+    torques = _counter(monkeypatch, "_torque_stage", [formsim.engine])
+    counts = (*dense, desired, layouts, ffs, errors, stages, torques)
+    for name, dynamic in (("kinematic-pentagon", 0),
+                          ("adaptive-pentagon", 1)):
         cfg = fs.get_preset(name)
         eng = fs.Engine(cfg)
         y = eng.initial_state()
@@ -398,10 +457,10 @@ def test_one_coupling_build_per_rate(monkeypatch):
             for calls in counts:
                 calls.clear()
             evaluate(0.3, y)
-            assert len(builds) == per_rate, name
-            assert len(ffs) == len(errors) == max(per_rate, record), name
-            assert len(stages) == 1 - per_rate, name
-            assert len(twists) == len(ff_rates) == per_rate, name
+            assert [len(calls) for calls in dense] == [0] * 4, name
+            assert len(ffs) == len(errors) == record * (1 - dynamic), name
+            assert len(stages) == 1 - dynamic, name
+            assert len(torques) == dynamic, name
         for calls in counts:
             calls.clear()
         # one record, at the interval's first stage, and no final record
@@ -409,11 +468,10 @@ def test_one_coupling_build_per_rate(monkeypatch):
         n_stages = 4 * cfg.sample_every
         assert len(desired) == 1, name
         assert len(layouts) == 0, name
-        assert len(builds) == n_stages * per_rate, name
-        assert len(ffs) == len(errors) == (n_stages if per_rate else 1), \
-            name
-        assert len(stages) == n_stages * (1 - per_rate), name
-        assert len(twists) == len(ff_rates) == n_stages * per_rate, name
+        assert [len(calls) for calls in dense] == [0] * 4, name
+        assert len(ffs) == len(errors) == 1 - dynamic, name
+        assert len(stages) == n_stages * (1 - dynamic), name
+        assert len(torques) == n_stages * dynamic, name
 
 
 @st.composite
