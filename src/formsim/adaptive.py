@@ -102,15 +102,21 @@ def lyapunov_diagnostics(z, sigma, phitilde, inertia_diag, adapt_gain,
     gain-weighted estimate error) and its predicted rate, which is the
     negative gain-weighted error quadratics plus the unsigned term from
     the least-squares residual ``residual = A @ twist_cmd + gain*z + ff``.
+    Given z, sigma, phitilde and residual along a leading axis of m
+    states, V and Vdot are (m,) arrays, each entry the same float as the
+    state's own evaluation: every product is a row-wise dot.
     """
     z = np.asarray(z, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     phitilde = np.asarray(phitilde, dtype=float)
     inertia_diag = np.asarray(inertia_diag, dtype=float)
     adapt_gain = np.asarray(adapt_gain, dtype=float)
-    value = 0.5 * (z @ z) + 0.5 * (sigma @ (inertia_diag * sigma)) \
-        + 0.5 * (phitilde @ (phitilde / adapt_gain))
-    rate = -(z @ (np.asarray(formation_gain) * z)) \
-        - (sigma @ (np.asarray(twist_gain) * sigma)) \
-        + z @ np.asarray(residual, dtype=float)
-    return float(value), float(rate)
+    dot = np.vecdot
+    value = 0.5 * dot(z, z) + 0.5 * dot(sigma, inertia_diag * sigma) \
+        + 0.5 * dot(phitilde, phitilde / adapt_gain)
+    rate = -dot(z, np.asarray(formation_gain) * z) \
+        - dot(sigma, np.asarray(twist_gain) * sigma) \
+        + dot(z, np.asarray(residual, dtype=float))
+    if value.ndim == 0:
+        return float(value), float(rate)
+    return value, rate

@@ -107,6 +107,11 @@ def _check_lines(config, horizon):
     def va(t, y, k):   # Va after one probe step of k h from (t, y)
         return engine.diagnostics(t + k * h, engine.step(t, y, k * h)).Va
 
+    def probes():   # each mark (a _Mark) and its EvalRecord, in order
+        for _, kept in engine.integrate(engine.initial_state(), marks,
+                                        steps_total):
+            yield from zip(kept, engine.records(kept))
+
     # ||A||_F: two leader entries of 1 and, per edge, four columns of unit
     # norm (cos, sin, 0) and (0, 0, 1)
     norm_a = np.sqrt(4 * config.n - 2)
@@ -115,10 +120,7 @@ def _check_lines(config, horizon):
     min_pivot = np.inf
     # the steps after the last probe are still taken, so a divergence
     # before the horizon still fails the check
-    for t, y, rec in engine.integrate(engine.initial_state(), marks,
-                                      steps_total):
-        if rec is None:
-            continue
+    for (t, y, *_), rec in probes():
         # the contract is checked against an independent dense A
         A = coupling_matrix(config.tree, rec.poses[:, 2])
         # the leaves-first pivots are >= 1 in exact arithmetic; the 1e-12

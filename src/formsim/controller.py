@@ -69,6 +69,7 @@ class _Layout(NamedTuple):
     at: np.ndarray
     const: np.ndarray
     gather: np.ndarray
+    mirror: np.ndarray
 
 
 def _layout(tree):
@@ -78,9 +79,9 @@ def _layout(tree):
     child row; the flat positions in a (3n, 2n) matrix of each edge
     block's cosine, sine and heading rows (parents, then children), then
     of the leader block's two entries, and the constant values of the
-    heading rows and the leader block; and ``cflat`` then ``pflat``, the
-    gather of edge rows into robots. An ``Engine`` builds its tree's
-    once."""
+    heading rows and the leader block; ``cflat`` then ``pflat``, the
+    gather of edge rows into robots, and its mirror, ``pflat`` then
+    ``cflat``. An ``Engine`` builds its tree's once."""
     n = tree.n
     parents, children = ends = tree.edge_array().T
     rows = np.tile(6 * n * np.arange(1, n), 2)   # flat start of edge blocks
@@ -90,7 +91,8 @@ def _layout(tree):
     pflat, cflat = (3 * ends[:, :, None] + np.arange(3)).reshape(2, -1)
     edges = tuple(zip(parents.tolist(), children.tolist()))
     return _Layout(n, edges, parents, children, pflat, cflat, at, const,
-                   np.concatenate([cflat, pflat]))
+                   np.concatenate([cflat, pflat]),
+                   np.concatenate([pflat, cflat]))
 
 
 class _Stage(NamedTuple):
@@ -126,11 +128,15 @@ def _aystage(tree, headings):
 
 
 def _rotate(rot, v):
-    """R(theta)^T v for one 3-vector array, with rot = (cos, sin) of
-    theta."""
+    """R(theta)^T v for the 3-vectors along the last axis of ``v``, with
+    rot = (cos, sin) of theta: floats, or arrays over v's leading axes."""
     c, s = rot
-    x, y, w = v.tolist()
-    return np.array([c * x + s * y, c * y - s * x, w])
+    x, y = v[..., 0], v[..., 1]
+    out = np.empty(v.shape)
+    out[..., 0] = c * x + s * y
+    out[..., 1] = c * y - s * x
+    out[..., 2] = v[..., 2]
+    return out
 
 
 def _edge_rows(lay, rows):
@@ -145,19 +151,23 @@ class _Desired(NamedTuple):
     """The state-independent terms of the control law at one time, or at
     m times along a leading axis: the desired poses, the desired pose
     rates g = (v cos theta_d, v sin theta_d, w) per robot and their edge
-    differences (the feedforward's edge rows), and, for the twist rate,
-    the rates of both (None when not asked for)."""
+    differences (the feedforward's edge rows); for the kinematic stage,
+    those rows signed as its ``bincount`` weights (``edges`` then
+    ``-edges``), and for the twist rate instead, the rates of g and of
+    its edge rows (None when not asked for)."""
 
     qd: np.ndarray
     rows: np.ndarray
     edges: np.ndarray
+    signed: np.ndarray
     rates: np.ndarray = None
     rate_edges: np.ndarray = None
 
 
 def _desired_terms(lay, qd, etad, etadd=None):
     """``_Desired`` of the desired poses, twists and (optionally) twist
-    rates, at one time or stacked along a leading time axis. The desired
+    rates, at one time or stacked along a leading time axis; the signed
+    edge rows without twist rates, their rates with them. The desired
     pose rates are g = (v cos theta_d, v sin theta_d, w) per robot, and
     each g spins with the desired omega and steers the desired twist
     rate."""
@@ -168,19 +178,26 @@ def _desired_terms(lay, qd, etad, etadd=None):
     g[..., 0] = v * c
     g[..., 1] = v * s
     g[..., 2] = w
+    edges = _edge_rows(lay, g)
     if etadd is None:
-        return _Desired(qd, g, _edge_rows(lay, g))
+        return _Desired(qd, g, edges,
+                        np.concatenate([edges, -edges], axis=-1))
     a = etadd[..., 0]
     gdot = np.empty_like(g)
     gdot[..., 0] = -w * g[..., 1] + a * c
     gdot[..., 1] = w * g[..., 0] + a * s
     gdot[..., 2] = etadd[..., 1]
-    return _Desired(qd, g, _edge_rows(lay, g), gdot, _edge_rows(lay, gdot))
+    return _Desired(qd, g, edges, None, gdot, _edge_rows(lay, gdot))
 
 
 def _error_vector(st, poses, desired_poses):
+    """The stacked error (3n,) of the poses (n, 3) at a stage ``st``: the
+    leader's error rotated into its body frame, then each edge's parent
+    row minus child row; or (m, 3n) of poses (m, n, 3), with st.rot a
+    pair of (m,) arrays (only st.lay and st.rot are read)."""
     e = desired_poses - poses
-    return np.concatenate([_rotate(st.rot, e[0]), _edge_rows(st.lay, e)])
+    return np.concatenate([_rotate(st.rot, e[..., 0, :]),
+                           _edge_rows(st.lay, e)], axis=-1)
 
 
 def _scatter(n, at, values):
@@ -220,8 +237,10 @@ def feedforward_term(st, d):
     """Desired-motion feedforward stacked alongside the coupling matrix,
     at a stage ``st`` and the desired terms ``d`` of one time: the
     leader's desired rate rotated into its body frame, then the
-    difference of desired rates across each edge."""
-    return np.concatenate([_rotate(st.rot, d.rows[0]), d.edges])
+    difference of desired rates across each edge; along a leading axis
+    as ``_error_vector`` takes one."""
+    return np.concatenate([_rotate(st.rot, d.rows[..., 0, :]), d.edges],
+                          axis=-1)
 
 
 def feedforward_rate(st, omega1, ff, d):
@@ -253,14 +272,14 @@ def _gram(st, rhs=None):
     return TreeGram(st.lay.edges, c[p] * c[ch] + s[p] * s[ch], rhs)
 
 
-def _normal_rhs(st, rows, b0, b2):
+def _normal_rhs(st, signed, b0, b2):
     """A^T b for the coupling matrix at the stage's headings, as lists of
-    its v and w entries, without forming A, from b's edge rows and its
-    leader entries b0 and b2 (b1 meets a zero row): every edge row block
-    is added to its child and subtracted from its parent, each robot's
-    sums are steered back by its heading, and the leader takes -b0, -b2."""
-    S = np.bincount(st.lay.gather, np.concatenate([rows, -rows]),
-                    minlength=3 * st.lay.n)
+    its v and w entries, without forming A, from b's edge rows signed as
+    (rows, -rows) and its leader entries b0 and b2 (b1 meets a zero row):
+    every edge row block is added to its child and subtracted from its
+    parent, each robot's sums are steered back by its heading, and the
+    leader takes -b0, -b2."""
+    S = np.bincount(st.lay.gather, signed, minlength=3 * st.lay.n)
     bv = (st.cos * S[0::3] + st.sin * S[1::3]).tolist()
     bw = S[2::3].tolist()
     bv[0] -= b0
@@ -277,40 +296,48 @@ def kinematic_control(tree, headings, z, ff, gain):
     """
     st = _aystage(tree, headings)
     b = -(np.asarray(gain, dtype=float) * np.asarray(z, dtype=float)) - ff
-    rhs = _normal_rhs(st, b[3:], b[0], b[2])
+    rhs = _normal_rhs(st, np.concatenate([b[3:], -b[3:]]), b[0], b[2])
     return _interleave(*_gram(st, rhs).back(*rhs))
 
 
-def _kinematic_twist(st, poses, d, gain):
+def _kinematic_gains(gain):
+    """The (3n,) formation gain as ``_kinematic_twist`` reads it: its
+    leader x and heading entries as floats, and its edge rows twice, for
+    b's signed edge rows (children's, then parents')."""
+    k0, _, k2 = gain[:3].tolist()
+    return k0, k2, np.concatenate([gain[3:], gain[3:]])
+
+
+def _kinematic_twist(st, poses, d, gains):
     """``kinematic_control``'s v and w, as lists, at a stage ``st`` of the
-    poses (n, 3) with the desired terms ``d`` and the (3n,) gain: b's edge
-    rows straight from the poses, its leader entries in floats with
-    ``_rotate``'s operations, and A^T b eliminated in the factor."""
+    poses (n, 3) with the desired terms ``d`` and ``_kinematic_gains``'s
+    ``gains``: b's signed edge rows straight from one pair of gathers of
+    the poses' errors, its leader entries in floats with ``_rotate``'s
+    operations, and A^T b eliminated in the factor."""
     lay = st.lay
+    k0, k2, edge_gain = gains
     e = (d.qd - poses).reshape(-1)
-    rows = -(gain[3:] * (e[lay.pflat] - e[lay.cflat])) - d.edges
+    signed = edge_gain * (e[lay.gather] - e[lay.mirror]) - d.signed
     c, s = st.rot
     x, y, w = e[:3].tolist()
     gx, gy, gw = d.rows[0].tolist()
-    k0, _, k2 = gain[:3].tolist()
-    rhs = _normal_rhs(st, rows, -(k0 * (c * x + s * y)) - (c * gx + s * gy),
+    rhs = _normal_rhs(st, signed, -(k0 * (c * x + s * y)) - (c * gx + s * gy),
                       -(k2 * w) - gw)
     return _gram(st, rhs).back(*rhs)
 
 
-def _coupled(st, eta):
-    """A eta for the coupling matrix at the stage's headings, without
-    forming A: the leader block is (-v_1, 0, -w_1), and each edge block
-    is minus the edge row (child row minus parent row) of the steered
-    twists g_i = (v_i cos theta_i, v_i sin theta_i, w_i)."""
-    lay, v = st.lay, eta[0::2]
-    g = np.empty(3 * lay.n)
-    g[0::3] = v * st.cos
-    g[1::3] = v * st.sin
-    g[2::3] = eta[1::2]
-    out = np.empty(3 * lay.n)
-    out[0], out[1], out[2] = -eta[0], 0.0, -eta[1]
-    np.subtract(g[lay.cflat], g[lay.pflat], out=out[3:])
+def _coupled(lay, v1, g):
+    """A eta for the coupling matrix at the robots' headings, without
+    forming A, from the leader's v_1 and the steered twists g (3n,), the
+    poses' rates g_i = (v_i cos theta_i, v_i sin theta_i, w_i): the leader
+    block is (-v_1, 0, -w_1), and each edge block is minus the edge row
+    (child row minus parent row) of g. Along a leading axis, v1 (m,) and
+    g (m, 3n) give (m, 3n)."""
+    out = np.empty(g.shape)
+    out[..., 0] = -v1
+    out[..., 1] = 0.0
+    out[..., 2] = -g[..., 2]
+    np.subtract(g[..., lay.cflat], g[..., lay.pflat], out=out[..., 3:])
     return out
 
 

@@ -5,7 +5,7 @@ Runge-Kutta at the scenario step, with the control law re-evaluated in
 every stage (continuous-control idealization). One evaluator,
 ``Engine.evaluate``, computes the law at a state; every RK4 stage
 (through ``Engine.rate``), trace row, probe and ``formsim check`` line
-goes through it, and one loop, ``Engine.integrate``, takes the steps of
+reads it, and one loop, ``Engine.integrate``, takes the steps of
 ``run`` and ``formsim check``.
 
 An evaluation has a state-independent half: the desired poses, the
@@ -26,27 +26,36 @@ rates are written, and in dynamic mode one call of
 rate, the torque and the estimates' rate in floats over the edges, with
 one factor for both solves. No stage forms A.
 
-A trace row or check line at a sample reads the ``EvalRecord`` of the
-evaluation that is also the next step's first stage (``rk4_step``'s
-``k1``); only the final sample is evaluated on its own. A kinematic
-record also builds the stacked error, the feedforward and the
-interleaved twists, and its residual K z + ff + A eta_f (A eta_f by
-``controller._coupled``, without A); a dynamic record reads them from
-the stage's call. Either costs O(n) more, with the predicted energy rate.
+A sample costs nothing beyond its own stage. At each mark ``integrate``
+keeps the evaluation that is also the next step's first stage
+(``rk4_step``'s ``k1``) as a ``_Mark``: t, y, the derivative, the desired
+terms the stage read, the leader's (cos, sin), and the stage's own
+output (v in kinematic mode, the ``_Torque`` in dynamic mode); only the
+final sample is evaluated on its own. ``Engine._row`` then derives the
+records of a whole block of marks at once, along a leading sample axis:
+the errors, the stacked error, the feedforward and the residual K z + ff
++ A eta_f (in kinematic mode from the poses and the pose rates, without
+A; in dynamic mode read from the ``_Torque``s), their norms, the energy
+and its predicted rate, and writes the trace rows straight into the
+trace's array. ``Engine.diagnostics``, and so every probe and ``formsim
+check`` line, is ``_row`` at one mark: row j of a block is the record of
+mark j alone, bit for bit.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .adaptive import lyapunov_diagnostics, params_to_vector
 from .controller import (_coupled, _Desired, _desired_terms, _error_vector,
-                         _interleave, _kinematic_twist, _layout, _stage,
-                         _torque_plant, _torque_stage, feedforward_term)
+                         _kinematic_gains, _kinematic_twist, _layout,
+                         _Stage, _stage, _torque_plant, _torque_stage,
+                         feedforward_term)
 # Not called here, but bound where perfbench/tracing.py looks up the
 # layers it traces.
 from .adaptive import (adaptation_rate, adaptive_control,  # noqa: F401
@@ -108,7 +117,9 @@ class Trace:
 @dataclass(frozen=True)
 class EvalRecord:
     """Controller evaluation at one state, for trace rows, probes, and the
-    verification CLI."""
+    verification CLI. ``Engine._row`` builds the records of a block of
+    states as one EvalRecord whose every field has a leading sample axis,
+    and ``_record_at`` reads one state's back."""
 
     t: float
     poses: np.ndarray
@@ -127,6 +138,27 @@ class EvalRecord:
     feedforward: np.ndarray
 
 
+def _record_at(block, j):
+    """The EvalRecord of mark j of a block record (see ``Engine._row``)."""
+    return EvalRecord(*(
+        None if col is None else col[j] if col.ndim > 1 else col[j].item()
+        for col in (getattr(block, f.name) for f in fields(EvalRecord))))
+
+
+class _Mark(NamedTuple):
+    """What a record needs of one evaluation of the law at (t, y): the
+    derivative, the desired terms the stage read, the leader's (cos, sin)
+    and the stage's own output, v (an array) in kinematic mode and the
+    ``_Torque`` in dynamic mode."""
+
+    t: float
+    y: np.ndarray
+    dy: np.ndarray
+    d: _Desired
+    rot: tuple
+    out: object
+
+
 class Engine:
     """Closed-loop integrator for one validated scenario."""
 
@@ -137,7 +169,9 @@ class Engine:
         self.mode = config.mode
         self.profiles = ProfileSet(spec.profile for spec in config.robots)
         self.gz = np.asarray(config.formation_gain, dtype=float)
-        if self.mode == "dynamic":
+        if self.mode == "kinematic":
+            self._gains = _kinematic_gains(self.gz)
+        else:
             self.gs = np.asarray(config.twist_gain, dtype=float)
             self.ga = np.asarray(config.adapt_gain, dtype=float)
             params = [spec.params for spec in config.robots]
@@ -201,8 +235,8 @@ class Engine:
     def evaluate(self, t, y, record=False):
         """Evaluate the control law once at (t, y).
 
-        Returns the state derivative, or with ``record`` the pair of the
-        derivative and the EvalRecord a trace row or a probe reads.
+        Returns the state derivative, or with ``record`` the ``_Mark``
+        that holds it and what ``_row`` reads of the evaluation.
         """
         n = self.n
         d = self._block.get(t)
@@ -212,51 +246,36 @@ class Engine:
         st = _stage(self._lay, poses[:, 2])
         dy = np.empty_like(y)
         if self.mode == "kinematic":
-            v, w = _kinematic_twist(st, poses, d, self.gz)
-            v = np.array(v)
+            v, w = _kinematic_twist(st, poses, d, self._gains)
+            out = v = np.array(v)
         else:
             eta = y[3 * n:5 * n]
-            phihat = y[5 * n:]
-            law = _torque_stage(st, poses, eta, phihat, d, self._plant)
+            out = _torque_stage(st, poses, eta, y[5 * n:], d, self._plant)
             v, w = eta[0::2], eta[1::2]
-            dy[3 * n:5 * n] = law.twist_rate
-            dy[5 * n:] = law.phidot
+            dy[3 * n:5 * n] = out.twist_rate
+            dy[5 * n:] = out.phidot
         dy[0:3 * n:3] = v * st.cos
         dy[1:3 * n:3] = v * st.sin
         dy[2:3 * n:3] = w
         if not record:
             return dy
-        if self.mode == "kinematic":
-            z = _error_vector(st, poses, d.qd)
-            ff = feedforward_term(st, d)
-            eta = etaf = _interleave(v, w)
-            u = phihat = etafdot = sigma = None
-            res = self.gz * z + ff + _coupled(st, etaf)
-        else:
-            z, ff, res, u = map(np.array, (law.z, law.ff, law.residual,
-                                           law.u))
-            etaf, etafdot = _interleave(*law.etaf), _interleave(*law.etafdot)
-            sigma = eta - etaf
-        V = Va = 0.5 * float(z @ z)
-        if self.mode == "kinematic":
-            Vdot = float(-(z @ (self.gz * z)) + z @ res)
-        else:
-            Va, Vdot = lyapunov_diagnostics(z, sigma, phihat - self.phi_true,
-                                            self.mdiag, self.ga, self.gz,
-                                            self.gs, res)
-            phihat = phihat.copy()
-        return dy, EvalRecord(
-            t=t, poses=poses.copy(), error=d.qd - poses, z=z, eta=eta, u=u,
-            phihat=phihat, etaf=etaf, etafdot=etafdot, sigma=sigma,
-            residual=res, V=V, Va=Va, Vdot=Vdot, feedforward=ff)
+        return _Mark(t, y, dy, d, st.rot, out)
 
     def rate(self, t, y):
         """State derivative: one evaluation of the control law."""
         return self.evaluate(t, y)
 
+    def records(self, marks):
+        """The EvalRecord of each ``_Mark`` in ``marks``, from one block
+        of ``_row``."""
+        if not marks:
+            return []
+        block = self._row(marks)
+        return [_record_at(block, j) for j in range(len(marks))]
+
     def diagnostics(self, t, y):
         """The EvalRecord of one evaluation of the control law at (t, y)."""
-        return self.evaluate(t, y, record=True)[1]
+        return self.records([self.evaluate(t, y, record=True)])[0]
 
     def step(self, t, y, h):
         """Single RK4 step; h may be negative (used by probes)."""
@@ -273,17 +292,18 @@ class Engine:
 
     def integrate(self, y, marks, stop, t0=0.0):
         """Integrate y by RK4 steps of ``config.dt`` from step index
-        ``marks[0]`` to ``stop``, recording the state at each step index
-        in ``marks`` (increasing, none past ``stop``).
+        ``marks[0]`` to ``stop``, keeping the evaluation at each step
+        index in ``marks`` (increasing, none past ``stop``).
 
         Step k starts at t0 + mark*dt + s*dt, with mark the last mark at
         or before k and s = k - mark. Steps go in blocks of up to
         ``_BLOCK_STEPS`` across the marks, each block's desired terms
         evaluated in one pass (``_hoist``) before its first stage. Yields
-        (t, y, rec) at each mark before ``stop``, rec being the
-        EvalRecord of the mark's first stage, once its block is
-        integrated; last, at ``stop``, the final state and, when ``stop``
-        is a mark, its own record, else None."""
+        (y, kept) once per block, once it is integrated: the state at its
+        end and the ``_Mark`` of each mark in it, the mark's first stage
+        (``rk4_step``'s k1). The last block's list ends with the final
+        state's own evaluation when ``stop`` is a mark; with no steps,
+        that is the one yield."""
         dt = self.config.dt
         y = np.array(y, dtype=float)
         steps = ((t0 + mark * dt + s * dt, s == 0)
@@ -291,31 +311,26 @@ class Engine:
                  for s in range(cur - mark))
         total = stop - marks[0]
         end, final = t0 + stop * dt, marks[-1] == stop
-        block = {}
-        for a in range(0, total, _BLOCK_STEPS):
+        for a in range(0, total or 1, _BLOCK_STEPS):
             starts = list(islice(steps, _BLOCK_STEPS))
             last = a + _BLOCK_STEPS >= total and final
-            block = self._hoist([t for t, _ in starts], dt,
-                                (end,) if last else ())
-            done = []
-            # overflow here is the divergence signal, not a numpy error
-            with self._hoisted(block), \
-                    np.errstate(over="ignore", invalid="ignore"):
-                for t, lead in starts:
-                    k1 = None
-                    if lead:
-                        k1, rec = self.evaluate(t, y, record=True)
-                        done.append((t, y, rec))
-                    y = rk4_step(self.rate, t, y, dt, k1)
-                    if not np.all(np.isfinite(y)):
-                        raise DivergenceError(
-                            f"non-finite state at t={t + dt:g}")
-            yield from done
-        rec = None
-        if final:
-            with self._hoisted(block):
-                rec = self.evaluate(end, y, record=True)[1]
-        yield end, y, rec
+            kept = []
+            with self._hoisted(self._hoist([t for t, _ in starts], dt,
+                                           (end,) if last else ())):
+                # overflow here is the divergence signal, not a numpy error
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for t, lead in starts:
+                        k1 = None
+                        if lead:
+                            kept.append(self.evaluate(t, y, record=True))
+                            k1 = kept[-1].dy
+                        y = rk4_step(self.rate, t, y, dt, k1)
+                        if not np.isfinite(y).all():
+                            raise DivergenceError(
+                                f"non-finite state at t={t + dt:g}")
+                if last:
+                    kept.append(self.evaluate(end, y, record=True))
+            yield y, kept
 
     # ---- trace ----
 
@@ -336,15 +351,77 @@ class Engine:
         cols += ["norm_z", "V", "Va", "ls_residual"]
         return cols
 
-    def _row(self, rec):
-        parts = [np.array([rec.t]), rec.poses.reshape(-1), rec.eta]
-        if self.mode == "dynamic":
-            parts += [rec.u, rec.phihat]
-        parts.append(np.linalg.norm(rec.error, axis=1))
-        parts.append(np.linalg.norm(rec.z[3:].reshape(-1, 3), axis=1))
-        parts.append(np.array([np.linalg.norm(rec.z), rec.V, rec.Va,
-                               np.linalg.norm(rec.residual)]))
-        return np.concatenate(parts)
+    def _row(self, marks, out=None):
+        """The records of a block of m ``_Mark``s, as one EvalRecord whose
+        every field has a leading sample axis; with ``out``, their trace
+        rows too, written into that (m, columns) array.
+
+        A kinematic record forms the stacked error, the feedforward and
+        the residual K z + ff + A eta_f (A eta_f by ``_coupled``, from the
+        pose rates), a dynamic one reads them from the stage's
+        ``_Torque``. Every operation is elementwise along the sample axis
+        or a row-wise dot, so row j is the record of mark j alone, bit
+        for bit."""
+        n, m = self.n, len(marks)
+        t = np.array([mark.t for mark in marks])
+        y = np.array([mark.y for mark in marks])
+        poses = y[:, :3 * n].reshape(m, n, 3)
+        qd = np.array([mark.d.qd for mark in marks])
+        if self.mode == "kinematic":
+            dy = np.array([mark.dy for mark in marks])
+            v = np.array([mark.out for mark in marks])
+            st = _Stage(self._lay, None, None,
+                        tuple(np.array([mark.rot for mark in marks]).T))
+            d = _Desired(qd, np.array([mark.d.rows for mark in marks]),
+                         np.array([mark.d.edges for mark in marks]), None)
+            z = _error_vector(st, poses, qd)
+            ff = feedforward_term(st, d)
+            eta = etaf = np.empty((m, 2 * n))
+            eta[:, 0::2] = v
+            eta[:, 1::2] = dy[:, 2::3]
+            u = phihat = etafdot = sigma = None
+            res = self.gz * z + ff + _coupled(self._lay, v[:, 0], dy)
+            zz = np.vecdot(z, z)
+            V = Va = 0.5 * zz
+            Vdot = -np.vecdot(z, self.gz * z) + np.vecdot(z, res)
+        else:
+            laws = [mark.out for mark in marks]
+            z, ff, res, u = (np.array([getattr(law, k) for law in laws])
+                             for k in ("z", "ff", "residual", "u"))
+            # (v, w) list pairs, interleaved
+            etaf, etafdot = (np.array([getattr(law, k) for law in laws])
+                             .transpose(0, 2, 1).reshape(m, 2 * n)
+                             for k in ("etaf", "etafdot"))
+            eta, phihat = y[:, 3 * n:5 * n], y[:, 5 * n:]
+            sigma = eta - etaf
+            zz = np.vecdot(z, z)
+            V = 0.5 * zz
+            Va, Vdot = lyapunov_diagnostics(z, sigma, phihat - self.phi_true,
+                                            self.mdiag, self.ga, self.gz,
+                                            self.gs, res)
+        error = qd - poses
+        if out is not None:
+            out[:, 0] = t
+            out[:, 1:1 + 3 * n] = y[:, :3 * n]
+            c = 1 + 3 * n
+            for block in (eta, u, phihat):
+                if block is not None:
+                    out[:, c:c + block.shape[1]] = block
+                    c += block.shape[1]
+            norms = out[:, c:c + 2 * n - 1]
+            np.multiply(error, error).sum(axis=2, out=norms[:, :n])
+            edges = z[:, 3:].reshape(m, n - 1, 3)
+            np.multiply(edges, edges).sum(axis=2, out=norms[:, n:])
+            np.sqrt(norms, out=norms)
+            c += 2 * n - 1
+            out[:, c] = np.sqrt(zz)
+            out[:, c + 1] = V
+            out[:, c + 2] = Va
+            out[:, c + 3] = np.sqrt(np.vecdot(res, res))
+        return EvalRecord(
+            t=t, poses=poses, error=error, z=z, eta=eta, u=u, phihat=phihat,
+            etaf=etaf, etafdot=etafdot, sigma=sigma, residual=res, V=V,
+            Va=Va, Vdot=Vdot, feedforward=ff)
 
     def run(self):
         cfg = self.config
@@ -352,14 +429,18 @@ class Engine:
         marks = list(range(0, total + 1, cfg.sample_every))
         if marks[-1] != total:
             marks.append(total)
-        rows = [self._row(rec) for _, _, rec in self.integrate(
-            self.initial_state(), marks, total)]
+        columns = self.trace_columns()
+        data = np.empty((len(marks), len(columns)))
+        row = 0
+        for _, kept in self.integrate(self.initial_state(), marks, total):
+            if kept:
+                self._row(kept, data[row:row + len(kept)])
+                row += len(kept)
         meta = {"mode": self.mode, "n": self.n,
                 "edges": list(self.tree.edges), "unit": cfg.unit,
                 "dt": cfg.dt, "sample_every": cfg.sample_every,
                 "name": cfg.name}
-        return Trace(columns=self.trace_columns(), data=np.vstack(rows),
-                     meta=meta)
+        return Trace(columns=columns, data=data, meta=meta)
 
 
 def simulate(config):

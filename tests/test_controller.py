@@ -263,7 +263,7 @@ def test_stacked_error_rate_identity(rng, chain5, adaptive_engine):
     # equals coupling @ twists + feedforward plus the leader skew term
     eng = adaptive_engine
     y = eng.initial_state()
-    *_, (_, y, _) = eng.integrate(y, [0], 700)
+    *_, (y, _) = eng.integrate(y, [0], 700)
     t = 0.7
     rec = eng.diagnostics(t, y)
     n = eng.n

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -201,7 +201,7 @@ def test_energy_rate_identity_kinematic():
     cfg = fs.get_preset("kinematic-pentagon")
     eng = fs.Engine(cfg)
     gain = np.asarray(cfg.formation_gain)
-    *_, (_, y, _) = eng.integrate(eng.initial_state(), [0], 200)
+    *_, (y, _) = eng.integrate(eng.initial_state(), [0], 200)
     h = 1e-5
     for t in (0.2, 0.7, 1.2):
         rec = eng.diagnostics(t, y)
@@ -212,14 +212,14 @@ def test_energy_rate_identity_kinematic():
         vm = eng.diagnostics(t - h, eng.step(t, y, -h)).V
         fd = (vp - vm) / (2 * h)
         assert abs(fd - pred) < 1e-6 * abs(pred)
-        *_, (_, y, _) = eng.integrate(y, [0], 500, t)
+        *_, (y, _) = eng.integrate(y, [0], 500, t)
 
 
 def test_leader_body_error_rate_identity(adaptive_engine):
     # finite-difference rate of the leader's body-frame error matches the
     # spin term plus rotated desired rate minus the selected twist
     eng = adaptive_engine
-    *_, (_, y, _) = eng.integrate(eng.initial_state(), [0], 500)
+    *_, (y, _) = eng.integrate(eng.initial_state(), [0], 500)
     t = 0.5
     n = eng.n
     rec = eng.diagnostics(t, y)
@@ -371,23 +371,34 @@ def test_advance_matches_stepwise_rk4(kind):
     eng = fs.Engine(CONFIGS[kind]())
     y0 = eng.initial_state()
     for steps in (1, _BLOCK_STEPS, 2 * _BLOCK_STEPS + 5):
-        *_, (_, y, _) = eng.integrate(y0, [0], steps, 0.05)
+        *_, (y, _) = eng.integrate(y0, [0], steps, 0.05)
         assert np.array_equal(y, _stepwise(eng, y0, 0.05, steps))
 
 
 def _reference_integrate(eng, y, marks, stop, t0=0.0):
-    """``Engine.integrate`` as a plain loop: a record by ``diagnostics``
-    at each mark before ``stop``, the steps to the next mark by
-    ``_stepwise``, then the final state and its record (None when ``stop``
-    is not a mark)."""
+    """``Engine.integrate`` as a plain loop: each mark before ``stop``
+    evaluated on its own and yielded alone, with the state after the steps
+    to the next mark by ``_stepwise``; last, the final state, with its own
+    evaluation when ``stop`` is a mark."""
     dt = eng.config.dt
     y = np.array(y, dtype=float)
     for mark, cur in zip(marks, [*marks[1:], stop]):
         if mark < stop:
-            yield t0 + mark * dt, y, eng.diagnostics(t0 + mark * dt, y)
+            kept = [eng.evaluate(t0 + mark * dt, y, record=True)]
             y = _stepwise(eng, y, t0 + mark * dt, cur - mark)
+            yield y, kept
     end = t0 + stop * dt
-    yield end, y, eng.diagnostics(end, y) if marks[-1] == stop else None
+    yield y, [eng.evaluate(end, y, record=True)] if marks[-1] == stop else []
+
+
+def _same_record(got, want):
+    """Every EvalRecord field equal, bit for bit (None to None)."""
+    for f in fields(fs.EvalRecord):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None) == (b is None), f.name
+        if a is not None:
+            assert type(a) is type(b), f.name
+            assert np.array_equal(a, b), f.name
 
 
 @pytest.mark.parametrize("marks,stop", [([0, 5, 21, 40], 40),
@@ -399,17 +410,33 @@ def test_integrate_matches_reference_loop(kind, marks, stop):
     y0 = eng.initial_state()
     got = list(eng.integrate(y0, marks, stop, 0.05))
     want = list(_reference_integrate(eng, y0, marks, stop, 0.05))
-    assert [t for t, _, _ in got] == [t for t, _, _ in want]
-    for (_, y, rec), (_, y_ref, rec_ref) in zip(got, want):
-        assert np.array_equal(y, y_ref)
-        assert (rec is None) == (rec_ref is None)
-        if rec is not None:
-            assert np.array_equal(eng._row(rec), eng._row(rec_ref))
+    assert np.array_equal(got[-1][0], want[-1][0])
+    kept = [mark for _, block in got for mark in block]
+    kept_ref = [mark for _, block in want for mark in block]
+    assert [mark.t for mark in kept] == [mark.t for mark in kept_ref]
+    for mark, ref in zip(kept, kept_ref):
+        assert np.array_equal(mark.y, ref.y)
+        assert np.array_equal(mark.dy, ref.dy)
+    for rec, ref in zip(eng.records(kept), kept_ref):
+        _same_record(rec, eng.records([ref])[0])
+
+
+def _record_row(eng, rec):
+    """The trace row of one EvalRecord, assembled column block by column
+    block as ``Engine.trace_columns`` names them."""
+    parts = [[rec.t], rec.poses.reshape(-1), rec.eta]
+    if eng.mode == "dynamic":
+        parts += [rec.u, rec.phihat]
+    parts += [np.linalg.norm(rec.error, axis=1),
+              np.linalg.norm(rec.z[3:].reshape(-1, 3), axis=1),
+              [np.linalg.norm(rec.z), rec.V, rec.Va,
+               np.linalg.norm(rec.residual)]]
+    return np.concatenate(parts)
 
 
 def _reference_rows(eng):
     """``Engine.run``'s trace rows from a plain loop: every sample's row
-    by ``diagnostics`` and ``_row`` at its own time, the steps between
+    from its own ``diagnostics`` at its own time, the steps between
     samples by ``_stepwise``."""
     cfg = eng.config
     total = int(round(cfg.t_final / cfg.dt))
@@ -417,10 +444,10 @@ def _reference_rows(eng):
     if marks[-1] != total:
         marks.append(total)
     y = eng.initial_state()
-    rows = [eng._row(eng.diagnostics(0.0, y))]
+    rows = [_record_row(eng, eng.diagnostics(0.0, y))]
     for prev, cur in zip(marks[:-1], marks[1:]):
         y = _stepwise(eng, y, prev * cfg.dt, cur - prev)
-        rows.append(eng._row(eng.diagnostics(cur * cfg.dt, y)))
+        rows.append(_record_row(eng, eng.diagnostics(cur * cfg.dt, y)))
     return np.vstack(rows)
 
 

@@ -10,6 +10,8 @@ evaluation to a composition of those block forms with dense numpy solves
 it stands in for.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ import formsim.engine
 from conftest import stage_terms
 from formsim.controller import (_error_vector, feedforward_term,
                                 fictitious_velocity)
+from formsim.engine import _BLOCK_STEPS
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -222,7 +225,8 @@ def _composed_rate(eng, t, y):
 def test_engine_rate_matches_composition(data):
     mode = data.draw(st.sampled_from(["kinematic", "dynamic"]))
     eng, t, y = data.draw(scenes(mode))
-    got, rec = eng.evaluate(t, y, record=True)
+    mark = eng.evaluate(t, y, record=True)
+    got, rec = mark.dy, eng.records([mark])[0]
     assert _close(got, _composed_rate(eng, t, y), 1e-12)
     assert np.array_equal(eng.rate(t, y), got)
     # the record's residual, formed without A, against the dense block
@@ -432,9 +436,10 @@ def test_one_coupling_build_per_rate(monkeypatch):
     # its mode's one-pass stage (controller._kinematic_twist, or
     # controller._torque_stage, which also gives a dynamic record its
     # stacked error and feedforward); only a kinematic record builds those
-    # two, once each. Integrating one sample interval evaluates the desired
-    # trajectory once, for all its stages, and no stage looks the tree's
-    # layout up.
+    # two, once per block of records. Integrating one sample interval
+    # evaluates the desired trajectory once, for all its stages, keeps its
+    # first stage and builds no record, and no stage looks the tree's
+    # layout up. A run builds its rows once per block of steps.
     owners = [formsim.controller, formsim.engine]
     dense = [_counter(monkeypatch, "coupling_matrix", owners),
              _counter(monkeypatch, "coupling_rate", [formsim.controller]),
@@ -444,9 +449,12 @@ def test_one_coupling_build_per_rate(monkeypatch):
     layouts = _counter(monkeypatch, "_layout", owners)
     ffs = _counter(monkeypatch, "feedforward_term", owners)
     errors = _counter(monkeypatch, "_error_vector", owners)
+    energies = _counter(monkeypatch, "lyapunov_diagnostics",
+                        [formsim.engine])
     stages = _counter(monkeypatch, "_kinematic_twist", [formsim.engine])
     torques = _counter(monkeypatch, "_torque_stage", [formsim.engine])
-    counts = (*dense, desired, layouts, ffs, errors, stages, torques)
+    counts = (*dense, desired, layouts, ffs, errors, energies, stages,
+              torques)
     for name, dynamic in (("kinematic-pentagon", 0),
                           ("adaptive-pentagon", 1)):
         cfg = fs.get_preset(name)
@@ -459,19 +467,85 @@ def test_one_coupling_build_per_rate(monkeypatch):
             evaluate(0.3, y)
             assert [len(calls) for calls in dense] == [0] * 4, name
             assert len(ffs) == len(errors) == record * (1 - dynamic), name
+            assert len(energies) == record * dynamic, name
             assert len(stages) == 1 - dynamic, name
             assert len(torques) == dynamic, name
         for calls in counts:
             calls.clear()
-        # one record, at the interval's first stage, and no final record
-        *_, (_, y, _) = eng.integrate(y, [0], cfg.sample_every, 0.3)
+        # the interval's first stage is kept, and no record is built
+        *_, (y, kept) = eng.integrate(y, [0], cfg.sample_every, 0.3)
         n_stages = 4 * cfg.sample_every
+        assert len(kept) == 1, name
         assert len(desired) == 1, name
         assert len(layouts) == 0, name
         assert [len(calls) for calls in dense] == [0] * 4, name
-        assert len(ffs) == len(errors) == 1 - dynamic, name
+        assert len(ffs) == len(errors) == len(energies) == 0, name
         assert len(stages) == n_stages * (1 - dynamic), name
         assert len(torques) == n_stages * dynamic, name
+        # a run of N steps: 4N + 1 stages (the final row's own), one row
+        # block per block of steps, and no error, feedforward or energy
+        # call beyond those blocks
+        steps = 3 * _BLOCK_STEPS + 5
+        eng = fs.Engine(replace(cfg, t_final=steps * cfg.dt))
+        rows = _counter(monkeypatch, "_row", [eng])
+        for calls in counts:
+            calls.clear()
+        eng.run()
+        assert len(rows) == -(-steps // _BLOCK_STEPS), name
+        assert len(stages) == (4 * steps + 1) * (1 - dynamic), name
+        assert len(torques) == (4 * steps + 1) * dynamic, name
+        assert len(ffs) == len(errors) == len(rows) * (1 - dynamic), name
+        assert len(energies) == len(rows) * dynamic, name
+        assert [len(calls) for calls in dense] == [0] * 4, name
+
+
+@st.composite
+def runs(draw, mode):
+    """A scenario in ``mode`` on a random recursive tree of 1 to 30 robots
+    whose run stays finite: random starts, estimates and constant twists,
+    with the adaptive preset's step, gains and plant; and a horizon of a
+    block's steps give or take three, sampled every 1 to 20 steps."""
+    tree = draw(trees(min_n=1, kinds=("random",)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    preset = fs.scenario_to_dict(fs.get_preset("adaptive-pentagon"))
+    robots = [{"start": rng.uniform(-6.0, 6.0, 3).tolist(),
+               "trajectory": {"kind": "constant_twist",
+                              "start": rng.uniform(-6.0, 6.0, 3).tolist(),
+                              "twist": [rng.uniform(0.5, 4.0),
+                                        rng.uniform(-1.0, 1.0)]}}
+              for _ in range(tree.n)]
+    if mode == "dynamic":
+        for rd in robots:
+            rd.update(start_twist=rng.normal(size=2).tolist(),
+                      estimate0=rng.uniform(0.0, 4.0, 6).tolist(),
+                      params=preset["robots"][0]["params"])
+    steps = draw(st.integers(_BLOCK_STEPS - 3, 2 * _BLOCK_STEPS + 3))
+    doc = {"mode": mode, "edges": [list(e) for e in tree.edges],
+           "dt": preset["dt"], "t_final": steps * preset["dt"],
+           "sample_every": draw(st.integers(1, 20)), "robots": robots,
+           "gains": {key: gain[:size] for (key, gain), size in zip(
+               preset["gains"].items(), (3, 2, 6))}}
+    return fs.Engine(fs.scenario_from_dict(doc)), steps
+
+
+@SETTINGS
+@given(data=st.data())
+def test_block_rows_are_single_mark_records(data):
+    # every record read from a block of marks is its mark's own
+    # evaluation, and every trace row the row of that record, bit for bit
+    from test_engine import _record_row, _same_record
+    mode = data.draw(st.sampled_from(["kinematic", "dynamic"]))
+    eng, steps = data.draw(runs(mode))
+    every = eng.config.sample_every
+    marks = [*range(0, steps, every), steps]
+    rows = []
+    for _, kept in eng.integrate(eng.initial_state(), marks, steps):
+        for mark, rec in zip(kept, eng.records(kept)):
+            alone = eng.diagnostics(mark.t, mark.y)
+            _same_record(rec, alone)
+            rows.append(_record_row(eng, alone))
+    assert len(rows) == len(marks)
+    assert np.array_equal(eng.run().data, np.vstack(rows))
 
 
 @st.composite
