@@ -76,11 +76,8 @@ def _cmd_run(args):
 
 
 def _cmd_preset(args):
-    try:
-        text = serialize_scenario(get_preset(args.name))
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_CONFIG
+    # argparse's choices have already refused an unknown name (exit 2)
+    text = serialize_scenario(get_preset(args.name))
     if args.output:
         try:
             Path(args.output).write_text(text)

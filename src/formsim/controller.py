@@ -33,10 +33,13 @@ forms A. ``_kinematic_twist`` forms b = -(K z) - ff from the poses
 without building z or ff, and eliminates A^T b in the factor's own loop.
 ``_torque_stage`` computes the twist command and its rate, the torque and
 the estimates' rate in floats over the edges, with one factor for both
-solves. ``coupling_matrix``, ``coupling_rate``, ``tree_gram``,
-``kinematic_control``, ``feedforward_rate`` and ``fictitious_velocity``,
-the independent oracles of the tests and ``formsim check``, take a tree
-and the headings, or a ``_Stage``.
+solves, and returns only those. A record of either mode forms z, ff and
+the residual from the stage's twist command (``_error_vector``,
+``feedforward_term``, ``_coupled``). ``coupling_matrix``,
+``coupling_rate``, ``tree_gram``, ``kinematic_control``,
+``feedforward_rate`` and ``fictitious_velocity``, the independent oracles
+of the tests and ``formsim check``, take a tree and the headings, or a
+``_Stage``; the dense two build their matrices from per-edge blocks.
 """
 
 import math
@@ -66,8 +69,6 @@ class _Layout(NamedTuple):
     children: np.ndarray
     pflat: np.ndarray
     cflat: np.ndarray
-    at: np.ndarray
-    const: np.ndarray
     gather: np.ndarray
     mirror: np.ndarray
 
@@ -76,21 +77,13 @@ def _layout(tree):
     """Edge index arrays of a tree: the 0-based (parent, child) pairs in
     edge order, and the parents and children as arrays; the flat
     positions in an (n, 3) per-robot array of every edge's parent row and
-    child row; the flat positions in a (3n, 2n) matrix of each edge
-    block's cosine, sine and heading rows (parents, then children), then
-    of the leader block's two entries, and the constant values of the
-    heading rows and the leader block; ``cflat`` then ``pflat``, the
-    gather of edge rows into robots, and its mirror, ``pflat`` then
-    ``cflat``. An ``Engine`` builds its tree's once."""
-    n = tree.n
+    child row; ``cflat`` then ``pflat``, the gather of edge rows into
+    robots, and its mirror, ``pflat`` then ``cflat``. An ``Engine`` builds
+    its tree's once."""
     parents, children = ends = tree.edge_array().T
-    rows = np.tile(6 * n * np.arange(1, n), 2)   # flat start of edge blocks
-    at = rows + 2 * np.concatenate([parents, children])
-    at = np.concatenate([at, at + 2 * n, at + 4 * n + 1, [0, 4 * n + 1]])
-    const = np.repeat([-1.0, 1.0, -1.0], [n - 1, n - 1, 2])
     pflat, cflat = (3 * ends[:, :, None] + np.arange(3)).reshape(2, -1)
     edges = tuple(zip(parents.tolist(), children.tolist()))
-    return _Layout(n, edges, parents, children, pflat, cflat, at, const,
+    return _Layout(tree.n, edges, parents, children, pflat, cflat,
                    np.concatenate([cflat, pflat]),
                    np.concatenate([pflat, cflat]))
 
@@ -200,11 +193,18 @@ def _error_vector(st, poses, desired_poses):
                            _edge_rows(st.lay, e)], axis=-1)
 
 
-def _scatter(n, at, values):
-    """Dense (3n, 2n) matrix holding ``values`` at flat positions ``at``."""
-    out = np.zeros(6 * n * n)
-    out[at] = values
-    return out.reshape(3 * n, 2 * n)
+def _edge_blocks(lay, x, y, heading=False):
+    """Dense (3n, 2n) matrix with a zero leader block whose edge block k
+    holds, in the v column of edge k's child, the child's entries of
+    ``x`` and ``y``, and minus the parent's in the parent's; with
+    ``heading``, its third row holds -1 and 1 in their w columns."""
+    out = np.zeros((3 * lay.n, 2 * lay.n))
+    for k, (p, ch) in enumerate(lay.edges, 1):
+        out[3 * k:3 * k + 2, 2 * p] = -x[p], -y[p]
+        out[3 * k:3 * k + 2, 2 * ch] = x[ch], y[ch]
+        if heading:
+            out[3 * k + 2, 2 * p + 1], out[3 * k + 2, 2 * ch + 1] = -1.0, 1.0
+    return out
 
 
 def coupling_matrix(tree, headings):
@@ -212,10 +212,9 @@ def coupling_matrix(tree, headings):
     rate: leader row block is minus the twist selector, each edge block
     carries minus the parent's steering matrix and plus the child's."""
     st = _aystage(tree, headings)
-    lay, c, s = st.lay, st.cos, st.sin
-    p, ch = lay.parents, lay.children
-    return _scatter(lay.n, lay.at, np.concatenate(
-        [-c[p], c[ch], -s[p], s[ch], lay.const]))
+    out = _edge_blocks(st.lay, st.cos, st.sin, heading=True)
+    out[0, 0] = out[2, 1] = -1.0
+    return out
 
 
 def coupling_rate(tree, headings, omegas):
@@ -225,12 +224,8 @@ def coupling_rate(tree, headings, omegas):
     with their endpoints' headings.
     """
     st = _aystage(tree, headings)
-    lay = st.lay
     w = np.asarray(omegas, dtype=float)
-    p, ch = lay.parents, lay.children
-    wc, ws = w * st.cos, w * st.sin
-    return _scatter(lay.n, lay.at[:len(lay.at) - len(lay.const)],
-                    np.concatenate([ws[p], -ws[ch], -wc[p], wc[ch]]))
+    return _edge_blocks(st.lay, -(w * st.sin), w * st.cos)
 
 
 def feedforward_term(st, d):
@@ -386,15 +381,11 @@ def fictitious_velocity(tree, st, twists, z, ff, d, gain):
 
 class _Torque(NamedTuple):
     """One evaluation of the torque-level law by ``_torque_stage``, as
-    lists: the stacked error z, the feedforward ff and the residual
-    A eta_f + K z + ff (3n, stacked like the dense forms), the v and w
-    entries of the twist command eta_f and of its rate, the torque u and
-    the twists' rate (interleaved like the twists), and the estimates'
-    rate (6 per robot)."""
+    lists: the v and w entries of the twist command eta_f and of its
+    rate, the torque u and the twists' rate (interleaved like the
+    twists), and the estimates' rate (6 per robot). A record derives z,
+    ff and the residual from eta_f (see ``Engine._row``)."""
 
-    z: list
-    ff: list
-    residual: list
     etaf: tuple
     etafdot: tuple
     u: list
@@ -404,14 +395,14 @@ class _Torque(NamedTuple):
 
 def _torque_plant(gz, gs, ga, minv, damp):
     """The constants ``_torque_stage`` reads, as floats: the formation
-    gain's leader entries and its edge rows' x, y and heading lists, and
-    per robot (K_sigma v, w; Gamma 1..6; 1/mass, 1/inertia; d11, d12,
-    d21, d22), from the (3n,), (2n,), (6n,), (2n,) and (n, 2, 2) arrays
-    an Engine holds."""
+    gain's leader x and heading entries and its edge rows' x, y and
+    heading lists, and per robot (K_sigma v, w; Gamma 1..6; 1/mass,
+    1/inertia; d11, d12, d21, d22), from the (3n,), (2n,), (6n,), (2n,)
+    and (n, 2, 2) arrays an Engine holds."""
     n = len(damp)
     robots = np.column_stack([gs.reshape(n, 2), ga.reshape(n, 6),
                               minv.reshape(n, 2), damp.reshape(n, 4)])
-    return (gz[:3].tolist(), gz[3:].reshape(-1, 3).T.tolist(),
+    return (gz[0:3:2].tolist(), gz[3:].reshape(-1, 3).T.tolist(),
             list(map(tuple, robots.tolist())))
 
 
@@ -432,18 +423,19 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     solves G etafdot = -(Adot^T r + A^T q), and the torque and the
     gradient update are written out per robot. Raises RankDeficient when a
     heading is not finite, as ``fictitious_velocity`` does."""
-    (k0, k1, k2), (Kx, Ky, Kh), robots = plant
+    (k0, k2), (Kx, Ky, Kh), robots = plant
     n, edges = st.lay.n, st.lay.edges
     c, s = st.cos.tolist(), st.sin.tolist()
     Ex, Ey, Eh = (d.qd - poses).T.tolist()
     v, om = eta[0::2].tolist(), eta[1::2].tolist()
-    # the leader's blocks, in its body frame as ``_rotate`` computes them
+    # the leader's blocks of z and ff, in its body frame as ``_rotate``
+    # computes them, and ff's edge rows
     cr, sr = st.rot
-    x, y, h = Ex[0], Ey[0], Eh[0]
-    gx, gy, gh = d.rows[0].tolist()
-    z = [cr * x + sr * y, cr * y - sr * x, h]
-    ff = [cr * gx + sr * gy, cr * gy - sr * gx, gh, *d.edges.tolist()]
-    Fx, Fy, Fh = ff[3::3], ff[4::3], ff[5::3]
+    x, y, z2 = Ex[0], Ey[0], Eh[0]
+    gx, gy, f2 = d.rows[0].tolist()
+    z0, z1 = cr * x + sr * y, cr * y - sr * x
+    f0, f1 = cr * gx + sr * gy, cr * gy - sr * gx
+    Fx, Fy, Fh = d.edges.reshape(-1, 3).T.tolist()
     # leaves first: A^T z's sums and -A^T w's, w = K z + ff
     zx, zy, zh = [0.0] * n, [0.0] * n, [0.0] * n
     bx, by, bh = [0.0] * n, [0.0] * n, [0.0] * n
@@ -451,13 +443,12 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     for (p, ch), kx, ky, kh, fx, fy, fh in zip(edges, Kx, Ky, Kh, Fx, Fy, Fh):
         ex, ey, eh = Ex[p] - Ex[ch], Ey[p] - Ey[ch], Eh[p] - Eh[ch]
         wx, wy, wh = kx * ex + fx, ky * ey + fy, kh * eh + fh
-        z += ex, ey, eh
-        w.append((wx, wy, wh))
+        w.append((wx, wy))
         zx[p], zy[p], zh[p] = zx[p] - ex, zy[p] - ey, zh[p] - eh
         zx[ch], zy[ch], zh[ch] = zx[ch] + ex, zy[ch] + ey, zh[ch] + eh
         bx[p], by[p], bh[p] = bx[p] + wx, by[p] + wy, bh[p] + wh
         bx[ch], by[ch], bh[ch] = bx[ch] - wx, by[ch] - wy, bh[ch] - wh
-    w0, w2 = k0 * z[0] + ff[0], k2 * z[2] + ff[2]
+    w0, w2 = k0 * z0 + f0, k2 * z2 + f2
     bv = [ci * sx + si * sy for ci, si, sx, sy in zip(c, s, bx, by)]
     bv[0] += w0
     bh[0] += w2
@@ -466,16 +457,14 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
 
     # root first: r's sums, and the negated sums of q, from each edge's
     # x and y of r (ra, rb), its q row (qa, qb, qc) and ffdot's (dx, dy, dh)
-    r = [w0 - vf[0], k1 * z[1] + ff[1], w2 - wf[0]]
     Dx, Dy, Dh = d.rate_edges.reshape(-1, 3).T.tolist()
     rx, ry = [0.0] * n, [0.0] * n
     qx, qy, qh = [0.0] * n, [0.0] * n, [0.0] * n
-    for (p, ch), (wx, wy, wh), kx, ky, kh, fx, fy, fh, dx, dy, dh in zip(
+    for (p, ch), (wx, wy), kx, ky, kh, fx, fy, fh, dx, dy, dh in zip(
             edges, w, Kx, Ky, Kh, Fx, Fy, Fh, Dx, Dy, Dh):
         cp, cq, sp, sq = c[p], c[ch], s[p], s[ch]
         fp, fq, op, oq, vp, vq = vf[p], vf[ch], om[p], om[ch], v[p], v[ch]
         ra, rb = fq * cq - fp * cp + wx, fq * sq - fp * sp + wy
-        r += ra, rb, wf[ch] - wf[p] + wh
         qa = (op * (fp * sp) - oq * (fq * sq)
               + (kx * (vq * cq - vp * cp + fx) + dx))
         qb = (oq * (fq * cq) - op * (fp * cp)
@@ -491,15 +480,15 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
           for oi, ci, si, sx, sy, tx, ty in zip(om, c, s, rx, ry, qx, qy)]
     gx, gy, gh = d.rates[0].tolist()
     o = om[0]
-    mv[0] += k0 * (ff[0] - v[0] + o * z[1]) + (cr * gx + sr * gy + o * ff[1])
-    qh[0] += k2 * (ff[2] - o) + gh
+    mv[0] += k0 * (f0 - v[0] + o * z1) + (cr * gx + sr * gy + o * f1)
+    qh[0] += k2 * (f2 - o) + gh
     mv, mw = gram.solve_lists(mv, qh)
 
     # per robot: u = -K_sigma sigma - A^T z + Y phihat, the twists' rate
     # (u - drag) / (mass, inertia), and phihat's rate -Gamma Y^T sigma
     zv = [ci * sx + si * sy for ci, si, sx, sy in zip(c, s, zx, zy)]
-    zv[0] -= z[0]
-    zh[0] -= z[2]
+    zv[0] -= z0
+    zh[0] -= z2
     u, rate, phidot = [], [], []
     for vi, oi, fv, fw, gv, gw, av, aw, ph, pl in zip(
             v, om, vf, wf, mv, mw, zv, zh, phihat.reshape(-1, 6).tolist(),
@@ -514,4 +503,4 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
                  iw * (uw - (d21 * vi + d22 * oi)))
         phidot += (-(g0 * (sv * gv)), -(g1 * (sw * gw)), -(g2 * (sv * vi)),
                    -(g3 * (sv * oi)), -(g4 * (sw * vi)), -(g5 * (sw * oi)))
-    return _Torque(z, ff, r, (vf, wf), (mv, mw), u, rate, phidot)
+    return _Torque((vf, wf), (mv, mw), u, rate, phidot)

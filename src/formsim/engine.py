@@ -29,17 +29,18 @@ one factor for both solves. No stage forms A.
 A sample costs nothing beyond its own stage. At each mark ``integrate``
 keeps the evaluation that is also the next step's first stage
 (``rk4_step``'s ``k1``) as a ``_Mark``: t, y, the derivative, the desired
-terms the stage read, the leader's (cos, sin), and the stage's own
-output (v in kinematic mode, the ``_Torque`` in dynamic mode); only the
-final sample is evaluated on its own. ``Engine._row`` then derives the
-records of a whole block of marks at once, along a leading sample axis:
-the errors, the stacked error, the feedforward and the residual K z + ff
-+ A eta_f (in kinematic mode from the poses and the pose rates, without
-A; in dynamic mode read from the ``_Torque``s), their norms, the energy
-and its predicted rate, and writes the trace rows straight into the
-trace's array. ``Engine.diagnostics``, and so every probe and ``formsim
-check`` line, is ``_row`` at one mark: row j of a block is the record of
-mark j alone, bit for bit.
+terms and the ``_Stage`` the stage read, and the stage's own output (the
+twist command's (v, w) in kinematic mode, the ``_Torque`` in dynamic
+mode); only the final sample is evaluated on its own. ``Engine._row``
+then derives the records of a whole block of marks at once, along a
+leading sample axis and by one code path in both modes: the errors, the
+stacked error, the feedforward and the residual K z + ff + A eta_f (A
+eta_f from the stage's eta_f steered by the mark's own cosines and
+sines, without A), their norms, the energy and its predicted rate, and
+writes the trace rows straight into the trace's array.
+``Engine.diagnostics``, and so every probe and ``formsim check`` line,
+is ``_row`` at one mark: row j of a block is the record of mark j alone,
+bit for bit.
 """
 
 from contextlib import contextmanager
@@ -147,15 +148,15 @@ def _record_at(block, j):
 
 class _Mark(NamedTuple):
     """What a record needs of one evaluation of the law at (t, y): the
-    derivative, the desired terms the stage read, the leader's (cos, sin)
-    and the stage's own output, v (an array) in kinematic mode and the
-    ``_Torque`` in dynamic mode."""
+    derivative, the desired terms and the ``_Stage`` the stage read, and
+    the stage's own output, the twist command's (v, w) lists in kinematic
+    mode and the ``_Torque`` in dynamic mode."""
 
     t: float
     y: np.ndarray
     dy: np.ndarray
     d: _Desired
-    rot: tuple
+    st: _Stage
     out: object
 
 
@@ -246,8 +247,8 @@ class Engine:
         st = _stage(self._lay, poses[:, 2])
         dy = np.empty_like(y)
         if self.mode == "kinematic":
-            v, w = _kinematic_twist(st, poses, d, self._gains)
-            out = v = np.array(v)
+            out = v, w = _kinematic_twist(st, poses, d, self._gains)
+            v = np.array(v)
         else:
             eta = y[3 * n:5 * n]
             out = _torque_stage(st, poses, eta, y[5 * n:], d, self._plant)
@@ -259,7 +260,7 @@ class Engine:
         dy[2:3 * n:3] = w
         if not record:
             return dy
-        return _Mark(t, y, dy, d, st.rot, out)
+        return _Mark(t, y, dy, d, st, out)
 
     def rate(self, t, y):
         """State derivative: one evaluation of the control law."""
@@ -356,46 +357,49 @@ class Engine:
         every field has a leading sample axis; with ``out``, their trace
         rows too, written into that (m, columns) array.
 
-        A kinematic record forms the stacked error, the feedforward and
-        the residual K z + ff + A eta_f (A eta_f by ``_coupled``, from the
-        pose rates), a dynamic one reads them from the stage's
-        ``_Torque``. Every operation is elementwise along the sample axis
-        or a row-wise dot, so row j is the record of mark j alone, bit
-        for bit."""
+        In either mode a record forms the stacked error, the feedforward
+        and the residual K z + ff + A eta_f from its mark: A eta_f by
+        ``_coupled``, from the stage's eta_f steered by the mark's own
+        cosines and sines. Every operation is elementwise along the sample
+        axis or a row-wise dot, so row j is the record of mark j alone,
+        bit for bit."""
         n, m = self.n, len(marks)
+        kinematic = self.mode == "kinematic"
         t = np.array([mark.t for mark in marks])
         y = np.array([mark.y for mark in marks])
         poses = y[:, :3 * n].reshape(m, n, 3)
         qd = np.array([mark.d.qd for mark in marks])
-        if self.mode == "kinematic":
-            dy = np.array([mark.dy for mark in marks])
-            v = np.array([mark.out for mark in marks])
-            st = _Stage(self._lay, None, None,
-                        tuple(np.array([mark.rot for mark in marks]).T))
-            d = _Desired(qd, np.array([mark.d.rows for mark in marks]),
-                         np.array([mark.d.edges for mark in marks]), None)
-            z = _error_vector(st, poses, qd)
-            ff = feedforward_term(st, d)
-            eta = etaf = np.empty((m, 2 * n))
-            eta[:, 0::2] = v
-            eta[:, 1::2] = dy[:, 2::3]
+        st = _Stage(self._lay, np.array([mark.st.cos for mark in marks]),
+                    np.array([mark.st.sin for mark in marks]),
+                    tuple(np.array([mark.st.rot for mark in marks]).T))
+        d = _Desired(qd, np.array([mark.d.rows for mark in marks]),
+                     np.array([mark.d.edges for mark in marks]), None)
+        z = _error_vector(st, poses, qd)
+        ff = feedforward_term(st, d)
+        # (m, 2, n): the (v, w) lists of each mark's eta_f
+        vw = np.array([mark.out if kinematic else mark.out.etaf
+                       for mark in marks])
+        vf = vw[:, 0]
+        g = np.empty((m, 3 * n))
+        g[:, 0::3] = vf * st.cos
+        g[:, 1::3] = vf * st.sin
+        g[:, 2::3] = vw[:, 1]
+        res = self.gz * z + ff + _coupled(self._lay, vf[:, 0], g)
+        etaf = vw.transpose(0, 2, 1).reshape(m, 2 * n)
+        zz = np.vecdot(z, z)
+        V = 0.5 * zz
+        if kinematic:
+            eta = etaf
             u = phihat = etafdot = sigma = None
-            res = self.gz * z + ff + _coupled(self._lay, v[:, 0], dy)
-            zz = np.vecdot(z, z)
-            V = Va = 0.5 * zz
+            Va = V
             Vdot = -np.vecdot(z, self.gz * z) + np.vecdot(z, res)
         else:
             laws = [mark.out for mark in marks]
-            z, ff, res, u = (np.array([getattr(law, k) for law in laws])
-                             for k in ("z", "ff", "residual", "u"))
-            # (v, w) list pairs, interleaved
-            etaf, etafdot = (np.array([getattr(law, k) for law in laws])
-                             .transpose(0, 2, 1).reshape(m, 2 * n)
-                             for k in ("etaf", "etafdot"))
+            u = np.array([law.u for law in laws])
+            etafdot = (np.array([law.etafdot for law in laws])
+                       .transpose(0, 2, 1).reshape(m, 2 * n))
             eta, phihat = y[:, 3 * n:5 * n], y[:, 5 * n:]
             sigma = eta - etaf
-            zz = np.vecdot(z, z)
-            V = 0.5 * zz
             Va, Vdot = lyapunov_diagnostics(z, sigma, phihat - self.phi_true,
                                             self.mdiag, self.ga, self.gz,
                                             self.gs, res)

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,20 @@ def test_preset_to_file(tmp_path):
     out = tmp_path / "preset.yaml"
     assert main(["preset", "adaptive-pentagon", "-o", str(out)]) == 0
     assert fs.load_scenario(out).mode == "dynamic"
+
+
+def test_unknown_preset_exits_2(capsys):
+    # argparse refuses a name outside the presets before the command runs
+    with pytest.raises(SystemExit) as info:
+        main(["preset", "nosuch"])
+    assert info.value.code == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
+def test_preset_into_a_missing_directory_exits_4(tmp_path, capsys):
+    out = tmp_path / "missing" / "k.yaml"
+    assert main(["preset", "kinematic-pentagon", "-o", str(out)]) == 4
+    assert f"cannot write {out}" in capsys.readouterr().err
 
 
 def test_run_produces_trace_and_metrics(tmp_path, capsys):
@@ -141,6 +157,17 @@ def test_run_bad_sampled_table_exits_2(tmp_path, capsys, trajectory):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error: ValidationError: robots[1].trajectory" in err
+
+
+def test_run_unknown_trajectory_kind_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_sampled_doc(kind="spiral")))
+    code = main(["run", "--config", str(path), "--trace",
+                 str(tmp_path / "t.csv"), "--metrics",
+                 str(tmp_path / "m.yaml")])
+    assert code == 2
+    assert ("config error: SchemaError: robots[1].trajectory: unknown "
+            "trajectory kind 'spiral'") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid_dt", [[0.001], [[0.001]]])
@@ -432,6 +459,33 @@ def test_check_passes_on_presets(tmp_path, capsys):
         assert "PASS least-squares-contract" in out
         assert "PASS energy-rate-identity" in out
         assert "PASS chain-pivot-certificate" in out
+
+
+@pytest.mark.parametrize("field,factor,line,detail", [
+    ("etaf", 1 + 1e-6, "least-squares-contract", r"defect \S+ at t="),
+    ("Vdot", 1 + 1e-4, "energy-rate-identity", r"fd \S+ vs \S+ at t="),
+], ids=["etaf", "Vdot"])
+@pytest.mark.parametrize("name", fs.preset_names())
+def test_check_fails_on_a_perturbed_record(tmp_path, capsys, monkeypatch,
+                                           name, field, factor, line,
+                                           detail):
+    # every record the check reads carries one field off by a relative
+    # factor: the twist command that the least-squares contract holds, or
+    # the predicted energy rate that the finite differences hold
+    records = fs.Engine.records
+
+    def perturbed(self, marks):
+        return [replace(rec, **{field: getattr(rec, field) * factor})
+                for rec in records(self, marks)]
+
+    monkeypatch.setattr(fs.Engine, "records", perturbed)
+    cfg_path = tmp_path / f"{name}.yaml"
+    cfg_path.write_text(fs.serialize_scenario(fs.get_preset(name)))
+    code = main(["check", "--config", str(cfg_path), "--horizon", "0.5"])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert re.search(rf"^FAIL {line}  \({detail}[^)]*\)$", out, re.M), out
+    assert len(re.findall("^FAIL ", out, re.M)) == 1, out
 
 
 @pytest.mark.parametrize("horizon", ["0.04", "0.037"])

@@ -434,12 +434,12 @@ def test_one_coupling_build_per_rate(monkeypatch):
     # calls the dense twist command or the feedforward's rate: those are
     # the oracles of the tests and formsim check. A stage is one call of
     # its mode's one-pass stage (controller._kinematic_twist, or
-    # controller._torque_stage, which also gives a dynamic record its
-    # stacked error and feedforward); only a kinematic record builds those
-    # two, once per block of records. Integrating one sample interval
-    # evaluates the desired trajectory once, for all its stages, keeps its
-    # first stage and builds no record, and no stage looks the tree's
-    # layout up. A run builds its rows once per block of steps.
+    # controller._torque_stage); a record of either mode builds the
+    # stacked error and the feedforward, once per block of records, and no
+    # stage does. Integrating one sample interval evaluates the desired
+    # trajectory once, for all its stages, keeps its first stage and
+    # builds no record, and no stage looks the tree's layout up. A run
+    # builds its rows once per block of steps.
     owners = [formsim.controller, formsim.engine]
     dense = [_counter(monkeypatch, "coupling_matrix", owners),
              _counter(monkeypatch, "coupling_rate", [formsim.controller]),
@@ -466,7 +466,7 @@ def test_one_coupling_build_per_rate(monkeypatch):
                 calls.clear()
             evaluate(0.3, y)
             assert [len(calls) for calls in dense] == [0] * 4, name
-            assert len(ffs) == len(errors) == record * (1 - dynamic), name
+            assert len(ffs) == len(errors) == record, name
             assert len(energies) == record * dynamic, name
             assert len(stages) == 1 - dynamic, name
             assert len(torques) == dynamic, name
@@ -494,7 +494,7 @@ def test_one_coupling_build_per_rate(monkeypatch):
         assert len(rows) == -(-steps // _BLOCK_STEPS), name
         assert len(stages) == (4 * steps + 1) * (1 - dynamic), name
         assert len(torques) == (4 * steps + 1) * dynamic, name
-        assert len(ffs) == len(errors) == len(rows) * (1 - dynamic), name
+        assert len(ffs) == len(errors) == len(rows), name
         assert len(energies) == len(rows) * dynamic, name
         assert [len(calls) for calls in dense] == [0] * 4, name
 

@@ -56,6 +56,15 @@ def test_round_trip_through_yaml():
             assert a.profile.pose0 == b.profile.pose0
 
 
+def test_threshold_round_trips_through_yaml():
+    cfg = replace(fs.get_preset("kinematic-pentagon"), threshold=0.25)
+    text = fs.serialize_scenario(cfg)
+    assert "threshold: 0.25" in text.splitlines()
+    back = fs.load_scenario(text)
+    assert back.threshold == 0.25
+    assert fs.scenario_to_dict(back) == fs.scenario_to_dict(cfg)
+
+
 def test_long_one_line_text_is_yaml_not_a_path():
     # JSON is YAML; one line of it longer than a file name may be must
     # still load as text
@@ -109,6 +118,47 @@ def test_int_beyond_float_is_not_finite(path, value, message):
     _set(doc, path, value)
     with pytest.raises(fs.ValidationError, match=re.escape(message)):
         fs.load_scenario(yaml.safe_dump(doc))
+
+
+def _table(**fields):
+    table = {"kind": "sampled_twist", "start": [1, 0, 0],
+             "times": [0.0, 2.0], "twists": [[1.0, 0.5]] * 2,
+             "rates": [[0.0, 0.0]] * 2}
+    table.update(fields)
+    return table
+
+
+@pytest.mark.parametrize("path,value,error,message", [
+    (("robots", 1, "trajectory"),
+     _table(times=[0.0], twists=[[1.0, 0.5]], rates=[[0.0, 0.0]]),
+     fs.ValidationError, "robots[2].trajectory: need at least two samples"),
+    (("robots", 1, "trajectory"), _table(twists=[[1.0, 0.5]] * 3),
+     fs.ValidationError,
+     "robots[2].trajectory: twists and rates must be (len(times), 2)"),
+    (("robots", 1, "trajectory"), _table(rates=[[0.0, 0.0, 0.0]] * 2),
+     fs.ValidationError,
+     "robots[2].trajectory: twists and rates must be (len(times), 2)"),
+    (("robots", 1, "trajectory"),
+     _table(rates=[[0.0, 0.0], [float("nan"), 0.0]]), fs.ValidationError,
+     "robots[2].trajectory: profile tables must be finite"),
+    (("robots", 1, "trajectory", "kind"), "spiral", fs.SchemaError,
+     "robots[2].trajectory: unknown trajectory kind 'spiral'"),
+    (("robots",), [], fs.SchemaError, "robots must be a non-empty list"),
+], ids=["one-sample", "twists-shape", "rates-shape", "non-finite",
+        "kind", "no-robots"])
+def test_config_error_names_its_field(path, value, error, message):
+    doc = _tiny_doc()
+    _set(doc, path, value)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        fs.load_scenario(yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("text,kind", [("- 1\n- 2\n", "list"),
+                                       ("42\n", "int")])
+def test_top_level_not_a_mapping(text, kind):
+    with pytest.raises(fs.SchemaError,
+                       match=f"^top level must be a mapping, got {kind}$"):
+        fs.load_scenario(text)
 
 
 def _random_tree_text(n, seed):
