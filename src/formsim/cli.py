@@ -1,9 +1,9 @@
 """Command-line interface: run scenarios, emit presets, check invariants.
 
 Exit codes: 0 success, 2 config error, 3 runtime failure (divergence,
-rank deficiency, singular desired speed, a pose grid too large to
-allocate), 4 I/O error. ``run`` and ``check`` load a config in one place,
-so a fault of the file is the same config error from either.
+rank deficiency, singular desired speed, a pose grid or a trace too
+large to allocate), 4 I/O error. ``run`` and ``check`` load a config in
+one place, so a fault of the file is the same config error from either.
 """
 
 import argparse

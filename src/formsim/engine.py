@@ -14,8 +14,10 @@ rows), and in dynamic mode the rates of both. ``integrate`` evaluates it
 in one pass for a block of steps (``_BLOCK_STEPS``), at every stage time
 t, t + h/2 and t + h as ``rk4_step`` computes them, and at the final
 sample's time in the last block; it is the same numbers as evaluating
-each time alone, since it does not depend on the state. If some time is
-outside the trajectory's domain, the block keeps no terms and each stage
+each time alone, since it does not depend on the state. Each stage
+receives its time's terms as its argument ``d``; an Engine keeps no
+per-block state, so integrations on one Engine may nest. If some time is
+outside the trajectory's domain, the block has no terms and each stage
 evaluates its own time, so the stage that reaches it raises. The
 state-dependent half runs per stage: the headings' cosines and sines
 once, then in kinematic mode one call of ``controller._kinematic_twist``,
@@ -43,11 +45,9 @@ is ``_row`` at one mark: row j of a block is the record of mark j alone,
 bit for bit.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import islice
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +63,8 @@ from .adaptive import (adaptation_rate, adaptive_control,  # noqa: F401
                        block_regression)
 from .controller import (coupling_matrix, fictitious_velocity,  # noqa: F401
                          kinematic_control)
-from .trajectory import ProfileSet, desired_arrays, rk4_step
+from .trajectory import (GridAllocationError, ProfileSet, desired_arrays,
+                         rk4_step)
 
 __all__ = ["DivergenceError", "Trace", "EvalRecord", "Engine", "simulate",
            "rk4_step"]
@@ -201,10 +202,6 @@ class Engine:
 
     # ---- the control law ----
 
-    # stage time -> its hoisted _Desired while ``integrate`` takes a
-    # block's steps; empty otherwise, and every stage evaluates its own time
-    _block = MappingProxyType({})
-
     @cached_property
     def _lay(self):
         return _layout(self.tree)
@@ -219,7 +216,8 @@ class Engine:
     def _hoist(self, starts, h, also=()):
         """Stage time -> _Desired for RK4 steps of size h from each start
         time, with the stage times ``rk4_step`` computes, and for the
-        times ``also``. Empty when some time is outside the profiles'
+        times ``also``: the ``d`` that ``integrate`` hands each of those
+        evaluations. Empty when some time is outside the profiles'
         domain: the stage that reaches it then raises as its own
         evaluation would, after any earlier stage has raised first."""
         times = {}
@@ -233,14 +231,15 @@ class Engine:
         return {t: _Desired(*(None if col is None else col[j] for col in d))
                 for j, t in enumerate(times)}
 
-    def evaluate(self, t, y, record=False):
-        """Evaluate the control law once at (t, y).
+    def evaluate(self, t, y, d=None, record=False):
+        """Evaluate the control law once at (t, y), with ``d`` the
+        ``_Desired`` at t when it is already known (``_hoist``); with
+        ``d`` None the evaluation computes it.
 
         Returns the state derivative, or with ``record`` the ``_Mark``
         that holds it and what ``_row`` reads of the evaluation.
         """
         n = self.n
-        d = self._block.get(t)
         if d is None:
             d = self._desired(t)
         poses = y[:3 * n].reshape(n, 3)
@@ -262,9 +261,10 @@ class Engine:
             return dy
         return _Mark(t, y, dy, d, st, out)
 
-    def rate(self, t, y):
-        """State derivative: one evaluation of the control law."""
-        return self.evaluate(t, y)
+    def rate(self, t, y, d=None):
+        """State derivative: one evaluation of the control law, with
+        ``d`` as in ``evaluate``."""
+        return self.evaluate(t, y, d)
 
     def records(self, marks):
         """The EvalRecord of each ``_Mark`` in ``marks``, from one block
@@ -282,15 +282,6 @@ class Engine:
         """Single RK4 step; h may be negative (used by probes)."""
         return rk4_step(self.rate, t, np.asarray(y, dtype=float), h)
 
-    @contextmanager
-    def _hoisted(self, block):
-        """Let every evaluation in the block look its terms up in it."""
-        self._block = block
-        try:
-            yield
-        finally:
-            del self._block
-
     def integrate(self, y, marks, stop, t0=0.0):
         """Integrate y by RK4 steps of ``config.dt`` from step index
         ``marks[0]`` to ``stop``, keeping the evaluation at each step
@@ -299,7 +290,8 @@ class Engine:
         Step k starts at t0 + mark*dt + s*dt, with mark the last mark at
         or before k and s = k - mark. Steps go in blocks of up to
         ``_BLOCK_STEPS`` across the marks, each block's desired terms
-        evaluated in one pass (``_hoist``) before its first stage. Yields
+        evaluated in one pass (``_hoist``) before its first stage and
+        handed to each stage as its ``d``, through ``Engine.rate``. Yields
         (y, kept) once per block, once it is integrated: the state at its
         end and the ``_Mark`` of each mark in it, the mark's first stage
         (``rk4_step``'s k1). The last block's list ends with the final
@@ -315,22 +307,28 @@ class Engine:
         for a in range(0, total or 1, _BLOCK_STEPS):
             starts = list(islice(steps, _BLOCK_STEPS))
             last = a + _BLOCK_STEPS >= total and final
+            terms = self._hoist([t for t, _ in starts], dt,
+                                (end,) if last else ())
+
+            def rate(s, x):
+                return self.rate(s, x, terms.get(s))
+
             kept = []
-            with self._hoisted(self._hoist([t for t, _ in starts], dt,
-                                           (end,) if last else ())):
-                # overflow here is the divergence signal, not a numpy error
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for t, lead in starts:
-                        k1 = None
-                        if lead:
-                            kept.append(self.evaluate(t, y, record=True))
-                            k1 = kept[-1].dy
-                        y = rk4_step(self.rate, t, y, dt, k1)
-                        if not np.isfinite(y).all():
-                            raise DivergenceError(
-                                f"non-finite state at t={t + dt:g}")
-                if last:
-                    kept.append(self.evaluate(end, y, record=True))
+            # overflow here is the divergence signal, not a numpy error
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t, lead in starts:
+                    k1 = None
+                    if lead:
+                        kept.append(self.evaluate(t, y, terms.get(t),
+                                                  record=True))
+                        k1 = kept[-1].dy
+                    y = rk4_step(rate, t, y, dt, k1)
+                    if not np.isfinite(y).all():
+                        raise DivergenceError(
+                            f"non-finite state at t={t + dt:g}")
+            if last:
+                kept.append(self.evaluate(end, y, terms.get(end),
+                                          record=True))
             yield y, kept
 
     # ---- trace ----
@@ -430,11 +428,17 @@ class Engine:
     def run(self):
         cfg = self.config
         total = int(round(cfg.t_final / cfg.dt))
-        marks = list(range(0, total + 1, cfg.sample_every))
+        marks = range(0, total + 1, cfg.sample_every)
+        columns = self.trace_columns()
+        try:
+            data = np.empty(shape := (len(marks) + (marks[-1] != total),
+                                      len(columns)))
+        except (MemoryError, ValueError):
+            raise GridAllocationError(f"cannot allocate the trace of shape "
+                                      f"{shape}") from None
+        marks = list(marks)
         if marks[-1] != total:
             marks.append(total)
-        columns = self.trace_columns()
-        data = np.empty((len(marks), len(columns)))
         row = 0
         for _, kept in self.integrate(self.initial_state(), marks, total):
             if kept:

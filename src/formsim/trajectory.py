@@ -60,7 +60,8 @@ class SingularSpeed(ValueError):
 
 
 class GridAllocationError(MemoryError):
-    """A sampled twist's pose grid is too large to allocate."""
+    """A sampled twist's pose grid, or a run's trace, is too large to
+    allocate."""
 
 
 def rk4_step(f, t, y, h, k1=None):
@@ -233,7 +234,7 @@ def _pose_grids(table, poses0):
     steps = int(math.ceil(span / dt))
     try:
         grid = np.empty(shape := (steps + 1, 3, len(poses0)))
-    except MemoryError:
+    except (MemoryError, ValueError):
         raise GridAllocationError(f"cannot allocate the pose grid of "
                                   f"grid_dt {dt:g}, shape {shape}") from None
     grid[0] = np.transpose(poses0)

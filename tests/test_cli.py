@@ -201,6 +201,55 @@ def test_unallocatable_pose_grid_exits_3(tmp_path, capsys, command, failed):
     assert "grid_dt 1e-15" in err
 
 
+def _star_doc(n, trajectory, **edits):
+    doc = {"mode": "kinematic", "edges": [[1, k] for k in range(2, n + 1)],
+           "dt": 0.01, "t_final": 1.0, "gains": {"formation": [1.0] * 3},
+           "robots": [{"start": [0.1 * k, 0.0, 0.0], "trajectory": trajectory}
+                      for k in range(n)]}
+    doc.update(edits)
+    return doc
+
+
+@pytest.mark.parametrize("command,failed", [("run", "run failed"),
+                                            ("check", "check run failed")])
+def test_pose_grid_too_large_to_index_exits_3(tmp_path, capsys,
+                                              command, failed):
+    # 50 robots share one table of 8.3e15 grid steps, under the 2**53
+    # bound: their pose grid's byte count is past what numpy can index,
+    # and numpy refuses it with a ValueError, not a MemoryError
+    table = _sampled_doc(times=[0.0, 1.0], twists=[[1.0, 0.2]] * 2,
+                         rates=[[0.0, 0.0]] * 2, grid_dt=1.2e-16)
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(
+        _star_doc(50, table["robots"][0]["trajectory"])))
+    assert _run_or_check(command, path, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert f"{failed}: GridAllocationError" in err
+    assert "shape (8333333333333334, 3, 50)" in err
+
+
+@pytest.mark.parametrize("doc,shape", [
+    # 5e14 steps of the preset, under the 2**53 bound: its trace (14 PiB)
+    # is beyond any address space, so the request fails at once, touching
+    # no memory
+    (lambda: {**fs.scenario_to_dict(fs.get_preset("kinematic-pentagon")),
+              "dt": 1.0e-13}, (50000000000001, 39)),
+    # a trace whose byte count is past what numpy can index
+    (lambda: _star_doc(50, {"kind": "constant_twist",
+                            "start": [0.0, 0.0, 0.0], "twist": [1.0, 0.2]},
+                       dt=1.2e-16, sample_every=1),
+     (8333333333333334, 354)),
+], ids=["preset", "star"])
+def test_unallocatable_trace_exits_3(tmp_path, capsys, doc, shape):
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(doc()))
+    assert _run_or_check("run", path, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert ("run failed: GridAllocationError: cannot allocate the trace of "
+            f"shape {shape}") in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("field,value", [
     ("dt", float("nan")),
     ("t_final", float("inf")),

@@ -1,3 +1,4 @@
+import threading
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -574,3 +575,49 @@ def test_divergence_precedes_later_singular_speed_in_block():
     with pytest.raises(fs.SingularSpeed, match="at t=3.0515$"):
         list(fs.Engine(replace(cfg, dt=1e-3)).integrate(
             fs.Engine(cfg).initial_state(), [0], 100, 2.99))
+
+
+def test_trace_column_unknown_name_raises():
+    trace = fs.Trace(columns=["t", "x1"], data=np.zeros((2, 2)))
+    with pytest.raises(KeyError, match="no trace column 'nosuch'"):
+        trace.column("nosuch")
+
+
+@pytest.mark.parametrize("name", fs.preset_names())
+def test_integration_nested_in_a_stage_leaves_the_outer_run_unchanged(
+        name, monkeypatch):
+    # an Engine keeps no per-block state: a second integration started on
+    # it from inside a stage of a run neither sees nor removes the run's
+    # hoisted terms
+    cfg = replace(fs.get_preset(name), t_final=0.05)
+    want = fs.Engine(cfg).run().data
+    eng = fs.Engine(cfg)
+    rate, calls, nested = eng.rate, [], []
+
+    def reentering(t, y, *d):
+        calls.append(t)
+        if len(calls) == 1:
+            stop = 2 * _BLOCK_STEPS
+            nested.extend(eng.integrate(y, [0, stop], stop, t))
+        return rate(t, y, *d)
+
+    monkeypatch.setattr(eng, "rate", reentering)
+    assert np.array_equal(eng.run().data, want)
+    # the nested run took its own two blocks, keeping its start and end
+    assert [len(kept) for _, kept in nested] == [1, 1]
+
+
+@pytest.mark.parametrize("name", fs.preset_names())
+def test_two_threads_share_one_engine(name):
+    cfg = replace(fs.get_preset(name), t_final=0.3)
+    want = fs.Engine(cfg).run().data
+    eng = fs.Engine(cfg)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(eng.run().data))
+               for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(got) == 2
+    assert all(np.array_equal(data, want) for data in got)

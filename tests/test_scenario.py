@@ -444,6 +444,80 @@ def test_robot_params_reject_non_finite():
                            damping=np.zeros((2, 2)))
 
 
+# every number in exponent-only form, which YAML 1.1 reads as a string
+_EXPONENT_ONLY = """\
+mode: dynamic
+edges: [[1, 2]]
+dt: 1e-3
+t_final: 5e-2
+sample_every: 1e1
+gains:
+  formation: [1e0, 2e0, 3e0]
+  twist: [3e0, 25e-1]
+  adaptation: [1e0, 1e0, 2e0, 1e0, 1e0, 1e0]
+robots:
+- start: [1e-1, 0e0, 0e0]
+  trajectory:
+    kind: constant_twist
+    start: [0e0, 0e0, 0e0]
+    twist: [1e0, 5e-1]
+  start_twist: [0e0, 0e0]
+  estimate0: [0e0, 0e0, 0e0, 0e0, 0e0, 0e0]
+  params: &plant
+    mass: 36e-1
+    inertia: 405e-4
+    damping: [[3e-1, 0e0], [0e0, 4e-3]]
+- start: [-4e-1, 3e-1, 2e-1]
+  trajectory:
+    kind: sampled_twist
+    start: [0e0, 0e0, 0e0]
+    times: [0e0, 1e0]
+    twists: [[1e0, 2e-1], [1e0, 2e-1]]
+    rates: [[0e0, 0e0], [0e0, 0e0]]
+    grid_dt: 5e-4
+  start_twist: [0e0, 0e0]
+  estimate0: [0e0, 0e0, 0e0, 0e0, 0e0, 0e0]
+  params: *plant
+"""
+
+
+def _leaves(node):
+    if isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _leaves(child)
+    else:
+        yield node
+
+
+def test_exponent_only_numbers_load_as_their_dotted_form():
+    # 1e-3 is the string '1e-3' to YAML 1.1 and 1.0e-3 the float; every
+    # number field reads the string as the number it spells
+    dotted = re.sub(r"\b(\d+)e([-+]?)(\d+)\b",
+                    lambda m: f"{m[1]}.0e{m[2] or '+'}{m[3]}", _EXPONENT_ONLY)
+    pairs = list(zip(_leaves(yaml.safe_load(_EXPONENT_ONLY)),
+                     _leaves(yaml.safe_load(dotted))))
+    numbers = [(a, b) for a, b in pairs if type(b) is float]
+    assert len(numbers) == 67
+    assert all(type(a) is str and float(a) == b for a, b in numbers)
+    assert {b for a, b in pairs if type(b) is not float} == {
+        "dynamic", "constant_twist", "sampled_twist", 1, 2}
+    got, want = fs.load_scenario(_EXPONENT_ONLY), fs.load_scenario(dotted)
+    for field in ("dt", "t_final", "sample_every", "formation_gain",
+                  "twist_gain", "adapt_gain"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert (got.dt, got.t_final, got.sample_every) == (1e-3, 5e-2, 10)
+    for spec, ref in zip(got.robots, want.robots):
+        assert spec.start == ref.start
+        assert spec.params.mass == ref.params.mass == 3.6
+        assert spec.params.inertia == ref.params.inertia == 0.0405
+        assert np.array_equal(spec.params.damping, ref.params.damping)
+    table, ref = got.robots[1].profile, want.robots[1].profile
+    assert table.grid_dt == ref.grid_dt == 5e-4
+    for name in ("times", "twists", "rates"):
+        assert np.array_equal(getattr(table, name), getattr(ref, name))
+    assert np.array_equal(fs.simulate(got).data, fs.simulate(want).data)
+
+
 def test_whole_sample_every_accepted():
     assert fs.scenario_from_dict(_tiny_doc(sample_every=4.0)).sample_every \
         == 4
@@ -525,6 +599,15 @@ def test_adaptive_pentagon_preset_values():
 def test_unknown_preset():
     with pytest.raises(KeyError):
         fs.get_preset("hexagon")
+
+
+def test_unknown_preset_message_lists_the_presets():
+    # the library's own refusal; the CLI's argument parser refuses an
+    # unknown name before it is reached
+    with pytest.raises(KeyError) as info:
+        fs.get_preset("nosuch")
+    assert info.value.args[0] == ("unknown preset 'nosuch'; available: "
+                                  "adaptive-pentagon, kinematic-pentagon")
 
 
 # ---- trace CSV ----
