@@ -25,8 +25,9 @@ body frame (the skew term in the stacked-error rate).
 
 Each piece of the law is one function. Terms of the time alone
 (``_Desired``: desired poses, their rates g and the edge differences of
-g, the feedforward's edge rows, and the rates of both) are computed for
-any number of times at once, and terms one state shares (``_Stage``: the
+g, the feedforward's edge rows, and for the torque-level stage a row of
+Python floats that also holds the rates of both) are computed for any
+number of times at once, and terms one state shares (``_Stage``: the
 layout, the headings' cosines and sines, the leader's rotation) once per
 evaluation. A stage of ``Engine.evaluate`` is one call, and no stage
 forms A. ``_kinematic_twist`` forms b = -(K z) - ff from the poses
@@ -146,24 +147,37 @@ class _Desired(NamedTuple):
     rates g = (v cos theta_d, v sin theta_d, w) per robot and their edge
     differences (the feedforward's edge rows); for the kinematic stage,
     those rows signed as its ``bincount`` weights (``edges`` then
-    ``-edges``), and for the twist rate instead, the rates of g and of
-    its edge rows (None when not asked for)."""
+    ``-edges``), and for the torque-level stage instead, the float row
+    ``_desired_terms`` describes (None when not asked for): a list, or at
+    m times a list of m lists."""
 
     qd: np.ndarray
     rows: np.ndarray
     edges: np.ndarray
     signed: np.ndarray
-    rates: np.ndarray = None
-    rate_edges: np.ndarray = None
+    floats: list = None
+
+
+def _by_component(lay, edge_rows):
+    """Edge rows (..., 3(n-1)) laid out by component: every edge's x,
+    then every edge's y, then every edge's heading entry."""
+    lead = edge_rows.shape[:-1]
+    return (edge_rows.reshape(*lead, lay.n - 1, 3).swapaxes(-1, -2)
+            .reshape(*lead, 3 * (lay.n - 1)))
 
 
 def _desired_terms(lay, qd, etad, etadd=None):
     """``_Desired`` of the desired poses, twists and (optionally) twist
     rates, at one time or stacked along a leading time axis; the signed
-    edge rows without twist rates, their rates with them. The desired
+    edge rows without twist rates, the float row with them. The desired
     pose rates are g = (v cos theta_d, v sin theta_d, w) per robot, and
     each g spins with the desired omega and steers the desired twist
-    rate."""
+    rate.
+
+    The float row of a time holds, as Python floats from one ``tolist``
+    for all the times: the leader's g and its rate gdot (6 entries), then
+    the edge rows of g and of gdot, each by component (``_by_component``,
+    3(n-1) entries each); ``_float_parts`` splits it."""
     thetad = qd[..., 2]
     c, s = np.cos(thetad), np.sin(thetad)
     v, w = etad[..., 0], etad[..., 1]
@@ -180,7 +194,19 @@ def _desired_terms(lay, qd, etad, etadd=None):
     gdot[..., 0] = -w * g[..., 1] + a * c
     gdot[..., 1] = w * g[..., 0] + a * s
     gdot[..., 2] = etadd[..., 1]
-    return _Desired(qd, g, edges, None, gdot, _edge_rows(lay, gdot))
+    floats = np.concatenate([
+        g[..., 0, :], gdot[..., 0, :], _by_component(lay, edges),
+        _by_component(lay, _edge_rows(lay, gdot))], axis=-1)
+    return _Desired(qd, g, edges, None, floats.tolist())
+
+
+def _float_parts(floats, e):
+    """A float row (see ``_desired_terms``) of a tree of e edges, split:
+    the leader's g and gdot (3 floats each), then the x, y and heading
+    lists of the edge rows of g, then those of gdot."""
+    a, b, c = 6 + e, 6 + 2 * e, 6 + 3 * e
+    return (floats[:3], floats[3:6], floats[6:a], floats[a:b], floats[b:c],
+            floats[c:c + e], floats[c + e:c + 2 * e], floats[c + 2 * e:])
 
 
 def _error_vector(st, poses, desired_poses):
@@ -249,10 +275,11 @@ def feedforward_rate(st, omega1, ff, d):
     """
     # R^T g spins with the leader: d/dt R^T = omega1 * SKEW @ R^T, and R^T g
     # is ff's leader block
-    leader = _rotate(st.rot, d.rates[0])
+    _, gdot, *_, Dx, Dy, Dh = _float_parts(d.floats, st.lay.n - 1)
+    leader = _rotate(st.rot, np.array(gdot))
     leader[0] += omega1 * ff[1]
     leader[1] -= omega1 * ff[0]
-    return np.concatenate([leader, d.rate_edges])
+    return np.concatenate([leader, np.array([Dx, Dy, Dh]).T.reshape(-1)])
 
 
 def tree_gram(tree, headings):
@@ -264,7 +291,8 @@ def tree_gram(tree, headings):
 def _gram(st, rhs=None):
     """``tree_gram`` at a stage, eliminating ``rhs`` in its loop."""
     c, s, p, ch = st.cos, st.sin, st.lay.parents, st.lay.children
-    return TreeGram(st.lay.edges, c[p] * c[ch] + s[p] * s[ch], rhs)
+    return TreeGram(st.lay.edges, (c[p] * c[ch] + s[p] * s[ch]).tolist(),
+                    rhs)
 
 
 def _normal_rhs(st, signed, b0, b2):
@@ -382,15 +410,16 @@ def fictitious_velocity(tree, st, twists, z, ff, d, gain):
 class _Torque(NamedTuple):
     """One evaluation of the torque-level law by ``_torque_stage``, as
     lists: the v and w entries of the twist command eta_f and of its
-    rate, the torque u and the twists' rate (interleaved like the
-    twists), and the estimates' rate (6 per robot). A record derives z,
-    ff and the residual from eta_f (see ``Engine._row``)."""
+    rate, the torque u (interleaved like the twists), and the rate of the
+    state's tail, the twists' rate (interleaved like the twists) then the
+    estimates' (6 per robot), which ``Engine.evaluate`` writes in one
+    assignment. A record derives z, ff and the residual from eta_f (see
+    ``Engine._row``)."""
 
     etaf: tuple
     etafdot: tuple
     u: list
-    twist_rate: list
-    phidot: list
+    tail: list
 
 
 def _torque_plant(gz, gs, ga, minv, damp):
@@ -412,6 +441,9 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     Adot: at a stage ``st`` of the poses (n, 3), with the actual twists
     ``eta`` and estimates ``phihat`` laid out as in the state, the desired
     terms ``d`` (twist rates included) and ``_torque_plant``'s ``plant``.
+    Besides the desired poses, every desired term is read from ``d``'s
+    float row, and the factor's edge cosines are formed from the stage's
+    cos and sin lists.
 
     Leaves first, A^T z and -A^T w (w = K z + ff) are gathered from the
     edge rows (child +, parent -) and steered by each robot's (cos, sin);
@@ -427,15 +459,17 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     n, edges = st.lay.n, st.lay.edges
     c, s = st.cos.tolist(), st.sin.tolist()
     Ex, Ey, Eh = (d.qd - poses).T.tolist()
-    v, om = eta[0::2].tolist(), eta[1::2].tolist()
+    twists = eta.tolist()
+    v, om = twists[0::2], twists[1::2]
     # the leader's blocks of z and ff, in its body frame as ``_rotate``
-    # computes them, and ff's edge rows
+    # computes them, and from the float row the leader's gdot and the
+    # edge rows of ff and of ffdot, by component
     cr, sr = st.rot
     x, y, z2 = Ex[0], Ey[0], Eh[0]
-    gx, gy, f2 = d.rows[0].tolist()
+    (gx, gy, f2), (ax, ay, ah), Fx, Fy, Fh, Dx, Dy, Dh = _float_parts(
+        d.floats, len(edges))
     z0, z1 = cr * x + sr * y, cr * y - sr * x
     f0, f1 = cr * gx + sr * gy, cr * gy - sr * gx
-    Fx, Fy, Fh = d.edges.reshape(-1, 3).T.tolist()
     # leaves first: A^T z's sums and -A^T w's, w = K z + ff
     zx, zy, zh = [0.0] * n, [0.0] * n, [0.0] * n
     bx, by, bh = [0.0] * n, [0.0] * n, [0.0] * n
@@ -452,12 +486,12 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     bv = [ci * sx + si * sy for ci, si, sx, sy in zip(c, s, bx, by)]
     bv[0] += w0
     bh[0] += w2
-    gram = _gram(st, (bv, bh))
+    gram = TreeGram(edges, [c[p] * c[ch] + s[p] * s[ch] for p, ch in edges],
+                    (bv, bh))
     vf, wf = gram.back(bv, bh)
 
     # root first: r's sums, and the negated sums of q, from each edge's
     # x and y of r (ra, rb), its q row (qa, qb, qc) and ffdot's (dx, dy, dh)
-    Dx, Dy, Dh = d.rate_edges.reshape(-1, 3).T.tolist()
     rx, ry = [0.0] * n, [0.0] * n
     qx, qy, qh = [0.0] * n, [0.0] * n, [0.0] * n
     for (p, ch), (wx, wy), kx, ky, kh, fx, fy, fh, dx, dy, dh in zip(
@@ -478,10 +512,9 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     # skew term, plus ffdot
     mv = [oi * (si * sx - ci * sy) + (ci * tx + si * ty)
           for oi, ci, si, sx, sy, tx, ty in zip(om, c, s, rx, ry, qx, qy)]
-    gx, gy, gh = d.rates[0].tolist()
     o = om[0]
-    mv[0] += k0 * (f0 - v[0] + o * z1) + (cr * gx + sr * gy + o * f1)
-    qh[0] += k2 * (f2 - o) + gh
+    mv[0] += k0 * (f0 - v[0] + o * z1) + (cr * ax + sr * ay + o * f1)
+    qh[0] += k2 * (f2 - o) + ah
     mv, mw = gram.solve_lists(mv, qh)
 
     # per robot: u = -K_sigma sigma - A^T z + Y phihat, the twists' rate
@@ -489,7 +522,7 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     zv = [ci * sx + si * sy for ci, si, sx, sy in zip(c, s, zx, zy)]
     zv[0] -= z0
     zh[0] -= z2
-    u, rate, phidot = [], [], []
+    u, tail, phidot = [], [], []
     for vi, oi, fv, fw, gv, gw, av, aw, ph, pl in zip(
             v, om, vf, wf, mv, mw, zv, zh, phihat.reshape(-1, 6).tolist(),
             robots):
@@ -499,8 +532,9 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
         uv = -(kv * sv) - av + (gv * p0 + vi * p2 + oi * p3)
         uw = -(kw * sw) - aw + (gw * p1 + vi * p4 + oi * p5)
         u += uv, uw
-        rate += (iv * (uv - (d11 * vi + d12 * oi)),
+        tail += (iv * (uv - (d11 * vi + d12 * oi)),
                  iw * (uw - (d21 * vi + d22 * oi)))
         phidot += (-(g0 * (sv * gv)), -(g1 * (sw * gw)), -(g2 * (sv * vi)),
                    -(g3 * (sv * oi)), -(g4 * (sw * vi)), -(g5 * (sw * oi)))
-    return _Torque((vf, wf), (mv, mw), u, rate, phidot)
+    tail += phidot
+    return _Torque((vf, wf), (mv, mw), u, tail)

@@ -10,11 +10,14 @@ reads it, and one loop, ``Engine.integrate``, takes the steps of
 
 An evaluation has a state-independent half: the desired poses, the
 desired pose rates and their edge differences (the feedforward's edge
-rows), and in dynamic mode the rates of both. ``integrate`` evaluates it
-in one pass for a block of steps (``_BLOCK_STEPS``), at every stage time
-t, t + h/2 and t + h as ``rk4_step`` computes them, and at the final
-sample's time in the last block; it is the same numbers as evaluating
-each time alone, since it does not depend on the state. Each stage
+rows), and in dynamic mode the rates of both, which the torque-level
+stage reads as one row of Python floats per time. ``integrate``
+evaluates it in one pass for a block of steps (``_block_steps``: 64 for
+small formations, fewer for large ones, so that a block's arrays stay
+small), at every stage time t, t + h/2 and t + h as ``rk4_step``
+computes them, and at the final sample's time in the last block; it is
+the same numbers as evaluating each time alone, since it does not depend
+on the state, and the block length changes no output. Each stage
 receives its time's terms as its argument ``d``; an Engine keeps no
 per-block state, so integrations on one Engine may nest. If some time is
 outside the trajectory's domain, the block has no terms and each stage
@@ -26,7 +29,9 @@ eliminates it in the leaves-first factor, and from whose v and w the pose
 rates are written, and in dynamic mode one call of
 ``controller._torque_stage``, which computes the twist command and its
 rate, the torque and the estimates' rate in floats over the edges, with
-one factor for both solves. No stage forms A.
+one factor for both solves, and returns the twists' and the estimates'
+rates as one list, written into the derivative in one assignment. The
+pose rates are written from arrays in both modes. No stage forms A.
 
 A sample costs nothing beyond its own stage. At each mark ``integrate``
 keeps the evaluation that is also the next step's first stage
@@ -47,7 +52,7 @@ bit for bit.
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -70,10 +75,14 @@ __all__ = ["DivergenceError", "Trace", "EvalRecord", "Engine", "simulate",
            "rk4_step"]
 
 
-# Steps whose desired terms ``Engine.integrate`` evaluates in one pass;
-# at three stage times per step, plus the final sample's, a block's arrays
-# hold at most 49 rows.
-_BLOCK_STEPS = 16
+def _block_steps(n):
+    """Steps whose desired terms ``Engine.integrate`` evaluates in one
+    pass, for n robots: 64, capped at 4096 robot-steps so that a large
+    formation's block arrays stay no larger than at the floor of 16
+    steps. At three stage times per step, plus the final sample's, a
+    block's arrays hold at most 3 * _block_steps(n) + 1 rows. The length
+    sets what a block costs, never what it computes."""
+    return max(16, min(64, 4096 // n))
 
 
 class DivergenceError(RuntimeError):
@@ -228,8 +237,8 @@ class Engine:
             d = self._desired(np.fromiter(times, float, len(times)))
         except ValueError:
             return {}
-        return {t: _Desired(*(None if col is None else col[j] for col in d))
-                for j, t in enumerate(times)}
+        return dict(zip(times, map(_Desired._make, zip(
+            *(repeat(None) if col is None else col for col in d)))))
 
     def evaluate(self, t, y, d=None, record=False):
         """Evaluate the control law once at (t, y), with ``d`` the
@@ -252,10 +261,9 @@ class Engine:
             eta = y[3 * n:5 * n]
             out = _torque_stage(st, poses, eta, y[5 * n:], d, self._plant)
             v, w = eta[0::2], eta[1::2]
-            dy[3 * n:5 * n] = out.twist_rate
-            dy[5 * n:] = out.phidot
-        dy[0:3 * n:3] = v * st.cos
-        dy[1:3 * n:3] = v * st.sin
+            dy[3 * n:] = out.tail
+        np.multiply(v, st.cos, out=dy[0:3 * n:3])
+        np.multiply(v, st.sin, out=dy[1:3 * n:3])
         dy[2:3 * n:3] = w
         if not record:
             return dy
@@ -289,7 +297,7 @@ class Engine:
 
         Step k starts at t0 + mark*dt + s*dt, with mark the last mark at
         or before k and s = k - mark. Steps go in blocks of up to
-        ``_BLOCK_STEPS`` across the marks, each block's desired terms
+        ``_block_steps(n)`` across the marks, each block's desired terms
         evaluated in one pass (``_hoist``) before its first stage and
         handed to each stage as its ``d``, through ``Engine.rate``. Yields
         (y, kept) once per block, once it is integrated: the state at its
@@ -302,11 +310,11 @@ class Engine:
         steps = ((t0 + mark * dt + s * dt, s == 0)
                  for mark, cur in zip(marks, [*marks[1:], stop])
                  for s in range(cur - mark))
-        total = stop - marks[0]
+        total, block = stop - marks[0], _block_steps(self.n)
         end, final = t0 + stop * dt, marks[-1] == stop
-        for a in range(0, total or 1, _BLOCK_STEPS):
-            starts = list(islice(steps, _BLOCK_STEPS))
-            last = a + _BLOCK_STEPS >= total and final
+        for a in range(0, total or 1, block):
+            starts = list(islice(steps, block))
+            last = a + block >= total and final
             terms = self._hoist([t for t, _ in starts], dt,
                                 (end,) if last else ())
 
@@ -329,6 +337,10 @@ class Engine:
             if last:
                 kept.append(self.evaluate(end, y, terms.get(end),
                                           record=True))
+            # the marks hold their own terms; the block's go before the
+            # caller builds its rows and the next block hoists, so that
+            # two blocks' terms never add up in the peak memory
+            del terms
             yield y, kept
 
     # ---- trace ----

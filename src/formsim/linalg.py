@@ -116,9 +116,9 @@ class TreeGram:
     matrix, eliminated leaves first (see the module docstring).
 
     ``edges`` are the tree's (parent, child) pairs of 0-based robot
-    indices in topological order from root 0, and ``cos`` holds
-    cos(theta_p - theta_c) for each edge. Raises RankDeficient when some
-    cosine is not finite.
+    indices in topological order from root 0, and ``cos`` is a list of
+    floats holding cos(theta_p - theta_c) for each edge. Raises
+    RankDeficient when some cosine is not finite.
 
     ``rhs``, optional, is one right-hand side as lists (bv, bw) of its v
     and w entries. The factor's loop then also runs its forward
@@ -135,8 +135,7 @@ class TreeGram:
         piv = [1.0] * (len(edges) + 1)
         mult = [0.0] * len(piv)
         bv, bw = rhs or (mult.copy(), mult.copy())
-        for (p, c), w in zip(reversed(edges),
-                             reversed(np.asarray(cos, dtype=float).tolist())):
+        for (p, c), w in zip(reversed(edges), reversed(cos)):
             f = mult[c] = w / piv[c]
             piv[p] += 1.0 - w * f
             bv[p] += f * bv[c]

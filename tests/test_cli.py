@@ -656,6 +656,20 @@ def test_check_horizon_zero_and_inf(tmp_path, capsys):
         assert "PASS least-squares-contract" in out
 
 
+@pytest.mark.parametrize("name", fs.preset_names())
+def test_check_lines_do_not_depend_on_the_block_length(tmp_path, capsys,
+                                                       monkeypatch, name):
+    cfg_path = _write_short_preset(tmp_path, name)
+    args = ["check", "--config", str(cfg_path), "--horizon", "inf"]
+    assert main(args) == 0
+    want = capsys.readouterr().out
+    for block in (1, 5, 16):
+        monkeypatch.setattr(fs.engine, "_block_steps",
+                            lambda n, block=block: block)
+        assert main(args) == 0
+        assert capsys.readouterr().out == want, block
+
+
 def test_check_skips_chain_certificate_for_star_tree(tmp_path, capsys):
     from test_engine import _star_doc
     path = tmp_path / "star.yaml"

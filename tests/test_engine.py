@@ -7,7 +7,8 @@ import pytest
 
 import formsim as fs
 import formsim.engine as engine_module
-from formsim.engine import _BLOCK_STEPS, rk4_step
+from formsim.controller import _Desired
+from formsim.engine import _block_steps, rk4_step
 
 
 # ---- integrator ----
@@ -371,7 +372,8 @@ CONFIGS = {
 def test_advance_matches_stepwise_rk4(kind):
     eng = fs.Engine(CONFIGS[kind]())
     y0 = eng.initial_state()
-    for steps in (1, _BLOCK_STEPS, 2 * _BLOCK_STEPS + 5):
+    block = _block_steps(eng.n)
+    for steps in (1, block, 2 * block + 5):
         *_, (y, _) = eng.integrate(y0, [0], steps, 0.05)
         assert np.array_equal(y, _stepwise(eng, y0, 0.05, steps))
 
@@ -455,7 +457,9 @@ def _reference_rows(eng):
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_long_sample_interval_matches_stepwise_trace(kind):
     # sample intervals of several blocks and a short last one
-    cfg = replace(CONFIGS[kind](), sample_every=3 * _BLOCK_STEPS + 2)
+    base = CONFIGS[kind]()
+    every = 3 * _block_steps(base.n) + 2
+    cfg = replace(base, sample_every=every, t_final=(2 * every + 5) * base.dt)
     assert np.array_equal(fs.Engine(cfg).run().data,
                           _reference_rows(fs.Engine(cfg)))
 
@@ -486,8 +490,9 @@ def test_run_evaluates_once_per_stage_and_hoists_once_per_block(
         kind, every, monkeypatch):
     # a row reuses its step's first stage; only the final row evaluates
     # on its own, from the last block's hoist
-    steps = 41
     base = CONFIGS[kind]()
+    block = _block_steps(base.n)
+    steps = 2 * block + 9
     eng = fs.Engine(replace(base, t_final=steps * base.dt,
                             sample_every=every))
     calls = Counter()
@@ -503,7 +508,60 @@ def test_run_evaluates_once_per_stage_and_hoists_once_per_block(
         "desired_arrays", engine_module.desired_arrays))
     eng.run()
     assert calls == {"evaluate": 4 * steps + 1,
-                     "desired_arrays": -(-steps // _BLOCK_STEPS)}
+                     "desired_arrays": -(-steps // block)}
+
+
+@pytest.mark.parametrize("every", [1, 3, 10])
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_block_length_is_only_a_cost_constant(kind, every, monkeypatch):
+    # the block length sets how many steps share one hoist and one row
+    # block, and nothing a run computes
+    cfg = replace(CONFIGS[kind](), sample_every=every)
+    want = fs.Engine(cfg).run().data
+    for block in (1, 5, 16):
+        monkeypatch.setattr(engine_module, "_block_steps",
+                            lambda n, block=block: block)
+        assert np.array_equal(fs.Engine(cfg).run().data, want), block
+
+
+def _sampled_dynamic():
+    """A three-robot dynamic scenario on ``_sampled_doc``'s trajectories:
+    two sampled twists and a constant one."""
+    doc = fs.scenario_to_dict(_mini_dynamic(n=3, t_final=0.2))
+    for robot, kin in zip(doc["robots"], _sampled_doc()["robots"]):
+        robot["trajectory"] = kin["trajectory"]
+    return fs.scenario_from_dict(doc)
+
+
+def _same_terms(got, want):
+    """Every ``_Desired`` field equal, bit for bit: arrays by
+    ``np.array_equal``, float rows by ``==`` (None to None)."""
+    for name, a, b in zip(_Desired._fields, got, want):
+        assert type(a) is type(b), name
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda name=name: fs.get_preset(name) for name in fs.preset_names()),
+    _sampled_dynamic, lambda: _mini_dynamic(n=1)],
+    ids=[*fs.preset_names(), "sampled-dynamic", "one-robot"])
+def test_hoisted_terms_equal_single_time_terms(make):
+    # the terms a block hoists at each stage time, and at the final
+    # sample's, are those of that time evaluated alone
+    eng = fs.Engine(make())
+    dt = eng.config.dt
+    starts = [0.05 + s * dt for s in range(_block_steps(eng.n))]
+    end = starts[-1] + dt
+    terms = eng._hoist(starts, dt, (end,))
+    times = [end]
+    for t in starts:
+        rk4_step(lambda s, y: times.append(s) or y, t, np.zeros(1), dt)
+    assert set(times) == terms.keys()
+    for t in times:
+        _same_terms(terms[t], eng._desired(t))
 
 
 def _diverging():
@@ -556,8 +614,10 @@ def test_singular_speed_mid_block_raises_at_its_stage():
     with pytest.raises(fs.SingularSpeed) as want:
         _stepwise(eng, eng.initial_state(), 0.0, 100)
     assert str(got.value) == str(want.value)
-    # the first stage below the floor, in the block of steps 48 to 63
+    # the first stage below the floor, in step 61, which is not the first
+    # step of its block
     assert str(got.value).endswith("at t=0.061")
+    assert 61 % _block_steps(cfg.n) != 0
 
 
 def test_divergence_precedes_later_singular_speed_in_block():
@@ -569,7 +629,7 @@ def test_divergence_precedes_later_singular_speed_in_block():
         [0.0, 2.0, 3.0, 10.0], [1.0, 1.0, 1.5e-6, 1.5e-6],
         [0.0, 0.0, -1e-5, -1e-5])
     cfg = fs.scenario_from_dict(doc)
-    assert _BLOCK_STEPS * cfg.dt > 3.5
+    assert _block_steps(cfg.n) * cfg.dt > 3.5
     with pytest.raises(fs.DivergenceError, match="at t=1$"):
         fs.simulate(cfg)
     with pytest.raises(fs.SingularSpeed, match="at t=3.0515$"):
@@ -597,7 +657,7 @@ def test_integration_nested_in_a_stage_leaves_the_outer_run_unchanged(
     def reentering(t, y, *d):
         calls.append(t)
         if len(calls) == 1:
-            stop = 2 * _BLOCK_STEPS
+            stop = 2 * _block_steps(eng.n)
             nested.extend(eng.integrate(y, [0, stop], stop, t))
         return rate(t, y, *d)
 

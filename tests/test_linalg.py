@@ -125,7 +125,7 @@ def test_tree_gram_fused_rhs_matches_solve(rng):
     # back-substituting is the same arithmetic as a later solve
     for n in (1, 2, 5, 40):
         edges = [(int(rng.integers(0, k)), k) for k in range(1, n)]
-        cos = rng.uniform(-1, 1, n - 1)
+        cos = rng.uniform(-1, 1, n - 1).tolist()
         rhs = rng.normal(size=2 * n)
         bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
         gram = fs.TreeGram(edges, cos, (bv, bw))

@@ -23,7 +23,7 @@ import formsim.engine
 from conftest import stage_terms
 from formsim.controller import (_error_vector, feedforward_term,
                                 fictitious_velocity)
-from formsim.engine import _BLOCK_STEPS
+from formsim.engine import _block_steps
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -485,13 +485,14 @@ def test_one_coupling_build_per_rate(monkeypatch):
         # a run of N steps: 4N + 1 stages (the final row's own), one row
         # block per block of steps, and no error, feedforward or energy
         # call beyond those blocks
-        steps = 3 * _BLOCK_STEPS + 5
+        block = _block_steps(cfg.n)
+        steps = 3 * block + 5
         eng = fs.Engine(replace(cfg, t_final=steps * cfg.dt))
         rows = _counter(monkeypatch, "_row", [eng])
         for calls in counts:
             calls.clear()
         eng.run()
-        assert len(rows) == -(-steps // _BLOCK_STEPS), name
+        assert len(rows) == -(-steps // block), name
         assert len(stages) == (4 * steps + 1) * (1 - dynamic), name
         assert len(torques) == (4 * steps + 1) * dynamic, name
         assert len(ffs) == len(errors) == len(rows), name
@@ -519,7 +520,8 @@ def runs(draw, mode):
             rd.update(start_twist=rng.normal(size=2).tolist(),
                       estimate0=rng.uniform(0.0, 4.0, 6).tolist(),
                       params=preset["robots"][0]["params"])
-    steps = draw(st.integers(_BLOCK_STEPS - 3, 2 * _BLOCK_STEPS + 3))
+    block = _block_steps(tree.n)
+    steps = draw(st.integers(block - 3, 2 * block + 3))
     doc = {"mode": mode, "edges": [list(e) for e in tree.edges],
            "dt": preset["dt"], "t_final": steps * preset["dt"],
            "sample_every": draw(st.integers(1, 20)), "robots": robots,
