@@ -1,9 +1,10 @@
 """Command-line interface: run scenarios, emit presets, check invariants.
 
-Exit codes: 0 success, 2 config error, 3 runtime failure (divergence,
-rank deficiency, singular desired speed, a pose grid or a trace too
-large to allocate), 4 I/O error. ``run`` and ``check`` load a config in
-one place, so a fault of the file is the same config error from either.
+Exit codes: 0 success, 2 config error (a desired speed that comes near
+zero among them), 3 runtime failure (divergence, rank deficiency, a pose
+grid or a trace too large to allocate), 4 I/O error. ``run`` and
+``check`` load a config in one place, so a fault of the file is the same
+config error from either.
 """
 
 import argparse
@@ -28,8 +29,7 @@ EXIT_RUNTIME = 3
 EXIT_IO = 4
 
 _CONFIG_ERRORS = (ParseError, SchemaError, ValidationError, SingularSpeed)
-_RUNTIME_ERRORS = (DivergenceError, RankDeficient, SingularSpeed,
-                   GridAllocationError)
+_RUNTIME_ERRORS = (DivergenceError, RankDeficient, GridAllocationError)
 
 
 def _load(args, *fields):

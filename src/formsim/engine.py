@@ -17,16 +17,16 @@ small formations, fewer for large ones, so that a block's arrays stay
 small), at every stage time t, t + h/2 and t + h as ``rk4_step``
 computes them, and at the final sample's time in the last block; it is
 the same numbers as evaluating each time alone, since it does not depend
-on the state, and the block length changes no output. Each stage
-receives its time's terms as its argument ``d``; an Engine keeps no
-per-block state, so integrations on one Engine may nest. If some time is
-outside the trajectory's domain, the block has no terms and each stage
-evaluates its own time, so the stage that reaches it raises. The
-state-dependent half runs per stage: the headings' cosines and sines
-once, then in kinematic mode one call of ``controller._kinematic_twist``,
-which forms the normal equations' right-hand side from the poses and
-eliminates it in the leaves-first factor, and from whose v and w the pose
-rates are written, and in dynamic mode one call of
+on the state, and the block length changes no output. No stage time can
+fail it: the times are nonnegative, and every profile proved its speed
+floor when it was built. Each stage receives its time's terms as its
+argument ``d``; an Engine keeps no per-block state, so integrations on
+one Engine may nest. The state-dependent half runs per stage: the
+headings' cosines and sines once, then in kinematic mode one call of
+``controller._kinematic_twist``, which forms the normal equations'
+right-hand side from the poses and eliminates it in the leaves-first
+factor, and from whose v and w the pose rates are written, and in
+dynamic mode one call of
 ``controller._torque_stage``, which computes the twist command and its
 rate, the torque and the estimates' rate in floats over the edges, with
 one factor for both solves, and returns the twists' and the estimates'
@@ -226,17 +226,12 @@ class Engine:
         """Stage time -> _Desired for RK4 steps of size h from each start
         time, with the stage times ``rk4_step`` computes, and for the
         times ``also``: the ``d`` that ``integrate`` hands each of those
-        evaluations. Empty when some time is outside the profiles'
-        domain: the stage that reaches it then raises as its own
-        evaluation would, after any earlier stage has raised first."""
+        evaluations."""
         times = {}
         for t in starts:
             times.update(dict.fromkeys((t, t + 0.5 * h, t + h)))
         times.update(dict.fromkeys(also))
-        try:
-            d = self._desired(np.fromiter(times, float, len(times)))
-        except ValueError:
-            return {}
+        d = self._desired(np.fromiter(times, float, len(times)))
         return dict(zip(times, map(_Desired._make, zip(
             *(repeat(None) if col is None else col for col in d)))))
 
@@ -319,7 +314,7 @@ class Engine:
                                 (end,) if last else ())
 
             def rate(s, x):
-                return self.rate(s, x, terms.get(s))
+                return self.rate(s, x, terms[s])
 
             kept = []
             # overflow here is the divergence signal, not a numpy error
@@ -327,16 +322,14 @@ class Engine:
                 for t, lead in starts:
                     k1 = None
                     if lead:
-                        kept.append(self.evaluate(t, y, terms.get(t),
-                                                  record=True))
+                        kept.append(self.evaluate(t, y, terms[t], record=True))
                         k1 = kept[-1].dy
                     y = rk4_step(rate, t, y, dt, k1)
                     if not np.isfinite(y).all():
                         raise DivergenceError(
                             f"non-finite state at t={t + dt:g}")
             if last:
-                kept.append(self.evaluate(end, y, terms.get(end),
-                                          record=True))
+                kept.append(self.evaluate(end, y, terms[end], record=True))
             # the marks hold their own terms; the block's go before the
             # caller builds its rows and the next block hoists, so that
             # two blocks' terms never add up in the peak memory

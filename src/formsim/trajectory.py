@@ -4,7 +4,9 @@ Every profile produces a desired pose, twist, and twist rate at any time
 t >= 0, with the pose rate equal to steering_matrix(heading) @ twist by
 construction (the rolling constraint). The desired translational speed
 must stay away from zero; below ``SPEED_FLOOR`` the heading-from-velocity
-relation degenerates and evaluation raises SingularSpeed.
+relation degenerates. A profile proves this once, when it is built, for
+every time (``_check_speed_floor`` for a sampled table), and raises
+SingularSpeed if it cannot, so evaluation never checks the speed.
 
 Constant twists have one closed form, the chord of the arc (see
 ``ConstantTwist``), whatever the turn rate.
@@ -128,6 +130,66 @@ def _hermite(times, twists, rates, t):
     return val, der
 
 
+def _check_speed_floor(times, twists, rates):
+    """Raise SingularSpeed unless the Hermite speed of a checked table
+    keeps the sign of its first knot and stays ``SPEED_FLOOR`` clear of
+    zero at every time.
+
+    On segment k, with h = t[k+1] - t[k], knot speeds p0 and p1,
+    m0 = h vdot[k] and m1 = h vdot[k+1], the speed is the cubic
+    v(u) = p0 + m0 u + c u^2 + d u^3 in u = (t - t[k]) / h, where
+    c = 3 (p1 - p0) - 2 m0 - m1 and d = 2 (p0 - p1) + m0 + m1. Its least
+    value in the first knot's sign is at a knot, or at a root in (0, 1)
+    of v'(u) = m0 + 2 c u + 3 d u^2. The stable quadratic formula gives
+    those as q / (3 d) and m0 / q, with q = -(c + sign(c) sqrt(c^2 -
+    3 d m0)); at d = 0 the first is not finite and m0 / q is the linear
+    root. Past the table the speed is held at an end knot.
+
+    The margin. ``_hermite`` returns a knot's speed exactly, so knots
+    need none. At any other time its speed is the cubic at its own
+    rounded u, which stays in [0, 1], plus the rounding of its four
+    terms. Each term takes at most five roundings of unit 2**-53 (the
+    products, the factor h, and u's complement 1 - u or u - 1 and
+    1 + 2u or 3 - 2u), and their sum three more. That is under 8 units
+    of S = |p0| + |p1| + |m0| + |m1|, which bounds the terms' magnitudes
+    since the Hermite basis stays within [-4/27, 1] on [0, 1]. An
+    interior extremum is evaluated here by ``_hermite`` too, at
+    t[k] + u h, so its u is rounded off the exact root; v' = 0 there, so
+    that moves v only at second order in the rounding. So between the
+    value found here and the cubic's least value, and again between that
+    and any later evaluation, stand under 8 units of S each: 16 in all.
+    The margin is 9 eps S, 18 units, the last two for the second-order
+    terms. Two limits follow from certifying knots as they are: times
+    next to a knot at the floor itself may read a rounding below it, and
+    an extremum at a knot (a zero rate there) may be found a rounding
+    inside its segment, where it carries the margin.
+    """
+    h = np.diff(times)
+    seg = np.array([twists[:-1, 0], twists[1:, 0], h * rates[:-1, 0],
+                    h * rates[1:, 0]])
+    scale = abs(seg).sum(axis=0)
+    # each segment's cubic in units of its scale S, so that no square
+    # overflows; no real roots (a negative discriminant) or 0 / 0 leave
+    # nan, which the test for (0, 1) drops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p0, p1, m0, m1 = seg / scale
+        c = 3 * (p1 - p0) - 2 * m0 - m1
+        d = 2 * (p0 - p1) + m0 + m1
+        q = -(c + np.copysign(np.sqrt(c * c - 3 * d * m0), c))
+        u = np.concatenate([q / (3 * d), m0 / q])
+    inside = (u > 0) & (u < 1)
+    k = np.tile(np.arange(len(h)), 2)[inside]
+    t = np.concatenate([times, times[k] + u[inside] * h[k]])
+    v = _hermite(times, twists, rates, t)[0][:, 0]
+    # the knots, the first len(times) speeds, need no margin
+    slack = 9 * np.finfo(float).eps * np.concatenate([0 * times, scale[k]])
+    low = np.sign(twists[0, 0]) * v - slack
+    j = int(np.argmin(low))
+    if not low[j] >= SPEED_FLOOR:
+        raise SingularSpeed(f"sampled speed {v[j]:g} at t={t[j]:g} changes "
+                            f"sign or falls below {SPEED_FLOOR:g} + margin")
+
+
 @dataclass(frozen=True)
 class ConstantTwist:
     """Closed-form profile for a constant (v, omega) command.
@@ -183,7 +245,8 @@ class SampledTwist:
         rates = np.asarray(self.rates, dtype=float)
         grid_dt = float(self.grid_dt)
         if times.ndim != 1 or len(times) < 2:
-            raise ValueError("need at least two samples")
+            raise ValueError("times must be a 1-D list of at least two "
+                             "samples")
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing from 0")
         if twists.shape != (len(times), 2) or rates.shape != twists.shape:
@@ -191,8 +254,7 @@ class SampledTwist:
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(twists))
                 and np.all(np.isfinite(rates))):
             raise ValueError("profile tables must be finite")
-        if np.min(np.abs(twists[:, 0])) < SPEED_FLOOR:
-            raise SingularSpeed("sampled speed hits the singularity floor")
+        _check_speed_floor(times, twists, rates)
         if not (math.isfinite(grid_dt) and grid_dt > 0):
             raise ValueError(f"grid_dt must be finite and positive, "
                              f"got {grid_dt}")
@@ -309,10 +371,10 @@ class ProfileSet:
 
         Every time is evaluated with the operations a single time uses,
         so row j of an array evaluation equals the evaluation at t[j]. A
-        negative (or nan) time raises ValueError naming the first one;
-        otherwise a sampled speed below ``SPEED_FLOOR`` raises
-        SingularSpeed naming the first time at which it occurs. Either is
-        the error that evaluating the times one by one raises first.
+        negative (or nan) time raises ValueError naming the first one,
+        the error that evaluating the times one by one raises first; no
+        other time can fail, since every profile proved its speed floor
+        when it was built.
         """
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
@@ -341,7 +403,6 @@ class ProfileSet:
         qc[:2] += self._x0y0
         np.add(wt, self._th0, out=qc[2])
         q[:, self._const] = qc
-        first, speed = m, None          # first time below the floor
         for at, p, grids in self._groups:
             # the stored point at or before each time (clamped to the
             # span), and the short step from it
@@ -351,20 +412,11 @@ class ProfileSet:
             delta = tc - tk
             val, der = _hermite(p.times, p.twists, p.rates, np.concatenate(
                 [tt, tk, tk + 0.5 * delta, tk + delta]))
-            low = np.abs(val[:m, 0]) < SPEED_FLOOR
-            if low.any():
-                j = int(np.argmax(low))
-                if j < first:
-                    first, speed = j, val[j, 0]
-                continue
             etad[:, at] = val[:m, None]
             etadd[:, at] = der[:m, None]
             base = grids[k].transpose(1, 2, 0)         # (3, robots, m)
             q[:, at] = np.where(delta == 0.0, base, _pose_step(
                 base, delta, val[m:].reshape(3, m, 2)))
-        if first < m:
-            raise SingularSpeed(f"desired speed {speed:g} below floor at "
-                                f"t={tt[first]:g}")
         qd = q.transpose(2, 1, 0)
         if times.ndim == 0:
             return qd[0], etad[0], etadd[0]

@@ -375,6 +375,32 @@ def _run_or_check(command, path, tmp_path):
     return main([command, "--config", str(path), *args])
 
 
+@pytest.mark.parametrize("trajectory", [
+    # knots v = 1 with rates -20 and +20: v swings to -4 between them
+    {"times": [0.0, 1.0], "twists": [[1.0, 0.2]] * 2,
+     "rates": [[-20.0, 0.0], [20.0, 0.0]]},
+    # v falls below the floor after t = 3, past check's default horizon
+    {"times": [0.0, 2.0, 3.0, 4.0],
+     "twists": [[v, 0.2] for v in (1.0, 1.0, 1.5e-6, 1.5e-6)],
+     "rates": [[a, 0.0] for a in (0.0, 0.0, -1e-5, -1e-5)]},
+], ids=["zero-crossing", "dip-after-horizon"])
+def test_speed_dip_between_knots_exits_2_from_run_and_check(
+        tmp_path, capsys, trajectory):
+    # every knot clears the floor; the table is refused when it is read,
+    # whatever span a command would integrate
+    doc = _sampled_doc(**trajectory)
+    doc["t_final"] = trajectory["times"][-1]
+    path = tmp_path / "dip.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    errs = []
+    for command in ("run", "check"):
+        assert _run_or_check(command, path, tmp_path) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(
+        "config error: SingularSpeed: robots[1]: sampled speed ")
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
 @pytest.mark.parametrize("name", fs.preset_names())
 @pytest.mark.parametrize("k,edge", [(0, [0, 2]), (0, [1, -1]),

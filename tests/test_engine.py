@@ -571,15 +571,15 @@ def _diverging():
 
 def _dipping():
     # the second robot's desired speed falls below the floor at t = 0.061
+    # and is least, 5.4e-7, at t = 0.2113
     doc = _sampled_doc()
     doc["robots"][1]["trajectory"] = _dip_table(
         [0.0, 1.0], [1.5e-6, 1.5e-6], [-1e-5, -1e-5])
-    return fs.scenario_from_dict(doc)
+    return doc
 
 
 @pytest.mark.parametrize("every", [1, 3, 16, 40])
-@pytest.mark.parametrize("make,error", [(_diverging, fs.DivergenceError),
-                                        (_dipping, fs.SingularSpeed)])
+@pytest.mark.parametrize("make,error", [(_diverging, fs.DivergenceError)])
 def test_mid_run_error_matches_reference_loop(make, error, every):
     cfg = replace(make(), sample_every=every)
     with pytest.raises(error) as got:
@@ -602,39 +602,33 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     assert path.read_bytes() == want.encode()
 
 
-def test_singular_speed_mid_block_raises_at_its_stage():
-    doc = _sampled_doc()
-    doc["sample_every"] = 100
-    doc["robots"][1]["trajectory"] = _dip_table(
-        [0.0, 1.0], [1.5e-6, 1.5e-6], [-1e-5, -1e-5])
-    cfg = fs.scenario_from_dict(doc)
-    with pytest.raises(fs.SingularSpeed) as got:
-        fs.simulate(cfg)
-    eng = fs.Engine(cfg)
-    with pytest.raises(fs.SingularSpeed) as want:
-        _stepwise(eng, eng.initial_state(), 0.0, 100)
-    assert str(got.value) == str(want.value)
-    # the first stage below the floor, in step 61, which is not the first
-    # step of its block
-    assert str(got.value).endswith("at t=0.061")
-    assert 61 % _block_steps(cfg.n) != 0
+def test_dipping_table_is_refused_at_load():
+    # the table's knots clear the floor, but its speed dips below it
+    # between them; the config is refused before any step, naming the
+    # robot and where the speed is least
+    with pytest.raises(fs.SingularSpeed,
+                       match=r"^robots\[2\]: sampled speed 5\.3775e-07 at "
+                             r"t=0\.211325 "):
+        fs.scenario_from_dict(_dipping())
 
 
-def test_divergence_precedes_later_singular_speed_in_block():
+def test_later_dip_is_refused_before_a_diverging_run():
     # at dt = 0.5 the torque loop overflows at t = 1; the speed falls below
-    # the floor just after t = 3, inside the same block of steps
+    # the floor just after t = 3 and changes sign later, least at
+    # t = 4.479, yet the config is refused when it loads, before the run
+    # could diverge. Without the dip the run diverges.
     doc = fs.scenario_to_dict(fs.get_preset("adaptive-pentagon"))
     doc.update(dt=0.5, t_final=5.0)
     doc["robots"][0]["trajectory"] = _dip_table(
         [0.0, 2.0, 3.0, 10.0], [1.0, 1.0, 1.5e-6, 1.5e-6],
         [0.0, 0.0, -1e-5, -1e-5])
-    cfg = fs.scenario_from_dict(doc)
-    assert _block_steps(cfg.n) * cfg.dt > 3.5
+    with pytest.raises(fs.SingularSpeed, match=r"^robots\[1\]: sampled speed "
+                                                r".* at t=4\.479"):
+        fs.scenario_from_dict(doc)
+    doc["robots"][0]["trajectory"].update(twists=[[1.0, 0.1]] * 4,
+                                          rates=[[0.0, 0.0]] * 4)
     with pytest.raises(fs.DivergenceError, match="at t=1$"):
-        fs.simulate(cfg)
-    with pytest.raises(fs.SingularSpeed, match="at t=3.0515$"):
-        list(fs.Engine(replace(cfg, dt=1e-3)).integrate(
-            fs.Engine(cfg).initial_state(), [0], 100, 2.99))
+        fs.simulate(fs.scenario_from_dict(doc))
 
 
 def test_trace_column_unknown_name_raises():

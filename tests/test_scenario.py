@@ -131,7 +131,8 @@ def _table(**fields):
 @pytest.mark.parametrize("path,value,error,message", [
     (("robots", 1, "trajectory"),
      _table(times=[0.0], twists=[[1.0, 0.5]], rates=[[0.0, 0.0]]),
-     fs.ValidationError, "robots[2].trajectory: need at least two samples"),
+     fs.ValidationError, "robots[2].trajectory: times must be a 1-D list of "
+     "at least two samples"),
     (("robots", 1, "trajectory"), _table(twists=[[1.0, 0.5]] * 3),
      fs.ValidationError,
      "robots[2].trajectory: twists and rates must be (len(times), 2)"),

@@ -2,6 +2,7 @@ import bisect
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -189,6 +190,130 @@ def test_sampled_twist_guards_singular_speed():
         fs.SampledTwist(pose0=(0, 0, 0), times=ts, twists=tw, rates=rt)
 
 
+def _speed_table(times, speeds, accels):
+    """A sampled twist of the given knot speeds and their rates."""
+    return fs.SampledTwist(pose0=(0.0, 0.0, 0.0), times=np.array(times),
+                           twists=np.array([[v, 0.1] for v in speeds]),
+                           rates=np.array([[a, 0.0] for a in accels]))
+
+
+@pytest.mark.parametrize("speeds,accels,message", [
+    # v = 1 at both knots, rates -20 and +20: v swings to -4 at t = 0.5
+    ([1.0, 1.0], [-20.0, 20.0], "sampled speed -4 at t=0.5 "),
+    # a sign change between knots
+    ([1.0, -1.0], [0.0, 0.0], "sampled speed -1 at t=1 "),
+    ([-1.0, 1.0], [0.0, 0.0], "sampled speed 1 at t=1 "),
+    # the zero crossing at 1e160: its cubic's squares would overflow
+    ([1e160, 1e160], [-2e161, 2e161], r"sampled speed -4e\+160 at t=0.5 "),
+], ids=["zero-crossing", "sign-change", "sign-change-from-negative",
+        "zero-crossing-at-1e160"])
+def test_speed_certificate_refuses_a_sign_change(speeds, accels, message):
+    with pytest.raises(fs.SingularSpeed, match=f"^{message}"):
+        _speed_table([0.0, 1.0], speeds, accels)
+
+
+def test_speed_certificate_accepts_a_knot_at_the_floor():
+    # knots are returned exactly, so a knot speed of exactly SPEED_FLOOR
+    # needs no margin: held there, left at the start, or reached at the
+    # end in the negative sign
+    floor = fs.trajectory.SPEED_FLOOR
+    _speed_table([0.0, 1.0], [floor, floor], [0.0, 0.0])
+    _speed_table([0.0, 1.0, 3.0], [floor, 1.0, 2.0], [1.0, 0.5, 0.5])
+    _speed_table([0.0, 2.0], [-2.0, -floor], [1.0, 1.0])
+
+
+def _exact_least_speeds(ts, tw, rt):
+    """Per segment of a table, the least speed, in the first knot's sign,
+    of its exact Hermite cubic (with h = t[k+1] - t[k] rounded as
+    ``_hermite`` has it), from the knots and the roots in (0, 1) of the
+    cubic's derivative; and the times of those roots. In Decimal at 200
+    digits, so for the tables drawn here the knots, h and the products
+    m = h vdot are exact, and the roots and the values at them correct
+    far below an ulp."""
+    least, extrema = [], []
+    sign = 1 if tw[0, 0] > 0 else -1
+    with localcontext() as ctx:
+        ctx.prec = 200
+        for k in range(len(ts) - 1):
+            h = Decimal(float(ts[k + 1] - ts[k]))
+            p0, p1 = Decimal(tw[k, 0]), Decimal(tw[k + 1, 0])
+            m0, m1 = h * Decimal(rt[k, 0]), h * Decimal(rt[k + 1, 0])
+            c = 3 * (p1 - p0) - 2 * m0 - m1
+            d = 2 * (p0 - p1) + m0 + m1
+            disc = c * c - 3 * d * m0
+            if d:
+                roots = [] if disc < 0 else [
+                    (-c + s * disc.sqrt()) / (3 * d) for s in (1, -1)]
+            else:
+                roots = [-m0 / (2 * c)] if c else []
+            roots = [u for u in roots if 0 < u < 1]
+            least.append(min(sign * v for v in [p0, p1] + [
+                p0 + u * (m0 + u * (c + u * d)) for u in roots]))
+            extrema += [ts[k] + float(u) * float(h) for u in roots]
+    return least, extrema
+
+
+@st.composite
+def speed_tables(draw):
+    """Tables (times, twists, rates) of 2 to 5 knots, one sign, knot
+    speeds from SPEED_FLOOR to 100 times it, and end slopes h vdot up to
+    a few times the largest: the Hermite speed may stay clear of the
+    floor, dip below it, or change sign between knots."""
+    floor = fs.trajectory.SPEED_FLOOR
+    n = draw(st.integers(2, 5))
+    h = np.array([draw(st.floats(1e-3, 10.0)) for _ in range(n - 1)])
+    ts = np.concatenate([[0.0], np.cumsum(h)])
+    speeds = draw(st.sampled_from([-floor, floor])) * 10.0 ** np.array(
+        [draw(st.floats(0.0, 2.0)) for _ in range(n)])
+    rates = np.array([draw(st.floats(-300.0, 300.0)) for _ in range(n)])
+    rates *= floor * (n - 1) / ts[-1]
+    return (ts, np.stack([speeds, np.full(n, 0.1)], axis=1),
+            np.stack([rates, np.zeros(n)], axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(speed_tables())
+def test_speed_certificate_against_the_exact_cubic(table):
+    ts, tw, rt = table
+    floor = fs.trajectory.SPEED_FLOOR
+    h = np.diff(ts)
+    # S of each segment, and _hermite's rounding bound: under 8 units of
+    # 2**-53 of S (see trajectory._check_speed_floor)
+    scale = (np.abs(tw[:-1, 0]) + np.abs(tw[1:, 0]) + np.abs(h * rt[:-1, 0])
+             + np.abs(h * rt[1:, 0]))
+    rounding = 8 * 2.0 ** -53 / (1 - 8 * 2.0 ** -53) * scale
+    least, extrema = _exact_least_speeds(ts, tw, rt)
+    try:
+        fs.SampledTwist(pose0=(0.0, 0.0, 0.0), times=ts, twists=tw,
+                        rates=rt)
+    except fs.SingularSpeed:
+        # refused: somewhere the exact cubic comes within the margin,
+        # 9 eps S, of the floor, give or take the rounding of the value
+        # the certificate found
+        assert any(v < floor + 9 * EPS * s + r
+                   for v, s, r in zip(least, scale, rounding))
+        return
+    # accepted: the exact cubic clears the floor, but for a dip under
+    # EPS S. The certificate finds interior extrema by rounded roots, and
+    # one within a rounding of a knot may round out of (0, 1); the cubic
+    # can dip below that knot there only by the square of that distance.
+    assert all(v >= floor - EPS * s for v, s in zip(least, scale))
+    # _hermite at a dense grid of times and at every extremum inside a
+    # segment clears the floor, on every segment whose exact cubic clears
+    # it by _hermite's own rounding; on the others it comes within that
+    # rounding (and the dip above) of it. A knot exactly at the floor is
+    # returned exactly, but a time next to it may read below it (a table
+    # held at the floor reads an ulp below it between knots).
+    u = np.concatenate([np.linspace(0.0, 1.0, 257), 10.0 ** -np.arange(1, 18),
+                        1 - 10.0 ** -np.arange(1, 17)])
+    t = np.concatenate([(ts[:-1, None] + u * h[:, None]).ravel(), extrema])
+    k = np.searchsorted(ts[1:-1], t, side="right")
+    v = np.sign(tw[0, 0]) * _hermite(ts, tw, rt, t)[0][:, 0]
+    near = np.array([x < floor + r for x, r in zip(least, rounding)])
+    assert np.all(v >= floor - rounding[k] - EPS * scale[k])
+    assert np.all((v >= floor) | near[k])
+
+
 def test_sampled_twist_table_validation():
     ts = np.array([0.0, 1.0, 0.5])
     tw = np.ones((3, 2))
@@ -197,6 +322,11 @@ def test_sampled_twist_table_validation():
                         rates=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         fs.SampledTwist(pose0=(0, 0, 0), times=np.array([0.5, 1.0]),
+                        twists=np.ones((2, 2)), rates=np.zeros((2, 2)))
+    # two samples, but in a 2-D list
+    with pytest.raises(ValueError, match="^times must be a 1-D list of at "
+                                         "least two samples$"):
+        fs.SampledTwist(pose0=(0, 0, 0), times=np.array([[0.0, 1.0]]),
                         twists=np.ones((2, 2)), rates=np.zeros((2, 2)))
     for grid_dt in (np.nan, np.inf, 0.0, -1e-3):
         with pytest.raises(ValueError, match="grid_dt"):
@@ -301,7 +431,8 @@ def _table(seed, span=1.0):
 
 # Two tables shared by any number of sampled robots, and two whose Hermite
 # speed dips below SPEED_FLOOR, for t in about (0.06, 0.38) and in about
-# (0.63, 0.93), although every knot speed clears it.
+# (0.63, 0.93), although every knot speed clears it: those two are
+# refused when they are built.
 TABLES = [_table(0), _table(1),
           (np.array([0.0, 1.0]), np.array([[1.5e-6, 0.1], [1.5e-6, 0.1]]),
            np.array([[-1e-5, 0.0], [-1e-5, 0.0]])),
@@ -318,10 +449,16 @@ def profile_mixes(draw):
         pose0 = (draw(st.floats(-5, 5)), draw(st.floats(-5, 5)),
                  draw(st.floats(-4, 4)))
         if kind == "sampled":
-            ts, tw, rt = TABLES[draw(st.sampled_from(range(len(TABLES))))]
-            profs.append(fs.SampledTwist(
-                pose0=pose0, times=ts, twists=tw, rates=rt,
-                grid_dt=draw(st.sampled_from([5e-4, 1e-3]))))
+            j = draw(st.sampled_from(range(len(TABLES))))
+            ts, tw, rt = TABLES[j]
+            make = partial(fs.SampledTwist, pose0=pose0, times=ts, twists=tw,
+                           rates=rt,
+                           grid_dt=draw(st.sampled_from([5e-4, 1e-3])))
+            if j < 2:
+                profs.append(make())
+            else:
+                with pytest.raises(fs.SingularSpeed):
+                    make()
             continue
         v = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([-1, 1]))
         w = 0.0
@@ -334,7 +471,7 @@ def profile_mixes(draw):
 eval_times = st.one_of(
     st.integers(0, 2000).map(lambda k: k * 5e-4),    # on either grid
     st.floats(0.0, 1.0),                             # off grid
-    st.floats(0.1, 0.3),                             # in the speed dips
+    st.floats(0.1, 0.3),                 # where the refused tables dip
     st.floats(0.7, 0.9),
     st.floats(1.0, 3.0),                             # past the tables
     st.floats(-1.0, -1e-9))                          # rejected
@@ -390,24 +527,16 @@ def _scalar_state(p, t):
 def test_profile_set_matches_each_profile(profs, t):
     profile_set = fs.ProfileSet(profs)
     if t < 0:
-        expected = ValueError
-    elif any(abs(_hermite(p.times, p.twists, p.rates, [t])[0][0, 0])
-             < fs.trajectory.SPEED_FLOOR
-             for p in profs if isinstance(p, fs.SampledTwist)):
-        expected = fs.SingularSpeed
-    else:
-        expected = None
-    if expected is not None:
         with pytest.raises(ValueError) as got:
             fs.desired_arrays(profile_set, t)
-        assert got.type is expected
+        assert got.type is ValueError
         raised = set()
         for p in profs:
             try:
                 fs.desired_arrays([p], t)
             except ValueError as exc:
                 raised.add(type(exc))
-        assert raised == {expected}
+        assert raised == {ValueError}
         return
     qd, etad, etadd = fs.desired_arrays(profile_set, t)
     for i, p in enumerate(profs):
@@ -448,8 +577,7 @@ def test_profile_set_times_match_each_time(profs, times):
             each.append(fs.desired_arrays(profile_set, t))
         except ValueError as exc:
             each.append(exc)
-    errors = [r for t, r in zip(times, each) if t < 0] \
-        or [r for r in each if isinstance(r, Exception)]
+    errors = [r for r in each if isinstance(r, Exception)]
     if errors:
         with pytest.raises(ValueError) as got:
             fs.desired_arrays(profile_set, np.array(times))
@@ -466,14 +594,14 @@ def test_profile_set_times_match_each_time(profs, times):
         assert np.array_equal(etadd[j], accel)
 
 
-def test_profile_set_names_first_singular_time():
-    # the later-dipping table comes first in robot order, so its group is
-    # evaluated first, but the earlier time in the array decides
-    profs = [fs.SampledTwist(pose0=(0.0, 0.0, 0.0), times=ts, twists=tw,
-                             rates=rt) for ts, tw, rt in TABLES[3:1:-1]]
-    profile_set = fs.ProfileSet(profs)
-    with pytest.raises(fs.SingularSpeed, match=r"at t=0\.8$"):
-        profile_set.evaluate(np.array([0.5, 0.8, 0.2]))
+def test_dipping_tables_are_refused_at_construction():
+    # every knot speed clears the floor; the error names where the
+    # Hermite speed is least, at the extremum inside the segment
+    for (ts, tw, rt), at in zip(TABLES[2:], ("0.211325", "0.788675")):
+        with pytest.raises(fs.SingularSpeed,
+                           match=f"^sampled speed 5.3775e-07 at t={at} "):
+            fs.SampledTwist(pose0=(0.0, 0.0, 0.0), times=ts, twists=tw,
+                            rates=rt)
 
 
 def test_profile_set_rejects_stacked_times():
