@@ -29,7 +29,7 @@ g, the feedforward's edge rows, and for the torque-level stage a row of
 Python floats that also holds the rates of both) are computed for any
 number of times at once, and terms one state shares (``_Stage``: the
 layout, the headings' cosines and sines, the leader's rotation) once per
-evaluation. A stage of ``Engine.evaluate`` is one call, and no stage
+evaluation. A stage of ``Engine.rate`` is one call, and no stage
 forms A. ``_kinematic_twist`` forms b = -(K z) - ff from the poses
 without building z or ff, and eliminates A^T b in the factor's own loop.
 ``_torque_stage`` computes the twist command and its rate, the torque and
@@ -412,7 +412,7 @@ class _Torque(NamedTuple):
     lists: the v and w entries of the twist command eta_f and of its
     rate, the torque u (interleaved like the twists), and the rate of the
     state's tail, the twists' rate (interleaved like the twists) then the
-    estimates' (6 per robot), which ``Engine.evaluate`` writes in one
+    estimates' (6 per robot), which ``Engine.rate`` writes in one
     assignment. A record derives z, ff and the residual from eta_f (see
     ``Engine._row``)."""
 

@@ -3,10 +3,9 @@
 One Engine instance owns one scenario run: classical fourth-order
 Runge-Kutta at the scenario step, with the control law re-evaluated in
 every stage (continuous-control idealization). One evaluator,
-``Engine.evaluate``, computes the law at a state; every RK4 stage
-(through ``Engine.rate``), trace row, probe and ``formsim check`` line
-reads it, and one loop, ``Engine.integrate``, takes the steps of
-``run`` and ``formsim check``.
+``Engine.rate``, computes the law at a state; every RK4 stage, trace
+row, probe and ``formsim check`` line reads it, and one loop,
+``Engine.integrate``, takes the steps of ``run`` and ``formsim check``.
 
 An evaluation has a state-independent half: the desired poses, the
 desired pose rates and their edge differences (the feedforward's edge
@@ -20,9 +19,11 @@ the same numbers as evaluating each time alone, since it does not depend
 on the state, and the block length changes no output. No stage time can
 fail it: the times are nonnegative, and every profile proved its speed
 floor when it was built. Each stage receives its time's terms as its
-argument ``d``; an Engine keeps no per-block state, so integrations on
-one Engine may nest. The state-dependent half runs per stage: the
-headings' cosines and sines once, then in kinematic mode one call of
+argument ``d``, and an evaluation without one (``step``,
+``diagnostics``) hoists its own time alone; an Engine keeps no
+per-block state, so integrations on one Engine may nest. The
+state-dependent half runs per stage: the headings' cosines and sines
+once, then in kinematic mode one call of
 ``controller._kinematic_twist``, which forms the normal equations'
 right-hand side from the poses and eliminates it in the leaves-first
 factor, and from whose v and w the pose rates are written, and in
@@ -215,37 +216,28 @@ class Engine:
     def _lay(self):
         return _layout(self.tree)
 
-    def _desired(self, times):
-        """The state-independent half of the control law at one time, or
-        stacked along a leading axis at a 1-D array of times."""
-        qd, etad, etadd = desired_arrays(self.profiles, times)
-        return _desired_terms(self._lay, qd, etad,
-                              etadd if self.mode == "dynamic" else None)
-
-    def _hoist(self, starts, h, also=()):
-        """Stage time -> _Desired for RK4 steps of size h from each start
-        time, with the stage times ``rk4_step`` computes, and for the
-        times ``also``: the ``d`` that ``integrate`` hands each of those
-        evaluations."""
-        times = {}
-        for t in starts:
-            times.update(dict.fromkeys((t, t + 0.5 * h, t + h)))
-        times.update(dict.fromkeys(also))
-        d = self._desired(np.fromiter(times, float, len(times)))
+    def _hoist(self, times):
+        """Time -> _Desired at each of ``times``, evaluated in one pass:
+        the ``d`` that ``rate`` reads at each of those times."""
+        times = dict.fromkeys(times)
+        qd, etad, etadd = desired_arrays(
+            self.profiles, np.fromiter(times, float, len(times)))
+        d = _desired_terms(self._lay, qd, etad,
+                           etadd if self.mode == "dynamic" else None)
         return dict(zip(times, map(_Desired._make, zip(
             *(repeat(None) if col is None else col for col in d)))))
 
-    def evaluate(self, t, y, d=None, record=False):
+    def rate(self, t, y, d=None, record=False):
         """Evaluate the control law once at (t, y), with ``d`` the
         ``_Desired`` at t when it is already known (``_hoist``); with
-        ``d`` None the evaluation computes it.
+        ``d`` None the evaluation hoists its one time.
 
         Returns the state derivative, or with ``record`` the ``_Mark``
         that holds it and what ``_row`` reads of the evaluation.
         """
         n = self.n
         if d is None:
-            d = self._desired(t)
+            d = self._hoist((t,))[t]
         poses = y[:3 * n].reshape(n, 3)
         st = _stage(self._lay, poses[:, 2])
         dy = np.empty_like(y)
@@ -264,11 +256,6 @@ class Engine:
             return dy
         return _Mark(t, y, dy, d, st, out)
 
-    def rate(self, t, y, d=None):
-        """State derivative: one evaluation of the control law, with
-        ``d`` as in ``evaluate``."""
-        return self.evaluate(t, y, d)
-
     def records(self, marks):
         """The EvalRecord of each ``_Mark`` in ``marks``, from one block
         of ``_row``."""
@@ -279,7 +266,7 @@ class Engine:
 
     def diagnostics(self, t, y):
         """The EvalRecord of one evaluation of the control law at (t, y)."""
-        return self.records([self.evaluate(t, y, record=True)])[0]
+        return self.records([self.rate(t, y, record=True)])[0]
 
     def step(self, t, y, h):
         """Single RK4 step; h may be negative (used by probes)."""
@@ -310,8 +297,11 @@ class Engine:
         for a in range(0, total or 1, block):
             starts = list(islice(steps, block))
             last = a + block >= total and final
-            terms = self._hoist([t for t, _ in starts], dt,
-                                (end,) if last else ())
+            # rk4_step's stage times, as it computes them, and the final
+            # sample's
+            terms = self._hoist([s for t, _ in starts
+                                 for s in (t, t + 0.5 * dt, t + dt)]
+                                + ([end] if last else []))
 
             def rate(s, x):
                 return self.rate(s, x, terms[s])
@@ -322,14 +312,14 @@ class Engine:
                 for t, lead in starts:
                     k1 = None
                     if lead:
-                        kept.append(self.evaluate(t, y, terms[t], record=True))
+                        kept.append(self.rate(t, y, terms[t], record=True))
                         k1 = kept[-1].dy
                     y = rk4_step(rate, t, y, dt, k1)
                     if not np.isfinite(y).all():
                         raise DivergenceError(
                             f"non-finite state at t={t + dt:g}")
             if last:
-                kept.append(self.evaluate(end, y, terms[end], record=True))
+                kept.append(self.rate(end, y, terms[end], record=True))
             # the marks hold their own terms; the block's go before the
             # caller builds its rows and the next block hoists, so that
             # two blocks' terms never add up in the peak memory

@@ -216,23 +216,16 @@ def chain_gram_determinant(headings):
 def chain_pivot_bounds(x):
     """Closed-form bounds certifying every chain-recursion pivot.
 
-    Returns (lower, upper) arrays: odd positions up to m-3 lie in
-    [(i+3)/(i+1), 2], the next-to-last in [2/m, 1], and even positions
-    are pinned to their exact values.
+    Returns (lower, upper) arrays over the m pivots, by 1-based position
+    i: odd i up to m-3 lie in [(i+3)/(i+1), 2], even i up to m-2 are
+    pinned to 1 + 2/i (2 at i = 2), the next-to-last lies in [2/m, 1]
+    and the last is pinned to 2/m.
     """
-    x = np.asarray(x, dtype=float)
     m = len(x)
-    lower = np.empty(m)
-    upper = np.empty(m)
-    for i in range(1, m + 1):  # 1-based
-        if i == m:
-            lower[i - 1] = upper[i - 1] = 2.0 / m
-        elif i == m - 1:
-            lower[i - 1], upper[i - 1] = 2.0 / m, 1.0
-        elif i % 2 == 1:
-            lower[i - 1], upper[i - 1] = (i + 3) / (i + 1), 2.0
-        elif i == 2:
-            lower[i - 1] = upper[i - 1] = 2.0
-        else:
-            lower[i - 1] = upper[i - 1] = 1.0 + 2.0 / i
+    i = np.arange(1.0, m + 1)
+    odd = i % 2 == 1
+    lower = np.where(odd, (i + 3) / (i + 1), 1 + 2 / i)
+    upper = np.where(odd, 2.0, lower)
+    lower[-2:] = upper[-1:] = 2.0 / m
+    upper[-2:-1] = 1.0
     return lower, upper

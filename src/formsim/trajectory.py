@@ -6,7 +6,9 @@ construction (the rolling constraint). The desired translational speed
 must stay away from zero; below ``SPEED_FLOOR`` the heading-from-velocity
 relation degenerates. A profile proves this once, when it is built, for
 every time (``_check_speed_floor`` for a sampled table), and raises
-SingularSpeed if it cannot, so evaluation never checks the speed.
+SingularSpeed if it cannot, so evaluation never checks the speed. A
+sampled table is first bounded so that no term ``_hermite`` forms from
+it overflows a float (``_check_hermite_range``).
 
 Constant twists have one closed form, the chord of the arc (see
 ``ConstantTwist``), whatever the turn rate.
@@ -128,6 +130,35 @@ def _hermite(times, twists, rates, t):
     val[lo], val[hi] = twists[0], twists[-1]
     der[lo | hi] = 0.0
     return val, der
+
+
+def _check_hermite_range(times, twists, rates):
+    """Raise ValueError unless every term ``_hermite`` forms from a
+    finite table is a finite float.
+
+    On segment k, with h = t[k+1] - t[k] and, in either component, knot
+    values p0 and p1, m0 = h r[k], m1 = h r[k+1] and
+    S = |p0| + |p1| + |m0| + |m1|: each of the twist's four terms is a
+    basis function of magnitude at most 1 on [0, 1] times one of p0, p1,
+    m0 or m1 (formed as (basis * h) * r, so h r is never formed alone),
+    so every term and partial sum stays within S; the rate's numerator
+    has bases 6u(u - 1) of magnitude at most 1.5 on p0 and p1 and at most
+    1 on m0 and m1, so it stays within 1.5 S, and the rate within
+    1.5 S / h. Roundings add under 8 units of 2**-53 to each, so the
+    table is accepted while 2 max(S, 1.5 S / h), which covers them and
+    the roundings of the test itself, is at most the largest float.
+    """
+    h = np.diff(times)[:, None]
+    # an overflow here is what the test looks for, not a numpy error
+    with np.errstate(over="ignore"):
+        scale = (abs(twists[:-1]) + abs(twists[1:]) + h * abs(rates[:-1])
+                 + h * abs(rates[1:]))
+        bound = 2 * np.maximum(scale, 1.5 * scale / h)
+    over = ~(bound <= np.finfo(float).max).all(axis=1)
+    if over.any():
+        k = int(np.argmax(over))
+        raise ValueError(f"the table's Hermite terms overflow a float on "
+                         f"[{times[k]:g}, {times[k + 1]:g}]")
 
 
 def _check_speed_floor(times, twists, rates):
@@ -254,6 +285,7 @@ class SampledTwist:
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(twists))
                 and np.all(np.isfinite(rates))):
             raise ValueError("profile tables must be finite")
+        _check_hermite_range(times, twists, rates)
         _check_speed_floor(times, twists, rates)
         if not (math.isfinite(grid_dt) and grid_dt > 0):
             raise ValueError(f"grid_dt must be finite and positive, "

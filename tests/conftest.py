@@ -22,7 +22,7 @@ def chain_tree(n):
 def stage_terms(tree, headings, qd, etad, etadd=None):
     """The ``_Stage`` of ``headings`` and the ``_Desired`` of the desired
     poses, twists and twist rates over ``tree``: the arguments that
-    ``Engine.evaluate`` hands the control law's pieces."""
+    ``Engine.rate`` hands the control law's pieces."""
     lay = _layout(tree)
     arrays = [np.asarray(a, dtype=float) for a in (qd, etad, etadd)
               if a is not None]

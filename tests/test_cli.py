@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -399,6 +400,30 @@ def test_speed_dip_between_knots_exits_2_from_run_and_check(
     assert errs[0] == errs[1]
     assert errs[0].startswith(
         "config error: SingularSpeed: robots[1]: sampled speed ")
+
+
+@pytest.mark.parametrize("component", [0, 1])
+def test_overflowing_table_exits_2_from_run_and_check(tmp_path, capsys,
+                                                     component):
+    # v or w of 1e300 with rates -1e308 and +1e308: h times the rate
+    # overflows, so the table is refused when it is read, without a
+    # RuntimeWarning, from either command
+    twists, rates = [[1.0, 0.2], [1.0, 0.2]], [[0.0, 0.0], [0.0, 0.0]]
+    for k, rate in enumerate((-1e308, 1e308)):
+        twists[k][component], rates[k][component] = 1e300, rate
+    doc = _sampled_doc(times=[0.0, 10.0], twists=twists, rates=rates)
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    errs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("run", "check"):
+            assert _run_or_check(command, path, tmp_path) == 2
+            errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0] == ("config error: ValidationError: robots[1].trajectory: "
+                       "the table's Hermite terms overflow a float on "
+                       "[0, 10]\n")
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

@@ -1,3 +1,4 @@
+import functools
 import threading
 from collections import Counter
 from dataclasses import fields, replace
@@ -7,7 +8,7 @@ import pytest
 
 import formsim as fs
 import formsim.engine as engine_module
-from formsim.controller import _Desired
+from formsim.controller import _Desired, _desired_terms
 from formsim.engine import _block_steps, rk4_step
 
 
@@ -387,11 +388,11 @@ def _reference_integrate(eng, y, marks, stop, t0=0.0):
     y = np.array(y, dtype=float)
     for mark, cur in zip(marks, [*marks[1:], stop]):
         if mark < stop:
-            kept = [eng.evaluate(t0 + mark * dt, y, record=True)]
+            kept = [eng.rate(t0 + mark * dt, y, record=True)]
             y = _stepwise(eng, y, t0 + mark * dt, cur - mark)
             yield y, kept
     end = t0 + stop * dt
-    yield y, [eng.evaluate(end, y, record=True)] if marks[-1] == stop else []
+    yield y, [eng.rate(end, y, record=True)] if marks[-1] == stop else []
 
 
 def _same_record(got, want):
@@ -503,12 +504,39 @@ def test_run_evaluates_once_per_stage_and_hoists_once_per_block(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(eng, "evaluate", counted("evaluate", eng.evaluate))
+    monkeypatch.setattr(eng, "rate", counted("rate", eng.rate))
     monkeypatch.setattr(engine_module, "desired_arrays", counted(
         "desired_arrays", engine_module.desired_arrays))
     eng.run()
-    assert calls == {"evaluate": 4 * steps + 1,
+    assert calls == {"rate": 4 * steps + 1,
                      "desired_arrays": -(-steps // block)}
+
+
+@pytest.mark.parametrize("name", fs.preset_names())
+def test_every_evaluation_is_one_call_of_the_class_rate(name, monkeypatch):
+    # Engine.rate wrapped on the class, as a tracer wraps it, sees every
+    # evaluation of the law: 4N + 1 in a run of N steps (the final
+    # sample's own), one per diagnostics and four per step
+    rate, calls = fs.Engine.rate, []
+
+    @functools.wraps(rate)
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return rate(*args, **kwargs)
+
+    monkeypatch.setattr(fs.Engine, "rate", counted)
+    base = fs.get_preset(name)
+    steps = 2 * _block_steps(base.n) + 9
+    eng = fs.Engine(replace(base, t_final=steps * base.dt))
+    eng.run()
+    assert len(calls) == 4 * steps + 1
+    y = eng.initial_state()
+    calls.clear()
+    eng.diagnostics(0.3, y)
+    assert calls == [0.3]
+    calls.clear()
+    eng.step(0.3, y, base.dt)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("every", [1, 3, 10])
@@ -548,20 +576,31 @@ def _same_terms(got, want):
     *(lambda name=name: fs.get_preset(name) for name in fs.preset_names()),
     _sampled_dynamic, lambda: _mini_dynamic(n=1)],
     ids=[*fs.preset_names(), "sampled-dynamic", "one-robot"])
-def test_hoisted_terms_equal_single_time_terms(make):
+def test_hoisted_terms_equal_single_time_terms(make, monkeypatch):
     # the terms a block hoists at each stage time, and at the final
-    # sample's, are those of that time evaluated alone
+    # sample's, are those of that time evaluated alone by the scalar
+    # desired_arrays
     eng = fs.Engine(make())
-    dt = eng.config.dt
-    starts = [0.05 + s * dt for s in range(_block_steps(eng.n))]
-    end = starts[-1] + dt
-    terms = eng._hoist(starts, dt, (end,))
-    times = [end]
-    for t in starts:
-        rk4_step(lambda s, y: times.append(s) or y, t, np.zeros(1), dt)
+    dt, block, t0 = eng.config.dt, _block_steps(eng.n), 0.05
+    hoist, hoisted = eng._hoist, []
+
+    def capture(times):
+        hoisted.append(hoist(times))
+        return hoisted[-1]
+
+    monkeypatch.setattr(eng, "_hoist", capture)
+    list(eng.integrate(eng.initial_state(), [0, block], block, t0))
+    [terms] = hoisted
+    times = [t0 + block * dt]
+    for s in range(block):
+        rk4_step(lambda t, y: times.append(t) or y, t0 + s * dt,
+                 np.zeros(1), dt)
     assert set(times) == terms.keys()
+    dynamic = eng.mode == "dynamic"
     for t in times:
-        _same_terms(terms[t], eng._desired(t))
+        qd, etad, etadd = fs.desired_arrays(eng.profiles, t)
+        _same_terms(terms[t], _desired_terms(eng._lay, qd, etad,
+                                             etadd if dynamic else None))
 
 
 def _diverging():
@@ -648,12 +687,12 @@ def test_integration_nested_in_a_stage_leaves_the_outer_run_unchanged(
     eng = fs.Engine(cfg)
     rate, calls, nested = eng.rate, [], []
 
-    def reentering(t, y, *d):
+    def reentering(t, y, *args, **kwargs):
         calls.append(t)
         if len(calls) == 1:
             stop = 2 * _block_steps(eng.n)
             nested.extend(eng.integrate(y, [0, stop], stop, t))
-        return rate(t, y, *d)
+        return rate(t, y, *args, **kwargs)
 
     monkeypatch.setattr(eng, "rate", reentering)
     assert np.array_equal(eng.run().data, want)

@@ -209,6 +209,22 @@ def test_chain_pivot_bounds(rng):
         assert np.all(x <= upper + 1e-12)
 
 
+@pytest.mark.parametrize("m,lower,upper", [
+    (4, [2, 2, 2 / 4, 2 / 4], [2, 2, 1, 2 / 4]),
+    (6, [2, 2, 6 / 4, 1 + 2 / 4, 2 / 6, 2 / 6],
+     [2, 2, 2, 1 + 2 / 4, 1, 2 / 6]),
+    (10, [2, 2, 6 / 4, 1 + 2 / 4, 8 / 6, 1 + 2 / 6, 10 / 8, 1 + 2 / 8,
+          2 / 10, 2 / 10],
+     [2, 2, 2, 1 + 2 / 4, 2, 1 + 2 / 6, 2, 1 + 2 / 8, 1, 2 / 10]),
+])
+def test_chain_pivot_bounds_closed_form(m, lower, upper):
+    # odd i in [(i+3)/(i+1), 2], even i at 1 + 2/i (2 at i = 2), then
+    # [2/m, 1] and 2/m
+    got = fs.chain_pivot_bounds(np.ones(m))
+    assert np.array_equal(got[0], lower)
+    assert np.array_equal(got[1], upper)
+
+
 def test_chain_recursion_needs_two_robots():
     with pytest.raises(ValueError):
         fs.chain_gram_determinant(np.array([0.1]))

@@ -225,7 +225,7 @@ def _composed_rate(eng, t, y):
 def test_engine_rate_matches_composition(data):
     mode = data.draw(st.sampled_from(["kinematic", "dynamic"]))
     eng, t, y = data.draw(scenes(mode))
-    mark = eng.evaluate(t, y, record=True)
+    mark = eng.rate(t, y, record=True)
     got, rec = mark.dy, eng.records([mark])[0]
     assert _close(got, _composed_rate(eng, t, y), 1e-12)
     assert np.array_equal(eng.rate(t, y), got)

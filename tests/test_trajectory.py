@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from functools import partial
@@ -333,6 +334,40 @@ def test_sampled_twist_table_validation():
             fs.SampledTwist(pose0=(0, 0, 0), times=np.array([0.0, 1.0]),
                             twists=np.ones((2, 2)), rates=np.zeros((2, 2)),
                             grid_dt=grid_dt)
+
+
+# (times, twists, rates) whose Hermite terms overflow a float: h v'
+# past the largest float in v or in w, and in w a rate (p1 - p0) / h past
+# it on a short segment
+OVERFLOWING = [
+    ([0.0, 10.0], [[1e300, 0.2], [1e300, 0.2]],
+     [[-1e308, 0.0], [1e308, 0.0]]),
+    ([0.0, 10.0], [[1.0, 1e300], [1.0, 1e300]],
+     [[0.0, -1e308], [0.0, 1e308]]),
+    ([0.0, 1e-10], [[1.0, 1e300], [1.0, -1e300]], [[0.0, 0.0]] * 2),
+]
+
+
+@pytest.mark.parametrize("times,twists,rates", OVERFLOWING)
+def test_overflowing_hermite_terms_are_refused(times, twists, rates):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the table's Hermite terms "
+                           r"overflow a float on \[0, "):
+            fs.SampledTwist(pose0=(0, 0, 0), times=times, twists=twists,
+                            rates=rates)
+
+
+def test_large_finite_hermite_terms_are_accepted():
+    # 2 S = 4e307 is a float: the twist and its rate stay finite
+    samp = fs.SampledTwist(pose0=(0, 0, 0), times=[0.0, 1.0],
+                           twists=[[1e307, 1e307], [1e307, -1e307]],
+                           rates=[[0.0, 0.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, der = _hermite(samp.times, samp.twists, samp.rates,
+                            np.linspace(0.0, 1.0, 101))
+    assert np.isfinite(val).all() and np.isfinite(der).all()
 
 
 def test_sampled_pose_matches_constant_twist():
