@@ -33,14 +33,16 @@ evaluation. A stage of ``Engine.rate`` is one call, and no stage
 forms A. ``_kinematic_twist`` forms b = -(K z) - ff from the poses
 without building z or ff, and eliminates A^T b in the factor's own loop.
 ``_torque_stage`` computes the twist command and its rate, the torque and
-the estimates' rate in floats over the edges, with one factor for both
-solves, and returns only those. A record of either mode forms z, ff and
-the residual from the stage's twist command (``_error_vector``,
-``feedforward_term``, ``_coupled``). ``coupling_matrix``,
-``coupling_rate``, ``tree_gram``, ``kinematic_control``,
-``feedforward_rate`` and ``fictitious_velocity``, the independent oracles
-of the tests and ``formsim check``, take a tree and the headings, or a
-``_Stage``; the dense two build their matrices from per-edge blocks.
+the estimates' rate in floats, in four sweeps over the edges (leaves
+first, root first, twice) that form the factor and both solves without
+a ``TreeGram``, then per robot, and returns only those. A record of
+either mode forms z, ff and the residual from the stage's twist command
+(``_error_vector``, ``feedforward_term``, ``_coupled``).
+``coupling_matrix``, ``coupling_rate``, ``tree_gram``,
+``kinematic_control``, ``feedforward_rate`` and ``fictitious_velocity``,
+the independent oracles of the tests and ``formsim check``, take a tree
+and the headings, or a ``_Stage``; the dense two build their matrices
+from per-edge blocks.
 """
 
 import math
@@ -51,7 +53,8 @@ import numpy as np
 
 # least_squares_solve is the dense reference the tests compare against; it
 # stays bound here, where perfbench/tracing.py counts its calls.
-from .linalg import TreeGram, _interleave, least_squares_solve  # noqa: F401
+from .linalg import RankDeficient, TreeGram, _back, _interleave
+from .linalg import least_squares_solve  # noqa: F401
 
 __all__ = [
     "coupling_matrix",
@@ -442,19 +445,36 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     ``eta`` and estimates ``phihat`` laid out as in the state, the desired
     terms ``d`` (twist rates included) and ``_torque_plant``'s ``plant``.
     Besides the desired poses, every desired term is read from ``d``'s
-    float row, and the factor's edge cosines are formed from the stage's
-    cos and sin lists.
+    float row.
 
-    Leaves first, A^T z and -A^T w (w = K z + ff) are gathered from the
-    edge rows (child +, parent -) and steered by each robot's (cos, sin);
-    the factor eliminates -A^T w and ``back`` gives eta_f. Root first,
-    each edge's rows of r = A eta_f + w and of q = Adot eta_f + K zdot +
-    ffdot are gathered the same way: Adot eta_f's edge rows are the child
-    minus the parent of omega v_f (-sin, cos, 0), and Adot^T r's v entries
-    are omega (cos S_y - sin S_x) of r's sums S. The same factor then
-    solves G etafdot = -(Adot^T r + A^T q), and the torque and the
-    gradient update are written out per robot. Raises RankDeficient when a
-    heading is not finite, as ``fictitious_velocity`` does."""
+    Both solves use the L D L^T factor of G = A^T A that ``TreeGram``
+    describes. G eta_f = -A^T w, with w = K z + ff, differentiates to
+    G etafdot = -(Adot^T w + A^T wdot) - Gdot eta_f, with wdot = K zdot +
+    ffdot; Gdot is zero but for (omega_p - omega_c) sin(theta_p -
+    theta_c) between the v slots of each edge (p, c), the rate of its
+    -cos(theta_p - theta_c). The stage takes four sweeps over the edges:
+
+    1. Leaves first. Each edge's rows of z, w and wdot are formed and
+       added, steered by each end's (cos, sin), into its two robots'
+       entries of A^T z, -A^T w and -(Adot^T w + A^T wdot); A's edge
+       block is the child's (cos, sin) minus the parent's, and Adot's
+       the child's omega (-sin, cos) minus the parent's. The factor's
+       multiplier and its parent's pivot are formed at the edge too. In
+       this order a robot's children's edges all come before its own, so
+       at its own edge its sums, its pivot and its children's
+       eliminations are complete: there its entry of -A^T w is final
+       and is forward-eliminated into its parent.
+    2. Root first. eta_f is back-substituted.
+    3. Leaves first. -Gdot eta_f is added, each edge's term into its
+       child at the edge and into its parent, whose entry is complete,
+       as in 1, when its own edge comes; each entry is then
+       forward-eliminated.
+    4. Root first. etafdot is back-substituted.
+
+    The torque and the gradient update are then written out per robot.
+    Raises RankDeficient when a heading is not finite, as
+    ``fictitious_velocity`` does, once the first sweep has formed the
+    pivots."""
     (k0, k2), (Kx, Ky, Kh), robots = plant
     n, edges = st.lay.n, st.lay.edges
     c, s = st.cos.tolist(), st.sin.tolist()
@@ -470,58 +490,69 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
         d.floats, len(edges))
     z0, z1 = cr * x + sr * y, cr * y - sr * x
     f0, f1 = cr * gx + sr * gy, cr * gy - sr * gx
-    # leaves first: A^T z's sums and -A^T w's, w = K z + ff
-    zx, zy, zh = [0.0] * n, [0.0] * n, [0.0] * n
-    bx, by, bh = [0.0] * n, [0.0] * n, [0.0] * n
-    w = []
-    for (p, ch), kx, ky, kh, fx, fy, fh in zip(edges, Kx, Ky, Kh, Fx, Fy, Fh):
+
+    # 1. leaves first: A^T z as (zv, zh), -A^T w as (bv, bh) and -(Adot^T
+    # w + A^T wdot) as (mv, mw), with each edge's x, y and heading rows of
+    # z (ex, ey, eh), of w and of wdot (qx, qy, qh); the pivots, the
+    # multipliers, and each edge's Gdot entry, negated, in sig
+    piv, mult, sig = [1.0] * n, [0.0] * n, []
+    zv, zh, bv, bh = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    mv, mw = [0.0] * n, [0.0] * n
+    for (p, ch), kx, ky, kh, fx, fy, fh, dx, dy, dh in zip(
+            reversed(edges), reversed(Kx), reversed(Ky), reversed(Kh),
+            reversed(Fx), reversed(Fy), reversed(Fh), reversed(Dx),
+            reversed(Dy), reversed(Dh)):
+        cp, cq, sp, sq = c[p], c[ch], s[p], s[ch]
+        op, oq, vp, vq = om[p], om[ch], v[p], v[ch]
         ex, ey, eh = Ex[p] - Ex[ch], Ey[p] - Ey[ch], Eh[p] - Eh[ch]
         wx, wy, wh = kx * ex + fx, ky * ey + fy, kh * eh + fh
-        w.append((wx, wy))
-        zx[p], zy[p], zh[p] = zx[p] - ex, zy[p] - ey, zh[p] - eh
-        zx[ch], zy[ch], zh[ch] = zx[ch] + ex, zy[ch] + ey, zh[ch] + eh
-        bx[p], by[p], bh[p] = bx[p] + wx, by[p] + wy, bh[p] + wh
-        bx[ch], by[ch], bh[ch] = bx[ch] - wx, by[ch] - wy, bh[ch] - wh
-    w0, w2 = k0 * z0 + f0, k2 * z2 + f2
-    bv = [ci * sx + si * sy for ci, si, sx, sy in zip(c, s, bx, by)]
-    bv[0] += w0
-    bh[0] += w2
-    gram = TreeGram(edges, [c[p] * c[ch] + s[p] * s[ch] for p, ch in edges],
-                    (bv, bh))
-    vf, wf = gram.back(bv, bh)
-
-    # root first: r's sums, and the negated sums of q, from each edge's
-    # x and y of r (ra, rb), its q row (qa, qb, qc) and ffdot's (dx, dy, dh)
-    rx, ry = [0.0] * n, [0.0] * n
-    qx, qy, qh = [0.0] * n, [0.0] * n, [0.0] * n
-    for (p, ch), (wx, wy), kx, ky, kh, fx, fy, fh, dx, dy, dh in zip(
-            edges, w, Kx, Ky, Kh, Fx, Fy, Fh, Dx, Dy, Dh):
-        cp, cq, sp, sq = c[p], c[ch], s[p], s[ch]
-        fp, fq, op, oq, vp, vq = vf[p], vf[ch], om[p], om[ch], v[p], v[ch]
-        ra, rb = fq * cq - fp * cp + wx, fq * sq - fp * sp + wy
-        qa = (op * (fp * sp) - oq * (fq * sq)
-              + (kx * (vq * cq - vp * cp + fx) + dx))
-        qb = (oq * (fq * cq) - op * (fp * cp)
-              + (ky * (vq * sq - vp * sp + fy) + dy))
-        qc = kh * (oq - op + fh) + dh
-        rx[p], ry[p] = rx[p] - ra, ry[p] - rb
-        rx[ch], ry[ch] = rx[ch] + ra, ry[ch] + rb
-        qx[p], qy[p], qh[p] = qx[p] + qa, qy[p] + qb, qh[p] + qc
-        qx[ch], qy[ch], qh[ch] = qx[ch] - qa, qy[ch] - qb, qh[ch] - qc
-    # -(Adot^T r + A^T q), then the leader's q block: K zdot, with zdot's
-    # skew term, plus ffdot
-    mv = [oi * (si * sx - ci * sy) + (ci * tx + si * ty)
-          for oi, ci, si, sx, sy, tx, ty in zip(om, c, s, rx, ry, qx, qy)]
+        qx = kx * (vq * cq - vp * cp + fx) + dx
+        qy = ky * (vq * sq - vp * sp + fy) + dy
+        qh = kh * (oq - op + fh) + dh
+        zv[p] -= cp * ex + sp * ey
+        zv[ch] += cq * ex + sq * ey
+        zh[p] -= eh
+        zh[ch] += eh
+        yv = bv[ch] = bv[ch] - (cq * wx + sq * wy)
+        yw = bh[ch] = bh[ch] - wh
+        e = cp * cq + sp * sq
+        f = mult[ch] = e / piv[ch]
+        piv[p] += 1.0 - e * f
+        bv[p] += (cp * wx + sp * wy) + f * yv
+        bh[p] += wh + yw
+        mv[p] += (cp * qx + sp * qy) - op * (sp * wx - cp * wy)
+        mv[ch] += oq * (sq * wx - cq * wy) - (cq * qx + sq * qy)
+        mw[p] += qh
+        mw[ch] -= qh
+        sig.append((oq - op) * (sp * cq - cp * sq))
+    # a non-finite cosine leaves its parent's pivot non-finite (or its
+    # child's already is), and += keeps a pivot non-finite
+    if not math.isfinite(sum(piv)):
+        raise RankDeficient("Gram matrix has non-finite entries")
+    # the leader's blocks: w's, and wdot's, K zdot, with zdot's skew
+    # term, plus ffdot
+    zv[0] -= z0
+    zh[0] -= z2
     o = om[0]
+    bv[0] += k0 * z0 + f0
+    bh[0] += k2 * z2 + f2
     mv[0] += k0 * (f0 - v[0] + o * z1) + (cr * ax + sr * ay + o * f1)
-    qh[0] += k2 * (f2 - o) + ah
-    mv, mw = gram.solve_lists(mv, qh)
+    mw[0] += k2 * (f2 - o) + ah
+
+    # 2. root first: eta_f
+    vf, wf = _back(edges, piv, mult, bv, bh)
+
+    # 3. leaves first: -Gdot eta_f, then the forward elimination
+    for (p, ch), g in zip(reversed(edges), sig):
+        gv = mv[ch] = mv[ch] + g * vf[p]
+        mv[p] += g * vf[ch] + mult[ch] * gv
+        mw[p] += mw[ch]
+
+    # 4. root first: etafdot
+    _back(edges, piv, mult, mv, mw)
 
     # per robot: u = -K_sigma sigma - A^T z + Y phihat, the twists' rate
     # (u - drag) / (mass, inertia), and phihat's rate -Gamma Y^T sigma
-    zv = [ci * sx + si * sy for ci, si, sx, sy in zip(c, s, zx, zy)]
-    zv[0] -= z0
-    zh[0] -= z2
     u, tail, phidot = [], [], []
     for vi, oi, fv, fw, gv, gw, av, aw, ph, pl in zip(
             v, om, vf, wf, mv, mw, zv, zh, phihat.reshape(-1, 6).tolist(),

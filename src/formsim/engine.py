@@ -29,10 +29,12 @@ right-hand side from the poses and eliminates it in the leaves-first
 factor, and from whose v and w the pose rates are written, and in
 dynamic mode one call of
 ``controller._torque_stage``, which computes the twist command and its
-rate, the torque and the estimates' rate in floats over the edges, with
-one factor for both solves, and returns the twists' and the estimates'
-rates as one list, written into the derivative in one assignment. The
-pose rates are written from arrays in both modes. No stage forms A.
+rate in floats, in four sweeps over the edges that form the normal
+equations' factor and eliminate both right-hand sides as they go (leaves
+first, root first, twice), then the torque and the estimates' rate per
+robot, and returns the twists' and the estimates' rates as one list,
+written into the derivative in one assignment. The pose rates are
+written from arrays in both modes. No stage forms A.
 
 A sample costs nothing beyond its own stage. At each mark ``integrate``
 keeps the evaluation that is also the next step's first stage

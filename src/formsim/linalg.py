@@ -14,7 +14,9 @@ the work is O(n). Every pivot is at least 1, by induction from the
 leaves: pivot_c = deg~_c - sum over children k of cos^2/pivot_k >=
 deg~_c - #children = 1, and the w pivots are exactly 1. Only a
 non-finite heading loses the factor, and it raises RankDeficient. The
-same loop can carry one right-hand side's forward elimination.
+same loop can carry one right-hand side's forward elimination;
+``controller._torque_stage`` runs the same elimination inline, in its
+first sweep over the edges.
 
 ``least_squares_solve`` and its rank guard ``gram_pivot`` form the dense
 reference: G = A^T A formed explicitly, every squared Cholesky pivot of G
@@ -123,8 +125,12 @@ class TreeGram:
     ``rhs``, optional, is one right-hand side as lists (bv, bw) of its v
     and w entries. The factor's loop then also runs its forward
     elimination L y = rhs, overwriting the lists with y, and ``back``
-    finishes the solve. ``solve`` and ``solve_lists`` take any later
-    right-hand side.
+    finishes the solve. ``solve`` takes any later right-hand side.
+
+    Its users are the kinematic stage and the oracles of the tests and
+    ``formsim check``. The torque-level stage forms the same factor in
+    its own first sweep over the edges and back-substitutes through
+    ``_back``.
     """
 
     __slots__ = ("_edges", "_piv", "_mult")
@@ -155,27 +161,28 @@ class TreeGram:
     def solve(self, rhs):
         """Solve G x = rhs for an interleaved (2n,) right-hand side."""
         rhs = np.asarray(rhs, dtype=float)
-        return _interleave(*self.solve_lists(rhs[0::2].tolist(),
-                                             rhs[1::2].tolist()))
-
-    def solve_lists(self, bv, bw):
-        """Solve G x = rhs for rhs given as lists of its v and w entries,
-        which are overwritten with x and returned."""
+        bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
         mult = self._mult
         for p, c in reversed(self._edges):     # L y = rhs, leaves first
             bv[p] += mult[c] * bv[c]
             bw[p] += bw[c]
-        return self.back(bv, bw)
+        return _interleave(*self.back(bv, bw))
 
     def back(self, bv, bw):
         """D L^T x = y, root first, for y given as lists of its v and w
         entries, which are overwritten with x and returned."""
-        piv, mult = self._piv, self._mult
-        bv[0] /= piv[0]
-        for p, c in self._edges:
-            bv[c] = bv[c] / piv[c] + mult[c] * bv[p]
-            bw[c] += bw[p]
-        return bv, bw
+        return _back(self._edges, self._piv, self._mult, bv, bw)
+
+
+def _back(edges, piv, mult, bv, bw):
+    """``TreeGram.back`` from the pivots and multipliers of a leaves-first
+    elimination over ``edges``, as lists indexed by robot (a child's
+    multiplier at its own index)."""
+    bv[0] /= piv[0]
+    for p, c in edges:
+        bv[c] = bv[c] / piv[c] + mult[c] * bv[p]
+        bw[c] += bw[p]
+    return bv, bw
 
 
 def _interleave(v, w):

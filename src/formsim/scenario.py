@@ -326,13 +326,15 @@ def _profile_from_dict(d, context, tables):
         ids = tuple(id(d.get(key)) for key in _TABLE)
         if ids in tables and tables[ids].grid_dt == _scalar(
                 d.get("grid_dt", SampledTwist.grid_dt), f"{context}.grid_dt"):
-            return tables[ids].started_at(kwargs["pose0"])
-        for key in _TABLE:
-            kwargs[key] = arr = _array(_need(d, key, context),
-                                       f"{context}.{key}").view()
-            arr.flags.writeable = False
-        if "grid_dt" in d:
-            kwargs["grid_dt"] = _scalar(d["grid_dt"], f"{context}.grid_dt")
+            make = tables[ids].started_at
+        else:
+            for key in _TABLE:
+                kwargs[key] = arr = _array(_need(d, key, context),
+                                           f"{context}.{key}").view()
+                arr.flags.writeable = False
+            if "grid_dt" in d:
+                kwargs["grid_dt"] = _scalar(d["grid_dt"],
+                                            f"{context}.grid_dt")
     else:
         raise SchemaError(f"{context}: unknown trajectory kind {kind!r}")
     try:

@@ -8,7 +8,9 @@ relation degenerates. A profile proves this once, when it is built, for
 every time (``_check_speed_floor`` for a sampled table), and raises
 SingularSpeed if it cannot, so evaluation never checks the speed. A
 sampled table is first bounded so that no term ``_hermite`` forms from
-it overflows a float (``_check_hermite_range``).
+it and no step of its pose grid overflows a float
+(``_check_hermite_range``), and each start it serves so that the grid's
+running sums do not (``_check_pose_range``).
 
 Constant twists have one closed form, the chord of the arc (see
 ``ConstantTwist``), whatever the turn rate.
@@ -32,7 +34,8 @@ the stage headings and the running sums carry a robot axis.
 
 import copy
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,7 +137,8 @@ def _hermite(times, twists, rates, t):
 
 def _check_hermite_range(times, twists, rates):
     """Raise ValueError unless every term ``_hermite`` forms from a
-    finite table is a finite float.
+    finite table, and every RK4 step of its pose grid, is a finite float;
+    return the largest S (below) of each component, as floats.
 
     On segment k, with h = t[k+1] - t[k] and, in either component, knot
     values p0 and p1, m0 = h r[k], m1 = h r[k+1] and
@@ -147,6 +151,12 @@ def _check_hermite_range(times, twists, rates):
     1.5 S / h. Roundings add under 8 units of 2**-53 to each, so the
     table is accepted while 2 max(S, 1.5 S / h), which covers them and
     the roundings of the test itself, is at most the largest float.
+
+    A step of the pose grid (``_heading_increment`` and
+    ``_position_increment``) sums v1 + 2 v2 + 2 v3 + v4 of stage twists
+    (times cosines or sines in x and y), whose partial sums stay within
+    6 S and a few roundings of it, before it takes h / 6 of the sum; so
+    the table is also accepted only while 7 S is a float.
     """
     h = np.diff(times)[:, None]
     # an overflow here is what the test looks for, not a numpy error
@@ -154,11 +164,38 @@ def _check_hermite_range(times, twists, rates):
         scale = (abs(twists[:-1]) + abs(twists[1:]) + h * abs(rates[:-1])
                  + h * abs(rates[1:]))
         bound = 2 * np.maximum(scale, 1.5 * scale / h)
-    over = ~(bound <= np.finfo(float).max).all(axis=1)
-    if over.any():
-        k = int(np.argmax(over))
-        raise ValueError(f"the table's Hermite terms overflow a float on "
-                         f"[{times[k]:g}, {times[k + 1]:g}]")
+        step = 7 * scale
+    for value, terms in ((bound, "Hermite terms"), (step, "pose steps")):
+        over = ~(value <= np.finfo(float).max).all(axis=1)
+        if over.any():
+            k = int(np.argmax(over))
+            raise ValueError(f"the table's {terms} overflow a float on "
+                             f"[{times[k]:g}, {times[k + 1]:g}]")
+    return scale.max(axis=0).tolist()
+
+
+def _check_pose_range(pose0, reach):
+    """Raise ValueError unless ``pose0`` is finite and a pose grid from
+    it stays within the floats, where ``reach`` holds, per pose
+    component, the span times the largest S of its twist component
+    (``_check_hermite_range``).
+
+    Each step moves a component by at most h S and a few roundings (its
+    h / 6 times its sum within 6 S), and the steps' h add up to the span,
+    so the grid's running sums stay within |start| + reach before their
+    own roundings. Those are fewer than 2**53 (``_MAX_STEPS``), each
+    within 2**-53 of its partial sum, so together they grow it by less
+    than a factor of e: the start is accepted while 3 (|start| + reach)
+    is a float for x, y and the heading. A pose evaluated between grid
+    points is one shorter step from a stored one, within the same bound.
+    """
+    if not all(map(math.isfinite, pose0)):
+        raise ValueError("profile parameters must be finite")
+    if not all(3 * (abs(q) + r) <= sys.float_info.max
+               for q, r in zip(pose0, reach)):
+        raise ValueError(f"the pose grid from start ({pose0[0]:g}, "
+                         f"{pose0[1]:g}, {pose0[2]:g}) overflows a float "
+                         f"within the table's span")
 
 
 def _check_speed_floor(times, twists, rates):
@@ -269,6 +306,10 @@ class SampledTwist:
     twists: np.ndarray
     rates: np.ndarray
     grid_dt: float = 5e-4
+    # per pose component, the span times the table's largest S
+    # (``_check_pose_range``), for every start the table serves
+    _reach: tuple = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -285,7 +326,7 @@ class SampledTwist:
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(twists))
                 and np.all(np.isfinite(rates))):
             raise ValueError("profile tables must be finite")
-        _check_hermite_range(times, twists, rates)
+        sv, sw = _check_hermite_range(times, twists, rates)
         _check_speed_floor(times, twists, rates)
         if not (math.isfinite(grid_dt) and grid_dt > 0):
             raise ValueError(f"grid_dt must be finite and positive, "
@@ -294,7 +335,9 @@ class SampledTwist:
             raise ValueError(f"grid_dt {grid_dt:g} takes span / grid_dt = "
                              f"{times[-1] / grid_dt:g} steps, not below "
                              f"2**53")
-        object.__setattr__(self, "pose0", tuple(map(float, self.pose0)))
+        span = float(times[-1])
+        object.__setattr__(self, "_reach", (span * sv, span * sv, span * sw))
+        self._start(self.pose0)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "rates", rates)
@@ -307,8 +350,14 @@ class SampledTwist:
     def started_at(self, pose0):
         """This profile from ``pose0``, its checked table shared."""
         profile = copy.copy(self)
-        object.__setattr__(profile, "pose0", tuple(map(float, pose0)))
+        profile._start(pose0)
         return profile
+
+    def _start(self, pose0):
+        """Set the start pose, once its pose grid is bounded."""
+        pose0 = tuple(map(float, pose0))
+        _check_pose_range(pose0, self._reach)
+        object.__setattr__(self, "pose0", pose0)
 
 
 

@@ -426,6 +426,40 @@ def test_overflowing_table_exits_2_from_run_and_check(tmp_path, capsys,
                        "[0, 10]\n")
 
 
+@pytest.mark.parametrize("robot,start,message", [
+    # v = 4e307 held on [0, 10]: each RK4 step of the pose grid sums
+    # about 6 v, past the largest float
+    (1, [0.0, 0.0, 0.0],
+     "the table's pose steps overflow a float on [0, 10]"),
+    # v = 1e306 held for 10 s from x = 1.75e308, in the second robot's
+    # start on the first one's table: the grid runs past the largest float
+    (2, [1.75e308, 0.0, 0.0],
+     "the pose grid from start (1.75e+308, 0, 0) overflows a float "
+     "within the table's span"),
+], ids=["steps", "start"])
+def test_overflowing_pose_grid_exits_2_from_run_and_check(
+        tmp_path, capsys, robot, start, message):
+    v = 4e307 if robot == 1 else 1e306
+    doc = _sampled_doc(times=[0.0, 10.0], twists=[[v, 0.2]] * 2,
+                       rates=[[0.0, 0.0]] * 2)
+    first = doc["robots"][0]
+    traj = dict(first["trajectory"], start=start)
+    doc["robots"].append({"start": [0.0, 0.0, 0.0], "trajectory": traj})
+    doc["edges"] = [[1, 2]]
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert "*id" in path.read_text()      # the robots share one table
+    errs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("run", "check"):
+            assert _run_or_check(command, path, tmp_path) == 2
+            errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0] == (f"config error: ValidationError: "
+                       f"robots[{robot}].trajectory: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
 @pytest.mark.parametrize("name", fs.preset_names())
 @pytest.mark.parametrize("k,edge", [(0, [0, 2]), (0, [1, -1]),

@@ -370,6 +370,59 @@ def test_large_finite_hermite_terms_are_accepted():
     assert np.isfinite(val).all() and np.isfinite(der).all()
 
 
+@pytest.mark.parametrize("component", [0, 1])
+def test_overflowing_pose_steps_are_refused(component):
+    # v or w of 4e307 held on [0, 10]: 2 max(S, 1.5 S / h) = 1.6e308 passes
+    # the Hermite bound, but an RK4 step sums about 6 v
+    twists = [[1.0, 0.2], [1.0, 0.2]]
+    twists[0][component] = twists[1][component] = 4e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the table's pose steps "
+                           r"overflow a float on \[0, 10\]$"):
+            fs.SampledTwist(pose0=(0, 0, 0), times=[0.0, 10.0],
+                            twists=twists, rates=[[0.0, 0.0]] * 2)
+
+
+def test_overflowing_pose_grid_is_refused():
+    # v = 1e306 held for 1000 s runs past the largest float; held for
+    # 10 s it does not from the origin, but does from x = 1.75e308, and a
+    # start the table serves later is bounded too
+    table = {"times": [0.0, 1000.0], "twists": [[1e306, 0.2]] * 2,
+             "rates": [[0.0, 0.0]] * 2}
+    message = (r"^the pose grid from start \({}, 0, 0\) overflows a float "
+               r"within the table's span$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message.format(0)):
+            fs.SampledTwist(pose0=(0, 0, 0), **table)
+        table["times"] = [0.0, 10.0]
+        short = fs.SampledTwist(pose0=(0, 0, 0), **table)
+        with pytest.raises(ValueError, match=message.format(r"1\.75e\+308")):
+            fs.SampledTwist(pose0=(1.75e308, 0, 0), **table)
+        with pytest.raises(ValueError, match=message.format(r"1\.75e\+308")):
+            short.started_at((1.75e308, 0.0, 0.0))
+        with pytest.raises(ValueError,
+                           match="^profile parameters must be finite$"):
+            short.started_at((0.0, np.nan, 0.0))
+    assert short.pose0 == (0.0, 0.0, 0.0)
+    assert short.started_at((3e307, 0.0, 0.0)).pose0 == (3e307, 0.0, 0.0)
+
+
+def test_pose_grid_of_an_accepted_large_table_is_finite():
+    # v and w of 1.2e307 on [0, 1]: 7 S = 1.68e308 and 3 (|start| + span
+    # S) are floats, so the grid and every pose read from it are finite,
+    # with no overflow warning
+    samp = fs.SampledTwist(pose0=(1e307, -1e307, 0.0), times=[0.0, 1.0],
+                           twists=[[1.2e307, 1.2e307]] * 2,
+                           rates=[[0.0, 0.0]] * 2, grid_dt=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qd, _, _ = fs.desired_arrays([samp], np.linspace(0.0, 1.0, 23))
+    assert np.isfinite(qd).all()
+    assert qd[-1, 0, 2] == pytest.approx(1.2e307)
+
+
 def test_sampled_pose_matches_constant_twist():
     # constant table must reproduce the closed-form arc
     ts = np.linspace(0.0, 3.0, 7)
