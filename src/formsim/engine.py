@@ -4,7 +4,7 @@ One Engine instance owns one scenario run: classical fourth-order
 Runge-Kutta at the scenario step, with the control law re-evaluated in
 every stage (continuous-control idealization). One evaluator,
 ``Engine.rate``, computes the law at a state; every RK4 stage, trace
-row, probe and ``formsim check`` line reads it, and one loop,
+row and ``formsim check`` line reads it, and one loop,
 ``Engine.integrate``, takes the steps of ``run`` and ``formsim check``.
 
 An evaluation has a state-independent half: the desired poses, the
@@ -19,8 +19,8 @@ the same numbers as evaluating each time alone, since it does not depend
 on the state, and the block length changes no output. No stage time can
 fail it: the times are nonnegative, and every profile proved its speed
 floor when it was built. Each stage receives its time's terms as its
-argument ``d``, and an evaluation without one (``step``,
-``diagnostics``) hoists its own time alone; an Engine keeps no
+argument ``d``, and an evaluation without one (``diagnostics``)
+hoists its own time alone; an Engine keeps no
 per-block state, so integrations on one Engine may nest. The
 state-dependent half runs per stage: the headings' cosines and sines
 once, then in kinematic mode one call of
@@ -48,9 +48,10 @@ stacked error, the feedforward and the residual K z + ff + A eta_f (A
 eta_f from the stage's eta_f steered by the mark's own cosines and
 sines, without A), their norms, the energy and its predicted rate, and
 writes the trace rows straight into the trace's array.
-``Engine.diagnostics``, and so every probe and ``formsim check`` line,
-is ``_row`` at one mark: row j of a block is the record of mark j alone,
-bit for bit.
+``Engine.diagnostics`` is ``_row`` at one mark: row j of a block is the
+record of mark j alone, bit for bit. ``formsim check`` reads its marks'
+records, and takes Va's rate along the flow from each mark's own
+derivative.
 """
 
 from dataclasses import dataclass, field, fields
@@ -269,10 +270,6 @@ class Engine:
     def diagnostics(self, t, y):
         """The EvalRecord of one evaluation of the control law at (t, y)."""
         return self.records([self.rate(t, y, record=True)])[0]
-
-    def step(self, t, y, h):
-        """Single RK4 step; h may be negative (used by probes)."""
-        return rk4_step(self.rate, t, np.asarray(y, dtype=float), h)
 
     def integrate(self, y, marks, stop, t0=0.0):
         """Integrate y by RK4 steps of ``config.dt`` from step index

@@ -105,8 +105,8 @@ def test_05_twist_rate_validation(adaptive_engine, dynamic_states):
     eng = adaptive_engine
 
     def fd_gap(t, y, h):
-        fp = eng.diagnostics(t + h, eng.step(t, y, h)).etaf
-        fm = eng.diagnostics(t - h, eng.step(t, y, -h)).etaf
+        fp = eng.diagnostics(t + h, fs.rk4_step(eng.rate, t, y, h)).etaf
+        fm = eng.diagnostics(t - h, fs.rk4_step(eng.rate, t, y, -h)).etaf
         fd = (fp - fm) / (2 * h)
         return np.linalg.norm(eng.diagnostics(t, y).etafdot - fd), \
             np.linalg.norm(fd)
@@ -137,8 +137,8 @@ def test_06_energy_rate_identity(adaptive_engine, dynamic_states, rng):
         pred = -(rec.z @ (gz * rec.z)) - (rec.sigma @ (gs * rec.sigma)) \
             + rec.z @ rec.residual
         assert abs(rec.Vdot - pred) <= 1e-12 * abs(pred), f"t={t}"
-        vp = eng.diagnostics(t + h, eng.step(t, y, h)).Va
-        vm = eng.diagnostics(t - h, eng.step(t, y, -h)).Va
+        vp = eng.diagnostics(t + h, fs.rk4_step(eng.rate, t, y, h)).Va
+        vm = eng.diagnostics(t - h, fs.rk4_step(eng.rate, t, y, -h)).Va
         fd = (vp - vm) / (2 * h)
         assert abs(fd - pred) <= 1e-6 * abs(pred), f"t={t}"
 

@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import subprocess
@@ -605,7 +606,7 @@ def test_check_fails_on_a_perturbed_record(tmp_path, capsys, monkeypatch,
                                            detail):
     # every record the check reads carries one field off by a relative
     # factor: the twist command that the least-squares contract holds, or
-    # the predicted energy rate that the finite differences hold
+    # the predicted energy rate that Va's rate along the flow holds
     records = fs.Engine.records
 
     def perturbed(self, marks):
@@ -620,6 +621,69 @@ def test_check_fails_on_a_perturbed_record(tmp_path, capsys, monkeypatch,
     assert code == 3, out
     assert re.search(rf"^FAIL {line}  \({detail}[^)]*\)$", out, re.M), out
     assert len(re.findall("^FAIL ", out, re.M)) == 1, out
+
+
+@pytest.mark.parametrize("name", fs.preset_names())
+def test_check_passes_the_whole_run_at_a_coarser_step(tmp_path, capsys,
+                                                      name):
+    # Va's rate along the flow holds the predicted rate at every mark of
+    # the full horizon, late marks where both are near rounding included
+    cfg_path = tmp_path / f"{name}.yaml"
+    cfg_path.write_text(fs.serialize_scenario(fs.get_preset(name)))
+    code = main(["check", "--config", str(cfg_path), "--horizon", "inf",
+                 "--dt", "0.004"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert len(re.findall("^PASS ", out, re.M)) == 4, out
+    assert re.search(r"^PASS energy-rate-identity  \(worst \S+ of bound\)$",
+                     out, re.M), out
+
+
+def test_check_fails_only_the_energy_line_on_a_wrong_torque(tmp_path, capsys,
+                                                           monkeypatch):
+    # robot 1's surge acceleration off by 1e-4 relative moves the flow
+    # and not the records' predicted rate or twist command
+    stage = fs.engine._torque_stage
+
+    def wrong(*args):
+        out = stage(*args)
+        return out._replace(tail=[out.tail[0] * (1 + 1e-4), *out.tail[1:]])
+
+    monkeypatch.setattr(fs.engine, "_torque_stage", wrong)
+    cfg_path = tmp_path / "a.yaml"
+    cfg_path.write_text(fs.serialize_scenario(
+        fs.get_preset("adaptive-pentagon")))
+    code = main(["check", "--config", str(cfg_path), "--horizon", "0.5"])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert re.search(r"^FAIL energy-rate-identity  \(fd \S+ vs \S+ at t=",
+                     out, re.M), out
+    assert len(re.findall("^FAIL ", out, re.M)) == 1, out
+
+
+@pytest.mark.parametrize("horizon", ["0.5", "0.4"])
+@pytest.mark.parametrize("name", fs.preset_names())
+def test_check_evaluates_the_law_only_in_its_integration(tmp_path,
+                                                        monkeypatch, name,
+                                                        horizon):
+    # Engine.rate wrapped on the class sees every evaluation: four per
+    # step, and the final state's own when the horizon is a mark
+    rate, calls = fs.Engine.rate, []
+
+    @functools.wraps(rate)
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return rate(*args, **kwargs)
+
+    monkeypatch.setattr(fs.Engine, "rate", counted)
+    cfg = fs.get_preset(name)
+    cfg_path = tmp_path / f"{name}.yaml"
+    cfg_path.write_text(fs.serialize_scenario(cfg))
+    assert main(["check", "--config", str(cfg_path),
+                 "--horizon", horizon]) == 0
+    steps = round(float(horizon) / cfg.dt)
+    last = steps % max(1, steps // 8) == 0
+    assert len(calls) == 4 * steps + last
 
 
 @pytest.mark.parametrize("horizon", ["0.04", "0.037"])
@@ -641,8 +705,8 @@ def test_check_output_matches_reference_loop(tmp_path, capsys, monkeypatch,
 
 def test_check_passes_at_the_end_of_a_sampled_table(tmp_path, capsys):
     # the tables end at t_final, and past their span the desired poses
-    # are clamped: a centred energy-rate probe at t_final straddles that
-    # kink, so the check takes the backward difference there
+    # are clamped: the energy rate at t_final is taken from that mark's
+    # own derivative and desired terms, so the kink there is not crossed
     twists = [[1.0, 0.2], [1.2, 0.5], [0.9, -0.3]]
     rates = [[2.0, 1.0], [0.0, -4.0], [-3.0, 2.0]]
     doc = _sampled_doc(times=[0.0, 0.05, 0.1], twists=twists, rates=rates)
@@ -661,8 +725,9 @@ def test_check_passes_at_the_end_of_a_sampled_table(tmp_path, capsys):
 
 
 def test_check_skips_a_probe_that_would_reach_before_t0(tmp_path, capsys):
-    # one step as short as the tables: at t_final the backward probe would
-    # reach t = -h, so that mark is skipped like the first instant
+    # one step as short as the tables: every mark, the first instant and
+    # t_final among them, is checked at its own state, so none reaches
+    # outside [0, t_final]
     ts = [0.0, 1.5e-5]
     doc = _sampled_doc(times=ts, twists=[[1.0, 0.5]] * 2,
                        rates=[[0.0, 0.0]] * 2)

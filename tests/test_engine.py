@@ -211,8 +211,8 @@ def test_energy_rate_identity_kinematic():
         pred = -(rec.z @ (gain * rec.z)) + rec.z @ rec.residual
         assert abs(rec.Vdot - pred) <= 1e-12 * abs(pred)
         assert rec.Va == rec.V
-        vp = eng.diagnostics(t + h, eng.step(t, y, h)).V
-        vm = eng.diagnostics(t - h, eng.step(t, y, -h)).V
+        vp = eng.diagnostics(t + h, fs.rk4_step(eng.rate, t, y, h)).V
+        vm = eng.diagnostics(t - h, fs.rk4_step(eng.rate, t, y, -h)).V
         fd = (vp - vm) / (2 * h)
         assert abs(fd - pred) < 1e-6 * abs(pred)
         *_, (y, _) = eng.integrate(y, [0], 500, t)
@@ -234,8 +234,8 @@ def test_leader_body_error_rate_identity(adaptive_engine):
         + fs.rotation_matrix(th1).T @ fs.unicycle_rate(qd[0, 2], etad[0]) \
         - fs.SELECT @ eta1
     h = 1e-6
-    sp = eng.diagnostics(t + h, eng.step(t, y, h)).z[:3]
-    sm = eng.diagnostics(t - h, eng.step(t, y, -h)).z[:3]
+    sp = eng.diagnostics(t + h, fs.rk4_step(eng.rate, t, y, h)).z[:3]
+    sm = eng.diagnostics(t - h, fs.rk4_step(eng.rate, t, y, -h)).z[:3]
     assert np.abs((sp - sm) / (2 * h) - want).max() < 1e-7
 
 
@@ -535,7 +535,7 @@ def test_every_evaluation_is_one_call_of_the_class_rate(name, monkeypatch):
     eng.diagnostics(0.3, y)
     assert calls == [0.3]
     calls.clear()
-    eng.step(0.3, y, base.dt)
+    fs.rk4_step(eng.rate, 0.3, y, base.dt)
     assert len(calls) == 4
 
 

@@ -316,15 +316,16 @@ def test_kinematic_control_matches_lstsq(data):
 @given(data=st.data())
 def test_twist_rate_matches_flow_difference(data):
     # a record's etafdot against the central difference of etaf along the
-    # flow, with the states at t +- h from Engine.step: an oracle that
+    # flow, with the states at t +- h from one RK4 step: an oracle that
     # shares no code with fictitious_velocity
     eng, t, y = data.draw(scenes("dynamic"))
     n, u = eng.n, 2.0 ** -53
     rec = eng.diagnostics(t, y)
 
     def quotient(h):
-        ahead, back = (eng.diagnostics(t + k, eng.step(t, y, k)).etaf
-                       for k in (h, -h))
+        ahead, back = (
+            eng.diagnostics(t + k, fs.rk4_step(eng.rate, t, y, k)).etaf
+            for k in (h, -h))
         return (ahead - back) / (2 * h)
 
     # Rounding. etaf solves min |A x - b| at a state rounded to u P, P the
