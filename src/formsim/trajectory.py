@@ -8,9 +8,9 @@ relation degenerates. A profile proves this once, when it is built, for
 every time (``_check_speed_floor`` for a sampled table), and raises
 SingularSpeed if it cannot, so evaluation never checks the speed. A
 sampled table is first bounded so that no term ``_hermite`` forms from
-it and no step of its pose grid overflows a float
-(``_check_hermite_range``), and each start it serves so that the grid's
-running sums do not (``_check_pose_range``).
+it and no step of its path overflows a float (``_check_hermite_range``),
+and each start it serves so that no pose composed from the path does
+(``_check_pose_range``).
 
 Constant twists have one closed form, the chord of the arc (see
 ``ConstantTwist``), whatever the turn rate.
@@ -27,9 +27,16 @@ is independent of the state, and the x/y increments follow from the
 stage cosines and sines. Written with the same operations in the same
 order as ``rk4_step``, the closed form is the same floating-point step;
 it lets a whole pose grid be built with a handful of array operations and
-two running sums, and lets robots sharing a twist table step together:
-their stage twists and heading increments are computed once, and only
-the stage headings and the running sums carry a robot axis.
+two running sums.
+
+Unicycle motion commutes with rigid motions of the plane, so every robot
+on one twist table traces the same path, rotated by its start heading
+theta0 and moved to its start (x0, y0). A table's grid is integrated once,
+from the origin pose (``_path_grid``), and each robot's pose is its start
+composed with it: (x0 + cos theta0 X - sin theta0 Y, y0 + sin theta0 X +
+cos theta0 Y, theta0 + Theta) (``_compose``). Neither the work nor the
+memory of the grid grows with the robots sharing it, and its running sums
+start at zero, so they round at the path's scale, not at the starts'.
 """
 
 import copy
@@ -56,9 +63,8 @@ SPEED_FLOOR = 1e-6
 # and so is k times the step, up to its own rounding.
 _MAX_STEPS = 2.0 ** 53
 
-# Grid points (steps times robots) integrated per array pass; bounds the
-# construction's temporaries (tens of floats per point) to a few MiB for
-# any span and any number of robots.
+# Path steps integrated per array pass; bounds the construction's
+# temporaries (tens of floats per step) to a few MiB for any span.
 _GRID_CHUNK = 4096
 
 
@@ -97,17 +103,6 @@ def _position_increment(th, h, v, w):
     trig = np.array([np.cos(heads), np.sin(heads)])
     return (h / 6.0) * (v[0] * trig[:, 0] + 2.0 * (v[1] * trig[:, 1])
                         + 2.0 * (v[1] * trig[:, 2]) + v[2] * trig[:, 3])
-
-
-def _pose_step(q, h, stage_twists):
-    """``rk4_step`` of the pose rate from the pose(s) q (3, ...) over h,
-    given the twists (3, ..., 2) at t, t + h/2 and t + h; h and the
-    twists' middle axes broadcast against q's trailing ones."""
-    v, w = np.moveaxis(stage_twists, -1, 0)
-    out = np.empty_like(q)
-    out[:2] = q[:2] + _position_increment(q[2], h, v, w)
-    out[2] = q[2] + _heading_increment(h, w)
-    return out
 
 
 def _hermite(times, twists, rates, t):
@@ -175,19 +170,25 @@ def _check_hermite_range(times, twists, rates):
 
 
 def _check_pose_range(pose0, reach):
-    """Raise ValueError unless ``pose0`` is finite and a pose grid from
-    it stays within the floats, where ``reach`` holds, per pose
-    component, the span times the largest S of its twist component
-    (``_check_hermite_range``).
+    """Raise ValueError unless ``pose0`` is finite and every pose
+    composed from it and the table's path stays within the floats, where
+    ``reach`` holds, per pose component, the span times the largest S of
+    its twist component (``_check_hermite_range``).
 
-    Each step moves a component by at most h S and a few roundings (its
-    h / 6 times its sum within 6 S), and the steps' h add up to the span,
-    so the grid's running sums stay within |start| + reach before their
-    own roundings. Those are fewer than 2**53 (``_MAX_STEPS``), each
-    within 2**-53 of its partial sum, so together they grow it by less
-    than a factor of e: the start is accepted while 3 (|start| + reach)
-    is a float for x, y and the heading. A pose evaluated between grid
-    points is one shorter step from a stored one, within the same bound.
+    Each step of the path moves its position by at most h S in length and
+    its heading by at most h S of w, each with a few roundings (h / 6
+    times a sum within 6 S), and the steps' h add up to the span. So the
+    path's running sums, which start at the origin, stay within reach
+    before their own roundings; those are fewer than 2**53
+    (``_MAX_STEPS``), each within 2**-53 of its partial sum, so together
+    they grow it by less than a factor of e. The composition rotates the
+    path's (X, Y): |cos theta0 X| + |sin theta0 Y| is at most the length
+    of (X, Y), the path's displacement, so neither the products nor their
+    difference passes e reach, and the sum with the start stays within
+    |start| + e reach. The start is accepted while 3 (|start| + reach) is
+    a float for x, y and the heading. A pose evaluated between grid
+    points adds one shorter step, rotated the same way, to a composed
+    grid point, within the same bound.
     """
     if not all(map(math.isfinite, pose0)):
         raise ValueError("profile parameters must be finite")
@@ -294,11 +295,11 @@ class SampledTwist:
     is integrated by classical fourth-order Runge-Kutta at ``grid_dt``
     (finite and positive; the last step is shortened to end at the
     table's span) into a grid of poses. The profile stores no grid:
-    ``ProfileSet`` (and so ``desired_arrays``) integrates the grids of the
-    robots sharing one table in one pass (``_pose_grids``, in the
-    closed-stage form of the step described in the module docstring),
-    and evaluates the pose at arbitrary t by a single short step from the
-    stored grid point at or before t, keeping evaluation pure.
+    ``ProfileSet`` (and so ``desired_arrays``) integrates one path per
+    table from the origin pose (``_path_grid``, in the closed-stage form
+    of the step described in the module docstring), composes each robot's
+    start with it, and evaluates the pose at arbitrary t by a single short
+    step from the grid point at or before t, keeping evaluation pure.
     """
 
     pose0: tuple
@@ -354,51 +355,64 @@ class SampledTwist:
         return profile
 
     def _start(self, pose0):
-        """Set the start pose, once its pose grid is bounded."""
+        """Set the start pose, once its composed poses are bounded."""
         pose0 = tuple(map(float, pose0))
         _check_pose_range(pose0, self._reach)
         object.__setattr__(self, "pose0", pose0)
 
 
 
-def _pose_grids(table, poses0):
-    """Pose grids (steps + 1, 3, R) of R start poses ``poses0`` (R, 3)
-    under the twist of ``table``, a SampledTwist.
+def _path_grid(table):
+    """The path (steps + 1, 3) of ``table``, a SampledTwist: its pose
+    grid from the origin pose (0, 0, 0), the start every robot on the
+    table composes with the path (``_compose``).
 
-    Column r is bit for bit the grid of poses0[r] alone: every entry goes
-    through the same operations whatever R is. The Hermite twist is
-    evaluated once per pass at each step's three stage times, and so are
-    the heading increments; the stage headings and the running sums of
-    the headings and positions carry the robot axis. A pass covers
-    ``_GRID_CHUNK // R`` steps, and the running sums carry over from one
-    pass's last point to the next, so passes only bound the temporaries.
+    The Hermite twist is evaluated once per pass at each step's three
+    stage times, and so are the heading increments. A pass covers
+    ``_GRID_CHUNK`` steps, and the running sums carry over from one pass's
+    last point to the next, so passes only bound the temporaries.
     """
     span, dt = table.span, table.grid_dt
     steps = int(math.ceil(span / dt))
+    # below 2**53 steps (``_MAX_STEPS``) the byte count is an index numpy
+    # takes, so only the allocation itself can fail
     try:
-        grid = np.empty(shape := (steps + 1, 3, len(poses0)))
-    except (MemoryError, ValueError):
+        path = np.empty(shape := (steps + 1, 3))
+    except MemoryError:
         raise GridAllocationError(f"cannot allocate the pose grid of "
                                   f"grid_dt {dt:g}, shape {shape}") from None
-    grid[0] = np.transpose(poses0)
-    chunk = max(1, _GRID_CHUNK // len(poses0))
-    for a in range(0, steps, chunk):
-        b = min(a + chunk, steps)
+    path[0] = 0.0
+    for a in range(0, steps, _GRID_CHUNK):
+        b = min(a + _GRID_CHUNK, steps)
         tk = np.arange(a, b) * dt
         h = np.minimum(dt, span - tk)
         stages = _hermite(table.times, table.twists, table.rates,
                           np.concatenate([tk, tk + 0.5 * h, tk + h]))[0]
-        # stage twists (3, steps, 1) and steps (steps, 1) broadcast over
-        # the robots
-        v, w = stages.reshape(3, b - a, 2, 1).transpose(2, 0, 1, 3)
-        h = h[:, None]
-        cell = grid[a:b + 1]
+        v, w = stages.reshape(3, b - a, 2).transpose(2, 0, 1)
+        cell = path[a:b + 1]
         cell[1:, 2] = _heading_increment(h, w)
-        np.add.accumulate(cell[:, 2], axis=0, out=cell[:, 2])
-        cell[1:, :2] = _position_increment(cell[:-1, 2], h, v,
-                                           w).transpose(1, 0, 2)
+        np.add.accumulate(cell[:, 2], out=cell[:, 2])
+        cell[1:, :2] = _position_increment(cell[:-1, 2], h, v, w).T
         np.add.accumulate(cell[:, :2], axis=0, out=cell[:, :2])
-    return grid
+    return path
+
+
+def _starts(poses0):
+    """Start poses (R, 3) as the rows x0, y0, theta0, cos theta0 and
+    sin theta0, each (R, 1) so that it broadcasts over path points."""
+    x0, y0, th0 = np.array(poses0, dtype=float).T
+    return np.array([x0, y0, th0, np.cos(th0), np.sin(th0)])[..., None]
+
+
+def _compose(starts, path):
+    """Poses (3, R, m) of the R ``starts`` (``_starts``) composed with the
+    path poses (3, m), rows X, Y and Theta from the origin: the path
+    rotated by theta0 and moved to (x0, y0). Unicycle motion commutes with
+    rigid motions of the plane, so this is where each start's robot is
+    along the path."""
+    x0, y0, th0, c, s = starts
+    x, y, th = path
+    return np.array([x0 + (c * x - s * y), y0 + (s * x + c * y), th0 + th])
 
 
 class ProfileSet:
@@ -408,12 +422,12 @@ class ProfileSet:
     Built once per robot list. Constant twists are stacked once (pose0,
     v, omega) into one block whose chord form (see ``ConstantTwist``) is
     evaluated as arrays. Sampled profiles with identical (times, twists,
-    rates, grid_dt) form one group: each call evaluates the group's
+    rates, grid_dt) form one group, which keeps one path (``_path_grid``)
+    and its robots' starts (``_starts``): each call evaluates the group's
     Hermite twist once, at every time and at the three stage times of its
-    short pose step, and steps the group's stacked pose grids together.
-    Each group integrates its grids here in one pass (``_pose_grids``).
-    Every block is written straight into the callers' robot order by
-    index.
+    short pose step, takes that step once per time along the path, and
+    composes the starts with the result. Every block is written straight
+    into the callers' robot order by index.
     """
 
     def __init__(self, profiles):
@@ -438,12 +452,11 @@ class ProfileSet:
         self._x0y0, self._th0, self._v, self._w = c[:2], c[2], c[3], c[4]
         self._etad = np.zeros((n, 2))
         self._etad[const] = c[3:5, :, 0].T
-        self._groups = []
-        for group in tables.values():
-            # (steps + 1, 3, robots)
-            p = profiles[group[0]]
-            grids = _pose_grids(p, [profiles[i].pose0 for i in group])
-            self._groups.append((np.array(group), p, grids))
+        self._groups = [
+            (np.array(group), profiles[group[0]],
+             _path_grid(profiles[group[0]]),
+             _starts([profiles[i].pose0 for i in group]))
+            for group in tables.values()]
 
     def evaluate(self, t):
         """Desired poses (n, 3), twists (n, 2) and twist rates (n, 2) at a
@@ -484,20 +497,30 @@ class ProfileSet:
         qc[:2] += self._x0y0
         np.add(wt, self._th0, out=qc[2])
         q[:, self._const] = qc
-        for at, p, grids in self._groups:
+        for at, p, path, starts in self._groups:
             # the stored point at or before each time (clamped to the
             # span), and the short step from it
             tc = np.minimum(tt, p.span)
-            k = np.minimum((tc / p.grid_dt).astype(np.intp), len(grids) - 2)
+            k = np.minimum((tc / p.grid_dt).astype(np.intp), len(path) - 2)
             tk = k * p.grid_dt
             delta = tc - tk
             val, der = _hermite(p.times, p.twists, p.rates, np.concatenate(
                 [tt, tk, tk + 0.5 * delta, tk + delta]))
             etad[:, at] = val[:m, None]
             etadd[:, at] = der[:m, None]
-            base = grids[k].transpose(1, 2, 0)         # (3, robots, m)
-            q[:, at] = np.where(delta == 0.0, base, _pose_step(
-                base, delta, val[m:].reshape(3, m, 2)))
+            # the step's increments along the path, from the path heading,
+            # added to each robot's composed grid point rotated by its
+            # start heading
+            v, w = val[m:].reshape(3, m, 2).transpose(2, 0, 1)
+            pk = path[k].T
+            dx, dy = _position_increment(pk[2], delta, v, w)
+            base = _compose(starts, pk)                 # (3, robots, m)
+            c, s = starts[3:]
+            step = base.copy()
+            step[0] += c * dx - s * dy
+            step[1] += s * dx + c * dy
+            step[2] += _heading_increment(delta, w)
+            q[:, at] = np.where(delta == 0.0, base, step)
         qd = q.transpose(2, 1, 0)
         if times.ndim == 0:
             return qd[0], etad[0], etadd[0]

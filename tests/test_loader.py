@@ -231,8 +231,8 @@ def _arrays(engine):
             yield from (p.times, p.twists, p.rates)
         if spec.params is not None:
             yield spec.params.damping
-    for _, _, grids in engine.profiles._groups:
-        yield grids
+    for _, _, path, starts in engine.profiles._groups:
+        yield from (path, starts)
 
 
 def test_two_loads_share_no_arrays():

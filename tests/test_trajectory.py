@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import formsim as fs
 import formsim.trajectory
 from formsim.engine import rk4_step
-from formsim.trajectory import _hermite, _pose_grids
+from formsim.trajectory import _compose, _hermite, _path_grid, _starts
 
 EPS = np.finfo(float).eps
 
@@ -423,6 +423,27 @@ def test_pose_grid_of_an_accepted_large_table_is_finite():
     assert qd[-1, 0, 2] == pytest.approx(1.2e307)
 
 
+def test_shared_table_near_the_pose_bound_is_finite():
+    # v = 1.2e307 and w = 0.5 held on [0, 2.4]: 7 S = 1.68e308 is a float,
+    # and 3 (|start| + span S) = 3 (2e306 + 5.76e307) = 1.79e308 just is,
+    # so two robots turned by pi/4 and 3pi/4 are accepted on one table;
+    # a start 1e306 further out is not
+    table = {"times": [0.0, 2.4], "twists": [[1.2e307, 0.5]] * 2,
+             "rates": [[0.0, 0.0]] * 2}
+    starts = [(2e306, -2e306, np.pi / 4), (-2e306, 2e306, 3 * np.pi / 4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profs = [fs.SampledTwist(pose0=q, **table) for q in starts]
+        with pytest.raises(ValueError, match="^the pose grid from start "):
+            profs[0].started_at((3e306, 0.0, 0.0))
+        qd, _, _ = fs.desired_arrays(fs.ProfileSet(profs), 2.4)
+        arcs = [fs.ConstantTwist(pose0=q, v=1.2e307, omega=0.5)
+                for q in starts]
+        want, _, _ = fs.desired_arrays(arcs, 2.4)
+    assert np.isfinite(qd).all()
+    assert np.allclose(qd, want, rtol=1e-12, atol=0.0)
+
+
 def test_sampled_pose_matches_constant_twist():
     # constant table must reproduce the closed-form arc
     ts = np.linspace(0.0, 3.0, 7)
@@ -472,6 +493,12 @@ def test_desired_arrays_matches_desired_state_sampled():
     _assert_arrays_match_states(profs, (0.0, 0.123, 0.9993, 1.777, 2.0))
 
 
+def _grid(prof):
+    """The pose grid (steps + 1, 3) of one sampled profile: its start
+    composed with its table's path."""
+    return _compose(_starts([prof.pose0]), _path_grid(prof).T)[:, 0].T
+
+
 def _stepwise_grid(prof):
     """The pose grid integrated one ``rk4_step`` at a time, with the pose
     rate built from the Hermite twist."""
@@ -496,15 +523,68 @@ def test_sampled_grid_matches_stepwise_rk4(span, grid_dt):
     # 5 s at 5e-4 is built in three chunks of steps
     prof = _sine_profile(span=span, grid_dt=grid_dt)
     want = _stepwise_grid(prof)
-    grid = _pose_grids(prof, [prof.pose0])[:, :, 0]
+    grid = _grid(prof)
     assert grid.shape == want.shape
-    # The closed-stage form runs rk4_step's operations in rk4_step's order,
-    # so it is exact where np.cos/np.sin round like math.cos/math.sin. A
-    # host whose array and scalar cosines differ by an ulp perturbs each
-    # step by a few ulps of the running sums, which accumulate at most
-    # linearly over the steps.
+    # The path runs rk4_step's operations in rk4_step's order from the
+    # origin, and the composition rotates and moves it to the start. Both
+    # integrations round each step's running sums, and the cosines of the
+    # stage headings, by a few ulps of the sums (the stepwise one at the
+    # start's scale, the path at its own), and the composition adds a few
+    # more; these accumulate at most linearly over the steps.
     tol = len(want) * 4 * EPS * (1 + np.abs(want))
     assert np.all(np.abs(grid - want) <= tol)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="long double is no wider than double here")
+def test_composed_grid_is_within_a_few_roundings_of_its_start():
+    # twelve starts on one slow table (|v|, |w| <= 0.12 for 0.1 s), held
+    # to a stepwise RK4 in long double from each start itself, driven by
+    # the same double-precision Hermite stage twists at the same times
+    ts = np.linspace(0.0, 0.1, 5)
+    tw = np.stack([0.1 + 0.02 * np.sin(3 * ts), 0.1 * np.cos(2 * ts)],
+                  axis=1)
+    rt = np.stack([0.06 * np.cos(3 * ts), -0.2 * np.sin(2 * ts)], axis=1)
+    prof = fs.SampledTwist(pose0=(0.0, 0.0, 0.0), times=ts, twists=tw,
+                           rates=rt)
+    rng = np.random.default_rng(12)
+    starts = np.column_stack([rng.uniform(-4, 4, 12), rng.uniform(-4, 4, 12),
+                              rng.uniform(-np.pi, np.pi, 12)])
+    starts[:2] = [(4.0, -4.0, np.pi), (-4.0, 4.0, -3.0)]
+    got = _compose(_starts(starts), _path_grid(prof).T)   # (3, 12, steps + 1)
+    ld = np.longdouble
+    q = starts.T.astype(ld)
+    want = [q]
+    for k in range(len(got[0, 0]) - 1):
+        tk = k * prof.grid_dt
+        h = min(prof.grid_dt, prof.span - tk)
+        (v1, w1), (v2, w2), (v4, w4) = _hermite(
+            prof.times, prof.twists, prof.rates,
+            [tk, tk + 0.5 * h, tk + h])[0].astype(ld)
+        h = ld(h)
+        th = [q[2], q[2] + h / 2 * w1, q[2] + h / 2 * w2, q[2] + h * w2]
+        weights = [v1, 2 * v2, 2 * v2, v4]
+        q = q + h / 6 * np.array([
+            sum(c * np.cos(a) for c, a in zip(weights, th)),
+            sum(c * np.sin(a) for c, a in zip(weights, th)),
+            np.full_like(q[2], w1 + 2 * w2 + 2 * w2 + w4)])
+        want.append(q)
+    err = np.abs(got - np.array(want).transpose(1, 2, 0)).astype(float)
+    # With u = EPS / 2, the path's points stay within 0.011 of the origin
+    # over its N = 200 steps. Against the reference a composed component
+    # carries: one rounding of its sum with the start component, under
+    # u (|start| + 0.011); the path's own error, each step rounding its
+    # running sums (at most 0.011) once and adding its increment's few
+    # roundings of the step, under (N + 10) u 0.011 = 2.3 u; the start's
+    # cosine and sine (an ulp each), the rotation's two products and
+    # their difference, under 5 u (|X| + |Y|) = 0.1 u; and the
+    # reference's own N roundings in long double (unit 2**-64 or less)
+    # of at most 4.02, under 0.4 u. That is under u |start| + 3 u, inside
+    # 2 EPS (1 + |start|). A grid summed from each start instead rounds
+    # every step at the start's scale, about sqrt(N) u |start| in all,
+    # which this bound does not hold.
+    bound = 2 * EPS * (1 + np.abs(starts.T))[..., None]
+    assert np.all(err <= bound)
 
 
 def _table(seed, span=1.0):
@@ -604,7 +684,7 @@ def _scalar_state(p, t):
         return np.array([v * math.cos(q[2]), v * math.sin(q[2]), w])
 
     tc = min(t, p.span)
-    grid = _pose_grids(p, [p.pose0])[:, :, 0]
+    grid = _grid(p)
     k = min(int(tc / p.grid_dt), len(grid) - 2)
     pose = rk4_step(rate, k * p.grid_dt, grid[k], tc - k * p.grid_dt)
     return (pose, *_scalar_twist(p, t)[:2])
@@ -631,17 +711,21 @@ def test_profile_set_matches_each_profile(profs, t):
     qd, etad, etadd = fs.desired_arrays(profile_set, t)
     for i, p in enumerate(profs):
         pose, twist, accel = _scalar_state(p, t)
-        # ProfileSet runs the oracle's operations in the oracle's order,
-        # so the two agree bit for bit where array sines and cosines round
-        # like math.sin/math.cos. Where they differ by an ulp on some host:
+        # For a constant twist ProfileSet runs the oracle's operations in
+        # the oracle's order, so the two agree bit for bit where array
+        # sines and cosines round like math.sin/math.cos. Where they
+        # differ by an ulp on some host:
         # a constant twist's heading involves no trig at all, and its
         # x - x0 = chord * cos(direction) (likewise y) moves by an ulp of
         # itself through the chord's sin(h) and through the cosine, a
         # displacement of at most |x| + 5 here, so about 4 EPS (1 + |x|);
         # unlike the arc's (v/omega)(sin th - sin th0), nothing scales the
-        # difference by the radius. The short step's stage twists move a
-        # sampled pose by h times their own few-ulp difference, well inside
-        # this bound.
+        # difference by the radius. A sampled pose adds its short step to
+        # the same composed grid point as the oracle's, rounding once at
+        # the pose's scale; the step is formed along the path and rotated
+        # by the start heading, so it differs from the oracle's by a few
+        # ulps of itself (h times the speed), and the stage twists move it
+        # by h times their own few-ulp difference, well inside this bound.
         tol = 4 * EPS * (1 + np.abs(pose))
         assert np.all(np.abs(qd[i] - pose) <= tol)
         if isinstance(p, fs.ConstantTwist):
@@ -722,34 +806,41 @@ def test_profile_set_evaluates_shared_tables_once(monkeypatch):
 
 @pytest.mark.parametrize("robots,chunk", [(5, 4096), (7, 30), (3, 1)])
 def test_shared_table_grids_match_lone_builds(monkeypatch, robots, chunk):
-    # robots on one table integrate their grids in one pass of
-    # _GRID_CHUNK // robots steps (at least one); each column is, bit for
-    # bit, the grid its profile builds alone in passes of 4096 steps
+    # robots on one table compose their starts with one path built in
+    # passes of _GRID_CHUNK steps; each robot's column is, bit for bit,
+    # the grid its profile builds alone from a path of 4096-step passes
     rng = np.random.default_rng(robots)
     base = _sine_profile(span=1.0, grid_dt=3e-4)
     profs = [replace(base, pose0=tuple(rng.normal(size=3) * 3))
              for _ in range(robots)]
-    want = [_pose_grids(p, [p.pose0])[:, :, 0] for p in profs]
+    want = [_grid(p) for p in profs]
     monkeypatch.setattr(formsim.trajectory, "_GRID_CHUNK", chunk)
-    (_, _, grids), = fs.ProfileSet(profs)._groups
-    assert grids.shape == (len(want[0]), 3, robots)
+    grids = _compose(_starts([p.pose0 for p in profs]), _path_grid(base).T)
+    assert grids.shape == (3, robots, len(want[0]))
     for j, grid in enumerate(want):
-        assert np.array_equal(grids[:, :, j], grid)
+        assert np.array_equal(grids[:, j].T, grid)
 
 
 def test_shared_table_grid_evaluates_hermite_once(monkeypatch):
-    ts, tw, rt = TABLES[0]
-    profs = [fs.SampledTwist(pose0=(float(i), 0.0, 0.1 * i), times=ts,
-                             twists=tw, rates=rt) for i in range(6)]
-    calls = []
+    # the path's work does not grow with the robots sharing it: 1 and 50
+    # robots both evaluate the Hermite twist once per pass of _GRID_CHUNK
+    # steps, at the same stage times
+    one = _sine_profile(span=5.0)
+    rng = np.random.default_rng(50)
+    many = [replace(one, pose0=tuple(rng.normal(size=3) * 3))
+            for _ in range(50)]
     hermite = formsim.trajectory._hermite
-    monkeypatch.setattr(formsim.trajectory, "_hermite",
-                        lambda *args: calls.append(args) or hermite(*args))
-    fs.ProfileSet(profs)
-    # one call per pass of _GRID_CHUNK // 6 steps for the whole group
-    steps = math.ceil(profs[0].span / profs[0].grid_dt)
-    assert len(calls) == math.ceil(
-        steps / (formsim.trajectory._GRID_CHUNK // len(profs)))
+    steps = math.ceil(one.span / one.grid_dt)
+    lengths = []
+    for profs in ([one], many):
+        calls = []
+        monkeypatch.setattr(formsim.trajectory, "_hermite",
+                            lambda *args: calls.append(args) or hermite(*args))
+        fs.ProfileSet(profs)
+        assert len(calls) == math.ceil(
+            steps / formsim.trajectory._GRID_CHUNK) == 3
+        lengths.append([len(args[-1]) for args in calls])
+    assert lengths[0] == lengths[1]
 
 
 def test_profile_set_rejects_unknown_profile():
