@@ -11,15 +11,14 @@ CLI with CSV traces and YAML metrics.
 from .adaptive import (RobotParams, adaptation_rate, adaptive_control,
                        block_regression, lyapunov_diagnostics,
                        params_to_vector, regression_matrix)
-from .controller import (coupling_matrix, coupling_rate, kinematic_control,
-                         tree_gram)
+from .controller import coupling_matrix, coupling_rate, kinematic_control
 from .engine import (DivergenceError, Engine, EvalRecord, Trace, rk4_step,
                      simulate)
 from .graph import (CycleError, DisconnectedError, GraphError, SpanningTree,
                     validate_spanning_tree)
-from .linalg import (LeastSquaresResult, RankDeficient, TreeGram,
+from .linalg import (LeastSquaresResult, RankDeficient,
                      chain_gram_determinant, chain_pivot_bounds, gram_pivot,
-                     least_squares_solve)
+                     least_squares_solve, tree_factor)
 from .metrics import EmptyTrace, MetricsReport, compute_metrics
 from .presets import get_preset, preset_names
 from .scenario import (ParseError, RobotSpec, ScenarioConfig, SchemaError,

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import _error_vector, coupling_matrix, \
-    fictitious_velocity, tree_gram
+from .controller import _edge_cos, _error_vector, coupling_matrix, \
+    fictitious_velocity
 from .engine import DivergenceError, Engine, simulate
 from .linalg import RankDeficient, chain_gram_determinant, \
-    chain_pivot_bounds
+    chain_pivot_bounds, tree_factor
 from .metrics import compute_metrics, report_to_yaml
 from .presets import get_preset, preset_names
 from .scenario import ParseError, SchemaError, ValidationError, \
@@ -116,10 +116,13 @@ def _check_lines(config, horizon):
     for (t, y, dy, d, st, _), rec in probes():
         # the contract is checked against an independent dense A
         A = coupling_matrix(config.tree, rec.poses[:, 2])
-        # the leaves-first pivots are >= 1 in exact arithmetic; the 1e-12
-        # slack covers edge cosines rounded a few ulps above 1
-        min_pivot = min(min_pivot,
-                        tree_gram(config.tree, rec.poses[:, 2]).pivots.min())
+        # the leaves-first pivots are >= 1 in exact arithmetic (the w
+        # pivots are 1); the 1e-12 slack covers edge cosines rounded a few
+        # ulps above 1
+        pivot = min(1.0, *tree_factor(st.lay.edges, _edge_cos(st),
+                                      [0.0] * config.n, [0.0] * config.n)[0])
+        if pivot < min_pivot:
+            min_pivot, t_pivot = pivot, t
         b = -(np.asarray(config.formation_gain) * rec.z) - rec.feedforward
         defect = np.max(np.abs(A.T @ (A @ rec.etaf - b)))
         bound = 1e-10 * (1 + norm_a * np.linalg.norm(b))
@@ -155,8 +158,9 @@ def _check_lines(config, horizon):
         else:
             rate_ok = False
             details["rate"] = f"fd {fd:.6e} vs {pred:.6e} at t={t:g}"
-    yield "conditioning-guard", bool(min_pivot >= 1.0 - 1e-12), \
-        f"min pivot {min_pivot:.17g}"
+    guard_ok = min_pivot >= 1.0 - 1e-12
+    yield "conditioning-guard", guard_ok, f"min pivot {min_pivot:.17g}" \
+        + ("" if guard_ok else f" at t={t_pivot:g}")
     yield "least-squares-contract", lsq_ok, details["lsq"]
     yield "energy-rate-identity", rate_ok, \
         details["rate"] or f"worst {worst:.1e} of bound"

@@ -13,10 +13,11 @@ The normal equations are never formed densely. Over a spanning tree the
 Gram matrix G = A^T A has a closed form: robot i's v and w diagonal
 entries are both 1 plus its number of children, each edge (p, c) gives
 -cos(theta_p - theta_c) between the v slots and -1 between the w slots,
-and v never couples to w. ``linalg.TreeGram`` eliminates it leaves first
-with no fill-in and every pivot at least 1, and A^T b is a gather and a
-``bincount`` over the edges (``_normal_rhs``), so a solve costs O(n) and
-only a non-finite heading, which raises RankDeficient, loses the factor.
+and v never couples to w. ``linalg.tree_factor`` eliminates it leaves
+first with no fill-in and every pivot at least 1, and A^T b is a gather
+and a ``bincount`` over the edges (``_normal_rhs``), so a solve costs
+O(n) and only a non-finite heading, which raises RankDeficient, loses
+the factor.
 
 ``fictitious_velocity`` also returns the exact time derivative of the
 commanded twist along the closed-loop flow, which the torque-level
@@ -34,15 +35,15 @@ forms A. ``_kinematic_twist`` forms b = -(K z) - ff from the poses
 without building z or ff, and eliminates A^T b in the factor's own loop.
 ``_torque_stage`` computes the twist command and its rate, the torque and
 the estimates' rate in floats, in four sweeps over the edges (leaves
-first, root first, twice) that form the factor and both solves without
-a ``TreeGram``, then per robot, and returns only those. A record of
-either mode forms z, ff and the residual from the stage's twist command
+first, root first, twice) that form the factor inline and both solves,
+then per robot, and returns only those. A record of either mode forms
+z, ff and the residual from the stage's twist command
 (``_error_vector``, ``feedforward_term``, ``_coupled``).
-``coupling_matrix``, ``coupling_rate``, ``tree_gram``,
-``kinematic_control``, ``feedforward_rate`` and ``fictitious_velocity``,
-the independent oracles of the tests and ``formsim check``, take a tree
-and the headings, or a ``_Stage``; the dense two build their matrices
-from per-edge blocks.
+``coupling_matrix``, ``coupling_rate``, ``feedforward_rate`` and
+``fictitious_velocity``, the independent oracles of the tests and
+``formsim check``, take a tree and the headings, or a ``_Stage``; the
+dense two build their matrices from per-edge blocks. ``kinematic_control``
+shares the kinematic stage's ``_normal_rhs`` and factor.
 """
 
 import math
@@ -53,13 +54,12 @@ import numpy as np
 
 # least_squares_solve is the dense reference the tests compare against; it
 # stays bound here, where perfbench/tracing.py counts its calls.
-from .linalg import RankDeficient, TreeGram, _back, _interleave
+from .linalg import RankDeficient, _back, tree_factor
 from .linalg import least_squares_solve  # noqa: F401
 
 __all__ = [
     "coupling_matrix",
     "coupling_rate",
-    "tree_gram",
     "kinematic_control",
 ]
 
@@ -285,17 +285,19 @@ def feedforward_rate(st, omega1, ff, d):
     return np.concatenate([leader, np.array([Dx, Dy, Dh]).T.reshape(-1)])
 
 
-def tree_gram(tree, headings):
-    """``TreeGram`` factor of A^T A for the coupling matrix A at
-    ``headings``. Raises RankDeficient when a heading is not finite."""
-    return _gram(_aystage(tree, headings))
-
-
-def _gram(st, rhs=None):
-    """``tree_gram`` at a stage, eliminating ``rhs`` in its loop."""
+def _edge_cos(st):
+    """cos(theta_p - theta_c) for each edge (p, c) at a stage ``st``, from
+    its cosines and sines, as the list of floats ``tree_factor`` takes."""
     c, s, p, ch = st.cos, st.sin, st.lay.parents, st.lay.children
-    return TreeGram(st.lay.edges, (c[p] * c[ch] + s[p] * s[ch]).tolist(),
-                    rhs)
+    return (c[p] * c[ch] + s[p] * s[ch]).tolist()
+
+
+def _interleave(v, w):
+    """The (2n,) array (v_1, w_1, v_2, w_2, ...) of n v and n w entries."""
+    out = np.empty(2 * len(v))
+    out[0::2] = v
+    out[1::2] = w
+    return out
 
 
 def _normal_rhs(st, signed, b0, b2):
@@ -315,7 +317,7 @@ def _normal_rhs(st, signed, b0, b2):
 
 def kinematic_control(tree, headings, z, ff, gain):
     """Commanded twists minimizing ||A eta + gain*z + ff|| for the
-    coupling matrix A at ``headings``, in O(n) through ``TreeGram``.
+    coupling matrix A at ``headings``, in O(n) through ``tree_factor``.
 
     ``gain`` is the diagonal (3n,) formation gain. Raises RankDeficient
     when a heading is not finite.
@@ -323,7 +325,8 @@ def kinematic_control(tree, headings, z, ff, gain):
     st = _aystage(tree, headings)
     b = -(np.asarray(gain, dtype=float) * np.asarray(z, dtype=float)) - ff
     rhs = _normal_rhs(st, np.concatenate([b[3:], -b[3:]]), b[0], b[2])
-    return _interleave(*_gram(st, rhs).back(*rhs))
+    piv, mult = tree_factor(st.lay.edges, _edge_cos(st), *rhs)
+    return _interleave(*_back(st.lay.edges, piv, mult, *rhs))
 
 
 def _kinematic_gains(gain):
@@ -349,7 +352,8 @@ def _kinematic_twist(st, poses, d, gains):
     gx, gy, gw = d.rows[0].tolist()
     rhs = _normal_rhs(st, signed, -(k0 * (c * x + s * y)) - (c * gx + s * gy),
                       -(k2 * w) - gw)
-    return _gram(st, rhs).back(*rhs)
+    piv, mult = tree_factor(lay.edges, _edge_cos(st), *rhs)
+    return _back(lay.edges, piv, mult, *rhs)
 
 
 def _coupled(lay, v1, g):
@@ -382,16 +386,21 @@ def fictitious_velocity(tree, st, twists, z, ff, d, gain):
     time.
 
     ``twists`` (n, 2) are the robots' actual twists, which enter through
-    the stacked-error rate and the coupling-matrix rate. Both solves share
-    one ``TreeGram`` factor, which raises RankDeficient when a heading is
-    not finite, as ``kinematic_control`` does.
+    the stacked-error rate and the coupling-matrix rate. Each solve
+    factors with its own right-hand side, raising RankDeficient when a
+    heading is not finite, as ``kinematic_control`` does.
     """
     omega = twists[:, 1]
     A = coupling_matrix(tree, st)
+    edges, cos = st.lay.edges, _edge_cos(st)
 
-    gram = _gram(st)
+    def solve(rhs):     # G x = rhs, both interleaved like the twists
+        bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
+        piv, mult = tree_factor(edges, cos, bv, bw)
+        return _interleave(*_back(edges, piv, mult, bv, bw))
+
     w = gain * z + ff
-    etaf = -gram.solve(A.T @ w)
+    etaf = -solve(A.T @ w)
 
     Adot = coupling_rate(tree, st, omega)
     eta = twists.reshape(-1)
@@ -405,7 +414,7 @@ def fictitious_velocity(tree, st, twists, z, ff, d, gain):
     # G etaf = -A^T w differentiates to G etafdot = -(Gdot etaf + Adot^T w
     # + A^T wdot), and Gdot etaf + Adot^T w = Adot^T r + A^T Adot etaf
     # with r = A etaf + w the least-squares residual.
-    etafdot = -gram.solve(Adot.T @ (A @ etaf + w)
+    etafdot = -solve(Adot.T @ (A @ etaf + w)
                           + A.T @ (Adot @ etaf + wdot))
     return FictitiousVelocity(twist=etaf, rate=etafdot)
 
@@ -447,8 +456,9 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     Besides the desired poses, every desired term is read from ``d``'s
     float row.
 
-    Both solves use the L D L^T factor of G = A^T A that ``TreeGram``
-    describes. G eta_f = -A^T w, with w = K z + ff, differentiates to
+    Both solves use the L D L^T factor of G = A^T A, by the recursion of
+    ``linalg.tree_factor`` fused into the first sweep, which takes it no
+    pass of its own. G eta_f = -A^T w, with w = K z + ff, differentiates to
     G etafdot = -(Adot^T w + A^T wdot) - Gdot eta_f, with wdot = K zdot +
     ffdot; Gdot is zero but for (omega_p - omega_c) sin(theta_p -
     theta_c) between the v slots of each edge (p, c), the rate of its

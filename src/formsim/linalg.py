@@ -7,16 +7,16 @@ be 1 plus robot i's number of children. With twists interleaved as
 slots, -cos(theta_p - theta_c) between the v slots and -1 between the w
 slots of each edge (p, c), and no v-w coupling.
 
-``TreeGram`` factors G as L D L^T by eliminating robots in reverse
+``tree_factor`` factors G as L D L^T by eliminating robots in reverse
 topological edge order, leaves first: a robot goes only after all of its
 children and updates only its parent's row, so there is no fill-in and
 the work is O(n). Every pivot is at least 1, by induction from the
 leaves: pivot_c = deg~_c - sum over children k of cos^2/pivot_k >=
 deg~_c - #children = 1, and the w pivots are exactly 1. Only a
 non-finite heading loses the factor, and it raises RankDeficient. The
-same loop can carry one right-hand side's forward elimination;
-``controller._torque_stage`` runs the same elimination inline, in its
-first sweep over the edges.
+same loop forward-eliminates the one right-hand side it is given, and
+``_back`` back-substitutes; ``controller._torque_stage`` runs the same
+recursion fused into its first sweep over the edges.
 
 ``least_squares_solve`` and its rank guard ``gram_pivot`` form the dense
 reference: G = A^T A formed explicitly, every squared Cholesky pivot of G
@@ -26,7 +26,7 @@ column order; for chains they are the recursion pivots of
 ``chain_gram_determinant``, the O(m) determinant recursion of the
 pentadiagonal chain Gram matrix, which ``chain_pivot_bounds`` keeps at or
 above 2/m against a largest diagonal of 2. The tests cross-check that
-recursion against ``TreeGram``'s pivots and against dense LAPACK.
+recursion against ``tree_factor``'s pivots and against dense LAPACK.
 """
 
 import math
@@ -40,7 +40,7 @@ __all__ = [
     "LeastSquaresResult",
     "gram_pivot",
     "least_squares_solve",
-    "TreeGram",
+    "tree_factor",
     "chain_gram_determinant",
     "chain_pivot_bounds",
 ]
@@ -113,84 +113,45 @@ def least_squares_solve(A, b):
     return LeastSquaresResult(solution=x, residual=A @ x - b, pivot=pivot)
 
 
-class TreeGram:
+def tree_factor(edges, cos, bv, bw):
     """L D L^T factor of the Gram matrix of a spanning-tree coupling
-    matrix, eliminated leaves first (see the module docstring).
+    matrix, eliminated leaves first (see the module docstring), with the
+    forward elimination L y = b of one right-hand side in the same loop.
 
     ``edges`` are the tree's (parent, child) pairs of 0-based robot
     indices in topological order from root 0, and ``cos`` is a list of
-    floats holding cos(theta_p - theta_c) for each edge. Raises
-    RankDeficient when some cosine is not finite.
+    floats holding cos(theta_p - theta_c) for each edge. ``bv`` and
+    ``bw`` are lists of b's v and w entries, which are overwritten with
+    y; ``_back`` finishes the solve.
 
-    ``rhs``, optional, is one right-hand side as lists (bv, bw) of its v
-    and w entries. The factor's loop then also runs its forward
-    elimination L y = rhs, overwriting the lists with y, and ``back``
-    finishes the solve. ``solve`` takes any later right-hand side.
-
-    Its users are the kinematic stage and the oracles of the tests and
-    ``formsim check``. The torque-level stage forms the same factor in
-    its own first sweep over the edges and back-substitutes through
-    ``_back``.
+    Returns (piv, mult), lists indexed by robot: the v pivots (the w
+    pivots are all 1) and each child's multiplier at its own index (0 at
+    the root). Raises RankDeficient when some cosine is not finite.
     """
-
-    __slots__ = ("_edges", "_piv", "_mult")
-
-    def __init__(self, edges, cos, rhs=None):
-        # Every v diagonal starts at 1; eliminating child c then adds the
-        # edge's 1 to its parent and subtracts cos^2 / pivot_c.
-        piv = [1.0] * (len(edges) + 1)
-        mult = [0.0] * len(piv)
-        bv, bw = rhs or (mult.copy(), mult.copy())
-        for (p, c), w in zip(reversed(edges), reversed(cos)):
-            f = mult[c] = w / piv[c]
-            piv[p] += 1.0 - w * f
-            bv[p] += f * bv[c]
-            bw[p] += bw[c]
-        # a non-finite cosine leaves its parent's pivot non-finite (or its
-        # child's already is), and += keeps a pivot non-finite
-        if not math.isfinite(sum(piv)):
-            raise RankDeficient("Gram matrix has non-finite entries")
-        self._edges, self._piv, self._mult = edges, piv, mult
-
-    @property
-    def pivots(self):
-        """Pivots of the elimination, interleaved like the twists: the v
-        pivots in the even slots, the w pivots (all 1) in the odd ones."""
-        return _interleave(self._piv, [1.0] * len(self._piv))
-
-    def solve(self, rhs):
-        """Solve G x = rhs for an interleaved (2n,) right-hand side."""
-        rhs = np.asarray(rhs, dtype=float)
-        bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
-        mult = self._mult
-        for p, c in reversed(self._edges):     # L y = rhs, leaves first
-            bv[p] += mult[c] * bv[c]
-            bw[p] += bw[c]
-        return _interleave(*self.back(bv, bw))
-
-    def back(self, bv, bw):
-        """D L^T x = y, root first, for y given as lists of its v and w
-        entries, which are overwritten with x and returned."""
-        return _back(self._edges, self._piv, self._mult, bv, bw)
+    # Every v diagonal starts at 1; eliminating child c then adds the
+    # edge's 1 to its parent and subtracts cos^2 / pivot_c.
+    piv = [1.0] * (len(edges) + 1)
+    mult = [0.0] * len(piv)
+    for (p, c), w in zip(reversed(edges), reversed(cos)):
+        f = mult[c] = w / piv[c]
+        piv[p] += 1.0 - w * f
+        bv[p] += f * bv[c]
+        bw[p] += bw[c]
+    # a non-finite cosine leaves its parent's pivot non-finite (or its
+    # child's already is), and += keeps a pivot non-finite
+    if not math.isfinite(sum(piv)):
+        raise RankDeficient("Gram matrix has non-finite entries")
+    return piv, mult
 
 
 def _back(edges, piv, mult, bv, bw):
-    """``TreeGram.back`` from the pivots and multipliers of a leaves-first
-    elimination over ``edges``, as lists indexed by robot (a child's
-    multiplier at its own index)."""
+    """D L^T x = y, root first, with ``tree_factor``'s pivots and
+    multipliers, for y's v and w entries as lists, overwritten with x."""
     bv[0] /= piv[0]
     for p, c in edges:
         bv[c] = bv[c] / piv[c] + mult[c] * bv[p]
         bw[c] += bw[p]
     return bv, bw
-
-
-def _interleave(v, w):
-    """The (2n,) array (v_1, w_1, v_2, w_2, ...) of n v and n w entries."""
-    out = np.empty(2 * len(v))
-    out[0::2] = v
-    out[1::2] = w
-    return out
 
 
 def chain_gram_determinant(headings):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import formsim as fs
-from formsim.controller import _desired_terms, _layout, _stage
+from formsim.controller import _desired_terms, _edge_cos, _interleave, \
+    _layout, _stage
+from formsim.linalg import _back
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +29,24 @@ def stage_terms(tree, headings, qd, etad, etadd=None):
     arrays = [np.asarray(a, dtype=float) for a in (qd, etad, etadd)
               if a is not None]
     return _stage(lay, headings), _desired_terms(lay, *arrays)
+
+
+def edge_cosines(tree, headings):
+    """The tree's 0-based edges and each edge's cos(theta_p - theta_c) at
+    ``headings``, as the stages pass them to ``tree_factor``."""
+    st = _stage(_layout(tree), headings)
+    return st.lay.edges, _edge_cos(st)
+
+
+def tree_solve(edges, cos, rhs):
+    """``tree_factor``'s pivots, interleaved like the twists with the w
+    pivots (all 1), and the solution of G x = rhs for an interleaved
+    (2n,) right-hand side, back-substituted by ``linalg._back``."""
+    rhs = np.asarray(rhs, dtype=float)
+    bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
+    piv, mult = fs.tree_factor(edges, cos, bv, bw)
+    return (_interleave(piv, [1.0] * len(piv)),
+            _interleave(*_back(edges, piv, mult, bv, bw)))
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,12 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import formsim as fs
+from formsim import cli
 from formsim.cli import main
 from formsim.metrics import report_to_yaml
 
@@ -614,6 +616,47 @@ def test_check_fails_on_a_perturbed_record(tmp_path, capsys, monkeypatch,
                 for rec in records(self, marks)]
 
     monkeypatch.setattr(fs.Engine, "records", perturbed)
+    cfg_path = tmp_path / f"{name}.yaml"
+    cfg_path.write_text(fs.serialize_scenario(fs.get_preset(name)))
+    code = main(["check", "--config", str(cfg_path), "--horizon", "0.5"])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert re.search(rf"^FAIL {line}  \({detail}[^)]*\)$", out, re.M), out
+    assert len(re.findall("^FAIL ", out, re.M)) == 1, out
+
+
+def _low_pivots(factor):
+    # every pivot of the leaves-first factor 1e-9 below its own value,
+    # so each leaf's, exactly 1, is under the guard's 1 - 1e-12
+    def low(*args):
+        piv, mult = factor(*args)
+        return [p * (1 - 1e-9) for p in piv], mult
+    return low
+
+
+def _high_pinned_pivots(recursion):
+    # the chain pivots the bounds pin (lower = upper) 1e-9 above their
+    # closed forms, past the certificate's 1e-12 slack
+    def high(headings):
+        det, x = recursion(headings)
+        lower, upper = fs.chain_pivot_bounds(x)
+        return det, np.where(lower == upper, x * (1 + 1e-9), x)
+    return high
+
+
+@pytest.mark.parametrize("target,wrap,line,detail", [
+    ("tree_factor", _low_pivots, "conditioning-guard",
+     r"min pivot \S+ at t="),
+    ("chain_gram_determinant", _high_pinned_pivots,
+     "chain-pivot-certificate", r"det="),
+], ids=["tree-pivots", "chain-pivots"])
+@pytest.mark.parametrize("name", fs.preset_names())
+def test_check_fails_on_a_perturbed_certificate(tmp_path, capsys,
+                                                monkeypatch, name, target,
+                                                wrap, line, detail):
+    # the pivots that check's certificate lines read, moved off what the
+    # lines accept while the records stay as they are
+    monkeypatch.setattr(cli, target, wrap(getattr(cli, target)))
     cfg_path = tmp_path / f"{name}.yaml"
     cfg_path.write_text(fs.serialize_scenario(fs.get_preset(name)))
     code = main(["check", "--config", str(cfg_path), "--horizon", "0.5"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import formsim as fs
-from conftest import chain_tree
+from conftest import chain_tree, edge_cosines, tree_solve
 
 
 def _cofactor_det(M):
@@ -102,13 +102,12 @@ def test_gram_pivot_is_chain_recursion_pivot(rng):
 def test_tree_gram_two_aligned_robots():
     # G_v = [[2, -1], [-1, 1]] and G_w the same: eliminating the child
     # (pivot 1) leaves the root 2 - 1/1 = 1
-    gram = fs.TreeGram([(0, 1)], [1.0])
-    assert np.array_equal(gram.pivots, np.ones(4))
     G = np.array([[2.0, 0, -1, 0], [0, 2, 0, -1],
                   [-1, 0, 1, 0], [0, -1, 0, 1]])
     rhs = np.array([1.0, -2.0, 3.0, 0.5])
-    assert np.allclose(gram.solve(rhs), np.linalg.solve(G, rhs),
-                       rtol=0, atol=1e-14)
+    pivots, x = tree_solve([(0, 1)], [1.0], rhs)
+    assert np.array_equal(pivots, np.ones(4))
+    assert np.allclose(x, np.linalg.solve(G, rhs), rtol=0, atol=1e-14)
 
 
 def test_tree_gram_chain_determinant(rng):
@@ -116,29 +115,27 @@ def test_tree_gram_chain_determinant(rng):
         tree = chain_tree(n)
         th = rng.uniform(-15, 15, n)
         det, _ = fs.chain_gram_determinant(th)
-        assert np.isclose(np.prod(fs.tree_gram(tree, th).pivots), det,
-                          rtol=1e-12)
+        pivots, _ = tree_solve(*edge_cosines(tree, th), np.zeros(2 * n))
+        assert np.isclose(np.prod(pivots), det, rtol=1e-12)
 
 
 def test_tree_gram_fused_rhs_matches_solve(rng):
-    # eliminating a right-hand side in the factor's loop and then
-    # back-substituting is the same arithmetic as a later solve
+    # the right-hand side eliminated in the factor's loop leaves the
+    # pivots and multipliers bit for bit as they are for any other
     for n in (1, 2, 5, 40):
         edges = [(int(rng.integers(0, k)), k) for k in range(1, n)]
         cos = rng.uniform(-1, 1, n - 1).tolist()
         rhs = rng.normal(size=2 * n)
         bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
-        gram = fs.TreeGram(edges, cos, (bv, bw))
-        x = np.empty(2 * n)
-        x[0::2], x[1::2] = gram.back(bv, bw)
-        assert np.array_equal(x, fs.TreeGram(edges, cos).solve(rhs))
-        assert np.array_equal(gram.pivots, fs.TreeGram(edges, cos).pivots)
+        assert fs.tree_factor(edges, cos, bv, bw) \
+            == fs.tree_factor(edges, cos, [0.0] * n, [0.0] * n)
 
 
 def test_tree_gram_rejects_non_finite_cosines():
     for bad in (np.nan, np.inf):
         with pytest.raises(fs.RankDeficient):
-            fs.TreeGram([(0, 1), (1, 2)], [0.5, bad])
+            fs.tree_factor([(0, 1), (1, 2)], [0.5, bad], [0.0] * 3,
+                           [0.0] * 3)
 
 
 def test_wide_matrix_rejected():
