@@ -1,10 +1,10 @@
 """Command-line interface: run scenarios, emit presets, check invariants.
 
 Exit codes: 0 success, 2 config error (a desired speed that comes near
-zero among them), 3 runtime failure (divergence, rank deficiency, a pose
-grid or a trace too large to allocate), 4 I/O error. ``run`` and
-``check`` load a config in one place, so a fault of the file is the same
-config error from either.
+zero among them), 3 runtime failure (divergence, a pose grid or a trace
+too large to allocate), 4 I/O error. ``run`` and ``check`` load a config
+in one place, so a fault of the file is the same config error from
+either.
 """
 
 import argparse
@@ -16,8 +16,8 @@ import numpy as np
 from .controller import _edge_cos, _error_vector, coupling_matrix, \
     fictitious_velocity
 from .engine import DivergenceError, Engine, simulate
-from .linalg import RankDeficient, chain_gram_determinant, \
-    chain_pivot_bounds, tree_factor
+from .linalg import chain_gram_determinant, chain_pivot_bounds, \
+    tree_factor
 from .metrics import compute_metrics, report_to_yaml
 from .presets import get_preset, preset_names
 from .scenario import ParseError, SchemaError, ValidationError, \
@@ -30,7 +30,7 @@ EXIT_RUNTIME = 3
 EXIT_IO = 4
 
 _CONFIG_ERRORS = (ParseError, SchemaError, ValidationError, SingularSpeed)
-_RUNTIME_ERRORS = (DivergenceError, RankDeficient, GridAllocationError)
+_RUNTIME_ERRORS = (DivergenceError, GridAllocationError)
 
 
 def _load(args, *fields):

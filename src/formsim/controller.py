@@ -16,8 +16,8 @@ entries are both 1 plus its number of children, each edge (p, c) gives
 and v never couples to w. ``linalg.tree_factor`` eliminates it leaves
 first with no fill-in and every pivot at least 1, and A^T b is a gather
 and a ``bincount`` over the edges (``_normal_rhs``), so a solve costs
-O(n) and only a non-finite heading, which raises RankDeficient, loses
-the factor.
+O(n). Only a non-finite heading loses the factor: in a run that is a
+divergence (DivergenceError), and the oracles raise RankDeficient.
 
 ``fictitious_velocity`` also returns the exact time derivative of the
 commanded twist along the closed-loop flow, which the torque-level
@@ -46,7 +46,6 @@ dense two build their matrices from per-edge blocks. ``kinematic_control``
 shares the kinematic stage's ``_normal_rhs`` and factor.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -107,21 +106,19 @@ class _Stage(NamedTuple):
 def _stage(lay, headings):
     """The _Stage of ``headings`` over the tree of layout ``lay``."""
     th = np.asarray(headings, dtype=float)
-    lead = th[0]
-    if math.isinf(lead):
-        # math.cos raises on it; as nan it reaches the factor's finite
-        # check and raises RankDeficient like any other bad heading
-        lead = math.nan
-    return _Stage(lay, np.cos(th), np.sin(th),
-                  (math.cos(lead), math.sin(lead)))
+    c, s = np.cos(th), np.sin(th)
+    return _Stage(lay, c, s, (float(c[0]), float(s[0])))
 
 
 def _aystage(tree, headings):
     """``headings`` as a ``_Stage``; a caller that holds one passes it
-    instead of the headings, and the tree's layout is not rebuilt."""
-    if isinstance(headings, _Stage):
-        return headings
-    return _stage(_layout(tree), headings)
+    instead of the headings, and the tree's layout is not rebuilt. Raises
+    RankDeficient when a heading is not finite."""
+    st = headings if isinstance(headings, _Stage) else _stage(
+        _layout(tree), headings)
+    if not np.isfinite(st.cos).all():
+        raise RankDeficient("a heading is not finite")
+    return st
 
 
 def _rotate(rot, v):
@@ -387,8 +384,8 @@ def fictitious_velocity(tree, st, twists, z, ff, d, gain):
 
     ``twists`` (n, 2) are the robots' actual twists, which enter through
     the stacked-error rate and the coupling-matrix rate. Each solve
-    factors with its own right-hand side, raising RankDeficient when a
-    heading is not finite, as ``kinematic_control`` does.
+    factors with its own right-hand side. Raises RankDeficient when a
+    heading is not finite, in its first call, ``coupling_matrix``.
     """
     omega = twists[:, 1]
     A = coupling_matrix(tree, st)
@@ -481,10 +478,7 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
        forward-eliminated.
     4. Root first. etafdot is back-substituted.
 
-    The torque and the gradient update are then written out per robot.
-    Raises RankDeficient when a heading is not finite, as
-    ``fictitious_velocity`` does, once the first sweep has formed the
-    pivots."""
+    The torque and the gradient update are then written out per robot."""
     (k0, k2), (Kx, Ky, Kh), robots = plant
     n, edges = st.lay.n, st.lay.edges
     c, s = st.cos.tolist(), st.sin.tolist()
@@ -535,10 +529,6 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
         mw[p] += qh
         mw[ch] -= qh
         sig.append((oq - op) * (sp * cq - cp * sq))
-    # a non-finite cosine leaves its parent's pivot non-finite (or its
-    # child's already is), and += keeps a pivot non-finite
-    if not math.isfinite(sum(piv)):
-        raise RankDeficient("Gram matrix has non-finite entries")
     # the leader's blocks: w's, and wdot's, K zdot, with zdot's skew
     # term, plus ffdot
     zv[0] -= z0

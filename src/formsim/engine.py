@@ -90,7 +90,20 @@ def _block_steps(n):
 
 
 class DivergenceError(RuntimeError):
-    """State left the finite range during integration."""
+    """State left the finite range during integration: step ``step``,
+    ending at ``t``, made it non-finite from the last finite state y at
+    ``t_last``, whose largest |entry| ``y_max`` is robot ``robot``'s."""
+
+    def __init__(self, t, step, t_last, y, n):
+        # y holds n poses (3 entries each), then in dynamic mode n twists
+        # (2 each) and n estimates (6 each)
+        i, r = int(np.abs(y).argmax()), np.arange(1, n + 1)
+        self.t, self.step, self.t_last = t, step, t_last
+        self.y_max = float(abs(y[i]))
+        self.robot = int(np.r_[r.repeat(3), r.repeat(2), r.repeat(6)][i])
+        super().__init__(f"non-finite state after step {step} (last finite "
+                         f"at t={t_last:g}: max |y| {self.y_max:.3g}, "
+                         f"robot {self.robot}) at t={t:g}")
 
 
 @dataclass
@@ -308,15 +321,15 @@ class Engine:
             kept = []
             # overflow here is the divergence signal, not a numpy error
             with np.errstate(over="ignore", invalid="ignore"):
-                for t, lead in starts:
+                for i, (t, lead) in enumerate(starts, marks[0] + a + 1):
                     k1 = None
                     if lead:
                         kept.append(self.rate(t, y, terms[t], record=True))
                         k1 = kept[-1].dy
-                    y = rk4_step(rate, t, y, dt, k1)
-                    if not np.isfinite(y).all():
-                        raise DivergenceError(
-                            f"non-finite state at t={t + dt:g}")
+                    x = rk4_step(rate, t, y, dt, k1)
+                    if not np.isfinite(x).all():
+                        raise DivergenceError(t + dt, i, t, y, self.n)
+                    y = x
             if last:
                 kept.append(self.rate(end, y, terms[end], record=True))
             # the marks hold their own terms; the block's go before the

@@ -13,10 +13,12 @@ children and updates only its parent's row, so there is no fill-in and
 the work is O(n). Every pivot is at least 1, by induction from the
 leaves: pivot_c = deg~_c - sum over children k of cos^2/pivot_k >=
 deg~_c - #children = 1, and the w pivots are exactly 1. Only a
-non-finite heading loses the factor, and it raises RankDeficient. The
-same loop forward-eliminates the one right-hand side it is given, and
-``_back`` back-substitutes; ``controller._torque_stage`` runs the same
-recursion fused into its first sweep over the edges.
+non-finite heading loses the factor: a run that meets one diverges (a
+DivergenceError), and RankDeficient belongs to the dense reference below
+and to the controller's oracles. The same loop forward-eliminates the
+one right-hand side it is given, and ``_back`` back-substitutes;
+``controller._torque_stage`` runs the same recursion fused into its
+first sweep over the edges.
 
 ``least_squares_solve`` and its rank guard ``gram_pivot`` form the dense
 reference: G = A^T A formed explicitly, every squared Cholesky pivot of G
@@ -29,7 +31,6 @@ above 2/m against a largest diagonal of 2. The tests cross-check that
 recursion against ``tree_factor``'s pivots and against dense LAPACK.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +121,13 @@ def tree_factor(edges, cos, bv, bw):
 
     ``edges`` are the tree's (parent, child) pairs of 0-based robot
     indices in topological order from root 0, and ``cos`` is a list of
-    floats holding cos(theta_p - theta_c) for each edge. ``bv`` and
-    ``bw`` are lists of b's v and w entries, which are overwritten with
-    y; ``_back`` finishes the solve.
+    finite floats holding cos(theta_p - theta_c) for each edge. ``bv``
+    and ``bw`` are lists of b's v and w entries, which are overwritten
+    with y; ``_back`` finishes the solve.
 
     Returns (piv, mult), lists indexed by robot: the v pivots (the w
     pivots are all 1) and each child's multiplier at its own index (0 at
-    the root). Raises RankDeficient when some cosine is not finite.
+    the root). A non-finite cosine makes them non-finite.
     """
     # Every v diagonal starts at 1; eliminating child c then adds the
     # edge's 1 to its parent and subtracts cos^2 / pivot_c.
@@ -137,10 +138,6 @@ def tree_factor(edges, cos, bv, bw):
         piv[p] += 1.0 - w * f
         bv[p] += f * bv[c]
         bw[p] += bw[c]
-    # a non-finite cosine leaves its parent's pivot non-finite (or its
-    # child's already is), and += keeps a pivot non-finite
-    if not math.isfinite(sum(piv)):
-        raise RankDeficient("Gram matrix has non-finite entries")
     return piv, mult
 
 

@@ -298,18 +298,19 @@ def test_sampled_twist_scenario_runs():
 
 # ---- blocks of steps ----
 
-def _stepwise(eng, y, t0, steps):
-    """The final state of ``Engine.integrate`` from one mark, as a plain
-    loop of ``rk4_step`` over ``Engine.rate``, every stage evaluating the
-    control law at its own time."""
+def _stepwise(eng, y, t0, steps, mark=0):
+    """The final state of ``Engine.integrate`` from one mark, step index
+    ``mark``, as a plain loop of ``rk4_step`` over ``Engine.rate``, every
+    stage evaluating the control law at its own time."""
     dt = eng.config.dt
     y = np.array(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(steps):
             t = t0 + s * dt
-            y = rk4_step(eng.rate, t, y, dt)
-            if not np.all(np.isfinite(y)):
-                raise fs.DivergenceError(f"non-finite state at t={t + dt:g}")
+            x = rk4_step(eng.rate, t, y, dt)
+            if not np.all(np.isfinite(x)):
+                raise fs.DivergenceError(t + dt, mark + s + 1, t, y, eng.n)
+            y = x
     return y
 
 
@@ -389,7 +390,7 @@ def _reference_integrate(eng, y, marks, stop, t0=0.0):
     for mark, cur in zip(marks, [*marks[1:], stop]):
         if mark < stop:
             kept = [eng.rate(t0 + mark * dt, y, record=True)]
-            y = _stepwise(eng, y, t0 + mark * dt, cur - mark)
+            y = _stepwise(eng, y, t0 + mark * dt, cur - mark, mark)
             yield y, kept
     end = t0 + stop * dt
     yield y, [eng.rate(end, y, record=True)] if marks[-1] == stop else []
@@ -450,7 +451,7 @@ def _reference_rows(eng):
     y = eng.initial_state()
     rows = [_record_row(eng, eng.diagnostics(0.0, y))]
     for prev, cur in zip(marks[:-1], marks[1:]):
-        y = _stepwise(eng, y, prev * cfg.dt, cur - prev)
+        y = _stepwise(eng, y, prev * cfg.dt, cur - prev, prev)
         rows.append(_record_row(eng, eng.diagnostics(cur * cfg.dt, y)))
     return np.vstack(rows)
 
