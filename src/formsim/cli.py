@@ -21,7 +21,7 @@ from .linalg import chain_gram_determinant, chain_pivot_bounds, \
 from .metrics import compute_metrics, report_to_yaml
 from .presets import get_preset, preset_names
 from .scenario import ParseError, SchemaError, ValidationError, \
-    load_scenario, serialize_scenario
+    _step_count, load_scenario, serialize_scenario
 from .trajectory import GridAllocationError, SingularSpeed
 
 EXIT_OK = 0
@@ -94,8 +94,8 @@ def _cmd_preset(args):
 def _check_lines(config, horizon):
     """Yield (name, passed, detail) for the diagnostic suite."""
     engine = Engine(config)
-    dt = config.dt
-    steps_total = int(round(min(horizon, config.t_final) / dt))
+    steps_total = (config.steps if horizon >= config.t_final
+                   else _step_count(horizon, config.dt))
     probe_every = max(1, steps_total // 8)
     marks = range(0, steps_total + 1, probe_every)
 

@@ -1,8 +1,9 @@
 """Fixed-step closed-loop integration and trace recording.
 
 One Engine instance owns one scenario run: classical fourth-order
-Runge-Kutta at the scenario step, with the control law re-evaluated in
-every stage (continuous-control idealization). One evaluator,
+Runge-Kutta at the scenario step dt, with the control law re-evaluated
+in every stage (continuous-control idealization), on one clock: step k
+starts at t0 + k*dt whatever steps are kept as samples. One evaluator,
 ``Engine.rate``, computes the law at a state; every RK4 stage, trace
 row and ``formsim check`` line reads it, and one loop,
 ``Engine.integrate``, takes the steps of ``run`` and ``formsim check``.
@@ -19,11 +20,10 @@ the same numbers as evaluating each time alone, since it does not depend
 on the state, and the block length changes no output. No stage time can
 fail it: the times are nonnegative, and every profile proved its speed
 floor when it was built. Each stage receives its time's terms as its
-argument ``d``, and an evaluation without one (``diagnostics``)
-hoists its own time alone; an Engine keeps no
-per-block state, so integrations on one Engine may nest. The
-state-dependent half runs per stage: the headings' cosines and sines
-once, then in kinematic mode one call of
+argument ``d``, and an evaluation without one (``diagnostics``) hoists
+its own time alone; an Engine keeps no per-block state, so integrations
+on one Engine may nest. The state-dependent half runs per stage: the
+headings' cosines and sines once, then in kinematic mode one call of
 ``controller._kinematic_twist``, which forms the normal equations'
 right-hand side from the poses and eliminates it in the leaves-first
 factor, and from whose v and w the pose rates are written, and in
@@ -56,7 +56,7 @@ derivative.
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -289,8 +289,8 @@ class Engine:
         ``marks[0]`` to ``stop``, keeping the evaluation at each step
         index in ``marks`` (increasing, none past ``stop``).
 
-        Step k starts at t0 + mark*dt + s*dt, with mark the last mark at
-        or before k and s = k - mark. Steps go in blocks of up to
+        Step k starts at t0 + k*dt, whatever the marks, so the states do
+        not depend on which steps are kept. Steps go in blocks of up to
         ``_block_steps(n)`` across the marks, each block's desired terms
         evaluated in one pass (``_hoist``) before its first stage and
         handed to each stage as its ``d``, through ``Engine.rate``. Yields
@@ -299,19 +299,14 @@ class Engine:
         (``rk4_step``'s k1). The last block's list ends with the final
         state's own evaluation when ``stop`` is a mark; with no steps,
         that is the one yield."""
-        dt = self.config.dt
-        y = np.array(y, dtype=float)
-        steps = ((t0 + mark * dt + s * dt, s == 0)
-                 for mark, cur in zip(marks, [*marks[1:], stop])
-                 for s in range(cur - mark))
-        total, block = stop - marks[0], _block_steps(self.n)
-        end, final = t0 + stop * dt, marks[-1] == stop
-        for a in range(0, total or 1, block):
-            starts = list(islice(steps, block))
-            last = a + block >= total and final
+        dt, keep, block = self.config.dt, set(marks), _block_steps(self.n)
+        y, end = np.array(y, dtype=float), t0 + stop * dt
+        for a in range(marks[0], max(stop, marks[0] + 1), block):
+            starts = [t0 + k * dt for k in range(a, min(a + block, stop))]
+            last = a + block >= stop and stop in keep
             # rk4_step's stage times, as it computes them, and the final
             # sample's
-            terms = self._hoist([s for t, _ in starts
+            terms = self._hoist([s for t in starts
                                  for s in (t, t + 0.5 * dt, t + dt)]
                                 + ([end] if last else []))
 
@@ -321,14 +316,13 @@ class Engine:
             kept = []
             # overflow here is the divergence signal, not a numpy error
             with np.errstate(over="ignore", invalid="ignore"):
-                for i, (t, lead) in enumerate(starts, marks[0] + a + 1):
-                    k1 = None
-                    if lead:
+                for k, t in enumerate(starts, a):
+                    if k in keep:
                         kept.append(self.rate(t, y, terms[t], record=True))
-                        k1 = kept[-1].dy
-                    x = rk4_step(rate, t, y, dt, k1)
+                    x = rk4_step(rate, t, y, dt,
+                                 kept[-1].dy if k in keep else None)
                     if not np.isfinite(x).all():
-                        raise DivergenceError(t + dt, i, t, y, self.n)
+                        raise DivergenceError(t + dt, k + 1, t, y, self.n)
                     y = x
             if last:
                 kept.append(self.rate(end, y, terms[end], record=True))
@@ -434,18 +428,14 @@ class Engine:
 
     def run(self):
         cfg = self.config
-        total = int(round(cfg.t_final / cfg.dt))
-        marks = range(0, total + 1, cfg.sample_every)
-        columns = self.trace_columns()
+        total, columns = cfg.steps, self.trace_columns()
+        marks = range(0, total, cfg.sample_every)
         try:
-            data = np.empty(shape := (len(marks) + (marks[-1] != total),
-                                      len(columns)))
+            data = np.empty(shape := (len(marks) + 1, len(columns)))
         except (MemoryError, ValueError):
             raise GridAllocationError(f"cannot allocate the trace of shape "
                                       f"{shape}") from None
-        marks = list(marks)
-        if marks[-1] != total:
-            marks.append(total)
+        marks = [*marks, total]
         row = 0
         for _, kept in self.integrate(self.initial_state(), marks, total):
             if kept:

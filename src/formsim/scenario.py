@@ -196,6 +196,16 @@ class ScenarioConfig:
     adapt_gain: tuple = None
     threshold: float = None
 
+    @property
+    def steps(self):
+        """The run's step count: t_final in whole steps of dt."""
+        return _step_count(self.t_final, self.dt)
+
+
+def _step_count(t, dt):
+    """Whole steps of dt in t; step k of a run starts at k dt."""
+    return round(t / dt)
+
 
 def _need(d, key, context):
     if not isinstance(d, dict):
@@ -412,7 +422,7 @@ def scenario_from_dict(doc):
     # A table must reach the run's last step, round(t_final / dt) dt. Meant
     # to end there, it is parted from that product by three roundings, of
     # dt, of the product and of its own last time, each within u of it.
-    end = round(t_final / dt) * dt
+    end = _step_count(t_final, dt) * dt
     reach = end * (1 - 3 * 2.0 ** -53)
     robots, tables = [], {}
     for idx, rd in enumerate(robots_doc, start=1):

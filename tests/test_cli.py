@@ -255,14 +255,14 @@ def test_unallocatable_trace_exits_3(tmp_path, capsys, doc, shape):
     assert not (tmp_path / "t.csv").exists()
 
 
-def _unstable_star():
+def _unstable_star(seed):
     """An 80-robot star at the torque level with the adaptive preset's
     first robot's gains and plant, constant twist (1, 0.3), and each
     robot's start then desired start drawn uniform in +-6 m with headings
-    in +-3 rad, seeded; at dt 0.01 its closed loop outruns RK4's
-    stability region."""
+    in +-3 rad from ``random.Random(seed)``; at dt 0.01 its closed loop
+    outruns RK4's stability region."""
     pre = fs.scenario_to_dict(fs.get_preset("adaptive-pentagon"))
-    g, rng = pre["gains"], random.Random(2)
+    g, rng = pre["gains"], random.Random(seed)
 
     def pose():
         return [rng.uniform(-6, 6), rng.uniform(-6, 6), rng.uniform(-3, 3)]
@@ -284,35 +284,40 @@ def _unstable_star():
 
 
 def test_unstable_star_diverges_alike_from_run_and_check(tmp_path, capsys):
-    # max |y| explodes within four steps and a stage meets a non-finite
+    # max |y| explodes within a few steps and a stage meets a non-finite
     # heading; whichever stage meets it, the step's finite check names
-    # the blow-up, with the last finite state, from run and check alike
-    doc = _unstable_star()
-    cfg = fs.scenario_from_dict(doc)
-    with pytest.raises(fs.DivergenceError) as got:
-        fs.simulate(cfg)
-    exc = got.value
-    assert exc.step == 4
-    assert exc.t == pytest.approx(0.04) and exc.t_last == pytest.approx(0.03)
-    assert str(exc).endswith(" at t=0.04")
-    eng = fs.Engine(cfg)
-    *_, (y, _) = eng.integrate(eng.initial_state(), [0], 3)
-    assert np.isfinite(y).all()
-    # the state is 80 poses, then 80 twists, then 80 estimates
-    i = int(np.abs(y).argmax())
-    assert exc.y_max == abs(y[i])
-    assert exc.robot == 1 + (i // 3 if i < 240 else (i - 240) // 2
-                             if i < 400 else (i - 400) // 6)
-    path = tmp_path / "star.yaml"
-    path.write_text(yaml.safe_dump(doc))
-    assert _run_or_check("run", path, tmp_path) == 3
-    run_err = capsys.readouterr().err
-    assert main(["check", "--config", str(path), "--horizon", "0.05"]) == 3
-    check_err = capsys.readouterr().err
-    assert run_err == f"run failed: DivergenceError: {exc}\n"
-    assert check_err == f"check run failed: DivergenceError: {exc}\n"
-    # a fifth of the step holds it
-    trace = fs.simulate(replace(cfg, dt=0.002, t_final=0.05))
+    # the blow-up, with the last finite state, from run and check alike:
+    # seed 2's check keeps every step, as the run does, and seed 5's
+    # default-horizon check every 12th, on the same clock
+    for seed, step, horizon in [(2, 4, ["--horizon", "0.05"]), (5, 42, [])]:
+        doc = _unstable_star(seed)
+        cfg = fs.scenario_from_dict(doc)
+        with pytest.raises(fs.DivergenceError) as got:
+            fs.simulate(cfg)
+        exc = got.value
+        assert exc.step == step
+        assert exc.t == pytest.approx(step * cfg.dt)
+        assert exc.t_last == pytest.approx((step - 1) * cfg.dt)
+        assert str(exc).endswith(f" at t={step / 100:g}")
+        eng = fs.Engine(cfg)
+        *_, (y, _) = eng.integrate(eng.initial_state(), [0], step - 1)
+        assert np.isfinite(y).all()
+        # the state is 80 poses, then 80 twists, then 80 estimates
+        i = int(np.abs(y).argmax())
+        assert exc.y_max == abs(y[i])
+        assert exc.robot == 1 + (i // 3 if i < 240 else (i - 240) // 2
+                                 if i < 400 else (i - 400) // 6)
+        path = tmp_path / f"star{seed}.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert _run_or_check("run", path, tmp_path) == 3
+        run_err = capsys.readouterr().err
+        assert main(["check", "--config", str(path), *horizon]) == 3
+        check_err = capsys.readouterr().err
+        assert run_err == f"run failed: DivergenceError: {exc}\n"
+        assert check_err == f"check run failed: DivergenceError: {exc}\n"
+    # a fifth of the step holds seed 2's star
+    trace = fs.simulate(replace(fs.scenario_from_dict(_unstable_star(2)),
+                                dt=0.002, t_final=0.05))
     assert trace.times[-1] == pytest.approx(0.05)
     assert np.isfinite(trace.data).all()
 

@@ -298,18 +298,19 @@ def test_sampled_twist_scenario_runs():
 
 # ---- blocks of steps ----
 
-def _stepwise(eng, y, t0, steps, mark=0):
-    """The final state of ``Engine.integrate`` from one mark, step index
-    ``mark``, as a plain loop of ``rk4_step`` over ``Engine.rate``, every
-    stage evaluating the control law at its own time."""
+def _stepwise(eng, y, t0, steps, k0=0):
+    """The final state of ``Engine.integrate`` over ``steps`` steps from
+    step index ``k0``, as a plain loop of ``rk4_step`` over
+    ``Engine.rate``: step k starts at t0 + k*dt, and every stage evaluates
+    the control law at its own time."""
     dt = eng.config.dt
     y = np.array(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(steps):
-            t = t0 + s * dt
+        for k in range(k0, k0 + steps):
+            t = t0 + k * dt
             x = rk4_step(eng.rate, t, y, dt)
             if not np.all(np.isfinite(x)):
-                raise fs.DivergenceError(t + dt, mark + s + 1, t, y, eng.n)
+                raise fs.DivergenceError(t + dt, k + 1, t, y, eng.n)
             y = x
     return y
 
@@ -384,13 +385,13 @@ def _reference_integrate(eng, y, marks, stop, t0=0.0):
     """``Engine.integrate`` as a plain loop: each mark before ``stop``
     evaluated on its own and yielded alone, with the state after the steps
     to the next mark by ``_stepwise``; last, the final state, with its own
-    evaluation when ``stop`` is a mark."""
+    evaluation when ``stop`` is a mark. Step k starts at t0 + k*dt."""
     dt = eng.config.dt
     y = np.array(y, dtype=float)
     for mark, cur in zip(marks, [*marks[1:], stop]):
         if mark < stop:
             kept = [eng.rate(t0 + mark * dt, y, record=True)]
-            y = _stepwise(eng, y, t0 + mark * dt, cur - mark, mark)
+            y = _stepwise(eng, y, t0, cur - mark, mark)
             yield y, kept
     end = t0 + stop * dt
     yield y, [eng.rate(end, y, record=True)] if marks[-1] == stop else []
@@ -444,14 +445,11 @@ def _reference_rows(eng):
     from its own ``diagnostics`` at its own time, the steps between
     samples by ``_stepwise``."""
     cfg = eng.config
-    total = int(round(cfg.t_final / cfg.dt))
-    marks = list(range(0, total + 1, cfg.sample_every))
-    if marks[-1] != total:
-        marks.append(total)
+    marks = [*range(0, cfg.steps, cfg.sample_every), cfg.steps]
     y = eng.initial_state()
     rows = [_record_row(eng, eng.diagnostics(0.0, y))]
     for prev, cur in zip(marks[:-1], marks[1:]):
-        y = _stepwise(eng, y, prev * cfg.dt, cur - prev, prev)
+        y = _stepwise(eng, y, 0.0, cur - prev, prev)
         rows.append(_record_row(eng, eng.diagnostics(cur * cfg.dt, y)))
     return np.vstack(rows)
 
@@ -462,8 +460,12 @@ def test_long_sample_interval_matches_stepwise_trace(kind):
     base = CONFIGS[kind]()
     every = 3 * _block_steps(base.n) + 2
     cfg = replace(base, sample_every=every, t_final=(2 * every + 5) * base.dt)
-    assert np.array_equal(fs.Engine(cfg).run().data,
-                          _reference_rows(fs.Engine(cfg)))
+    got = fs.Engine(cfg).run().data
+    assert np.array_equal(got, _reference_rows(fs.Engine(cfg)))
+    # one clock: the trace is the every-step run's, at every sample
+    every_step = fs.Engine(replace(cfg, sample_every=1)).run().data
+    assert np.array_equal(
+        got, every_step[[*range(0, cfg.steps, every), cfg.steps]])
 
 
 @pytest.mark.parametrize("every", [1, 3, 10, 16, 17, 40])
