@@ -116,11 +116,10 @@ def _check_lines(config, horizon):
     for (t, y, dy, d, st, _), rec in probes():
         # the contract is checked against an independent dense A
         A = coupling_matrix(config.tree, rec.poses[:, 2])
-        # the leaves-first pivots are >= 1 in exact arithmetic (the w
-        # pivots are 1); the 1e-12 slack covers edge cosines rounded a few
-        # ulps above 1
+        # the leaves-first pivots are >= 1 in exact arithmetic; the 1e-12
+        # slack covers edge cosines rounded a few ulps above 1
         pivot = min(1.0, *tree_factor(st.lay.edges, _edge_cos(st),
-                                      [0.0] * config.n, [0.0] * config.n)[0])
+                                      [0.0] * config.n)[0])
         if pivot < min_pivot:
             min_pivot, t_pivot = pivot, t
         b = -(np.asarray(config.formation_gain) * rec.z) - rec.feedforward

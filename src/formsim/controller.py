@@ -9,15 +9,14 @@ commanded twists minimize the residual energy of driving that relation to
 the gain-weighted error, an overdetermined least-squares problem solved
 through the normal equations.
 
-The normal equations are never formed densely. Over a spanning tree the
-Gram matrix G = A^T A has a closed form: robot i's v and w diagonal
-entries are both 1 plus its number of children, each edge (p, c) gives
--cos(theta_p - theta_c) between the v slots and -1 between the w slots,
-and v never couples to w. ``linalg.tree_factor`` eliminates it leaves
-first with no fill-in and every pivot at least 1, and A^T b is a gather
-and a ``bincount`` over the edges (``_normal_rhs``), so a solve costs
-O(n). Only a non-finite heading loses the factor: in a run that is a
-divergence (DivergenceError), and the oracles raise RankDeficient.
+The normal equations are never formed densely. A's heading rows are
+square and unit triangular over the tree, so the turn rates solve them
+exactly, a root-first sum; only the speeds are least squares, and
+``linalg.tree_factor`` eliminates their Gram block leaves first with no
+fill-in and every pivot at least 1. A^T b is a gather and a ``bincount``
+over the edges (``_normal_rhs``), so a solve costs O(n). Only a
+non-finite heading loses the factor: in a run that is a divergence
+(DivergenceError), and the oracles raise RankDeficient.
 
 ``fictitious_velocity`` also returns the exact time derivative of the
 commanded twist along the closed-loop flow, which the torque-level
@@ -74,6 +73,7 @@ class _Layout(NamedTuple):
     cflat: np.ndarray
     gather: np.ndarray
     mirror: np.ndarray
+    bins: np.ndarray
 
 
 def _layout(tree):
@@ -81,14 +81,17 @@ def _layout(tree):
     edge order, and the parents and children as arrays; the flat
     positions in an (n, 3) per-robot array of every edge's parent row and
     child row; ``cflat`` then ``pflat``, the gather of edge rows into
-    robots, and its mirror, ``pflat`` then ``cflat``. An ``Engine`` builds
-    its tree's once."""
+    robots, its mirror, ``pflat`` then ``cflat``, and ``_normal_rhs``'s
+    bins, the gather with the parents' heading entries sent to bin 3n.
+    An ``Engine`` builds its tree's once."""
     parents, children = ends = tree.edge_array().T
     pflat, cflat = (3 * ends[:, :, None] + np.arange(3)).reshape(2, -1)
     edges = tuple(zip(parents.tolist(), children.tolist()))
-    return _Layout(tree.n, edges, parents, children, pflat, cflat,
-                   np.concatenate([cflat, pflat]),
-                   np.concatenate([pflat, cflat]))
+    gather = np.concatenate([cflat, pflat])
+    bins = gather.copy()
+    bins[len(cflat) + 2::3] = 3 * tree.n
+    return _Layout(tree.n, edges, parents, children, pflat, cflat, gather,
+                   np.concatenate([pflat, cflat]), bins)
 
 
 class _Stage(NamedTuple):
@@ -298,17 +301,17 @@ def _interleave(v, w):
 
 
 def _normal_rhs(st, signed, b0, b2):
-    """A^T b for the coupling matrix at the stage's headings, as lists of
-    its v and w entries, without forming A, from b's edge rows signed as
-    (rows, -rows) and its leader entries b0 and b2 (b1 meets a zero row):
-    every edge row block is added to its child and subtracted from its
-    parent, each robot's sums are steered back by its heading, and the
-    leader takes -b0, -b2."""
-    S = np.bincount(st.lay.gather, signed, minlength=3 * st.lay.n)
-    bv = (st.cos * S[0::3] + st.sin * S[1::3]).tolist()
+    """A_v^T b and b's heading rows as ``linalg._back`` takes them, as
+    lists, without forming A, from b's edge rows signed as (rows, -rows)
+    and its leader entries b0 and b2 (b1 meets a zero row): every edge's
+    x and y rows are added to its child and subtracted from its parent and
+    steered back by each robot's heading, its heading row goes to its
+    child, and the leader takes -b0, -b2."""
+    S = np.bincount(st.lay.bins, signed, minlength=3 * st.lay.n + 1)
+    bv = (st.cos * S[0:-1:3] + st.sin * S[1::3]).tolist()
     bw = S[2::3].tolist()
     bv[0] -= b0
-    bw[0] -= b2
+    bw[0] = -b2
     return bv, bw
 
 
@@ -322,7 +325,7 @@ def kinematic_control(tree, headings, z, ff, gain):
     st = _aystage(tree, headings)
     b = -(np.asarray(gain, dtype=float) * np.asarray(z, dtype=float)) - ff
     rhs = _normal_rhs(st, np.concatenate([b[3:], -b[3:]]), b[0], b[2])
-    piv, mult = tree_factor(st.lay.edges, _edge_cos(st), *rhs)
+    piv, mult = tree_factor(st.lay.edges, _edge_cos(st), rhs[0])
     return _interleave(*_back(st.lay.edges, piv, mult, *rhs))
 
 
@@ -339,7 +342,7 @@ def _kinematic_twist(st, poses, d, gains):
     poses (n, 3) with the desired terms ``d`` and ``_kinematic_gains``'s
     ``gains``: b's signed edge rows straight from one pair of gathers of
     the poses' errors, its leader entries in floats with ``_rotate``'s
-    operations, and A^T b eliminated in the factor."""
+    operations, and A_v^T b eliminated in the factor."""
     lay = st.lay
     k0, k2, edge_gain = gains
     e = (d.qd - poses).reshape(-1)
@@ -349,7 +352,7 @@ def _kinematic_twist(st, poses, d, gains):
     gx, gy, gw = d.rows[0].tolist()
     rhs = _normal_rhs(st, signed, -(k0 * (c * x + s * y)) - (c * gx + s * gy),
                       -(k2 * w) - gw)
-    piv, mult = tree_factor(lay.edges, _edge_cos(st), *rhs)
+    piv, mult = tree_factor(lay.edges, _edge_cos(st), rhs[0])
     return _back(lay.edges, piv, mult, *rhs)
 
 
@@ -383,21 +386,15 @@ def fictitious_velocity(tree, st, twists, z, ff, d, gain):
     time.
 
     ``twists`` (n, 2) are the robots' actual twists, which enter through
-    the stacked-error rate and the coupling-matrix rate. Each solve
-    factors with its own right-hand side. Raises RankDeficient when a
-    heading is not finite, in its first call, ``coupling_matrix``.
+    the stacked-error rate and the coupling-matrix rate. Both solves are
+    dense, on G = A^T A. Raises RankDeficient when a heading is not
+    finite, in its first call, ``coupling_matrix``.
     """
     omega = twists[:, 1]
     A = coupling_matrix(tree, st)
-    edges, cos = st.lay.edges, _edge_cos(st)
-
-    def solve(rhs):     # G x = rhs, both interleaved like the twists
-        bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
-        piv, mult = tree_factor(edges, cos, bv, bw)
-        return _interleave(*_back(edges, piv, mult, bv, bw))
-
+    G = A.T @ A
     w = gain * z + ff
-    etaf = -solve(A.T @ w)
+    etaf = -np.linalg.solve(G, A.T @ w)
 
     Adot = coupling_rate(tree, st, omega)
     eta = twists.reshape(-1)
@@ -411,8 +408,8 @@ def fictitious_velocity(tree, st, twists, z, ff, d, gain):
     # G etaf = -A^T w differentiates to G etafdot = -(Gdot etaf + Adot^T w
     # + A^T wdot), and Gdot etaf + Adot^T w = Adot^T r + A^T Adot etaf
     # with r = A etaf + w the least-squares residual.
-    etafdot = -solve(Adot.T @ (A @ etaf + w)
-                          + A.T @ (Adot @ etaf + wdot))
+    etafdot = -np.linalg.solve(G, Adot.T @ (A @ etaf + w)
+                               + A.T @ (Adot @ etaf + wdot))
     return FictitiousVelocity(twist=etaf, rate=etafdot)
 
 
@@ -453,26 +450,28 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     Besides the desired poses, every desired term is read from ``d``'s
     float row.
 
-    Both solves use the L D L^T factor of G = A^T A, by the recursion of
-    ``linalg.tree_factor`` fused into the first sweep, which takes it no
-    pass of its own. G eta_f = -A^T w, with w = K z + ff, differentiates to
-    G etafdot = -(Adot^T w + A^T wdot) - Gdot eta_f, with wdot = K zdot +
-    ffdot; Gdot is zero but for (omega_p - omega_c) sin(theta_p -
-    theta_c) between the v slots of each edge (p, c), the rate of its
+    With w = K z + ff, eta_f minimizes |A eta_f + w|, and its rate solves
+    the derivative of the normal equations, with wdot = K zdot + ffdot.
+    Adot and Gdot have no w entries, so the turn rates of both solve A_w
+    omega = -(the heading rows of w, or of wdot) exactly, root first. The
+    speeds solve G_v v_f = -A_v^T w and G_v vdot_f = -(Adot^T w + A_v^T
+    wdot) - Gdot v_f by the L D L^T factor of G_v, formed by the recursion
+    of ``linalg.tree_factor`` fused into the first sweep; Gdot is (omega_p
+    - omega_c) sin(theta_p - theta_c) at each edge (p, c), the rate of its
     -cos(theta_p - theta_c). The stage takes four sweeps over the edges:
 
     1. Leaves first. Each edge's rows of z, w and wdot are formed and
        added, steered by each end's (cos, sin), into its two robots'
-       entries of A^T z, -A^T w and -(Adot^T w + A^T wdot); A's edge
+       entries of A^T z, -A_v^T w and -(Adot^T w + A_v^T wdot); A's edge
        block is the child's (cos, sin) minus the parent's, and Adot's
-       the child's omega (-sin, cos) minus the parent's. The factor's
-       multiplier and its parent's pivot are formed at the edge too. In
-       this order a robot's children's edges all come before its own, so
-       at its own edge its sums, its pivot and its children's
-       eliminations are complete: there its entry of -A^T w is final
-       and is forward-eliminated into its parent.
+       the child's omega (-sin, cos) minus the parent's. Minus its
+       heading rows of w and wdot go to its child. The factor's
+       multiplier and its parent's pivot are formed at the edge too. In this order a robot's children's edges
+       all come before its own, so at its own edge its sums, its pivot
+       and its children's eliminations are complete: there its entry of
+       -A_v^T w is final and is forward-eliminated into its parent.
     2. Root first. eta_f is back-substituted.
-    3. Leaves first. -Gdot eta_f is added, each edge's term into its
+    3. Leaves first. -Gdot v_f is added, each edge's term into its
        child at the edge and into its parent, whose entry is complete,
        as in 1, when its own edge comes; each entry is then
        forward-eliminated.
@@ -495,10 +494,11 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     z0, z1 = cr * x + sr * y, cr * y - sr * x
     f0, f1 = cr * gx + sr * gy, cr * gy - sr * gx
 
-    # 1. leaves first: A^T z as (zv, zh), -A^T w as (bv, bh) and -(Adot^T
-    # w + A^T wdot) as (mv, mw), with each edge's x, y and heading rows of
-    # z (ex, ey, eh), of w and of wdot (qx, qy, qh); the pivots, the
-    # multipliers, and each edge's Gdot entry, negated, in sig
+    # 1. leaves first: A^T z as (zv, zh), -A_v^T w and the heading rows of
+    # -w as (bv, bh), -(Adot^T w + A_v^T wdot) and those of -wdot as (mv,
+    # mw), with each edge's x, y and heading rows of z (ex, ey, eh), of w
+    # and of wdot (qx, qy, qh); the pivots, the multipliers, and each
+    # edge's Gdot entry, negated, in sig
     piv, mult, sig = [1.0] * n, [0.0] * n, []
     zv, zh, bv, bh = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     mv, mw = [0.0] * n, [0.0] * n
@@ -518,16 +518,14 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
         zh[p] -= eh
         zh[ch] += eh
         yv = bv[ch] = bv[ch] - (cq * wx + sq * wy)
-        yw = bh[ch] = bh[ch] - wh
+        bh[ch] = -wh
         e = cp * cq + sp * sq
         f = mult[ch] = e / piv[ch]
         piv[p] += 1.0 - e * f
         bv[p] += (cp * wx + sp * wy) + f * yv
-        bh[p] += wh + yw
         mv[p] += (cp * qx + sp * qy) - op * (sp * wx - cp * wy)
         mv[ch] += oq * (sq * wx - cq * wy) - (cq * qx + sq * qy)
-        mw[p] += qh
-        mw[ch] -= qh
+        mw[ch] = -qh
         sig.append((oq - op) * (sp * cq - cp * sq))
     # the leader's blocks: w's, and wdot's, K zdot, with zdot's skew
     # term, plus ffdot
@@ -535,18 +533,17 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
     zh[0] -= z2
     o = om[0]
     bv[0] += k0 * z0 + f0
-    bh[0] += k2 * z2 + f2
+    bh[0] = k2 * z2 + f2
     mv[0] += k0 * (f0 - v[0] + o * z1) + (cr * ax + sr * ay + o * f1)
-    mw[0] += k2 * (f2 - o) + ah
+    mw[0] = k2 * (f2 - o) + ah
 
     # 2. root first: eta_f
     vf, wf = _back(edges, piv, mult, bv, bh)
 
-    # 3. leaves first: -Gdot eta_f, then the forward elimination
+    # 3. leaves first: -Gdot v_f, then the forward elimination
     for (p, ch), g in zip(reversed(edges), sig):
         gv = mv[ch] = mv[ch] + g * vf[p]
         mv[p] += g * vf[ch] + mult[ch] * gv
-        mw[p] += mw[ch]
 
     # 4. root first: etafdot
     _back(edges, piv, mult, mv, mw)

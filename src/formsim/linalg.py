@@ -1,24 +1,24 @@
 """Least-squares solves of the control law and the chain pivot certificate.
 
 The control law's normal equations G x = A^T b sit over a spanning tree
-rooted at robot 1 (index 0), and G = A^T A has a closed form. Let deg~_i
-be 1 plus robot i's number of children. With twists interleaved as
-(v_1, w_1, v_2, w_2, ...), G has deg~_i in both of robot i's diagonal
-slots, -cos(theta_p - theta_c) between the v slots and -1 between the w
-slots of each edge (p, c), and no v-w coupling.
+rooted at robot 1 (index 0), and A couples no v to a w. A's heading rows
+(-w_1, then w_c - w_p for each edge (p, c)) form a square unit-triangular
+A_w, so G's w block A_w^T A_w needs no factor: w solves A_w w = b's
+heading rows, a root-first sum. G's v block G_v has 1 plus robot i's
+number of children (deg~_i) at robot i and -cos(theta_p - theta_c) at
+each edge (p, c).
 
-``tree_factor`` factors G as L D L^T by eliminating robots in reverse
+``tree_factor`` factors G_v as L D L^T by eliminating robots in reverse
 topological edge order, leaves first: a robot goes only after all of its
 children and updates only its parent's row, so there is no fill-in and
 the work is O(n). Every pivot is at least 1, by induction from the
 leaves: pivot_c = deg~_c - sum over children k of cos^2/pivot_k >=
-deg~_c - #children = 1, and the w pivots are exactly 1. Only a
-non-finite heading loses the factor: a run that meets one diverges (a
-DivergenceError), and RankDeficient belongs to the dense reference below
-and to the controller's oracles. The same loop forward-eliminates the
-one right-hand side it is given, and ``_back`` back-substitutes;
-``controller._torque_stage`` runs the same recursion fused into its
-first sweep over the edges.
+deg~_c - #children = 1. Only a non-finite heading loses the factor: a
+run that meets one diverges (a DivergenceError), and RankDeficient
+belongs to the dense reference below and to the controller's oracles.
+The same loop forward-eliminates the one right-hand side it is given,
+and ``_back`` back-substitutes; ``controller._torque_stage`` runs the
+same recursion fused into its first sweep over the edges.
 
 ``least_squares_solve`` and its rank guard ``gram_pivot`` form the dense
 reference: G = A^T A formed explicitly, every squared Cholesky pivot of G
@@ -114,36 +114,36 @@ def least_squares_solve(A, b):
     return LeastSquaresResult(solution=x, residual=A @ x - b, pivot=pivot)
 
 
-def tree_factor(edges, cos, bv, bw):
-    """L D L^T factor of the Gram matrix of a spanning-tree coupling
-    matrix, eliminated leaves first (see the module docstring), with the
-    forward elimination L y = b of one right-hand side in the same loop.
+def tree_factor(edges, cos, bv):
+    """L D L^T factor of the Gram matrix's v block G_v, eliminated leaves
+    first (see the module docstring), with the forward elimination L y = b
+    of one right-hand side in the same loop.
 
     ``edges`` are the tree's (parent, child) pairs of 0-based robot
     indices in topological order from root 0, and ``cos`` is a list of
-    finite floats holding cos(theta_p - theta_c) for each edge. ``bv``
-    and ``bw`` are lists of b's v and w entries, which are overwritten
-    with y; ``_back`` finishes the solve.
+    finite floats holding cos(theta_p - theta_c) for each edge. ``bv`` is
+    a list of b's v entries, overwritten with y; ``_back`` finishes the
+    solve.
 
-    Returns (piv, mult), lists indexed by robot: the v pivots (the w
-    pivots are all 1) and each child's multiplier at its own index (0 at
-    the root). A non-finite cosine makes them non-finite.
+    Returns (piv, mult), lists indexed by robot: the pivots and each
+    child's multiplier at its own index (0 at the root). A non-finite
+    cosine makes them non-finite.
     """
-    # Every v diagonal starts at 1; eliminating child c then adds the
-    # edge's 1 to its parent and subtracts cos^2 / pivot_c.
+    # Every diagonal starts at 1; eliminating child c then adds the edge's
+    # 1 to its parent and subtracts cos^2 / pivot_c.
     piv = [1.0] * (len(edges) + 1)
     mult = [0.0] * len(piv)
     for (p, c), w in zip(reversed(edges), reversed(cos)):
         f = mult[c] = w / piv[c]
         piv[p] += 1.0 - w * f
         bv[p] += f * bv[c]
-        bw[p] += bw[c]
     return piv, mult
 
 
 def _back(edges, piv, mult, bv, bw):
     """D L^T x = y, root first, with ``tree_factor``'s pivots and
-    multipliers, for y's v and w entries as lists, overwritten with x."""
+    multipliers, for y's v entries, and A_w w = b for b's heading rows bw
+    (-b_2 at the root, each edge's at its child); both lists become x."""
     bv[0] /= piv[0]
     for p, c in edges:
         bv[c] = bv[c] / piv[c] + mult[c] * bv[p]

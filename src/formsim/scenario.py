@@ -401,6 +401,9 @@ def scenario_from_dict(doc):
     if not t_final / dt < _MAX_STEPS:
         raise ValidationError(f"dt {dt:g} takes t_final / dt = "
                               f"{t_final / dt:g} steps, not below 2**53")
+    if _step_count(t_final, dt) < 1:
+        raise ValidationError(f"t_final {t_final:g} rounds to no whole "
+                              f"step of dt {dt:g}")
     sample_every = _whole(doc.get("sample_every", 10), "sample_every")
     if sample_every < 1:
         raise ValidationError(f"sample_every must be at least 1, "

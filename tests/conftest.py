@@ -41,10 +41,14 @@ def edge_cosines(tree, headings):
 def tree_solve(edges, cos, rhs):
     """``tree_factor``'s pivots, interleaved like the twists with the w
     pivots (all 1), and the solution of G x = rhs for an interleaved
-    (2n,) right-hand side, back-substituted by ``linalg._back``."""
+    (2n,) right-hand side, back-substituted by ``linalg._back``. G's w
+    block is A_w^T A_w, so the w entries are first summed over each
+    subtree, leaves first: b = A_w^{-T} rhs_w as ``_back`` takes it."""
     rhs = np.asarray(rhs, dtype=float)
     bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
-    piv, mult = fs.tree_factor(edges, cos, bv, bw)
+    for p, c in reversed(edges):
+        bw[p] += bw[c]
+    piv, mult = fs.tree_factor(edges, cos, bv)
     return (_interleave(piv, [1.0] * len(piv)),
             _interleave(*_back(edges, piv, mult, bv, bw)))
 

@@ -345,6 +345,7 @@ def test_run_non_finite_scalar_exits_2(tmp_path, capsys, field, value):
     ("--threshold", "-1", "threshold"),
     ("--dt", "1e-300", "dt"),
     ("--t-final", "1e300", "dt"),
+    ("--t-final", "0.0004", "t_final"),
 ])
 def test_run_bad_override_exits_2(tmp_path, capsys, flag, value, field):
     # command-line overrides are validated like the file's own values

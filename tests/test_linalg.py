@@ -125,10 +125,9 @@ def test_tree_gram_fused_rhs_matches_solve(rng):
     for n in (1, 2, 5, 40):
         edges = [(int(rng.integers(0, k)), k) for k in range(1, n)]
         cos = rng.uniform(-1, 1, n - 1).tolist()
-        rhs = rng.normal(size=2 * n)
-        bv, bw = rhs[0::2].tolist(), rhs[1::2].tolist()
-        assert fs.tree_factor(edges, cos, bv, bw) \
-            == fs.tree_factor(edges, cos, [0.0] * n, [0.0] * n)
+        bv = rng.normal(size=n).tolist()
+        assert fs.tree_factor(edges, cos, bv) \
+            == fs.tree_factor(edges, cos, [0.0] * n)
 
 
 def test_wide_matrix_rejected():

@@ -286,6 +286,49 @@ def test_torque_record_matches_dense_oracles(data):
     assert max(gaps) <= 1e-12, gaps
 
 
+def _root_first(edges, root, rows):
+    """The turn rates omega with omega_1 = ``root`` and omega_c = omega_p
+    plus edge (p, c)'s entry of ``rows``, summed root first in floats."""
+    out = [float(root)] * (len(edges) + 1)
+    for (p, c), row in zip(edges, rows.tolist()):
+        out[c] = out[p] + row
+    return out
+
+
+@SETTINGS
+@given(data=st.data())
+def test_turn_rates_are_root_first_sums(data):
+    # A's heading rows (-w_1, then w_c - w_p per edge) are square and
+    # unit triangular, so the least-squares turn rates solve them exactly:
+    # at the root k_2 e_theta + omega_d, at each child its parent's plus
+    # the edge's heading row of b = -(K z + ff), and in dynamic mode
+    # their rates likewise from -(K zdot + ffdot). A stage's turn rates
+    # are those float sums bit for bit, and each record's heading rows of
+    # the residual are then rounding: two roundings of the largest term.
+    mode = data.draw(st.sampled_from(["kinematic", "dynamic"]))
+    eng, t, y = data.draw(scenes(mode))
+    n, lay, u = eng.n, eng._lay, 2.0 ** -53
+    P, C = lay.parents, lay.children
+    mark = eng.rate(t, y, record=True)
+    rec = eng.records([mark])[0]
+    e = mark.d.qd[:, 2] - y[2:3 * n:3]
+    wd = mark.d.rows[:, 2]
+    k2, kh = eng.gz[2], eng.gz[5::3]
+    want = _root_first(lay.edges, k2 * e[0] + wd[0],
+                       -(kh * (e[P] - e[C]) + (wd[P] - wd[C])))
+    assert rec.etaf[1::2].tolist() == want
+    if mode == "dynamic":
+        om = y[3 * n + 1:5 * n:2]
+        wdd = fs.desired_arrays(eng.profiles, np.array([t]))[2][0, :, 1]
+        want = _root_first(
+            lay.edges, k2 * (wd[0] - om[0]) + wdd[0],
+            -(kh * ((om[C] - om[P]) + (wd[P] - wd[C])) + (wdd[P] - wdd[C])))
+        assert rec.etafdot[1::2].tolist() == want
+    heading = (eng.gz * rec.z + rec.feedforward)[2::3]
+    scale = max(np.abs(rec.etaf[1::2]).max(), np.abs(heading).max())
+    assert np.abs(rec.residual[2::3]).max() <= 2 * u * scale
+
+
 @SETTINGS
 @given(scene=scenes("dynamic", trees(min_n=2)),
        bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())

@@ -312,6 +312,7 @@ def test_step_counts_just_below_2_53_are_accepted():
     ("dt", 1e-300, fs.ValidationError),
     ("t_final", 1e300, fs.ValidationError),
     ("dt", 2.0 ** -53, fs.ValidationError),     # exactly 2**53 steps
+    ("t_final", 4e-4, fs.ValidationError),      # rounds to no step
 ])
 def test_validation_rejects_bad_run_scalars(field, value, error):
     with pytest.raises(error, match=field):
