@@ -13,11 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import _edge_cos, _error_vector, coupling_matrix, \
-    fictitious_velocity
+from .controller import _error_vector, coupling_matrix, fictitious_velocity
 from .engine import DivergenceError, Engine, simulate
-from .linalg import chain_gram_determinant, chain_pivot_bounds, \
-    tree_factor
+from .linalg import chain_gram_determinant, chain_pivot_bounds
 from .metrics import compute_metrics, report_to_yaml
 from .presets import get_preset, preset_names
 from .scenario import ParseError, SchemaError, ValidationError, \
@@ -113,13 +111,14 @@ def _check_lines(config, horizon):
     min_pivot, worst = np.inf, 0.0
     # the steps after the last probe are still taken, so a divergence
     # before the horizon still fails the check
-    for (t, y, dy, d, st, _), rec in probes():
-        # the contract is checked against an independent dense A
-        A = coupling_matrix(config.tree, rec.poses[:, 2])
-        # the leaves-first pivots are >= 1 in exact arithmetic; the 1e-12
-        # slack covers edge cosines rounded a few ulps above 1
-        pivot = min(1.0, *tree_factor(st.lay.edges, _edge_cos(st),
-                                      [0.0] * config.n)[0])
+    for (t, y, dy, d, st, out), rec in probes():
+        # the contract is checked against an independent dense A, built
+        # from the mark's own stage
+        A = coupling_matrix(config.tree, st)
+        # the leaves-first pivots the mark's stage divided by are >= 1 in
+        # exact arithmetic; the 1e-12 slack covers edge cosines rounded a
+        # few ulps above 1
+        pivot = min(1.0, *out[1])
         if pivot < min_pivot:
             min_pivot, t_pivot = pivot, t
         b = -(np.asarray(config.formation_gain) * rec.z) - rec.feedforward

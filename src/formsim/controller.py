@@ -35,9 +35,9 @@ without building z or ff, and eliminates A^T b in the factor's own loop.
 ``_torque_stage`` computes the twist command and its rate, the torque and
 the estimates' rate in floats, in four sweeps over the edges (leaves
 first, root first, twice) that form the factor inline and both solves,
-then per robot, and returns only those. A record of either mode forms
-z, ff and the residual from the stage's twist command
-(``_error_vector``, ``feedforward_term``, ``_coupled``).
+then per robot. Either stage's result opens with the twist command and
+the pivots it divided by; a record forms z, ff and the residual from the
+former (``_error_vector``, ``feedforward_term``, ``_coupled``).
 ``coupling_matrix``, ``coupling_rate``, ``feedforward_rate`` and
 ``fictitious_velocity``, the independent oracles of the tests and
 ``formsim check``, take a tree and the headings, or a ``_Stage``; the
@@ -338,11 +338,11 @@ def _kinematic_gains(gain):
 
 
 def _kinematic_twist(st, poses, d, gains):
-    """``kinematic_control``'s v and w, as lists, at a stage ``st`` of the
-    poses (n, 3) with the desired terms ``d`` and ``_kinematic_gains``'s
-    ``gains``: b's signed edge rows straight from one pair of gathers of
-    the poses' errors, its leader entries in floats with ``_rotate``'s
-    operations, and A_v^T b eliminated in the factor."""
+    """``kinematic_control``'s (v, w) lists and the factor's pivots at a
+    stage ``st`` of the poses (n, 3), with the desired terms ``d`` and
+    ``_kinematic_gains``'s ``gains``: b's signed edge rows straight from
+    one pair of gathers of the poses' errors, its leader entries in floats
+    with ``_rotate``'s operations, and A_v^T b eliminated in the factor."""
     lay = st.lay
     k0, k2, edge_gain = gains
     e = (d.qd - poses).reshape(-1)
@@ -353,7 +353,7 @@ def _kinematic_twist(st, poses, d, gains):
     rhs = _normal_rhs(st, signed, -(k0 * (c * x + s * y)) - (c * gx + s * gy),
                       -(k2 * w) - gw)
     piv, mult = tree_factor(lay.edges, _edge_cos(st), rhs[0])
-    return _back(lay.edges, piv, mult, *rhs)
+    return _back(lay.edges, piv, mult, *rhs), piv
 
 
 def _coupled(lay, v1, g):
@@ -415,14 +415,15 @@ def fictitious_velocity(tree, st, twists, z, ff, d, gain):
 
 class _Torque(NamedTuple):
     """One evaluation of the torque-level law by ``_torque_stage``, as
-    lists: the v and w entries of the twist command eta_f and of its
-    rate, the torque u (interleaved like the twists), and the rate of the
-    state's tail, the twists' rate (interleaved like the twists) then the
-    estimates' (6 per robot), which ``Engine.rate`` writes in one
-    assignment. A record derives z, ff and the residual from eta_f (see
-    ``Engine._row``)."""
+    lists: the v and w entries of the twist command eta_f, the factor's
+    pivots, the v and w entries of eta_f's rate, the torque u (interleaved
+    like the twists), and the rate of the state's tail, the twists' rate
+    (interleaved like the twists) then the estimates' (6 per robot), which
+    ``Engine.rate`` writes in one assignment. A record derives z, ff and
+    the residual from eta_f (see ``Engine._row``)."""
 
     etaf: tuple
+    piv: list
     etafdot: tuple
     u: list
     tail: list
@@ -565,4 +566,4 @@ def _torque_stage(st, poses, eta, phihat, d, plant):
         phidot += (-(g0 * (sv * gv)), -(g1 * (sw * gw)), -(g2 * (sv * vi)),
                    -(g3 * (sv * oi)), -(g4 * (sw * vi)), -(g5 * (sw * oi)))
     tail += phidot
-    return _Torque((vf, wf), (mv, mw), u, tail)
+    return _Torque((vf, wf), piv, (mv, mw), u, tail)

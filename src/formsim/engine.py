@@ -39,9 +39,9 @@ written from arrays in both modes. No stage forms A.
 A sample costs nothing beyond its own stage. At each mark ``integrate``
 keeps the evaluation that is also the next step's first stage
 (``rk4_step``'s ``k1``) as a ``_Mark``: t, y, the derivative, the desired
-terms and the ``_Stage`` the stage read, and the stage's own output (the
-twist command's (v, w) in kinematic mode, the ``_Torque`` in dynamic
-mode); only the final sample is evaluated on its own. ``Engine._row``
+terms and the ``_Stage`` the stage read, and the stage's own output,
+which opens with the twist command's (v, w) and the pivots it divided
+by; only the final sample is evaluated on its own. ``Engine._row``
 then derives the records of a whole block of marks at once, along a
 leading sample axis and by one code path in both modes: the errors, the
 stacked error, the feedforward and the residual K z + ff + A eta_f (A
@@ -176,8 +176,8 @@ def _record_at(block, j):
 class _Mark(NamedTuple):
     """What a record needs of one evaluation of the law at (t, y): the
     derivative, the desired terms and the ``_Stage`` the stage read, and
-    the stage's own output, the twist command's (v, w) lists in kinematic
-    mode and the ``_Torque`` in dynamic mode."""
+    the stage's own output: ((v, w), piv) in kinematic mode, the
+    ``_Torque`` in dynamic mode, both opening with eta_f and the pivots."""
 
     t: float
     y: np.ndarray
@@ -258,7 +258,7 @@ class Engine:
         st = _stage(self._lay, poses[:, 2])
         dy = np.empty_like(y)
         if self.mode == "kinematic":
-            out = v, w = _kinematic_twist(st, poses, d, self._gains)
+            out = (v, w), _ = _kinematic_twist(st, poses, d, self._gains)
             v = np.array(v)
         else:
             eta = y[3 * n:5 * n]
@@ -363,7 +363,6 @@ class Engine:
         axis or a row-wise dot, so row j is the record of mark j alone,
         bit for bit."""
         n, m = self.n, len(marks)
-        kinematic = self.mode == "kinematic"
         t = np.array([mark.t for mark in marks])
         y = np.array([mark.y for mark in marks])
         poses = y[:, :3 * n].reshape(m, n, 3)
@@ -376,8 +375,7 @@ class Engine:
         z = _error_vector(st, poses, qd)
         ff = feedforward_term(st, d)
         # (m, 2, n): the (v, w) lists of each mark's eta_f
-        vw = np.array([mark.out if kinematic else mark.out.etaf
-                       for mark in marks])
+        vw = np.array([mark.out[0] for mark in marks])
         vf = vw[:, 0]
         g = np.empty((m, 3 * n))
         g[:, 0::3] = vf * st.cos
@@ -387,7 +385,7 @@ class Engine:
         etaf = vw.transpose(0, 2, 1).reshape(m, 2 * n)
         zz = np.vecdot(z, z)
         V = 0.5 * zz
-        if kinematic:
+        if self.mode == "kinematic":
             eta = etaf
             u = phihat = etafdot = sigma = None
             Va = V

@@ -37,6 +37,8 @@ composed with it: (x0 + cos theta0 X - sin theta0 Y, y0 + sin theta0 X +
 cos theta0 Y, theta0 + Theta) (``_compose``). Neither the work nor the
 memory of the grid grows with the robots sharing it, and its running sums
 start at zero, so they round at the path's scale, not at the starts'.
+Between grid points, a short step from the path point before the time (its
+last stage time is the time itself) precedes the one composition.
 """
 
 import copy
@@ -187,8 +189,8 @@ def _check_pose_range(pose0, reach):
     difference passes e reach, and the sum with the start stays within
     |start| + e reach. The start is accepted while 3 (|start| + reach) is
     a float for x, y and the heading. A pose evaluated between grid
-    points adds one shorter step, rotated the same way, to a composed
-    grid point, within the same bound.
+    points composes the start with a path point advanced by one shorter
+    step, within the same bound.
     """
     if not all(map(math.isfinite, pose0)):
         raise ValueError("profile parameters must be finite")
@@ -297,9 +299,9 @@ class SampledTwist:
     table's span) into a grid of poses. The profile stores no grid:
     ``ProfileSet`` (and so ``desired_arrays``) integrates one path per
     table from the origin pose (``_path_grid``, in the closed-stage form
-    of the step described in the module docstring), composes each robot's
-    start with it, and evaluates the pose at arbitrary t by a single short
-    step from the grid point at or before t, keeping evaluation pure.
+    of the step described in the module docstring), and evaluates the pose
+    at t by a short step from the path point at or before t, then composes
+    each robot's start with it, keeping evaluation pure.
     """
 
     pose0: tuple
@@ -424,10 +426,10 @@ class ProfileSet:
     evaluated as arrays. Sampled profiles with identical (times, twists,
     rates, grid_dt) form one group, which keeps one path (``_path_grid``)
     and its robots' starts (``_starts``): each call evaluates the group's
-    Hermite twist once, at every time and at the three stage times of its
-    short pose step, takes that step once per time along the path, and
-    composes the starts with the result. Every block is written straight
-    into the callers' robot order by index.
+    Hermite twist once, at the three stage times of each time's short pose
+    step, the last of which is the time itself, takes that step along the
+    path, and composes the starts with the result once. Every block is
+    written straight into the callers' robot order by index.
     """
 
     def __init__(self, profiles):
@@ -463,12 +465,14 @@ class ProfileSet:
         time t >= 0; at a 1-D array of m such times, the same stacked as
         (m, n, 3), (m, n, 2) and (m, n, 2).
 
-        Every time is evaluated with the operations a single time uses,
-        so row j of an array evaluation equals the evaluation at t[j]. A
-        negative (or nan) time raises ValueError naming the first one,
-        the error that evaluating the times one by one raises first; no
-        other time can fail, since every profile proved its speed floor
-        when it was built.
+        Every time is evaluated with the operations a single time uses
+        (for a sampled group, one Hermite pass at the stage times of its
+        short steps, the last of which is the time itself, and one
+        composition), so row j of an array evaluation equals the
+        evaluation at t[j]. A negative (or nan) time raises ValueError
+        naming the first one, the error that evaluating the times one by
+        one raises first; no other time can fail, since every profile
+        proved its speed floor when it was built.
         """
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
@@ -499,28 +503,23 @@ class ProfileSet:
         q[:, self._const] = qc
         for at, p, path, starts in self._groups:
             # the stored point at or before each time (clamped to the
-            # span), and the short step from it
+            # span), and the short step from it to tk + delta = tc exactly
+            # (Sterbenz); past the span the twist is held, so tc's is t's
             tc = np.minimum(tt, p.span)
             k = np.minimum((tc / p.grid_dt).astype(np.intp), len(path) - 2)
             tk = k * p.grid_dt
             delta = tc - tk
             val, der = _hermite(p.times, p.twists, p.rates, np.concatenate(
-                [tt, tk, tk + 0.5 * delta, tk + delta]))
-            etad[:, at] = val[:m, None]
-            etadd[:, at] = der[:m, None]
-            # the step's increments along the path, from the path heading,
-            # added to each robot's composed grid point rotated by its
-            # start heading
-            v, w = val[m:].reshape(3, m, 2).transpose(2, 0, 1)
-            pk = path[k].T
-            dx, dy = _position_increment(pk[2], delta, v, w)
-            base = _compose(starts, pk)                 # (3, robots, m)
-            c, s = starts[3:]
-            step = base.copy()
-            step[0] += c * dx - s * dy
-            step[1] += s * dx + c * dy
-            step[2] += _heading_increment(delta, w)
-            q[:, at] = np.where(delta == 0.0, base, step)
+                [tk, tk + 0.5 * delta, tc]))
+            etad[:, at] = val[2 * m:, None]
+            etadd[:, at] = der[2 * m:, None]
+            # the step added to the path point in the path's frame (a zero
+            # step adds zeros), then every start composed with the result
+            v, w = val.reshape(3, m, 2).transpose(2, 0, 1)
+            pk = path[k].T                  # a copy, k being an array
+            pk[:2] += _position_increment(pk[2], delta, v, w)
+            pk[2] += _heading_increment(delta, w)
+            q[:, at] = _compose(starts, pk)
         qd = q.transpose(2, 1, 0)
         if times.ndim == 0:
             return qd[0], etad[0], etadd[0]

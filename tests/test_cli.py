@@ -15,6 +15,7 @@ import yaml
 import formsim as fs
 from formsim import cli
 from formsim.cli import main
+from formsim.controller import _Torque
 from formsim.metrics import report_to_yaml
 
 REPO = Path(__file__).resolve().parents[1]
@@ -694,12 +695,16 @@ def test_check_fails_on_a_perturbed_record(tmp_path, capsys, monkeypatch,
     assert len(re.findall("^FAIL ", out, re.M)) == 1, out
 
 
-def _low_pivots(factor):
-    # every pivot of the leaves-first factor 1e-9 below its own value,
-    # so each leaf's, exactly 1, is under the guard's 1 - 1e-12
+def _low_pivots(stage):
+    # every pivot a stage hands on 1e-9 below its own value, so each
+    # leaf's, exactly 1, is under the guard's 1 - 1e-12; eta_f and the
+    # rest of the stage's output stay as they are
     def low(*args):
-        piv, mult = factor(*args)
-        return [p * (1 - 1e-9) for p in piv], mult
+        out = stage(*args)
+        piv = [p * (1 - 1e-9) for p in out[1]]
+        if isinstance(out, _Torque):
+            return out._replace(piv=piv)
+        return out[0], piv
     return low
 
 
@@ -713,19 +718,22 @@ def _high_pinned_pivots(recursion):
     return high
 
 
-@pytest.mark.parametrize("target,wrap,line,detail", [
-    ("tree_factor", _low_pivots, "conditioning-guard",
-     r"min pivot \S+ at t="),
-    ("chain_gram_determinant", _high_pinned_pivots,
+@pytest.mark.parametrize("module,targets,wrap,line,detail", [
+    (fs.engine, ["_kinematic_twist", "_torque_stage"], _low_pivots,
+     "conditioning-guard", r"min pivot \S+ at t="),
+    (cli, ["chain_gram_determinant"], _high_pinned_pivots,
      "chain-pivot-certificate", r"det="),
 ], ids=["tree-pivots", "chain-pivots"])
 @pytest.mark.parametrize("name", fs.preset_names())
 def test_check_fails_on_a_perturbed_certificate(tmp_path, capsys,
-                                                monkeypatch, name, target,
-                                                wrap, line, detail):
+                                                monkeypatch, name, module,
+                                                targets, wrap, line, detail):
     # the pivots that check's certificate lines read, moved off what the
-    # lines accept while the records stay as they are
-    monkeypatch.setattr(cli, target, wrap(getattr(cli, target)))
+    # lines accept while the records stay as they are: the tree pivots
+    # as either mode's stage hands them on, the chain pivots as check
+    # computes them
+    for target in targets:
+        monkeypatch.setattr(module, target, wrap(getattr(module, target)))
     cfg_path = tmp_path / f"{name}.yaml"
     cfg_path.write_text(fs.serialize_scenario(fs.get_preset(name)))
     code = main(["check", "--config", str(cfg_path), "--horizon", "0.5"])

@@ -21,9 +21,10 @@ import formsim as fs
 import formsim.controller
 import formsim.engine
 from conftest import edge_cosines, stage_terms, tree_solve
-from formsim.controller import (_error_vector, feedforward_term,
+from formsim.controller import (_edge_cos, _error_vector, feedforward_term,
                                 fictitious_velocity)
 from formsim.engine import _block_steps
+from formsim.linalg import tree_factor
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -327,6 +328,22 @@ def test_turn_rates_are_root_first_sums(data):
     heading = (eng.gz * rec.z + rec.feedforward)[2::3]
     scale = max(np.abs(rec.etaf[1::2]).max(), np.abs(heading).max())
     assert np.abs(rec.residual[2::3]).max() <= 2 * u * scale
+
+
+@SETTINGS
+@given(data=st.data())
+def test_stage_pivots_are_the_tree_factors(data):
+    # every mark's stage hands on the pivots it divided by, which check's
+    # conditioning guard reads: bit for bit those of the one leaves-first
+    # factor, which the kinematic stage calls and the torque stage's first
+    # sweep fuses
+    mode = data.draw(st.sampled_from(["kinematic", "dynamic"]))
+    eng, t, y = data.draw(scenes(mode))
+    for _, kept in eng.integrate(y, [0, 1, 2], 2, t0=t):
+        for mark in kept:
+            want = tree_factor(mark.st.lay.edges, _edge_cos(mark.st),
+                               [0.0] * eng.n)[0]
+            assert mark.out[1] == want
 
 
 @SETTINGS

@@ -587,6 +587,67 @@ def test_composed_grid_is_within_a_few_roundings_of_its_start():
     assert np.all(err <= bound)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="long double is no wider than double here")
+def test_poses_between_grid_points_are_within_a_few_roundings_of_a_start():
+    # forty starts on the composed-grid test's table, evaluated by a
+    # ProfileSet at 300 times between grid points; held to a stepwise RK4
+    # in long double from each start itself to the grid point at or
+    # before each time, plus the short step from it to the time, driven
+    # by the same double-precision Hermite stage twists at the same times
+    ts = np.linspace(0.0, 0.1, 5)
+    tw = np.stack([0.1 + 0.02 * np.sin(3 * ts), 0.1 * np.cos(2 * ts)],
+                  axis=1)
+    rt = np.stack([0.06 * np.cos(3 * ts), -0.2 * np.sin(2 * ts)], axis=1)
+    prof = fs.SampledTwist(pose0=(0.0, 0.0, 0.0), times=ts, twists=tw,
+                           rates=rt)
+    rng = np.random.default_rng(40)
+    starts = np.column_stack([rng.uniform(-4, 4, 40), rng.uniform(-4, 4, 40),
+                              rng.uniform(-np.pi, np.pi, 40)])
+    times = rng.uniform(0.0, prof.span, 300)
+    got = fs.ProfileSet([prof.started_at(q) for q in starts]).evaluate(
+        times)[0].transpose(0, 2, 1)                    # (300, 3, 40)
+    ld = np.longdouble
+
+    def step(q, tk, h):
+        # one RK4 step in long double from the poses q (m, 3, 40) at the
+        # times tk (m,) over h (m,)
+        stages = _hermite(prof.times, prof.twists, prof.rates,
+                          np.concatenate([tk, tk + 0.5 * h, tk + h]))[0]
+        (v1, w1), (v2, w2), (v4, w4) = \
+            stages.reshape(3, -1, 2, 1).transpose(0, 2, 1, 3).astype(ld)
+        h = h.astype(ld)[:, None]
+        th = [q[:, 2], q[:, 2] + h / 2 * w1, q[:, 2] + h / 2 * w2,
+              q[:, 2] + h * w2]
+        weights = [v1, 2 * v2, 2 * v2, v4]
+        return q + (h / 6)[:, None] * np.stack([
+            sum(c * np.cos(a) for c, a in zip(weights, th)),
+            sum(c * np.sin(a) for c, a in zip(weights, th)),
+            np.broadcast_to(w1 + 2 * w2 + 2 * w2 + w4, th[0].shape)], axis=1)
+
+    steps = math.ceil(prof.span / prof.grid_dt)
+    grid = [starts.T.astype(ld)[None]]
+    for k in range(steps):
+        tk = np.array([k * prof.grid_dt])
+        grid.append(step(grid[-1], tk, np.minimum(prof.grid_dt,
+                                                  prof.span - tk)))
+    grid = np.concatenate(grid)
+    k = np.minimum((times / prof.grid_dt).astype(np.intp), steps - 1)
+    tk = k * prof.grid_dt
+    err = np.abs(got - step(grid[k], tk, times - tk)).astype(float)
+    # With u = EPS / 2, against the reference a component carries what a
+    # composed grid point does (see the composed-grid test: the path
+    # point's error under 2.3 u, the composition's rotation under 0.1 u
+    # and its one sum with the start under u (|start| + 0.011), the
+    # reference's roundings under 0.4 u), and the short step's: it is
+    # added to the path point before the composition, so it rounds once
+    # at the path's scale, under 0.011 u, and its increment (at most
+    # 5e-4 * 0.12 long, from a path heading off by under 2.3 u) adds
+    # under 0.001 u. That is under u (|start| + 3).
+    bound = EPS / 2 * (np.abs(starts.T) + 3)
+    assert np.all(err <= bound)
+
+
 def _table(seed, span=1.0):
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, span, 11)
@@ -784,6 +845,27 @@ def test_profile_set_rejects_stacked_times():
         profile_set.evaluate(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("grid_dt", [5e-4, 3e-4])
+def test_profile_set_is_exact_at_grid_points(grid_dt):
+    # at a time k grid_dt whose stored point is k (not every k at 3e-4,
+    # where k grid_dt / grid_dt may round below k), the short step is no
+    # step and adds zeros: each pose is its start composed with path
+    # point k, bit for bit
+    ts, tw, rt = TABLES[0]
+    prof = fs.SampledTwist(pose0=(0.0, 0.0, 0.0), times=ts, twists=tw,
+                           rates=rt, grid_dt=grid_dt)
+    starts = np.random.default_rng(7).uniform(-5.0, 5.0, (6, 3))
+    path = _path_grid(prof)
+    k = np.arange(len(path) - 1)
+    t = k * grid_dt
+    own = (t / grid_dt).astype(np.intp) == k
+    assert own.mean() > 0.9
+    got = fs.ProfileSet([prof.started_at(q) for q in starts]).evaluate(
+        t[own])[0]
+    want = _compose(_starts(starts), path[k[own]].T)
+    assert np.array_equal(got, want.transpose(2, 1, 0))
+
+
 def test_profile_set_evaluates_shared_tables_once(monkeypatch):
     ts, tw, rt = TABLES[0]
     profs = [fs.SampledTwist(pose0=(float(i), 0.0, 0.1 * i), times=ts,
@@ -801,7 +883,8 @@ def test_profile_set_evaluates_shared_tables_once(monkeypatch):
     calls.clear()
     fs.desired_arrays(profile_set, np.linspace(0.0, 0.9, 7))
     assert len(calls) == 2      # at every time at once
-    assert all(len(args[-1]) == 4 * 7 for args in calls)
+    # each time's short step's three stage times, the last the time itself
+    assert all(len(args[-1]) == 3 * 7 for args in calls)
 
 
 @pytest.mark.parametrize("robots,chunk", [(5, 4096), (7, 30), (3, 1)])
