@@ -6,13 +6,22 @@ diagonal gain vectors, integration step and horizon, and trace sampling.
 Gains may be given per robot (3, 2, or 6 numbers broadcast to all robots)
 or in full stacked form. See the README for an annotated example.
 
-Loading parses the text, or a file's bytes (decoded by YAML's rules),
-with ``_LOADER``, libyaml's when PyYAML has it. A document whose every
-node is plain (maps with string keys, sequences, and string, decimal
-integer and float scalars), as every scenario formsim writes is, is built
-straight from the parser's events; any other text (a boolean, a null, a
-merge key, another tag) goes to ``yaml.load``. The document and every
-error are those of ``yaml.load``. Fields are then checked without numpy
+Loading reads the text, or a file's bytes (decoded by YAML's rules), in
+one of three ways, and the document and every error are those of
+``yaml.load`` with ``_LOADER``, libyaml's loader when PyYAML has it:
+
+- the block reader (``_block_document``) reads, line by line, the block
+  layout ``yaml.safe_dump`` writes for a plain document (maps with word
+  keys, sequences, anchors and aliases, and string, decimal integer and
+  float scalars), as every scenario formsim writes is, in ASCII;
+- the event builder (``_plain_document``) builds any other plain
+  document, such as a hand-written flow-style one or one with comments,
+  from ``_LOADER``'s parser events;
+- ``yaml.load`` takes any other text (a boolean, a null, a merge key,
+  another tag, a parse error), and every text under a path resolver.
+
+Each reader declines what it does not read, by the text's form alone,
+and passes it on unchanged. Fields are then checked without numpy
 when they are flat lists of Python numbers, through numpy otherwise, with
 the same errors either way. A bool or a null is never a number: YAML
 reads ``yes``, ``on`` and ``true`` as booleans and ``~`` as a null, and
@@ -21,6 +30,7 @@ and positive like every other positive number.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,12 +70,25 @@ _STR, _INT, _FLOAT, _SEQ, _MAP = (f"tag:yaml.org,2002:{kind}" for kind in
 _MAX_DEPTH = 100
 _KEY = object()     # an open map's next node is a key
 
+# One line of the block layout yaml.safe_dump writes: its indent, the
+# "- " entries it opens, a key (well inside YAML's 1024 characters for a
+# simple key), and then an anchor or alias, or a plain scalar of word
+# characters, dots and signs (empty where a block follows).
+_BLOCK_LINE = re.compile(r"^(?=.)( *)((?:- )*)(?:(\w{1,128}):(?:$| (?!$)))?"
+                         r"(?:([&*])(\w+)|((?!-$)[\w.+-]*))$",
+                         re.ASCII | re.MULTILINE)
+
 
 def _load_yaml(text):
     """``yaml.load(text, Loader=_LOADER)``: the same document, or the same
-    exception. A plain document is built from the parser's events; any
-    other text goes to ``yaml.load``, as all do under a path resolver."""
+    exception. The block layout yaml.safe_dump writes is read line by
+    line, any other plain document is built from the parser's events, and
+    any other text goes to ``yaml.load``, as all do under a path
+    resolver."""
     if not _LOADER.yaml_path_resolvers:
+        doc = _block_document(text)
+        if doc is not None:
+            return doc
         loader = _LOADER(text)
         try:
             return _plain_document(loader)
@@ -74,18 +97,151 @@ def _load_yaml(text):
     return yaml.load(text, Loader=_LOADER)
 
 
+def _resolvers():
+    """The loader's implicit resolvers, by a plain scalar's first
+    character, each list followed by those that take any first one."""
+    table = _LOADER.yaml_implicit_resolvers
+    wild = tuple(table.get(None, ()))
+    return {c: tuple(resolvers) + wild for c, resolvers in table.items()
+            if c is not None}, wild
+
+
+def _plain_scalar(value, tag, key, resolvers):
+    """What ``yaml.load`` makes of a scalar, ``value`` tagged ``tag``
+    (None for a plain one, resolved here by ``resolvers``), when it is
+    plain: a str, or, unless it is a map's ``key``, an int (decimal, no
+    leading 0) or a float (one ``float`` reads, not nan). Else raises
+    ``yaml.YAMLError``."""
+    if tag is None:
+        first, wild = resolvers
+        for tag, regexp in first.get(value[:1], wild):
+            if regexp.match(value):
+                break
+        else:
+            return value
+    if tag == _STR:
+        return value
+    if not key and tag == _FLOAT:
+        try:
+            obj = float(value)
+        except ValueError:          # .inf, sexagesimal, or an error
+            raise yaml.YAMLError from None
+        if obj == obj:
+            return obj
+    elif not key and tag == _INT and value.isdecimal() \
+            and (value[0] != "0" or value == "0"):
+        try:                        # a leading 0 is octal in YAML 1.1
+            return int(value)
+        except ValueError:          # past the interpreter's digit limit
+            pass
+    raise yaml.YAMLError
+
+
+def _block_document(text):
+    """What ``yaml.load`` builds from ``text``, a str or ASCII bytes, when
+    it is in the block layout ``yaml.safe_dump(..., sort_keys=False)``
+    writes for a plain document, nested at most ``_MAX_DEPTH`` deep: a
+    root map; word keys; ``key: value``, or ``key:`` and the block that
+    follows, a map two columns in or a sequence at the key's column;
+    compact ``- - x`` and ``- key: v`` entries; ``&name`` after a key or
+    a dash, before the block it names, and ``*name`` for the object that
+    block built. Scalars are resolved as ``_plain_scalar`` resolves them.
+    Any other text, in any line, is declined: returns None."""
+    if text.__class__ is bytes and text.isascii():
+        text = text.decode("ascii")
+    if text.__class__ is not str or not text.endswith("\n"):
+        return None
+    rows = _BLOCK_LINE.findall(text)
+    if len(rows) != text.count("\n"):      # a line of another form
+        return None
+    resolvers = _resolvers()
+    root, scalars, anchors = {}, {}, {}
+    # the open containers, innermost last, each with its column: a map's
+    # keys', or a sequence's dashes'
+    stack = [(root, 0)]
+
+    def enter(obj, col, opening):
+        # the block ``opening`` waits for, as ``obj`` starting at ``col``:
+        # the container it goes in, its key there (None in a sequence),
+        # the columns it starts at as a sequence and as a map, its anchor
+        holder, slot, seq_col, map_col, anchor = opening
+        if col != (seq_col if obj.__class__ is list else map_col) \
+                or anchor in anchors or len(stack) == _MAX_DEPTH:
+            raise yaml.YAMLError
+        if slot is None:
+            holder.append(obj)
+        else:
+            holder[slot] = obj
+        if anchor:
+            anchors[anchor] = obj
+        stack.append((obj, col))
+        return obj
+
+    opening = None
+    try:
+        for indent, dashes, key, sigil, name, value in rows:
+            col = len(indent)
+            if opening is None:
+                # close what the line is left of, and a key closes an
+                # indentless sequence at its column
+                top, at = stack[-1]
+                while at > col or (at == col and not dashes
+                                   and top.__class__ is list):
+                    stack.pop()
+                    top, at = stack[-1]
+                if at != col or (top.__class__ is list) != bool(dashes):
+                    return None
+            # a dash is an entry whose block starts two columns on, where
+            # a further dash or a key opens it
+            for _ in range(len(dashes) // 2):
+                if opening is not None:
+                    top = enter([], col, opening)
+                opening = top, None, col + 2, col + 2, ""
+                col += 2
+            if key:
+                if opening is not None:
+                    top = enter({}, col, opening)
+                    opening = None
+                if scalars.get(key).__class__ is not str:
+                    scalars[key] = _plain_scalar(key, None, True, resolvers)
+            elif not dashes:
+                return None
+            if sigil == "*":
+                obj = anchors.get(name)
+                if obj is None:
+                    return None
+            elif value:
+                obj = scalars.get(value)
+                if obj is None:
+                    obj = scalars[value] = _plain_scalar(
+                        value, None, False, resolvers)
+            elif key:
+                opening = top, key, col, col + 2, name
+                continue
+            elif sigil:
+                opening = (*opening[:4], name)
+                continue
+            else:
+                return None
+            if key:
+                top[key] = obj
+            else:
+                top.append(obj)
+                opening = None
+    except yaml.YAMLError:          # a block out of place, or a scalar
+        return None                 # that is not plain
+    return None if opening is not None else root
+
+
 def _plain_document(loader):
     """What ``yaml.load`` builds from ``loader``'s one document, nested at
     most ``_MAX_DEPTH`` deep, when every node is plain: a sequence, a map
-    with str-tagged scalar keys, or a scalar tagged str, int (decimal, no
-    leading 0) or float (one ``float`` reads, not nan). Untagged plain
-    scalars are resolved as the composer resolves them. A container is
-    entered under its anchor before it is filled, so an alias is the
-    object its anchor built. Else raises ``yaml.YAMLError``."""
-    table = loader.yaml_implicit_resolvers
-    wild = tuple(table.get(None, ()))
-    first = {c: tuple(resolvers) + wild for c, resolvers in table.items()
-             if c is not None}
+    with str-tagged scalar keys, or a scalar that ``_plain_scalar``
+    reads. Untagged plain scalars are resolved as the composer resolves
+    them. A container is entered under its anchor before it is filled, so
+    an alias is the object its anchor built. Else raises
+    ``yaml.YAMLError``."""
+    resolvers = _resolvers()
     get = loader.get_event
     get()                                       # the stream's start
     if get().__class__ is StreamEndEvent:       # else a document's start
@@ -105,27 +261,11 @@ def _plain_document(loader):
                 raise yaml.YAMLError
         else:
             if kind is ScalarEvent:
-                obj, tag = event.value, event.tag
-                if tag is None and event.implicit[0]:
-                    for tag, regexp in first.get(obj[:1], wild):
-                        if regexp.match(obj):
-                            break
-                    else:
-                        tag = None
-                if tag is None or tag == _STR:
-                    pass
-                elif key is not _KEY and tag == _FLOAT:
-                    try:
-                        obj = float(obj)
-                    except ValueError:  # .inf, sexagesimal, or an error
-                        raise yaml.YAMLError from None
-                    if obj != obj:
-                        raise yaml.YAMLError
-                elif key is not _KEY and tag == _INT and obj.isdecimal() \
-                        and (obj[0] != "0" or obj == "0"):
-                    obj = int(obj)      # a leading 0 is octal in YAML 1.1
-                else:                   # a key must be a str
-                    raise yaml.YAMLError
+                tag = event.tag
+                if tag is None and not event.implicit[0]:
+                    tag = _STR              # quoted: never resolved
+                obj = _plain_scalar(event.value, tag, key is _KEY,
+                                    resolvers)
             elif key is _KEY or len(stack) == _MAX_DEPTH:
                 raise yaml.YAMLError
             elif kind is SequenceStartEvent and event.tag in (None, _SEQ):

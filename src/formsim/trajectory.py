@@ -38,7 +38,9 @@ cos theta0 Y, theta0 + Theta) (``_compose``). Neither the work nor the
 memory of the grid grows with the robots sharing it, and its running sums
 start at zero, so they round at the path's scale, not at the starts'.
 Between grid points, a short step from the path point before the time (its
-last stage time is the time itself) precedes the one composition.
+last stage time is the time itself) precedes the one composition. Past the
+span the twist is held, and the path goes on from its end pose along the
+chord of that constant twist, as a ``ConstantTwist`` moves.
 """
 
 import copy
@@ -293,10 +295,11 @@ class SampledTwist:
 
     Twist between samples is cubic Hermite in each component, so the
     returned twist rate is the exact derivative of the returned twist.
-    Outside the table the twist is held constant with zero rate. The pose
-    is integrated by classical fourth-order Runge-Kutta at ``grid_dt``
-    (finite and positive; the last step is shortened to end at the
-    table's span) into a grid of poses. The profile stores no grid:
+    Outside the table the twist is held constant with zero rate, and past
+    its span the pose moves along that held twist. Within the span the
+    pose is integrated by classical fourth-order Runge-Kutta at
+    ``grid_dt`` (finite and positive; the last step is shortened to end at
+    the table's span) into a grid of poses. The profile stores no grid:
     ``ProfileSet`` (and so ``desired_arrays``) integrates one path per
     table from the origin pose (``_path_grid``, in the closed-stage form
     of the step described in the module docstring), and evaluates the pose
@@ -417,6 +420,25 @@ def _compose(starts, path):
     return np.array([x0 + (c * x - s * y), y0 + (s * x + c * y), th0 + th])
 
 
+def _chord(x0y0, th0, v, w, t):
+    """Poses (3, ...) reached from (x0, y0) at heading th0 along the
+    constant twist (v, w) after t, in the chord form of ``ConstantTwist``:
+    the chord's length v t sin(h) / h (1 at h = 0, never 0/0) and its
+    direction th0 + h, with h = w t / 2."""
+    wt = w * t
+    h = 0.5 * wt
+    chord = np.divide(np.sin(h), h, out=np.ones_like(h), where=h != 0.0)
+    chord *= v * t
+    h += th0
+    q = np.empty((3, *h.shape))
+    np.cos(h, out=q[0])
+    np.sin(h, out=q[1])
+    q[:2] *= chord
+    q[:2] += x0y0
+    np.add(wt, th0, out=q[2])
+    return q
+
+
 class ProfileSet:
     """Every robot's desired trajectory, evaluated together at one time
     or at a 1-D array of times.
@@ -487,20 +509,8 @@ class ProfileSet:
         etad = np.empty((m, n, 2))
         etad[:] = self._etad
         etadd = np.zeros((m, n, 2))
-        # constant twists, in the chord form of ConstantTwist: the chord's
-        # length v t sin(h) / h (1 at h = 0, never 0/0) and direction
-        wt = self._w * tt
-        h = 0.5 * wt
-        chord = np.divide(np.sin(h), h, out=np.ones_like(h), where=h != 0.0)
-        chord *= self._v * tt
-        h += self._th0
-        qc = np.empty((3, *h.shape))
-        np.cos(h, out=qc[0])
-        np.sin(h, out=qc[1])
-        qc[:2] *= chord
-        qc[:2] += self._x0y0
-        np.add(wt, self._th0, out=qc[2])
-        q[:, self._const] = qc
+        q[:, self._const] = _chord(self._x0y0, self._th0, self._v, self._w,
+                                   tt)
         for at, p, path, starts in self._groups:
             # the stored point at or before each time (clamped to the
             # span), and the short step from it to tk + delta = tc exactly
@@ -519,6 +529,10 @@ class ProfileSet:
             pk = path[k].T                  # a copy, k being an array
             pk[:2] += _position_increment(pk[2], delta, v, w)
             pk[2] += _heading_increment(delta, w)
+            past = tt > p.span
+            if past.any():      # on from the end pose along the held twist
+                pk[:, past] = _chord(pk[:2, past], pk[2, past], v[2, past],
+                                     w[2, past], tt[past] - p.span)
             q[:, at] = _compose(starts, pk)
         qd = q.transpose(2, 1, 0)
         if times.ndim == 0:

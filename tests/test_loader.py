@@ -1,14 +1,15 @@
 """The scenario loader's YAML construction against ``yaml.load``.
 
-``scenario._load_yaml`` builds a document whose nodes are all plain (maps
-with string keys, sequences, and string, decimal integer and float
-scalars) straight from the parser's events, resolving untagged scalars
-by the loader's own resolver table, and gives any other text to
-``yaml.load``. For every text it must return what ``yaml.load`` returns,
-with the same types, the same aliasing and the same recursion, or raise
-the same exception with the same message, under the pure-Python and the
-libyaml loaders alike. Every scenario formsim writes is plain, so each is
-parsed once and none reaches the constructor.
+``scenario._load_yaml`` reads the block layout ``yaml.safe_dump`` writes
+for a plain document line by line, builds any other document whose nodes
+are all plain (maps with string keys, sequences, and string, decimal
+integer and float scalars) straight from the parser's events, resolving
+untagged scalars by the loader's own resolver table either way, and gives
+any other text to ``yaml.load``. For every text it must return what
+``yaml.load`` returns, with the same types, the same aliasing and the
+same recursion, or raise the same exception with the same message, under
+the pure-Python and the libyaml loaders alike. Every scenario formsim
+writes is in the block layout, so none is parsed by PyYAML at all.
 """
 
 import importlib.util
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 import formsim as fs
 import formsim.scenario as scenario
+from formsim.cli import main
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader]
                                if hasattr(yaml, "CSafeLoader") else [])
@@ -48,6 +50,10 @@ SCALARS = [
 KEYS = ["a", "b", "start", "1", "1.0", "yes", "~", "<<", "=", "'a'",
         "!!str 7", "!!int 7"]
 ANCHORS = ["a0", "a1", "a2"]
+# keys and values the block reader reads as they are
+WORDS = ["a", "b", "kind", "start", "x_1", "n", "sampled_twist"]
+# one-character edits, of the characters block YAML gives a meaning to
+EDITS = " -:#&*!\t\r\n'\"[]{}?|>%,.0e"
 
 
 def _nodes(anchors):
@@ -93,6 +99,51 @@ def texts(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def dumped(draw):
+    """A document as ``yaml.safe_dump(..., sort_keys=False)`` writes it:
+    maps and lists of words and numbers, with a few lists held under
+    several keys, which it writes as an anchor and its aliases. Half the
+    documents also hold empty containers, booleans, nulls, ints and
+    floats of any size, and the strings of ``SCALARS`` and ``KEYS``
+    (quoted where YAML would read them otherwise), as keys or values."""
+    leaves = st.one_of(st.sampled_from(WORDS), st.integers(0, 10 ** 6),
+                       st.floats(-1e6, 1e6))
+    keys = st.sampled_from(WORDS)
+    least = 1
+    if draw(st.booleans()):
+        leaves = st.one_of(leaves, st.sampled_from(SCALARS + KEYS),
+                           st.integers(), st.floats(allow_nan=True),
+                           st.booleans(), st.none())
+        keys = st.one_of(keys, st.sampled_from(KEYS), st.integers(0, 3))
+        least = 0
+    shared = draw(st.lists(st.lists(leaves, min_size=1, max_size=3),
+                           max_size=2))
+    if shared:
+        leaves = st.one_of(leaves, st.sampled_from(shared))
+    values = st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, min_size=least, max_size=3),
+        st.dictionaries(keys, children, min_size=least, max_size=3)),
+        max_leaves=12)
+    doc = draw(st.dictionaries(keys, values, min_size=1, max_size=5))
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+@st.composite
+def edited(draw):
+    """A ``dumped`` text with one character of ``EDITS`` put in at, put
+    in place of, or one character taken out at a random position."""
+    text = draw(dumped())
+    at = draw(st.integers(0, len(text) - 1))
+    char = draw(st.sampled_from(EDITS))
+    how = draw(st.sampled_from(["insert", "replace", "delete"]))
+    if how == "insert":
+        return text[:at] + char + text[at:]
+    if how == "replace":
+        return text[:at] + char + text[at + 1:]
+    return text[:at] + text[at + 1:]
+
+
 def _same(a, b, pairs):
     """Whether a and b are equal with equal types, nans equal, and the
     same aliasing: each container of a pairs with one container of b."""
@@ -133,6 +184,16 @@ def _assert_agrees(text, loader):
         assert got[0] == "ok" and _same(want[1], got[1], {}), text
 
 
+def _assert_block_agrees(text, loader):
+    # _load_yaml against yaml.load, and the block reader alone: it
+    # declines, or returns the document yaml.load does
+    _assert_agrees(text, loader)
+    got = scenario._block_document(text)
+    if got is not None:
+        want = yaml.load(text, Loader=loader)
+        assert _same(want, got, {}), text
+
+
 @pytest.fixture
 def restore_loader(monkeypatch):
     monkeypatch.setattr(scenario, "_LOADER", scenario._LOADER)
@@ -144,6 +205,36 @@ def restore_loader(monkeypatch):
 @given(text=texts())
 def test_loader_agrees_with_yaml_load(loader, text):
     _assert_agrees(text, loader)
+
+
+@pytest.mark.usefixtures("restore_loader")
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@settings(max_examples=300, deadline=None)
+@given(text=dumped())
+def test_block_reader_agrees_on_dumped_documents(loader, text):
+    _assert_block_agrees(text, loader)
+
+
+@pytest.mark.usefixtures("restore_loader")
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@settings(max_examples=300, deadline=None)
+@given(text=edited())
+def test_block_reader_agrees_on_edited_documents(loader, text):
+    _assert_block_agrees(text, loader)
+
+
+def _case_id(text):
+    name = repr(text)
+    return name if len(name) <= 60 else f"{name[:40]}...{len(text)}"
+
+
+def _nested(depth):
+    """Block texts nested ``depth`` containers deep, the root map
+    included: compact sequences on one line, and maps two columns in."""
+    seqs = "a:\n" + "- " * (depth - 1) + "1\n"
+    maps = "".join(f"{'  ' * k}a:\n" for k in range(depth - 1)) \
+        + "  " * (depth - 1) + "a: 1\n"
+    return [seqs, maps]
 
 
 @pytest.mark.usefixtures("restore_loader")
@@ -163,33 +254,62 @@ def test_loader_agrees_with_yaml_load(loader, text):
     "[!!int abc, !!float '']\n",               # errors, first one wins
     "{a: [!!float ''], b: !!int abc}\n",       # in the loader's order
     "x: = \n",
-], ids=repr)
+    # where the block reader stops: the text goes on to the event builder
+    # or to yaml.load
+    "a: 1\r\nb: 2\r\n",                        # CRLF line ends
+    "a: 1 # note\n",                           # a trailing comment
+    "a:\n\tb: 1\n",                            # a tab indent
+    "a: 1 \nb: 2\n",                           # a trailing space
+    b"\xef\xbb\xbfa: 1\n",                     # a UTF-8 BOM, as bytes
+    b"a: 1\nb:\n- 2\n",                        # ASCII bytes
+    "a: -\n",
+    "a: 1\n  - b\n",                           # a plain continuation
+    "a:\n    - 1\n    - 2\n",                  # a 4-space sequence
+    "a: &id001\n- 1\nb: &id001\n- 2\nc: *id001\n",  # a duplicate anchor
+    "a: *id001\nb: &id001\n- 1\n",             # an alias with no anchor
+    "a: &id001\n  b: *id001\n",                # a map holding itself
+    "yes: 1\n", "on: 1\n", "null: 1\n",
+    "a: -3\n", "a: 017\n", "a: 1_000\n", "a: .nan\n", "a: -.inf\n",
+    "a: 1e5\n",
+    "a: " + "1" * 5000 + "\n",                 # past int's digit limit
+    "k" * 128 + ": 1\n",                       # a long key
+    "k" * 1025 + ": 1\n",                      # past YAML's simple key
+    *_nested(scenario._MAX_DEPTH),             # as deep as the readers go
+    *_nested(scenario._MAX_DEPTH + 1),         # and past it
+], ids=_case_id)
 def test_loader_agrees_on_edge_cases(loader, text):
-    _assert_agrees(text, loader)
+    _assert_block_agrees(text, loader)
 
 
 @pytest.mark.usefixtures("restore_loader")
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
 def test_loader_keeps_custom_resolvers(loader):
     # a path resolver sends the text to yaml.load, and an implicit
-    # resolver added to a loader class is honoured by the event builder
-    # as by the composer; either tag has no constructor
+    # resolver added to a loader class is honoured by the block reader
+    # and the event builder as by the composer, also on a word the block
+    # reader reads; no such tag has a constructor
     class PathLoader(loader):
         pass
 
     class ColorLoader(loader):
         pass
 
+    class RedLoader(loader):
+        pass
+
     PathLoader.add_path_resolver("!port", [(dict, "port")], str)
     ColorLoader.add_implicit_resolver("!color", re.compile(r"^rgb\(\d+\)$"),
                                       ["r"])
+    RedLoader.add_implicit_resolver("!red", re.compile(r"^red$"), ["r"])
     for custom, text in [(PathLoader, "port: abc\n"),
                          (PathLoader, "other: abc\n"),
                          (ColorLoader, "a: rgb(1)\n"),
-                         (ColorLoader, "a: red\n")]:
+                         (ColorLoader, "a: red\n"),
+                         (RedLoader, "a: red\n")]:
         _assert_agrees(text, custom)
     for custom, text, tag in [(PathLoader, "port: abc\n", "!port"),
-                              (ColorLoader, "a: rgb(1)\n", "!color")]:
+                              (ColorLoader, "a: rgb(1)\n", "!color"),
+                              (RedLoader, "a: red\n", "!red")]:
         scenario._LOADER = custom
         with pytest.raises(yaml.YAMLError, match=tag):
             scenario._load_yaml(text)
@@ -305,17 +425,32 @@ def _workloads():
     return module
 
 
+def _readme_example():
+    """The README's annotated scenario: flow style, with comments."""
+    path = Path(__file__).resolve().parents[1] / "README.md"
+    text = path.read_text(encoding="utf-8")
+    start = text.index("```yaml\n") + len("```yaml\n")
+    return text[start:text.index("```", start)]
+
+
 @pytest.mark.usefixtures("restore_loader")
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
-def test_plain_texts_are_parsed_once(loader, monkeypatch):
-    # a plain text takes one parser and no yaml.load; any other text
-    # falls back to yaml.load once, which parses it again
+def test_plain_texts_are_parsed_once(loader, monkeypatch, tmp_path):
+    # a text in safe_dump's block layout takes no parser and no
+    # yaml.load, nor does a preset file formsim wrote; another plain
+    # text takes one parser, and any other text falls back to yaml.load
+    # once, which parses it again
     workloads = _workloads()
-    plain = [workloads.scenario_text(name, seed)
+    block = [workloads.scenario_text(name, seed)
              for name in workloads.GENERATORS for seed in range(3)]
-    plain += [fs.serialize_scenario(fs.get_preset(name))
+    block += [fs.serialize_scenario(fs.get_preset(name))
               for name in fs.preset_names()]
-    plain.append(_sampled_text(4))
+    block.append(_sampled_text(4))
+    presets = []
+    for name in fs.preset_names():
+        presets.append(tmp_path / f"{name}.yaml")
+        assert main(["preset", name, "-o", str(presets[-1])]) == 0
+    plain = [_readme_example()]
     other = ["note: yes\n", "a: 1\n---\nb: 2\n", "a: *missing\n",
              "[" * 5000 + "]" * 5000 + "\n"]
     parsers, loads = [], []
@@ -333,12 +468,19 @@ def test_plain_texts_are_parsed_once(loader, monkeypatch):
 
     monkeypatch.setattr(yaml, "load", counted_load)
     scenario._LOADER = Counted
-    for text, counts in [(t, (1, 0)) for t in plain] \
-            + [(t, (2, 1)) for t in other]:
+    for text, counts in [(t, (0, 0)) for t in block] \
+            + [(t, (1, 0)) for t in plain] + [(t, (2, 1)) for t in other]:
         parsers.clear()
         loads.clear()
         _outcome(scenario._load_yaml, text)
         assert (len(parsers), len(loads)) == counts, text[:40]
+    for path in presets:
+        parsers.clear()
+        loads.clear()
+        config = fs.load_scenario(path)
+        assert (len(parsers), len(loads)) == (0, 0)
+        assert fs.scenario_to_dict(config) == fs.scenario_to_dict(
+            fs.get_preset(path.stem))
 
 
 def _depth(load, text):

@@ -183,6 +183,36 @@ def test_pose_rate_consistency_second_order(make):
     assert g1 / g2 > 3.0
 
 
+def test_sampled_pose_rolls_on_past_its_span():
+    # past the span the end twist is held and the pose moves along it: the
+    # central-difference pose rate is steering(heading) @ twist, and the
+    # pose leaves the span's pose continuously
+    prof = _sine_profile(span=1.0)
+    profile_set = fs.ProfileSet([prof.started_at((3.0, -1.0, 2.0))])
+    (end,), (held,), _ = fs.desired_arrays(profile_set, prof.span)
+    v, w = held
+    for t in (1.0 + 1e-3, 1.5, 2.75, 10.0):
+        h = 1e-4
+        qp = fs.desired_arrays(profile_set, t + h)[0][0]
+        qm = fs.desired_arrays(profile_set, t - h)[0][0]
+        (pose,), (twist,), (rate,) = fs.desired_arrays(profile_set, t)
+        assert np.array_equal(twist, held)
+        assert np.array_equal(rate, [0.0, 0.0])
+        # a constant twist's pose has second derivative |v w| and third
+        # |v w^2|: the difference is off by h^2 |v w^2| / 6, and its
+        # roundings by a few ulps of the pose over h
+        want = fs.unicycle_rate(pose[2], twist)
+        tol = h * h * abs(v * w * w) / 6 + 4 * EPS * (1 + np.abs(pose)) / h
+        assert np.all(np.abs((qp - qm) / (2 * h) - want) <= tol)
+    for d in (1e-12, 1e-9, 1e-6):
+        # the first-order step off the end pose, up to d^2 |v w| / 2 and
+        # a few ulps of the pose
+        (pose,), _, _ = fs.desired_arrays(profile_set, prof.span + d)
+        step = fs.unicycle_rate(end[2], held) * d
+        tol = d * d * abs(v * w) / 2 + 4 * EPS * (1 + np.abs(end))
+        assert np.all(np.abs(pose - end - step) <= tol)
+
+
 def test_sampled_twist_guards_singular_speed():
     ts = np.linspace(0.0, 1.0, 5)
     tw = np.stack([np.full(5, 1e-9), np.ones(5)], axis=1)
@@ -726,19 +756,26 @@ def _scalar_twist(p, t):
     return val, der, scale, h
 
 
+def _scalar_chord(pose0, v, omega, t):
+    """The pose reached from ``pose0`` along the constant twist
+    (v, omega) after t, in the chord form of ``ConstantTwist`` in
+    math.sin and math.cos."""
+    x0, y0, th0 = pose0
+    h = 0.5 * (omega * t)
+    chord = v * t * (math.sin(h) / h if h else 1.0)
+    return np.array([x0 + chord * math.cos(th0 + h),
+                     y0 + chord * math.sin(th0 + h), th0 + omega * t])
+
+
 def _scalar_state(p, t):
     """Desired pose, twist and rate of one profile at t >= 0: the chord
-    form in math.sin and math.cos for a constant twist (see
-    ``ConstantTwist``); for a sampled profile one
-    ``rk4_step`` of the pose rate from the stored grid point at or before t
-    (clamped to the span), with the twist from ``_scalar_twist``."""
+    form for a constant twist; for a sampled profile one ``rk4_step`` of
+    the pose rate from the stored grid point at or before t (clamped to
+    the span), with the twist from ``_scalar_twist``, and past the span
+    the chord of the held end twist from the pose at the span."""
     if isinstance(p, fs.ConstantTwist):
-        x0, y0, th0 = p.pose0
-        h = 0.5 * (p.omega * t)
-        chord = p.v * t * (math.sin(h) / h if h else 1.0)
-        pose = [x0 + chord * math.cos(th0 + h),
-                y0 + chord * math.sin(th0 + h), th0 + p.omega * t]
-        return np.array(pose), np.array([p.v, p.omega]), np.zeros(2)
+        return (_scalar_chord(p.pose0, p.v, p.omega, t),
+                np.array([p.v, p.omega]), np.zeros(2))
 
     def rate(s, q):
         v, w = _scalar_twist(p, s)[0]
@@ -748,6 +785,8 @@ def _scalar_state(p, t):
     grid = _grid(p)
     k = min(int(tc / p.grid_dt), len(grid) - 2)
     pose = rk4_step(rate, k * p.grid_dt, grid[k], tc - k * p.grid_dt)
+    if t > p.span:
+        pose = _scalar_chord(pose, *p.twists[-1], t - p.span)
     return (pose, *_scalar_twist(p, t)[:2])
 
 
@@ -787,7 +826,13 @@ def test_profile_set_matches_each_profile(profs, t):
         # by the start heading, so it differs from the oracle's by a few
         # ulps of itself (h times the speed), and the stage twists move it
         # by h times their own few-ulp difference, well inside this bound.
-        tol = 4 * EPS * (1 + np.abs(pose))
+        # Past the span the chord of the held twist, at most |v| (t - span)
+        # long, is formed along the path and rotated by the start heading,
+        # and the oracle's in the plane: a few ulps of its length more.
+        chord = 0.0
+        if isinstance(p, fs.SampledTwist) and t > p.span:
+            chord = abs(p.twists[-1][0]) * (t - p.span)
+        tol = 4 * EPS * (1 + np.abs(pose) + chord)
         assert np.all(np.abs(qd[i] - pose) <= tol)
         if isinstance(p, fs.ConstantTwist):
             assert np.array_equal(etad[i], twist)
