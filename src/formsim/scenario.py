@@ -7,21 +7,19 @@ Gains may be given per robot (3, 2, or 6 numbers broadcast to all robots)
 or in full stacked form. See the README for an annotated example.
 
 Loading reads the text, or a file's bytes (decoded by YAML's rules), in
-one of three ways, and the document and every error are those of
+one of two ways, and the document and every error are those of
 ``yaml.load`` with ``_LOADER``, libyaml's loader when PyYAML has it:
 
 - the block reader (``_block_document``) reads, line by line, the block
   layout ``yaml.safe_dump`` writes for a plain document (maps with word
   keys, sequences, anchors and aliases, and string, decimal integer and
   float scalars), as every scenario formsim writes is, in ASCII;
-- the event builder (``_plain_document``) builds any other plain
-  document, such as a hand-written flow-style one or one with comments,
-  from ``_LOADER``'s parser events;
-- ``yaml.load`` takes any other text (a boolean, a null, a merge key,
-  another tag, a parse error), and every text under a path resolver.
+- ``yaml.load`` takes any other text (flow style, comments, CRLF line
+  ends, a boolean, a null, a tag, a parse error), and every text under a
+  path resolver.
 
-Each reader declines what it does not read, by the text's form alone,
-and passes it on unchanged. Fields are then checked without numpy
+The block reader declines what it does not read, by the text's form
+alone, and passes it on unchanged. Fields are then checked without numpy
 when they are flat lists of Python numbers, through numpy otherwise, with
 the same errors either way. A bool or a null is never a number: YAML
 reads ``yes``, ``on`` and ``true`` as booleans and ``~`` as a null, and
@@ -36,8 +34,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from yaml.events import AliasEvent, MappingEndEvent, MappingStartEvent, \
-    ScalarEvent, SequenceEndEvent, SequenceStartEvent, StreamEndEvent
 
 from .adaptive import RobotParams
 from .graph import GraphError, validate_spanning_tree
@@ -61,14 +57,13 @@ __all__ = [
 # the parsed document, is the same either way.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-_STR, _INT, _FLOAT, _SEQ, _MAP = (f"tag:yaml.org,2002:{kind}" for kind in
-                                  ("str", "int", "float", "seq", "map"))
+_STR, _INT, _FLOAT = (f"tag:yaml.org,2002:{kind}"
+                      for kind in ("str", "int", "float"))
 
 
 # Deeper nesting is left to yaml.load, whose pure-Python composer recurses
 # per level and so, well past this depth, raises RecursionError.
 _MAX_DEPTH = 100
-_KEY = object()     # an open map's next node is a key
 
 # One line of the block layout yaml.safe_dump writes: its indent, the
 # "- " entries it opens, a key (well inside YAML's 1024 characters for a
@@ -82,18 +77,12 @@ _BLOCK_LINE = re.compile(r"^(?=.)( *)((?:- )*)(?:(\w{1,128}):(?:$| (?!$)))?"
 def _load_yaml(text):
     """``yaml.load(text, Loader=_LOADER)``: the same document, or the same
     exception. The block layout yaml.safe_dump writes is read line by
-    line, any other plain document is built from the parser's events, and
-    any other text goes to ``yaml.load``, as all do under a path
+    line; any other text goes to ``yaml.load``, as all do under a path
     resolver."""
     if not _LOADER.yaml_path_resolvers:
         doc = _block_document(text)
         if doc is not None:
             return doc
-        loader = _LOADER(text)
-        try:
-            return _plain_document(loader)
-        except yaml.YAMLError:      # not plain, or not YAML
-            loader.dispose()
     return yaml.load(text, Loader=_LOADER)
 
 
@@ -106,19 +95,17 @@ def _resolvers():
             if c is not None}, wild
 
 
-def _plain_scalar(value, tag, key, resolvers):
-    """What ``yaml.load`` makes of a scalar, ``value`` tagged ``tag``
-    (None for a plain one, resolved here by ``resolvers``), when it is
-    plain: a str, or, unless it is a map's ``key``, an int (decimal, no
-    leading 0) or a float (one ``float`` reads, not nan). Else raises
-    ``yaml.YAMLError``."""
-    if tag is None:
-        first, wild = resolvers
-        for tag, regexp in first.get(value[:1], wild):
-            if regexp.match(value):
-                break
-        else:
-            return value
+def _plain_scalar(value, key, resolvers):
+    """What ``yaml.load`` makes of the plain scalar ``value``, resolved by
+    ``resolvers``, when it is plain: a str, or, unless it is a map's
+    ``key``, an int (decimal, no leading 0) or a float (one ``float``
+    reads, not nan). Else raises ``yaml.YAMLError``."""
+    first, wild = resolvers
+    for tag, regexp in first.get(value[:1], wild):
+        if regexp.match(value):
+            break
+    else:
+        return value
     if tag == _STR:
         return value
     if not key and tag == _FLOAT:
@@ -203,7 +190,7 @@ def _block_document(text):
                     top = enter({}, col, opening)
                     opening = None
                 if scalars.get(key).__class__ is not str:
-                    scalars[key] = _plain_scalar(key, None, True, resolvers)
+                    scalars[key] = _plain_scalar(key, True, resolvers)
             elif not dashes:
                 return None
             if sigil == "*":
@@ -213,8 +200,8 @@ def _block_document(text):
             elif value:
                 obj = scalars.get(value)
                 if obj is None:
-                    obj = scalars[value] = _plain_scalar(
-                        value, None, False, resolvers)
+                    obj = scalars[value] = _plain_scalar(value, False,
+                                                         resolvers)
             elif key:
                 opening = top, key, col, col + 2, name
                 continue
@@ -231,70 +218,6 @@ def _block_document(text):
     except yaml.YAMLError:          # a block out of place, or a scalar
         return None                 # that is not plain
     return None if opening is not None else root
-
-
-def _plain_document(loader):
-    """What ``yaml.load`` builds from ``loader``'s one document, nested at
-    most ``_MAX_DEPTH`` deep, when every node is plain: a sequence, a map
-    with str-tagged scalar keys, or a scalar that ``_plain_scalar``
-    reads. Untagged plain scalars are resolved as the composer resolves
-    them. A container is entered under its anchor before it is filled, so
-    an alias is the object its anchor built. Else raises
-    ``yaml.YAMLError``."""
-    resolvers = _resolvers()
-    get = loader.get_event
-    get()                                       # the stream's start
-    if get().__class__ is StreamEndEvent:       # else a document's start
-        return None
-    anchors, stack = {}, []
-    # the open container, None at the root, and the key its next node is
-    # the value of: _KEY when that node is a key, None outside a map
-    top = key = None
-    while True:
-        event = get()
-        kind = event.__class__
-        if kind is SequenceEndEvent or kind is MappingEndEvent:
-            obj, (top, key) = top, stack.pop()
-        elif kind is AliasEvent:
-            obj = anchors.get(event.anchor, _KEY)
-            if obj is _KEY or key is _KEY:
-                raise yaml.YAMLError
-        else:
-            if kind is ScalarEvent:
-                tag = event.tag
-                if tag is None and not event.implicit[0]:
-                    tag = _STR              # quoted: never resolved
-                obj = _plain_scalar(event.value, tag, key is _KEY,
-                                    resolvers)
-            elif key is _KEY or len(stack) == _MAX_DEPTH:
-                raise yaml.YAMLError
-            elif kind is SequenceStartEvent and event.tag in (None, _SEQ):
-                obj = []
-            elif kind is MappingStartEvent and event.tag in (None, _MAP):
-                obj = {}
-            else:
-                raise yaml.YAMLError
-            if event.anchor is not None:
-                if event.anchor in anchors:
-                    raise yaml.YAMLError
-                anchors[event.anchor] = obj
-            if kind is not ScalarEvent:
-                stack.append((top, key))
-                top, key = obj, (_KEY if kind is MappingStartEvent else None)
-                continue
-        if key is None:
-            if top is None:
-                break
-            top.append(obj)
-        elif key is _KEY:
-            key = obj
-        else:
-            top[key] = obj
-            key = _KEY
-    get()                                       # the document's end
-    if get().__class__ is not StreamEndEvent:
-        raise yaml.YAMLError
-    return obj
 
 
 class ParseError(ValueError):

@@ -1,15 +1,14 @@
 """The scenario loader's YAML construction against ``yaml.load``.
 
 ``scenario._load_yaml`` reads the block layout ``yaml.safe_dump`` writes
-for a plain document line by line, builds any other document whose nodes
-are all plain (maps with string keys, sequences, and string, decimal
-integer and float scalars) straight from the parser's events, resolving
-untagged scalars by the loader's own resolver table either way, and gives
-any other text to ``yaml.load``. For every text it must return what
-``yaml.load`` returns, with the same types, the same aliasing and the
-same recursion, or raise the same exception with the same message, under
-the pure-Python and the libyaml loaders alike. Every scenario formsim
-writes is in the block layout, so none is parsed by PyYAML at all.
+for a plain document (maps with word keys, sequences, and string, decimal
+integer and float scalars) line by line, resolving its scalars by the
+loader's own resolver table, and gives any other text to ``yaml.load``.
+For every text it must return what ``yaml.load`` returns, with the same
+types, the same aliasing and the same recursion, or raise the same
+exception with the same message, under the pure-Python and the libyaml
+loaders alike. Every scenario formsim writes is in the block layout, so
+none is parsed by PyYAML at all.
 """
 
 import importlib.util
@@ -100,18 +99,19 @@ def texts(draw):
 
 
 @st.composite
-def dumped(draw):
+def dumped(draw, wide=None):
     """A document as ``yaml.safe_dump(..., sort_keys=False)`` writes it:
     maps and lists of words and numbers, with a few lists held under
     several keys, which it writes as an anchor and its aliases. Half the
-    documents also hold empty containers, booleans, nulls, ints and
-    floats of any size, and the strings of ``SCALARS`` and ``KEYS``
-    (quoted where YAML would read them otherwise), as keys or values."""
+    documents, or all when ``wide`` (none when it is False), also hold
+    empty containers, booleans, nulls, ints and floats of any size, and
+    the strings of ``SCALARS`` and ``KEYS`` (quoted where YAML would read
+    them otherwise), as keys or values."""
     leaves = st.one_of(st.sampled_from(WORDS), st.integers(0, 10 ** 6),
                        st.floats(-1e6, 1e6))
     keys = st.sampled_from(WORDS)
     least = 1
-    if draw(st.booleans()):
+    if draw(st.booleans()) if wide is None else wide:
         leaves = st.one_of(leaves, st.sampled_from(SCALARS + KEYS),
                            st.integers(), st.floats(allow_nan=True),
                            st.booleans(), st.none())
@@ -142,6 +142,37 @@ def edited(draw):
     if how == "replace":
         return text[:at] + char + text[at + 1:]
     return text[:at] + text[at + 1:]
+
+
+@st.composite
+def reshaped(draw):
+    """A ``dumped`` text of words and numbers only, which the block
+    reader reads, with one line moved two columns in or out, doubled,
+    dropped or swapped with the next, or with a "- " put in after its
+    indent, taken out, or blanked to two spaces: the block layout's
+    indents and dashes out of place."""
+    lines = draw(dumped(wide=False)).splitlines(keepends=True)
+    at = draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    rest = line.lstrip(" ")
+    indent = line[:len(line) - len(rest)]
+    how = draw(st.sampled_from(["in", "out", "double", "drop", "swap",
+                                "dash", "undash", "blank"]))
+    if how == "in":
+        lines[at] = "  " + line
+    elif how == "out":
+        lines[at] = line[2:] if indent[:2] == "  " else line
+    elif how == "double":
+        lines.insert(at, line)
+    elif how == "drop":
+        del lines[at]
+    elif how == "swap":
+        lines[at:at + 2] = lines[at:at + 2][::-1]
+    elif how == "dash":
+        lines[at] = indent + "- " + rest
+    elif rest[:2] == "- ":
+        lines[at] = indent + ("  " if how == "blank" else "") + rest[2:]
+    return "".join(lines)
 
 
 def _same(a, b, pairs):
@@ -223,6 +254,14 @@ def test_block_reader_agrees_on_edited_documents(loader, text):
     _assert_block_agrees(text, loader)
 
 
+@pytest.mark.usefixtures("restore_loader")
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@settings(max_examples=300, deadline=None)
+@given(text=reshaped())
+def test_block_reader_agrees_on_reshaped_documents(loader, text):
+    _assert_block_agrees(text, loader)
+
+
 def _case_id(text):
     name = repr(text)
     return name if len(name) <= 60 else f"{name[:40]}...{len(text)}"
@@ -254,8 +293,7 @@ def _nested(depth):
     "[!!int abc, !!float '']\n",               # errors, first one wins
     "{a: [!!float ''], b: !!int abc}\n",       # in the loader's order
     "x: = \n",
-    # where the block reader stops: the text goes on to the event builder
-    # or to yaml.load
+    # where the block reader stops: the text goes on to yaml.load
     "a: 1\r\nb: 2\r\n",                        # CRLF line ends
     "a: 1 # note\n",                           # a trailing comment
     "a:\n\tb: 1\n",                            # a tab indent
@@ -285,9 +323,9 @@ def test_loader_agrees_on_edge_cases(loader, text):
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
 def test_loader_keeps_custom_resolvers(loader):
     # a path resolver sends the text to yaml.load, and an implicit
-    # resolver added to a loader class is honoured by the block reader
-    # and the event builder as by the composer, also on a word the block
-    # reader reads; no such tag has a constructor
+    # resolver added to a loader class is honoured by the block reader as
+    # by the composer, also on a word the block reader reads; no such tag
+    # has a constructor
     class PathLoader(loader):
         pass
 
@@ -437,9 +475,9 @@ def _readme_example():
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
 def test_plain_texts_are_parsed_once(loader, monkeypatch, tmp_path):
     # a text in safe_dump's block layout takes no parser and no
-    # yaml.load, nor does a preset file formsim wrote; another plain
-    # text takes one parser, and any other text falls back to yaml.load
-    # once, which parses it again
+    # yaml.load, nor does a preset file formsim wrote; any other text,
+    # the README's flow-style example included, takes yaml.load once,
+    # and so one parser
     workloads = _workloads()
     block = [workloads.scenario_text(name, seed)
              for name in workloads.GENERATORS for seed in range(3)]
@@ -450,9 +488,8 @@ def test_plain_texts_are_parsed_once(loader, monkeypatch, tmp_path):
     for name in fs.preset_names():
         presets.append(tmp_path / f"{name}.yaml")
         assert main(["preset", name, "-o", str(presets[-1])]) == 0
-    plain = [_readme_example()]
-    other = ["note: yes\n", "a: 1\n---\nb: 2\n", "a: *missing\n",
-             "[" * 5000 + "]" * 5000 + "\n"]
+    other = [_readme_example(), "note: yes\n", "a: 1\n---\nb: 2\n",
+             "a: *missing\n", "[" * 5000 + "]" * 5000 + "\n"]
     parsers, loads = [], []
 
     class Counted(loader):
@@ -469,7 +506,7 @@ def test_plain_texts_are_parsed_once(loader, monkeypatch, tmp_path):
     monkeypatch.setattr(yaml, "load", counted_load)
     scenario._LOADER = Counted
     for text, counts in [(t, (0, 0)) for t in block] \
-            + [(t, (1, 0)) for t in plain] + [(t, (2, 1)) for t in other]:
+            + [(t, (1, 1)) for t in other]:
         parsers.clear()
         loads.clear()
         _outcome(scenario._load_yaml, text)

@@ -213,6 +213,44 @@ def test_sampled_pose_rolls_on_past_its_span():
         assert np.all(np.abs(pose - end - step) <= tol)
 
 
+def _short_table_config(dt, t_final, span):
+    """Two robots sharing a sampled table that ends at ``span``."""
+    table = {"kind": "sampled_twist", "times": [0.0, 0.5 * span, span],
+             "twists": [[1.0, 0.3], [1.2, -0.2], [0.8, 0.5]],
+             "rates": [[0.0, 0.0]] * 3}
+    return fs.scenario_from_dict({
+        "mode": "kinematic", "edges": [[1, 2]], "dt": dt,
+        "t_final": t_final, "gains": {"formation": [1.0, 1.0, 1.0]},
+        "robots": [{"start": [x, -1.0, 2.0],
+                    "trajectory": {"start": [x, -1.0, 2.0], **table}}
+                   for x in (0.0, 3.0)]})
+
+
+@pytest.mark.parametrize("dt,t_final", [(0.1, 0.7), (0.01, 2.2),
+                                        (0.3, 2.1), (0.001, 0.3)])
+@pytest.mark.parametrize("ulps", [1, 2])
+def test_run_past_a_short_span_keeps_its_end_pose_to_ulps(dt, t_final, ulps):
+    # the loader takes a table ending within 3u of the run's last step,
+    # round(t_final / dt) dt, so a run may evaluate a few ulps past the
+    # span: there the pose moves by |twist| (t - span) and the roundings
+    # of the pose from the span's pose, which is the pose every time past
+    # the span had while the pose was held at the span
+    steps = round(t_final / dt)
+    end = steps * dt
+    span = end
+    for _ in range(ulps):
+        span = np.nextafter(span, 0.0)
+    engine = fs.Engine(_short_table_config(dt, t_final, float(span)))
+    # the last step's last stage time, and the final sample's time
+    times = np.array([(steps - 1) * dt + dt, end])
+    assert np.all(times - span <= 3 * EPS * end) and times.max() > span
+    q, _, _ = fs.desired_arrays(engine.profiles, times)
+    q0, (twist, _), _ = fs.desired_arrays(engine.profiles, span)
+    rate = np.abs(twist[[0, 0, 1]])
+    tol = rate * (times - span)[:, None, None] + 2 * EPS * (1 + np.abs(q0))
+    assert np.all(np.abs(q - q0) <= tol)
+
+
 def test_sampled_twist_guards_singular_speed():
     ts = np.linspace(0.0, 1.0, 5)
     tw = np.stack([np.full(5, 1e-9), np.ones(5)], axis=1)
