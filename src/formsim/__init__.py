@@ -16,9 +16,8 @@ from .engine import (DivergenceError, Engine, EvalRecord, Trace, rk4_step,
                      simulate)
 from .graph import (CycleError, DisconnectedError, GraphError, SpanningTree,
                     validate_spanning_tree)
-from .linalg import (LeastSquaresResult, RankDeficient,
-                     chain_gram_determinant, chain_pivot_bounds, gram_pivot,
-                     least_squares_solve, tree_factor)
+from .linalg import (RankDeficient, chain_gram_determinant,
+                     chain_pivot_bounds, least_squares_solve, tree_factor)
 from .metrics import EmptyTrace, MetricsReport, compute_metrics
 from .presets import get_preset, preset_names
 from .scenario import (ParseError, RobotSpec, ScenarioConfig, SchemaError,

@@ -50,8 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# least_squares_solve is the dense reference the tests compare against; it
-# stays bound here, where perfbench/tracing.py counts its calls.
+# least_squares_solve stays bound here, where perfbench/tracing.py counts
+# its calls, until ROADMAP item 14 removes the tracer's name list.
 from .linalg import RankDeficient, _back, tree_factor
 from .linalg import least_squares_solve  # noqa: F401
 

@@ -9,6 +9,7 @@ coupling matrix columns, the leaves-first Gram factor) can rely on parents
 appearing before their children.
 """
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -57,13 +58,26 @@ class SpanningTree:
         return np.array(self.edges, dtype=np.int64).reshape(-1, 2) - 1
 
 
+def _vertex(v, i, j):
+    """Endpoint ``v`` of the edge (i, j) as an int. GraphError unless it
+    is a finite whole number; a bool is not one."""
+    if type(v) is int:
+        return v
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or not float(v).is_integer()):
+        raise GraphError(f"edge ({i!r}, {j!r}): endpoint {v!r} is not a "
+                         f"whole number")
+    return int(v)
+
+
 def validate_spanning_tree(n, edges):
     """Check and normalize an oriented edge list into a SpanningTree.
 
     Every fault raises a GraphError: CycleError for repeated children,
     self loops, or any edge pointing back at the root; DisconnectedError
     when a vertex cannot be reached from vertex 1; GraphError itself for
-    n < 1 or an endpoint outside 1..n. An edge set that passes is a
+    n < 1, an endpoint that is not a finite whole number (a bool, a
+    string, 2.7 or nan), or one outside 1..n. An edge set that passes is a
     spanning tree: once every vertex is reached, every edge has been
     taken, and as the children are distinct and none is the root, there
     are n - 1.
@@ -77,7 +91,7 @@ def validate_spanning_tree(n, edges):
     """
     if n < 1:
         raise GraphError(f"need at least one vertex, got n={n}")
-    edges = [(int(i), int(j)) for i, j in edges]
+    edges = [(_vertex(i, i, j), _vertex(j, i, j)) for i, j in edges]
     for i, j in edges:
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i}, {j}) outside vertex range 1..{n}")

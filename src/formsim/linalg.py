@@ -15,103 +15,46 @@ the work is O(n). Every pivot is at least 1, by induction from the
 leaves: pivot_c = deg~_c - sum over children k of cos^2/pivot_k >=
 deg~_c - #children = 1. Only a non-finite heading loses the factor: a
 run that meets one diverges (a DivergenceError), and RankDeficient
-belongs to the dense reference below and to the controller's oracles.
+belongs to the controller's oracles.
 The same loop forward-eliminates the one right-hand side it is given,
 and ``_back`` back-substitutes; ``controller._torque_stage`` runs the
 same recursion fused into its first sweep over the edges.
 
-``least_squares_solve`` and its rank guard ``gram_pivot`` form the dense
-reference: G = A^T A formed explicitly, every squared Cholesky pivot of G
-above PIVOT_RTOL = 1e-12 times the largest diagonal entry of G, and two
-LU solves. The squared pivots are the Gaussian-elimination pivots of G in
-column order; for chains they are the recursion pivots of
-``chain_gram_determinant``, the O(m) determinant recursion of the
-pentadiagonal chain Gram matrix, which ``chain_pivot_bounds`` keeps at or
-above 2/m against a largest diagonal of 2. The tests cross-check that
-recursion against ``tree_factor``'s pivots and against dense LAPACK.
+``least_squares_solve`` is the dense reference: one LU solve of
+G = A^T A formed explicitly. G's squared Cholesky pivots are its
+Gaussian-elimination pivots in column order; for chains they are the
+recursion pivots of ``chain_gram_determinant``, the O(m) determinant
+recursion of the pentadiagonal chain Gram matrix, which
+``chain_pivot_bounds`` keeps at or above 2/m against a largest diagonal
+of 2. The tests cross-check that recursion against ``tree_factor``'s
+pivots and against dense LAPACK.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "PIVOT_RTOL",
     "RankDeficient",
-    "LeastSquaresResult",
-    "gram_pivot",
     "least_squares_solve",
     "tree_factor",
     "chain_gram_determinant",
     "chain_pivot_bounds",
 ]
 
-PIVOT_RTOL = 1e-12
-
 
 class RankDeficient(RuntimeError):
-    """Normal-equations matrix too close to singular to trust."""
-
-
-def gram_pivot(G):
-    """Smallest squared Cholesky pivot of a Gram matrix G = A^T A relative
-    to its largest diagonal entry, checked by the rank guard described in
-    the module docstring. Raises RankDeficient when G fails it.
-    """
-    if not np.isfinite(G).all():
-        raise RankDeficient("Gram matrix has non-finite entries")
-    try:
-        root = np.linalg.cholesky(G).diagonal().min()
-    except np.linalg.LinAlgError:
-        raise RankDeficient("Gram matrix is not positive definite") from None
-    pivot = float(root * root / G.diagonal().max())
-    if not pivot > PIVOT_RTOL:
-        raise RankDeficient(f"relative Cholesky pivot {pivot:.3e} "
-                            f"below {PIVOT_RTOL:g}")
-    return pivot
-
-
-@dataclass(frozen=True)
-class LeastSquaresResult:
-    """Minimizer of ||A x - b||, the residual A x - b, and the smallest
-    relative Cholesky pivot of A^T A (see ``gram_pivot``)."""
-
-    solution: np.ndarray
-    residual: np.ndarray
-    pivot: float
+    """A heading the oracles cannot form the normal equations at: one
+    that is not finite."""
 
 
 def least_squares_solve(A, b):
-    """Solve min_x ||A x - b|| for a tall (or square) full-rank A.
-
-    Parameters
-    ----------
-    A : ndarray, shape (rows, cols) with rows >= cols
-        Coefficient matrix with full column rank.
-    b : ndarray, shape (rows,)
-        Right-hand side.
-
-    Returns
-    -------
-    LeastSquaresResult
-        Minimizer, residual A x - b, and the smallest relative Cholesky
-        pivot of A^T A.
-
-    Normal equations with one step of iterative refinement, which keeps
-    the orthogonality defect ||A^T r|| at rounding level across the whole
-    admitted conditioning range. Raises RankDeficient when ``gram_pivot``
-    rejects A^T A.
-    """
+    """The minimizer of ||A x - b|| for a tall (or square) A of full
+    column rank, from one solve of the normal equations A^T A x = A^T b.
+    Raises ValueError when A has fewer rows than columns."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise ValueError(f"need rows >= cols, got shape {A.shape}")
-    G = A.T @ A
-    pivot = gram_pivot(G)
-    c = A.T @ b
-    x = np.linalg.solve(G, c)
-    x += np.linalg.solve(G, c - G @ x)
-    return LeastSquaresResult(solution=x, residual=A @ x - b, pivot=pivot)
+    return np.linalg.solve(A.T @ A, A.T @ b)
 
 
 def tree_factor(edges, cos, bv):

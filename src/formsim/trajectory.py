@@ -173,11 +173,21 @@ def _check_hermite_range(times, twists, rates):
     return scale.max(axis=0).tolist()
 
 
+def _check_start(pose0):
+    """Raise ValueError unless ``pose0`` is three finite numbers, a start
+    pose (x, y, theta)."""
+    if len(pose0) != 3:
+        raise ValueError(f"a start pose is (x, y, theta), got "
+                         f"{len(pose0)} values")
+    if not all(map(math.isfinite, pose0)):
+        raise ValueError("profile parameters must be finite")
+
+
 def _check_pose_range(pose0, reach):
-    """Raise ValueError unless ``pose0`` is finite and every pose
-    composed from it and the table's path stays within the floats, where
-    ``reach`` holds, per pose component, the span times the largest S of
-    its twist component (``_check_hermite_range``).
+    """Raise ValueError unless ``pose0`` is a start pose (``_check_start``)
+    and every pose composed from it and the table's path stays within the
+    floats, where ``reach`` holds, per pose component, the span times the
+    largest S of its twist component (``_check_hermite_range``).
 
     Each step of the path moves its position by at most h S in length and
     its heading by at most h S of w, each with a few roundings (h / 6
@@ -194,8 +204,7 @@ def _check_pose_range(pose0, reach):
     points composes the start with a path point advanced by one shorter
     step, within the same bound.
     """
-    if not all(map(math.isfinite, pose0)):
-        raise ValueError("profile parameters must be finite")
+    _check_start(pose0)
     if not all(3 * (abs(q) + r) <= sys.float_info.max
                for q, r in zip(pose0, reach)):
         raise ValueError(f"the pose grid from start ({pose0[0]:g}, "
@@ -283,7 +292,8 @@ class ConstantTwist:
             raise SingularSpeed(
                 f"|v|={abs(self.v):g} below floor {SPEED_FLOOR:g}"
             )
-        if not all(map(math.isfinite, (*self.pose0, self.v, self.omega))):
+        _check_start(self.pose0)
+        if not (math.isfinite(self.v) and math.isfinite(self.omega)):
             raise ValueError("profile parameters must be finite")
         object.__setattr__(self, "pose0", tuple(map(float, self.pose0)))
 

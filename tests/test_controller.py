@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 import formsim as fs
 from conftest import chain_tree, stage_terms
@@ -245,17 +244,6 @@ def test_twist_matches_kinematic_control(rng, chain5):
     fv = fictitious_velocity(chain5, st, twists, z, ff, d, gain)
     assert np.abs(fv.twist - fs.kinematic_control(
         chain5, poses[:, 2], z, ff, gain)).max() < 1e-11
-
-
-def test_rank_deficiency_guard():
-    # two-robot chain with the child heading orthogonal keeps full rank;
-    # an engineered duplicate-column coupling must raise instead
-    A = np.zeros((6, 4))
-    A[:3, :2] = -fs.SELECT
-    A[3:, :2] = -fs.steering_matrix(0.2)
-    A[3:, 2:] = fs.steering_matrix(0.2) * 1e-9
-    with pytest.raises(fs.RankDeficient):
-        fs.least_squares_solve(A, np.ones(6))
 
 
 def test_stacked_error_rate_identity(rng, chain5, adaptive_engine):

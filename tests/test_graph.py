@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import formsim as fs
@@ -65,6 +66,22 @@ def test_every_endpoint_outside_1_to_n_is_a_graph_error(edge):
                        match=rf"edge \({edge[0]}, {edge[1]}\) outside "
                              r"vertex range 1\.\.5"):
         fs.validate_spanning_tree(5, [(1, 2), (2, 3), (3, 4), edge])
+
+
+@pytest.mark.parametrize("endpoint", [2.7, True, "2", float("nan"),
+                                      float("inf"), None])
+def test_every_endpoint_not_a_whole_number_is_a_graph_error(endpoint):
+    # none is read as vertex 2, and none escapes as a bare ValueError or
+    # TypeError
+    with pytest.raises(fs.GraphError, match="is not a whole number"):
+        fs.validate_spanning_tree(2, [(1, endpoint)])
+
+
+def test_whole_number_endpoints_of_any_real_type_are_accepted():
+    tree = fs.validate_spanning_tree(3, [(1.0, np.int64(2)),
+                                         (np.float64(2.0), 3)])
+    assert tree.edges == ((1, 2), (2, 3))
+    assert all(type(v) is int for e in tree.edges for v in e)
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -20,28 +20,29 @@ def _cofactor_det(M):
 # ---- least squares ----
 
 def test_selector_least_squares():
-    res = fs.least_squares_solve(fs.SELECT, [2.0, 5.0, 7.0])
-    assert np.allclose(res.solution, [2.0, 7.0], atol=1e-14)
-    assert np.allclose(res.residual, [0.0, -5.0, 0.0], atol=1e-14)
+    x = fs.least_squares_solve(fs.SELECT, [2.0, 5.0, 7.0])
+    assert np.allclose(x, [2.0, 7.0], atol=1e-14)
+    assert np.allclose(fs.SELECT @ x - [2.0, 5.0, 7.0], [0.0, -5.0, 0.0],
+                       atol=1e-14)
 
 
 def test_square_system_exact(rng):
     A = rng.normal(size=(4, 4)) + 4 * np.eye(4)
     b = rng.normal(size=4)
-    res = fs.least_squares_solve(A, b)
-    assert np.abs(res.solution - np.linalg.solve(A, b)).max() < 1e-10
-    assert np.abs(res.residual).max() < 1e-10
+    x = fs.least_squares_solve(A, b)
+    assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-10
+    assert np.abs(A @ x - b).max() < 1e-10
 
 
 def test_least_squares_optimality(rng):
     # oracle: direct evaluation of the squared-residual cost
     A = rng.normal(size=(9, 6))
     b = rng.normal(size=9)
-    res = fs.least_squares_solve(A, b)
-    J_star = np.sum((A @ res.solution - b) ** 2)
+    x = fs.least_squares_solve(A, b)
+    J_star = np.sum((A @ x - b) ** 2)
     for _ in range(100):
         delta = rng.normal(size=6) * rng.uniform(1e-4, 1.0)
-        assert np.sum((A @ (res.solution + delta) - b) ** 2) >= J_star
+        assert np.sum((A @ (x + delta) - b) ** 2) >= J_star
 
 
 def test_normal_equation_defect_bound(rng):
@@ -50,15 +51,9 @@ def test_normal_equation_defect_bound(rng):
         cols = int(rng.integers(1, rows + 1))
         A = rng.normal(size=(rows, cols))
         b = rng.normal(size=rows) * rng.uniform(0.1, 50)
-        res = fs.least_squares_solve(A, b)
-        defect = np.abs(A.T @ res.residual).max()
+        x = fs.least_squares_solve(A, b)
+        defect = np.abs(A.T @ (A @ x - b)).max()
         assert defect <= 1e-10 * (1 + np.linalg.norm(A) * np.linalg.norm(b))
-
-
-def test_rank_deficient_rejected():
-    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14], [0.0, 0.0]])
-    with pytest.raises(fs.RankDeficient):
-        fs.least_squares_solve(A, np.ones(3))
 
 
 def test_gram_pivot_solve_matches_numpy(rng):
@@ -67,36 +62,24 @@ def test_gram_pivot_solve_matches_numpy(rng):
         cols = int(rng.integers(1, rows + 1))
         A = rng.normal(size=(rows, cols)) + np.eye(rows, cols) * rows
         b = rng.normal(size=rows)
-        res = fs.least_squares_solve(A, b)
+        x = fs.least_squares_solve(A, b)
         want = np.linalg.lstsq(A, b, rcond=None)[0]
-        assert np.abs(res.solution - want).max() < 1e-9
-        assert res.pivot == fs.gram_pivot(A.T @ A)
-
-
-def test_gram_pivot_rejects_indefinite():
-    G = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-    with pytest.raises(fs.RankDeficient):
-        fs.gram_pivot(G)
-    for bad in (np.nan, np.inf):
-        G = np.eye(3)
-        G[2, 1] = G[1, 2] = bad
-        with pytest.raises(fs.RankDeficient):
-            fs.gram_pivot(G)
+        assert np.abs(x - want).max() < 1e-9
 
 
 def test_gram_pivot_is_chain_recursion_pivot(rng):
     # the squared Cholesky pivots of a chain Gram matrix are the pivots of
-    # the determinant recursion, so the guard's relative pivot is bounded
-    # below by 1/m at any headings
+    # the determinant recursion, so the smallest relative to the largest
+    # diagonal entry is bounded below by 1/m at any headings
     for n in range(2, 12):
         tree = chain_tree(n)
         for _ in range(20):
             th = rng.uniform(-15, 15, n)
             G = fs.coupling_matrix(tree, th).T @ fs.coupling_matrix(tree, th)
             _, x = fs.chain_gram_determinant(th)
-            assert np.allclose(np.diag(np.linalg.cholesky(G)) ** 2, x,
-                               rtol=1e-12)
-            assert fs.gram_pivot(G) >= 1.0 / (2 * n) - 1e-15
+            sq = np.diag(np.linalg.cholesky(G)) ** 2
+            assert np.allclose(sq, x, rtol=1e-12)
+            assert sq.min() / G.diagonal().max() >= 1.0 / (2 * n) - 1e-15
 
 
 def test_tree_gram_two_aligned_robots():

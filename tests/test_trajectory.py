@@ -60,6 +60,21 @@ def test_constant_twist_rejects_singular_speed():
         fs.ConstantTwist(pose0=(0.0, 0.0, 0.0), v=1e-9, omega=1.0)
 
 
+@pytest.mark.parametrize("start", [(0.0, 0.0), (0.0, 0.0, 0.0, 1.0)])
+def test_a_start_pose_of_another_length_is_refused(start):
+    # not three values: refused when built or restarted, not later by
+    # ProfileSet's reshape or desired_arrays' unpacking
+    message = rf"^a start pose is \(x, y, theta\), got {len(start)} values$"
+    with pytest.raises(ValueError, match=message):
+        fs.ConstantTwist(pose0=start, v=1.0, omega=0.0)
+    table = {"times": [0.0, 1.0], "twists": [[1.0, 0.2]] * 2,
+             "rates": [[0.0, 0.0]] * 2}
+    with pytest.raises(ValueError, match=message):
+        fs.SampledTwist(pose0=start, **table)
+    with pytest.raises(ValueError, match=message):
+        fs.SampledTwist(pose0=(0.0, 0.0, 0.0), **table).started_at(start)
+
+
 def test_negative_time_rejected():
     prof = fs.ConstantTwist(pose0=(0.0, 0.0, 0.0), v=1.0, omega=0.5)
     with pytest.raises(ValueError):
